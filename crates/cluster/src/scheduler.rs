@@ -215,6 +215,54 @@ pub trait Scheduler {
         Ordering::Equal
     }
 
+    /// Declares the *refusal class* of a pending task, letting the
+    /// simulator's scheduling pass skip offers whose answer it already
+    /// knows. `None` (the default) declares nothing: the task is offered
+    /// in every pass, exactly as if this method did not exist.
+    ///
+    /// # Contract
+    ///
+    /// Returning `Some(k)` promises, for this scheduler and its own
+    /// [`Scheduler::queue_cmp`] order: *within one scheduling pass, once
+    /// [`Scheduler::schedule`] has refused a task of class `k`, it refuses
+    /// every later task of class `k` too, until a decision carrying
+    /// preemptions — or one whose commit failed — has been applied.*
+    /// Inside a pass the clock stands still and the only other cluster
+    /// change is a committed non-preemptive placement, so the promise
+    /// reads: a refusal must survive any sequence of placements that take
+    /// capacity and free none. The simulator then stops offering class
+    /// `k` after its first refusal in a pass and resumes after the next
+    /// preemptive (or failed) commit, from the first class member ordered
+    /// after the committing task. Skipped tasks are never shown to
+    /// `schedule`, so a refusing `schedule` call must not have side
+    /// effects that later decisions depend on. Debug builds re-offer
+    /// every skipped task at the moment it is skipped and panic if the
+    /// scheduler would have placed it.
+    ///
+    /// # What may enter the key
+    ///
+    /// The key must be *static per task* (a function of the spec alone),
+    /// injective over everything in the spec that `schedule` reads to
+    /// decide *feasibility* — typically priority tier, GPU model and the
+    /// per-pod demand shape — and must leave out what only picks *among*
+    /// feasible placements or orders the queue (task id, submit time,
+    /// duration, organisation). Two specs with equal keys must be
+    /// interchangeable as far as "can this be placed right now?" goes.
+    ///
+    /// # When to return `None`
+    ///
+    /// Whenever refusal is not monotone under placements or not a
+    /// function of such a key: a placement policy whose feasibility
+    /// depends on what the same pass placed earlier (spread or affinity
+    /// constraints that can *open up* as the cluster fills), per-task
+    /// state (retry counters, back-off timers), randomised admission, or
+    /// a spec whose shape does not fit the key exactly. Mixing `Some`
+    /// and `None` across tasks is fine; all unclassed tasks share one
+    /// queue that is swept linearly.
+    fn refusal_class(&self, _task: &TaskSpec) -> Option<u64> {
+        None
+    }
+
     /// Sorts a queue into the order of [`Scheduler::queue_cmp`] (stable, so
     /// ties keep their arrival order). Provided for external callers; the
     /// simulator itself maintains order incrementally.

@@ -14,11 +14,12 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use gfs_cluster::{Cluster, Node, RunningTask};
 use gfs_sched::placement::{DomainUse, PlacementPolicy};
 use gfs_types::{
-    GfsParams, GpuDemand, NodeId, Priority, SimDuration, SimTime, TaskId, TaskSpec, HOUR,
+    GfsParams, GpuDemand, GpuModel, NodeId, Priority, SimDuration, SimTime, TaskId, TaskSpec, HOUR,
 };
 
 use crate::score_index::{Flavor, ScoreIndex};
@@ -182,7 +183,10 @@ impl Pts {
         if self.policy.is_naive() {
             if let GpuDemand::Whole(g) = task.gpus_per_pod {
                 let fast = self.schedule_whole_indexed(task, g, cluster, now);
-                if std::env::var_os("GFS_XCHECK_INDEX").is_some() {
+                // resolved once: an environment probe per call would
+                // dominate this ≈ 350 ns path
+                static XCHECK: OnceLock<bool> = OnceLock::new();
+                if *XCHECK.get_or_init(|| std::env::var_os("GFS_XCHECK_INDEX").is_some()) {
                     let slow = self.schedule_nonpreemptive_scan(task, cluster, now);
                     if fast != slow {
                         self.index.borrow().debug_dump(self, cluster, now);
@@ -473,6 +477,47 @@ impl Pts {
         Some((pod_nodes, evicted))
     }
 
+    /// The refusal class of `task` (see
+    /// [`Scheduler::refusal_class`](gfs_cluster::Scheduler::refusal_class))
+    /// for schedulers built on this engine: `(priority, gpu_model,
+    /// gpus_per_pod, pods)` packed *exactly* into 64 bits — everything
+    /// Alg. 1, Alg. 2 and the SQA gate read to decide whether a task can
+    /// be placed, and nothing that merely ranks nodes or orders the
+    /// queue. Refusal is then monotone inside a pass:
+    /// [`Pts::task_order`] sorts by total GPUs, then pods, so only tasks
+    /// of the same demand shape run between two members of one class,
+    /// and placing such a task only takes idle cards, only raises the
+    /// spot allocation the quota gate compares against, and never adds
+    /// to a node's idle-plus-spot total that Alg. 2 can reclaim; `now`,
+    /// the quota and the eviction windows behind the circuit breaker are
+    /// constant until something is evicted.
+    ///
+    /// `None` under a non-naive [`PlacementPolicy`] (its components read
+    /// failure history, drains and what the gang already occupies), and
+    /// for the shapes the packing has no room for: whole demands of
+    /// 2²⁸ cards or more, fractional gangs, fractions below 2⁻²⁵⁵.
+    #[must_use]
+    pub fn refusal_class(&self, task: &TaskSpec) -> Option<u64> {
+        // bit 63 priority | 62–61 model | 60 fractional | 59–0 shape
+        const _: () = assert!(GpuModel::ALL.len() <= 4, "model must fit two bits");
+        if !self.policy.is_naive() {
+            return None;
+        }
+        let head = u64::from(task.priority.is_hp()) << 63 | (task.gpu_model as u64) << 61;
+        match task.gpus_per_pod {
+            GpuDemand::Whole(g) if g < 1 << 28 => {
+                Some(head | u64::from(g) << 32 | u64::from(task.pods))
+            }
+            GpuDemand::Fraction(f) if task.pods == 1 => {
+                // f in [2^-255, 1): sign and top exponent bit clear, the
+                // next two exponent bits set — the low 60 bits identify f
+                let bits = f.to_bits();
+                (bits >> 60 == 0b0011).then_some(head | 1 << 60 | (bits & ((1 << 60) - 1)))
+            }
+            _ => None,
+        }
+    }
+
     /// Queue ordering of §3.4.2 as a comparator: larger GPU requests
     /// first, then more pods, then earlier submissions.
     #[must_use]
@@ -509,6 +554,57 @@ mod tests {
             .checkpoint(CheckpointPlan::Periodic { interval: 1_800 })
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn refusal_class_packs_the_demand_shape_exactly() {
+        let p = pts();
+        let class = |t: &TaskSpec| p.refusal_class(t);
+        let base = task(1, Priority::Hp, 2, 4);
+        let key = class(&base).expect("whole gangs are classed");
+        // what ranks or orders is left out ...
+        let mut twin = task(99, Priority::Hp, 2, 4);
+        twin.duration_secs = 7;
+        twin.submit_at = SimTime::from_secs(500);
+        assert_eq!(class(&twin), Some(key));
+        // ... and every field that decides feasibility tells classes apart
+        let mut other_model = base.clone();
+        other_model.gpu_model = GpuModel::H800;
+        let mut half = task(1, Priority::Hp, 1, 1);
+        half.gpus_per_pod = GpuDemand::fraction(0.5).unwrap();
+        let mut quarter = half.clone();
+        quarter.gpus_per_pod = GpuDemand::fraction(0.25).unwrap();
+        let distinct = [
+            base.clone(),
+            task(1, Priority::Spot, 2, 4),
+            task(1, Priority::Hp, 3, 4),
+            task(1, Priority::Hp, 2, 8),
+            task(1, Priority::Hp, 4, 2),
+            task(1, Priority::Hp, 1, 1),
+            other_model,
+            half.clone(),
+            quarter,
+        ];
+        for (i, a) in distinct.iter().enumerate() {
+            for b in &distinct[i + 1..] {
+                assert_ne!(class(a).unwrap(), class(b).unwrap(), "{a:?} vs {b:?}");
+            }
+        }
+        // shapes the packing has no room for stay unclassed
+        let mut fractional_gang = half.clone();
+        fractional_gang.pods = 2;
+        assert_eq!(class(&fractional_gang), None);
+        let mut tiny = half;
+        tiny.gpus_per_pod = GpuDemand::Fraction(f64::MIN_POSITIVE);
+        assert_eq!(class(&tiny), None);
+        assert_eq!(class(&task(1, Priority::Hp, 1, 1 << 28)), None);
+        // a churn policy reads more than the shape
+        let churn = Pts::with_policy(
+            GfsParams::default(),
+            PtsVariant::Full,
+            PlacementPolicy::churn_aware(),
+        );
+        assert_eq!(churn.refusal_class(&base), None);
     }
 
     #[test]

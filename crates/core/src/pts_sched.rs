@@ -66,6 +66,10 @@ impl Scheduler for PtsScheduler {
         Pts::task_order(a, b)
     }
 
+    fn refusal_class(&self, task: &TaskSpec) -> Option<u64> {
+        self.pts.refusal_class(task)
+    }
+
     fn drain_decision(
         &self,
         task: &RunningTask,

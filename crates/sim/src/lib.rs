@@ -15,7 +15,10 @@
 //! the heap. Specs flow into the cluster as `Arc<TaskSpec>` (no deep
 //! copies per submit/start/requeue), and the pending queue is kept sorted
 //! under [`gfs_cluster::Scheduler::queue_cmp`] by binary insertion rather
-//! than re-sorted every scheduling pass. Carried progress is cleared when
+//! than re-sorted every scheduling pass — one queue per
+//! [`gfs_cluster::Scheduler::refusal_class`], so a pass stops offering a
+//! class at its first refusal (see [`service`], *Pending queue*).
+//! Carried progress is cleared when
 //! a task finishes, so week-scale, eviction-heavy traces do not
 //! accumulate stale state. Identical inputs produce byte-identical
 //! [`SimReport`]s across runs and processes (see `tests/golden_report.rs`
@@ -59,11 +62,13 @@
 pub mod dynamics;
 mod engine;
 pub mod fleet;
+mod pending;
 mod report;
 pub mod service;
 
 pub use engine::{run, SimConfig};
 pub use fleet::{run_fleet, FleetReport, FleetShard};
+pub use pending::PassStats;
 pub use report::{AllocSample, RunSummary, SimReport, TaskRecord};
 pub use service::{
     fnv1a, parse_journal, report_hash, AdmittedEvent, ClusterService, Journal, JournalError,

@@ -51,6 +51,27 @@
 //! A restored service replays the remainder of its run to the same
 //! [`SimReport`] as the uninterrupted original.
 //!
+//! # Pending queue
+//!
+//! Admitted tasks that are not running wait in the pending queue
+//! (`pending.rs`): one [`Scheduler::queue_cmp`]-sorted queue per
+//! [`Scheduler::refusal_class`], all unclassed tasks sharing one. The
+//! scheduling pass after a dirty batch offers tasks in the order a single
+//! sorted queue would give (`queue_cmp`, ties by arrival) by k-way merge
+//! over the class queues. The first refusal of a declared class *parks*
+//! it for the rest of the pass — the scheduler has promised that later
+//! members would be refused too — and a commit that evicts, or fails
+//! after evicting, re-activates every parked class from its first member
+//! ordered after the committing task (the earlier ones already had their
+//! turn in this pass). Nothing is remembered between passes, so there is
+//! no state to persist: a snapshot stores `pending` as the merged order,
+//! byte-identical whatever classes the scheduler declares, and
+//! [`ClusterService::restore`] re-splits it by asking the restoring
+//! scheduler. With no class declared the pass is one linear sweep of one
+//! queue. Debug builds offer every skipped task anyway and panic if the
+//! scheduler would have placed it; [`ClusterService::pass_stats`] counts
+//! passes, offers, parks and wakes.
+//!
 //! # Write-ahead journal
 //!
 //! With [`ClusterService::enable_journal`], every admission is appended
@@ -107,6 +128,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::dynamics::AvailabilityTracker;
 use crate::engine::SimConfig;
+use crate::pending::{Offer, PassStats, PendingQueue};
 use crate::report::{AllocSample, SimReport, TaskRecord};
 
 /// Layout version stamped into every [`ServiceSnapshot`];
@@ -365,16 +387,6 @@ fn push(heap: &mut EventHeap, seq: &mut u64, at: SimTime, kind: EventKind) {
         seq: *seq,
         kind,
     });
-}
-
-/// Inserts trace index `i` into the pending queue, kept sorted under
-/// [`Scheduler::queue_cmp`] with FIFO tie-breaks (behind every entry that
-/// compares `<=`).
-fn enqueue(pending: &mut Vec<u32>, specs: &[Arc<TaskSpec>], s: &dyn Scheduler, i: u32) {
-    let spec = &specs[i as usize];
-    let pos =
-        pending.partition_point(|&e| s.queue_cmp(&specs[e as usize], spec) != Ordering::Greater);
-    pending.insert(pos, i);
 }
 
 /// Knocks one running task off the cluster (forced displacement or
@@ -822,7 +834,7 @@ pub struct ClusterService {
     specs: Vec<Arc<TaskSpec>>,
     states: Vec<TaskState>,
     id_to_idx: HashMap<TaskId, u32>,
-    pending: Vec<u32>,
+    pending: PendingQueue,
     unfinished: usize,
     avail: AvailabilityTracker,
     now: SimTime,
@@ -834,8 +846,6 @@ pub struct ClusterService {
     journal_seq: u64,
     /// Reused same-timestamp batch buffer (always empty between steps).
     batch_scratch: Vec<Event>,
-    /// Reused still-pending buffer for the scheduling pass.
-    sched_scratch: Vec<u32>,
 }
 
 /// Clusters at or above this node count get *bounded* per-node sample
@@ -878,7 +888,7 @@ impl ClusterService {
             specs: Vec::new(),
             states: Vec::new(),
             id_to_idx: HashMap::new(),
-            pending: Vec::new(),
+            pending: PendingQueue::default(),
             unfinished: 0,
             avail,
             now: SimTime::ZERO,
@@ -887,7 +897,6 @@ impl ClusterService {
             journal: None,
             journal_seq: 0,
             batch_scratch: Vec::new(),
-            sched_scratch: Vec::new(),
         }
     }
 
@@ -915,6 +924,14 @@ impl ClusterService {
     #[must_use]
     pub fn steps(&self) -> u64 {
         self.steps
+    }
+
+    /// Counters over the scheduling passes run so far by *this* object
+    /// (a restored service starts from zero): pure observation, outside
+    /// every snapshot, state hash and report.
+    #[must_use]
+    pub fn pass_stats(&self) -> PassStats {
+        self.pending.stats()
     }
 
     /// The live cluster state.
@@ -1117,7 +1134,7 @@ impl ClusterService {
                         },
                         &self.cluster,
                     );
-                    enqueue(&mut self.pending, &self.specs, scheduler, i);
+                    self.pending.enqueue(i, &self.specs, scheduler);
                     dirty = true;
                 }
                 EventKind::Finish { task, epoch } => {
@@ -1149,7 +1166,7 @@ impl ClusterService {
                 }
                 EventKind::Requeue(task) => {
                     self.states[task as usize].enqueue = now;
-                    enqueue(&mut self.pending, &self.specs, scheduler, task);
+                    self.pending.enqueue(task, &self.specs, scheduler);
                     dirty = true;
                 }
                 EventKind::Tick => {
@@ -1376,95 +1393,97 @@ impl ClusterService {
         }
     }
 
-    /// One scheduling pass over the (incrementally sorted) pending queue.
+    /// One scheduling pass: [`PendingQueue::pass`] picks whom to offer,
+    /// this commits what the scheduler decides.
     fn scheduling_pass(&mut self, scheduler: &mut dyn Scheduler) {
-        let now = self.now;
-        // scratch recycling: the drained queue becomes next pass's
-        // still-pending buffer, so steady state allocates nothing
-        let mut still_pending = std::mem::take(&mut self.sched_scratch);
-        let pending = std::mem::take(&mut self.pending);
-        for &idx in &pending {
-            let task = &self.specs[idx as usize];
-            let Some(decision) = scheduler.schedule(task, &self.cluster, now) else {
-                still_pending.push(idx);
-                continue;
+        let ClusterService {
+            cfg,
+            cluster,
+            report,
+            heap,
+            seq,
+            specs,
+            states,
+            id_to_idx,
+            pending,
+            now,
+            ..
+        } = self;
+        let now = *now;
+        pending.pass(specs, scheduler, |scheduler, idx| {
+            let task = &specs[idx as usize];
+            let Some(decision) = scheduler.schedule(task, cluster, now) else {
+                return Offer::Refused;
             };
             for victim in &decision.preemptions {
-                match self.cluster.evict_task(*victim, now) {
+                match cluster.evict_task(*victim, now) {
                     Ok((_rt, preserved)) => {
-                        let vidx = self.id_to_idx[victim] as usize;
-                        self.states[vidx].carried = preserved;
-                        self.states[vidx].epoch += 1;
-                        let rec = &mut self.report.tasks[self.states[vidx].rec as usize];
+                        let vidx = id_to_idx[victim] as usize;
+                        states[vidx].carried = preserved;
+                        states[vidx].epoch += 1;
+                        let rec = &mut report.tasks[states[vidx].rec as usize];
                         rec.evictions += 1;
-                        self.report.eviction_times.push(now);
+                        report.eviction_times.push(now);
                         scheduler.on_event(
                             &TaskEvent::Evicted {
                                 task: *victim,
                                 at: now,
                             },
-                            &self.cluster,
+                            cluster,
                         );
                         push(
-                            &mut self.heap,
-                            &mut self.seq,
-                            now + self.cfg.requeue_delay_secs,
+                            heap,
+                            seq,
+                            now + cfg.requeue_delay_secs,
                             EventKind::Requeue(vidx as u32),
                         );
                     }
                     Err(_) => {
-                        self.report.failed_commits += 1;
+                        report.failed_commits += 1;
                     }
                 }
             }
-            let carry = self.states[idx as usize].carried;
-            let id = task.id;
-            match self
-                .cluster
+            let carry = states[idx as usize].carried;
+            if cluster
                 .start_task(Arc::clone(task), &decision.pod_nodes, now, carry)
+                .is_err()
             {
-                Ok(()) => {
-                    let st = &mut self.states[idx as usize];
-                    st.epoch += 1;
-                    let epoch = st.epoch;
-                    let remaining = task.duration_secs.saturating_sub(carry).max(1);
-                    push(
-                        &mut self.heap,
-                        &mut self.seq,
-                        now + remaining,
-                        EventKind::Finish { task: idx, epoch },
-                    );
-                    let queued = now.since(st.enqueue);
-                    let rec = &mut self.report.tasks[st.rec as usize];
-                    rec.queued_secs += queued;
-                    rec.runs += 1;
-                    if rec.first_start.is_none() {
-                        rec.first_start = Some(now);
-                    }
-                    let priority = self.specs[idx as usize].priority;
-                    if priority.is_spot() {
-                        self.report.spot_start_times.push(now);
-                    }
-                    scheduler.on_event(
-                        &TaskEvent::Started {
-                            task: id,
-                            priority,
-                            queued_secs: queued,
-                            at: now,
-                        },
-                        &self.cluster,
-                    );
-                }
-                Err(_) => {
-                    self.report.failed_commits += 1;
-                    still_pending.push(idx);
-                }
+                report.failed_commits += 1;
+                return Offer::Failed;
             }
-        }
-        self.pending = still_pending;
-        let mut scratch = pending;
-        scratch.clear();
-        self.sched_scratch = scratch;
+            let st = &mut states[idx as usize];
+            st.epoch += 1;
+            let epoch = st.epoch;
+            let remaining = task.duration_secs.saturating_sub(carry).max(1);
+            push(
+                heap,
+                seq,
+                now + remaining,
+                EventKind::Finish { task: idx, epoch },
+            );
+            let queued = now.since(st.enqueue);
+            let rec = &mut report.tasks[st.rec as usize];
+            rec.queued_secs += queued;
+            rec.runs += 1;
+            if rec.first_start.is_none() {
+                rec.first_start = Some(now);
+            }
+            if task.priority.is_spot() {
+                report.spot_start_times.push(now);
+            }
+            scheduler.on_event(
+                &TaskEvent::Started {
+                    task: task.id,
+                    priority: task.priority,
+                    queued_secs: queued,
+                    at: now,
+                },
+                cluster,
+            );
+            Offer::Started {
+                preemptive: !decision.preemptions.is_empty(),
+            }
+        });
     }
 
     /// Steps until the next event lies strictly after `t` (or the run
@@ -1490,7 +1509,7 @@ impl ClusterService {
     #[must_use]
     pub fn finish(self) -> SimReport {
         let mut report = self.report;
-        for &idx in &self.pending {
+        for idx in self.pending.tasks() {
             let st = &self.states[idx as usize];
             report.tasks[st.rec as usize].queued_secs += self.now.since(st.enqueue);
         }
@@ -1514,7 +1533,7 @@ impl ClusterService {
             seq: self.seq,
             specs: self.specs.iter().map(|s| (**s).clone()).collect(),
             states: self.states.clone(),
-            pending: self.pending.clone(),
+            pending: self.pending.merged(&self.specs, scheduler),
             unfinished: self.unfinished as u64,
             avail: self.avail.clone(),
             now: self.now,
@@ -1559,7 +1578,9 @@ impl ClusterService {
         out.push_str("],\"states\":");
         self.states.serialize_json(&mut out);
         out.push_str(",\"pending\":");
-        self.pending.serialize_json(&mut out);
+        self.pending
+            .merged(&self.specs, scheduler)
+            .serialize_json(&mut out);
         out.push_str(",\"unfinished\":");
         (self.unfinished as u64).serialize_json(&mut out);
         out.push_str(",\"avail\":");
@@ -1612,6 +1633,14 @@ impl ClusterService {
             }
         }
         let specs: Vec<Arc<TaskSpec>> = snap.specs.into_iter().map(Arc::new).collect();
+        if snap.pending.iter().any(|&i| i as usize >= specs.len()) {
+            return Err(RestoreError::Parse(
+                "pending queue names a task that was never admitted".to_string(),
+            ));
+        }
+        // the snapshot stores the merged order; the classes are the
+        // restoring scheduler's to declare
+        let pending = PendingQueue::from_merged(&snap.pending, &specs, scheduler);
         let id_to_idx: HashMap<TaskId, u32> = specs
             .iter()
             .enumerate()
@@ -1626,7 +1655,7 @@ impl ClusterService {
             specs,
             states: snap.states,
             id_to_idx,
-            pending: snap.pending,
+            pending,
             unfinished: snap.unfinished as usize,
             avail: snap.avail,
             now: snap.now,
@@ -1635,7 +1664,6 @@ impl ClusterService {
             journal: None,
             journal_seq: snap.journal_seq,
             batch_scratch: Vec::new(),
-            sched_scratch: Vec::new(),
         })
     }
 
@@ -1989,6 +2017,14 @@ mod tests {
             ServiceSnapshot::from_json(&format!("{json}garbage")).is_err(),
             "trailing garbage must be rejected"
         );
+        // a queue entry with no spec behind it is a damaged snapshot,
+        // not an index to trip over in the first scheduling pass
+        let dangling = json.replacen("\"pending\":[]", "\"pending\":[7]", 1);
+        let parsed = ServiceSnapshot::from_json(&dangling).unwrap();
+        assert!(matches!(
+            ClusterService::restore(parsed, &mut FirstFit),
+            Err(RestoreError::Parse(_))
+        ));
     }
 
     #[test]

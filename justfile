@@ -2,7 +2,7 @@
 # recipes by hand — each is a single cargo invocation (or a small loop).
 
 # Build, test, lint, gate — the full CI pipeline.
-ci: fmt build test clippy lint bench-smoke bench-gate lab-smokes examples-smoke
+ci: fmt build test clippy lint benchmark-smoke bench-smoke bench-gate lab-smokes examples-smoke
 
 # Formatting gate (no diffs tolerated).
 fmt:
@@ -30,7 +30,22 @@ lint:
 lint-baseline:
     cargo run --release -q -p gfs-lint --bin gfs_lint -- record
 
-# Short-mode benchmark smoke run (seconds, not minutes).
+# 1/20-scale smoke of the four `benchmark/` sessions (≈ 5 s): checks the
+# output schema against BENCHMARK.json and — the dev profile keeps debug
+# assertions on — re-offers every task the scheduling pass skips.
+benchmark-smoke:
+    cargo test --offline --manifest-path benchmark/Cargo.toml
+
+# The repository benchmark (BENCHMARK.json): no arguments runs all four
+# workloads. `just benchmark --workload paper_backlog --trace 1` is the
+# full-scale differential of the scheduling pass CI runs: one untraced
+# pass (refusal classes on) against one through the tracing proxy, which
+# forwards no classes (the exhaustive sweep); fingerprint and every
+# `sim.*` must agree or the run exits non-zero.
+benchmark *args:
+    cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- {{args}}
+
+# Short-mode micro-bench smoke run (seconds, not minutes).
 bench-smoke:
     GFS_BENCH_SHORT=1 GFS_BENCH_TAG=ci-smoke cargo bench -p gfs-bench
 

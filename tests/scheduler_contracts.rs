@@ -3,8 +3,12 @@
 //! tasks, are reproducible from identical state, and absorb the full
 //! cluster-timeline event stream with a queue order that stays total.
 
+use std::collections::HashSet;
+
 use gfs::prelude::*;
 use gfs_types::CheckpointPlan;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 fn schedulers() -> Vec<Box<dyn Scheduler>> {
     vec![
@@ -283,4 +287,151 @@ fn gang_pods_never_oversubscribe_one_node() {
                 .unwrap_or_else(|e| panic!("{name}: invalid gang decision: {e}"));
         }
     }
+}
+
+/// A two-model cluster with a random running population: whole-card and
+/// fractional pods of both priorities, started at scattered times.
+fn random_loaded_cluster(rng: &mut ChaCha8Rng) -> Cluster {
+    let mut c = Cluster::homogeneous(5, GpuModel::A100, 8);
+    for _ in 0..2 {
+        c.add_node(GpuModel::H800, 8);
+    }
+    let mut filler = GfsScheduler::with_defaults();
+    filler.on_tick(SimTime::from_secs(300), &c);
+    for i in 0..rng.gen_range(10..40u64) {
+        let submit = rng.gen_range(0..3_000u64);
+        let t = random_spec(rng, 1_000 + i, submit);
+        if let Some(d) = filler.schedule(&t, &c, SimTime::from_secs(300)) {
+            if d.preemptions.is_empty() {
+                c.start_task(t.clone(), &d.pod_nodes, t.submit_at, 0)
+                    .expect("a non-preemptive decision fits");
+            }
+        }
+    }
+    c
+}
+
+fn random_spec(rng: &mut ChaCha8Rng, id: u64, submit: u64) -> TaskSpec {
+    let fractional = rng.gen_range(0..5u32) == 0;
+    let demand = if fractional {
+        GpuDemand::fraction(*[0.25, 0.5].get(rng.gen_range(0..2)).expect("static"))
+            .expect("in range")
+    } else {
+        GpuDemand::whole(*[1, 2, 4, 8].get(rng.gen_range(0..4)).expect("static"))
+    };
+    TaskSpec::builder(id)
+        .priority(if rng.gen_range(0..2u32) == 0 {
+            Priority::Spot
+        } else {
+            Priority::Hp
+        })
+        .gpu_model(if rng.gen_range(0..3u32) == 0 {
+            GpuModel::H800
+        } else {
+            GpuModel::A100
+        })
+        .pods(if fractional {
+            1
+        } else {
+            rng.gen_range(1..4u32)
+        })
+        .gpus_per_pod(demand)
+        .duration_secs(rng.gen_range(600..50_000u64))
+        .submit_at(SimTime::from_secs(submit))
+        .checkpoint(CheckpointPlan::Periodic { interval: 1_800 })
+        .build()
+        .expect("valid")
+}
+
+#[test]
+fn refusal_classes_keep_their_promise() {
+    // for every scheduler that declares refusal classes: (1) two specs of
+    // one class are interchangeable as far as refusal goes, and (2) over
+    // one exhaustive pass in the scheduler's own queue order, a refused
+    // class stays refused through every non-preemptive placement — only
+    // a commit that evicts may reopen it
+    let now = SimTime::from_secs(4_000);
+    let mut upheld = [0u32; 6];
+    for case in 0..40u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xc0de_0000 + case);
+        let loaded = random_loaded_cluster(&mut rng);
+        let mut queue: Vec<TaskSpec> = (0..60)
+            .map(|i| {
+                let submit = 3_000 + rng.gen_range(0..900u64);
+                random_spec(&mut rng, i + 1, submit)
+            })
+            .collect();
+        for (which, s) in schedulers().into_iter().enumerate() {
+            let mut s = warmed(s, &loaded);
+            let name = s.name().to_string();
+            s.sort_queue(&mut queue);
+
+            for t in &queue {
+                let Some(class) = s.refusal_class(t) else {
+                    continue;
+                };
+                let twin = TaskSpec::builder(t.id.raw() + 7_000)
+                    .priority(t.priority)
+                    .gpu_model(t.gpu_model)
+                    .pods(t.pods)
+                    .gpus_per_pod(t.gpus_per_pod)
+                    .org(OrgId::new(3))
+                    .duration_secs(t.duration_secs / 2 + 1)
+                    .submit_at(SimTime::from_secs(t.submit_at.as_secs() / 2))
+                    .build()
+                    .expect("valid");
+                assert_eq!(
+                    s.refusal_class(&twin),
+                    Some(class),
+                    "{name}: key not static"
+                );
+                assert_eq!(
+                    s.schedule(t, &loaded, now).is_none(),
+                    s.schedule(&twin, &loaded, now).is_none(),
+                    "{name}: same-class tasks {:?}/{:?} disagree on refusal",
+                    t.id,
+                    twin.id
+                );
+            }
+
+            let mut c = loaded.clone();
+            let mut refused: HashSet<u64> = HashSet::new();
+            for t in &queue {
+                let class = s.refusal_class(t);
+                let Some(d) = s.schedule(t, &c, now) else {
+                    if let Some(k) = class {
+                        upheld[which] += u32::from(!refused.insert(k));
+                    }
+                    continue;
+                };
+                assert!(
+                    class.is_none_or(|k| !refused.contains(&k)),
+                    "{name}: task {:?} placed after its class was refused (case {case})",
+                    t.id
+                );
+                for v in &d.preemptions {
+                    c.evict_task(*v, now).expect("victim is running");
+                    s.on_event(&TaskEvent::Evicted { task: *v, at: now }, &c);
+                }
+                let started = c.start_task(t.clone(), &d.pod_nodes, now, 0).is_ok();
+                if started {
+                    s.on_event(
+                        &TaskEvent::Started {
+                            task: t.id,
+                            priority: t.priority,
+                            queued_secs: 0,
+                            at: now,
+                        },
+                        &c,
+                    );
+                }
+                if !d.preemptions.is_empty() || !started {
+                    refused.clear();
+                }
+            }
+        }
+    }
+    // GFS and PTS declare classes, and the cases above do exercise them
+    assert!(upheld[4] > 100 && upheld[5] > 100, "{upheld:?}");
+    assert_eq!(upheld[..4], [0; 4], "baselines declare no class");
 }
