@@ -17,7 +17,8 @@
 //! Cursors are only meaningful against the *same* log instance: clones
 //! and snapshot restores mint a fresh [`ChangeLog::instance`] id, so a
 //! cache synced to one cluster can never silently mis-apply its cursor to
-//! a copy.
+//! a copy. Declaring a failure-domain topology mints one too — it can
+//! change what every node's cached key should be.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -478,7 +478,12 @@ impl Cluster {
     /// [`Cluster::domain_of`]` == None`. A node listed twice keeps its
     /// first domain; unknown node ids are ignored (shape-shared
     /// topologies degrade gracefully, like shape-shared dynamics plans).
+    ///
+    /// Mints a fresh [`ChangeLog`] instance: every node's domain (and so
+    /// any cached score keyed on it) may have changed, which is a rebuild
+    /// for readers, exactly as for a clone.
     pub fn set_failure_domains(&mut self, domains: &[FailureDomain]) {
+        self.changes = ChangeLog::default();
         self.node_domain = vec![None; self.nodes.len()];
         self.domain_draining = vec![0; domains.len()];
         for (d, domain) in domains.iter().enumerate() {

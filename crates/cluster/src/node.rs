@@ -439,6 +439,21 @@ impl Node {
         count_within(&self.failures, now, window)
     }
 
+    /// The last instant `failures_within(now, window)` keeps its current
+    /// value under pure aging — the failure twin of
+    /// [`Node::eviction_score_valid_until`], same inclusive boundary (a
+    /// failure at `t_f` leaves the window when `now > t_f + window`).
+    /// `None` when no logged failure sits inside the window.
+    #[must_use]
+    pub fn failure_score_valid_until(&self, now: SimTime, window: SimDuration) -> Option<SimTime> {
+        let oldest = self
+            .failures
+            .iter()
+            .filter(|&&tf| now.since(tf) <= window)
+            .min()?;
+        Some(SimTime::from_secs(oldest.as_secs() + window))
+    }
+
     /// Lifetime count of up→down transitions (monotonic; unlike the
     /// windowed history this never retires entries).
     #[must_use]
@@ -681,6 +696,30 @@ mod tests {
         assert_eq!(n.time_since_failure(now), Some(gfs_types::HOUR));
         n.record_drain();
         assert_eq!(n.drain_count(), 1);
+    }
+
+    #[test]
+    fn failure_count_is_valid_through_the_inclusive_window_edge() {
+        let mut n = node();
+        let (tf, window) = (SimTime::from_secs(1_000), 500);
+        assert_eq!(n.failure_score_valid_until(tf, window), None);
+        n.record_failure(tf);
+        n.record_failure(SimTime::from_secs(1_200));
+        // the older failure leaves first, and only *after* tf + window
+        let edge = SimTime::from_secs(1_500);
+        assert_eq!(n.failure_score_valid_until(tf, window), Some(edge));
+        assert_eq!(n.failures_within(edge, window), 2);
+        assert_eq!(n.failure_score_valid_until(edge, window), Some(edge));
+        let after = SimTime::from_secs(1_501);
+        assert_eq!(n.failures_within(after, window), 1);
+        assert_eq!(
+            n.failure_score_valid_until(after, window),
+            Some(SimTime::from_secs(1_700))
+        );
+        assert_eq!(
+            n.failure_score_valid_until(SimTime::from_secs(1_701), window),
+            None
+        );
     }
 
     #[test]

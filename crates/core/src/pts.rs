@@ -13,8 +13,8 @@
 //! the node with the lowest preemption cost (Eq. 18–19).
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 use gfs_cluster::{Cluster, Node, RunningTask};
 use gfs_sched::placement::{DomainUse, PlacementPolicy};
@@ -167,12 +167,18 @@ impl Pts {
     /// `<Score1, Score2, Score3>`; disabled components are constant, so
     /// the comparison falls through to the native scores.
     ///
-    /// Whole-card demand under a naive policy — the paper's own
-    /// configuration, and the hot path at fleet scale — is answered from
-    /// the [`ScoreIndex`] in O(log n) instead of scoring every feasible
-    /// node; the index reproduces the scan's total order exactly (see
-    /// the module doc of [`crate::score_index`] and the equivalence
-    /// property test), so the fast path is behaviourally invisible.
+    /// Whole-card demand is answered from the [`ScoreIndex`] in O(log n)
+    /// instead of scoring every feasible node, for every policy that is
+    /// piecewise constant in time — `naive` (the paper's configuration),
+    /// `domain_spread`, `reliability_scored`, `churn_aware`: reliability
+    /// and drain avoidance extend the cached key, gang spread is resolved
+    /// at query time (module doc of [`crate::score_index`]). The index
+    /// reproduces the scan's total order exactly, and debug builds check
+    /// every indexed decision against the scan. Two cases keep the scan:
+    /// fractional demand, and `decayed_reliability` (`hazard_aware`),
+    /// whose score is continuous in `now` — no deadline bounds a cached
+    /// key, and the time-free factoring of the decayed sum is not
+    /// bit-equal to the `Σ exp2` the scan computes.
     #[must_use]
     pub fn schedule_nonpreemptive(
         &self,
@@ -180,32 +186,55 @@ impl Pts {
         cluster: &Cluster,
         now: SimTime,
     ) -> Option<Vec<NodeId>> {
-        if self.policy.is_naive() {
-            if let GpuDemand::Whole(g) = task.gpus_per_pod {
-                let fast = self.schedule_whole_indexed(task, g, cluster, now);
-                // resolved once: an environment probe per call would
-                // dominate this ≈ 350 ns path
-                static XCHECK: OnceLock<bool> = OnceLock::new();
-                if *XCHECK.get_or_init(|| std::env::var_os("GFS_XCHECK_INDEX").is_some()) {
-                    let slow = self.schedule_nonpreemptive_scan(task, cluster, now);
-                    if fast != slow {
-                        self.index.borrow().debug_dump(self, cluster, now);
-                        panic!(
-                            "index/scan divergence: task {:?} pods {} g {g} prio {:?} now {now:?}: fast {fast:?} slow {slow:?}",
-                            task.id, task.pods, task.priority
-                        );
-                    }
-                }
-                return fast;
-            }
+        let g = match task.gpus_per_pod {
+            GpuDemand::Whole(g) if !self.policy.decayed_reliability => g,
+            _ => return self.schedule_nonpreemptive_scan(task, cluster, now),
+        };
+        let fast = self.schedule_whole_indexed(task, g, cluster, now);
+        #[cfg(debug_assertions)]
+        self.assert_matches_scan(&fast, task, cluster, now);
+        fast
+    }
+
+    /// The index's oracle, compiled into every debug build: the scan must
+    /// give the same answer.
+    #[cfg(debug_assertions)]
+    fn assert_matches_scan(
+        &self,
+        fast: &Option<Vec<NodeId>>,
+        task: &TaskSpec,
+        cluster: &Cluster,
+        now: SimTime,
+    ) {
+        let slow = self.schedule_nonpreemptive_scan(task, cluster, now);
+        if *fast == slow {
+            return;
         }
-        self.schedule_nonpreemptive_scan(task, cluster, now)
+        let fast_nodes = fast.as_deref().unwrap_or_default();
+        let slow_nodes = slow.as_deref().unwrap_or_default();
+        let pod = (0..task.pods as usize)
+            .find(|&k| fast_nodes.get(k) != slow_nodes.get(k))
+            .unwrap_or(0);
+        let index = self.index.borrow();
+        let describe = |nodes: &[NodeId]| {
+            nodes.get(pod).map_or_else(
+                || "no node".to_owned(),
+                |&id| index.cached_vs_fresh(self, cluster, id, task.priority, now),
+            )
+        };
+        panic!(
+            "index/scan divergence at {now:?} on {task:?}\n index {fast:?}\n scan  {slow:?}\n \
+             pod {pod}: index chose {}\n pod {pod}: scan chose  {}",
+            describe(fast_nodes),
+            describe(slow_nodes),
+        );
     }
 
     /// The reference implementation of Alg. 1: scores every feasible
     /// candidate per pod and takes the lexicographic max. O(n) per
-    /// decision — kept for non-naive policies, fractional demand, and
-    /// as the oracle the indexed fast path is property-tested against.
+    /// decision — kept for fractional demand, for `decayed_reliability`
+    /// policies, and as the oracle every indexed decision is checked
+    /// against in debug builds.
     #[must_use]
     pub fn schedule_nonpreemptive_scan(
         &self,
@@ -287,24 +316,56 @@ impl Pts {
         let mut index = self.index.borrow_mut();
         index.prepare(self, cluster, now);
         let flavor = Flavor::of(task.priority);
-        let mut budget: HashMap<u32, u32> = HashMap::new();
-        let mut masked: Vec<u32> = Vec::new();
+        if task.pods == 1 {
+            // most tasks: no budget to track, nothing to mask
+            let id = index.query(task.gpu_model, g, flavor)?;
+            return Some(vec![NodeId::new(id)]);
+        }
+        let mut exhausted: Vec<u32> = Vec::new();
+        let mut aside: Vec<u32> = Vec::new();
+        let mut used_domains = DomainUse::new();
         let mut out = Vec::with_capacity(task.pods as usize);
         for _ in 0..task.pods {
-            let Some(id) = index.query(task.gpu_model, g, flavor) else {
+            // the scan's full key: the gang-spread term sits between the
+            // cached <hazard, drain> prefix and <S1, S2, S3>
+            let mut best = None;
+            while let Some(id) = index.query(task.gpu_model, g, flavor) {
+                // stays 0 unless the policy spreads: nothing is noted below
+                let in_domain =
+                    used_domains.count(PlacementPolicy::domain_key(cluster, NodeId::new(id)));
+                let [hazard, drain, s1, s2, s3] = index.key(id, flavor);
+                let cand = (
+                    [hazard, drain],
+                    Reverse(in_domain),
+                    [s1, s2, s3],
+                    Reverse(id),
+                );
+                if best.is_none_or(|b| cand > b) {
+                    best = Some(cand);
+                }
+                if in_domain == 0 {
+                    break; // nothing still in the index can beat `best`
+                }
+                index.mask(id);
+                aside.push(id);
+            }
+            for id in aside.drain(..) {
+                index.unmask(cluster, id);
+            }
+            let Some((.., Reverse(id))) = best else {
                 break;
             };
-            let left = budget
-                .entry(id)
-                .or_insert_with(|| cluster.nodes()[id as usize].idle_gpus());
-            *left -= g;
-            if *left < g {
-                index.mask(id);
-                masked.push(id);
-            }
             out.push(NodeId::new(id));
+            let claimed = g * out.iter().filter(|n| n.raw() == id).count() as u32;
+            if cluster.nodes()[id as usize].idle_gpus() - claimed < g {
+                index.mask(id);
+                exhausted.push(id);
+            }
+            if self.policy.spread_domains {
+                used_domains.note(PlacementPolicy::domain_key(cluster, NodeId::new(id)));
+            }
         }
-        for id in masked {
+        for id in exhausted {
             index.unmask(cluster, id);
         }
         (out.len() == task.pods as usize).then_some(out)
@@ -492,17 +553,18 @@ impl Pts {
     /// the quota and the eviction windows behind the circuit breaker are
     /// constant until something is evicted.
     ///
-    /// `None` under a non-naive [`PlacementPolicy`] (its components read
-    /// failure history, drains and what the gang already occupies), and
-    /// for the shapes the packing has no room for: whole demands of
-    /// 2²⁸ cards or more, fractional gangs, fractions below 2⁻²⁵⁵.
+    /// The [`PlacementPolicy`] does not enter the key: its components
+    /// only *rank* candidates (the hazard component floors at 0 but never
+    /// excludes a node; preemption reliability only orders targets), so
+    /// feasibility — and with it the monotonicity argument — is the naive
+    /// one under every policy.
+    ///
+    /// `None` for the shapes the packing has no room for: whole demands
+    /// of 2²⁸ cards or more, fractional gangs, fractions below 2⁻²⁵⁵.
     #[must_use]
     pub fn refusal_class(&self, task: &TaskSpec) -> Option<u64> {
         // bit 63 priority | 62–61 model | 60 fractional | 59–0 shape
         const _: () = assert!(GpuModel::ALL.len() <= 4, "model must fit two bits");
-        if !self.policy.is_naive() {
-            return None;
-        }
         let head = u64::from(task.priority.is_hp()) << 63 | (task.gpu_model as u64) << 61;
         match task.gpus_per_pod {
             GpuDemand::Whole(g) if g < 1 << 28 => {
@@ -598,13 +660,13 @@ mod tests {
         tiny.gpus_per_pod = GpuDemand::Fraction(f64::MIN_POSITIVE);
         assert_eq!(class(&tiny), None);
         assert_eq!(class(&task(1, Priority::Hp, 1, 1 << 28)), None);
-        // a churn policy reads more than the shape
+        // a churn policy only ranks nodes: same feasibility, same class
         let churn = Pts::with_policy(
             GfsParams::default(),
             PtsVariant::Full,
             PlacementPolicy::churn_aware(),
         );
-        assert_eq!(churn.refusal_class(&base), None);
+        assert_eq!(churn.refusal_class(&base), Some(key));
     }
 
     #[test]
@@ -876,6 +938,32 @@ mod tests {
         let (nodes, victims) = hazard.schedule_preemptive(&hp, &build(), now).unwrap();
         assert_eq!(nodes, vec![NodeId::new(1)], "flaky target loses");
         assert_eq!(victims, vec![TaskId::new(2)]);
+    }
+
+    #[test]
+    fn decayed_reliability_keeps_the_scan() {
+        // both nodes failed once inside the 48 h window, node 1 longer ago
+        let mut c = Cluster::homogeneous(2, GpuModel::A100, 8);
+        for (node, hour) in [(1, 1), (0, 10)] {
+            c.fail_node(NodeId::new(node), SimTime::from_hours(hour))
+                .unwrap();
+            c.restore_node(NodeId::new(node), SimTime::from_hours(hour + 1))
+                .unwrap();
+        }
+        let now = SimTime::from_hours(20);
+        let probe = task(1, Priority::Hp, 1, 2);
+        let engine = |policy| Pts::with_policy(GfsParams::default(), PtsVariant::Full, policy);
+        // the hard window counts one failure each: a tie, through the index
+        let churn = engine(PlacementPolicy::churn_aware());
+        let nodes = churn.schedule_nonpreemptive(&probe, &c, now).unwrap();
+        assert_eq!(nodes, vec![NodeId::new(0)]);
+        assert!(churn.index.borrow().is_bound());
+        // the decayed rate is continuous in `now`: the older failure
+        // weighs less, and no cached key could say so
+        let hazard = engine(PlacementPolicy::hazard_aware());
+        let nodes = hazard.schedule_nonpreemptive(&probe, &c, now).unwrap();
+        assert_eq!(nodes, vec![NodeId::new(1)]);
+        assert!(!hazard.index.borrow().is_bound());
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //!
 //! * **Bucket trees** — one tournament (segment) tree per capacity-index
 //!   bucket `(GpuModel, idle cards)`, whose internal nodes hold the
-//!   winning node id under the exact scan order: packed `<Score1, Score2,
-//!   Score3>` descending, then lower node id. A whole-card query for `g`
-//!   cards reads the root of every bucket `g..` (at most
-//!   `gpus_per_node + 1` roots) and picks the best — O(log n) total.
+//!   winning node id under the exact scan order: packed `<hazard, drain,
+//!   Score1, Score2, Score3>` descending, then lower node id. A
+//!   whole-card query for `g` cards reads the root of every bucket `g..`
+//!   (at most `gpus_per_node + 1` roots) and picks the best — O(log n)
+//!   total.
 //! * **Epoch invalidation** — the cluster's [`ChangeLog`] records every
 //!   score-relevant node mutation; [`ScoreIndex::prepare`] replays only
 //!   the ids touched since its last cursor and recomputes those keys. A
@@ -23,6 +24,15 @@
 //!   cached key carries the last instant its counts stay valid
 //!   ([`Node::eviction_score_valid_until`]); a min-heap of those
 //!   deadlines recomputes exactly the nodes whose windows just aged out.
+//!   The hard-window failure count behind the reliability component ages
+//!   the same way ([`Node::failure_score_valid_until`]) and shares the
+//!   heap.
+//! * **Domain re-keying** — the drain component is a property of a node's
+//!   failure *domain*. The index remembers each domain's members and the
+//!   `draining_in_domain` its keys were built with; when a replayed node's
+//!   domain reports a different count, every member is recomputed
+//!   (`drain_node`/`fail_node`/`restore_node` all log the node, and
+//!   `set_failure_domains` mints a new log instance, i.e. a rebuild).
 //!
 //! ## Why the cached order is bit-identical to the scan
 //!
@@ -36,16 +46,45 @@
 //! the scan calls, so a synced index cannot disagree with the scan even
 //! in the last bit (property-pinned in `tests/property_based.rs`).
 //!
-//! Gang budgets never enter the cache: a pod's predecessors only *gate*
-//! a node (virtual budget < demand), they never change its score, so the
-//! caller masks budget-exhausted leaves for the duration of one gang and
-//! reinserts them afterwards.
+//! ## Why the policy prefix is order-preserving
+//!
+//! A churn [`PlacementPolicy`](gfs_sched::placement::PlacementPolicy)
+//! leads the scan key with reliability, then drain avoidance. The hazard
+//! component lies in `[0, 1]`, so its bit pattern orders like the value,
+//! as above. The drain component is `−draining_in_domain`, stored as
+//! `u64::MAX − draining_in_domain`: fewer drains, larger integer, which is
+//! the scan's `partial_cmp` on the negated count. Both are constants under
+//! `naive()` (1.0 and `u64::MAX`), so the paper configuration compares
+//! `<Score1, Score2, Score3>` exactly as before. Only policies that are
+//! piecewise constant in time are cached: `decayed_reliability` weighs
+//! each failure by `2^(−age/half_life)`, continuous in `now`, and the
+//! time-free factoring `2^(−now/hl)·Σ 2^(t_k/hl)` is not bit-equal to the
+//! scan's `Σ exp2`, so that policy keeps the scan.
+//!
+//! ## What never enters the cache
+//!
+//! Gang budgets: a pod's predecessors only *gate* a node (virtual budget
+//! < demand), they never change its score, so the caller masks
+//! budget-exhausted leaves for the duration of one gang and reinserts
+//! them afterwards.
+//!
+//! Gang spread: the scan ranks `−(gang pods already in the node's
+//! domain)` between the drain component and `Score1`, which depends on
+//! the pods placed so far. For pod k > 0 the caller pops index winners,
+//! setting aside (mask, then unmask) each one whose domain the gang
+//! already uses, until the first winner `w` in an unused domain. Every
+//! node still in the index has a cached key ≤ `w`'s: a smaller `<hazard,
+//! drain>` prefix loses outright, and on an equal prefix its spread is
+//! ≤ 0 against `w`'s 0, falling through to the cached order where `w`
+//! already won. So the pod's node is the maximum of {set-aside ∪ `w`}
+//! under the full key, ties to the lower id — exact, without a scan, and
+//! bounded by the sizes of the domains the gang occupies.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-use gfs_cluster::Cluster;
-use gfs_types::{GpuModel, Priority, SimTime};
+use gfs_cluster::{Cluster, Node};
+use gfs_types::{GpuModel, NodeId, Priority, SimTime};
 
 use crate::pts::Pts;
 
@@ -71,11 +110,24 @@ impl Flavor {
     }
 }
 
-/// `<Score1, Score2, Score3>` packed as order-preserving bit patterns.
-type Key = [u64; 3];
+/// `<hazard, drain, Score1, Score2, Score3>` packed as order-preserving
+/// integers (see the module docs).
+pub(crate) type Key = [u64; 5];
 
-fn pack(scores: (f64, f64, f64)) -> Key {
-    [scores.0.to_bits(), scores.1.to_bits(), scores.2.to_bits()]
+/// The cacheable policy prefix `<hazard, drain>` of `node`.
+fn policy_prefix(pts: &Pts, cluster: &Cluster, node: &Node, now: SimTime) -> [u64; 2] {
+    let policy = pts.policy();
+    let draining = -policy.drain_component(cluster, node.id());
+    [
+        policy.hazard_component(cluster, node, now).to_bits(),
+        u64::MAX - draining as u64,
+    ]
+}
+
+fn pack(prefix: [u64; 2], scores: (f64, f64, f64)) -> Key {
+    let [hazard, drain] = prefix;
+    let (s1, s2, s3) = scores;
+    [hazard, drain, s1.to_bits(), s2.to_bits(), s3.to_bits()]
 }
 
 /// Per-node cache slot.
@@ -87,8 +139,9 @@ struct Slot {
     bucket: Option<(GpuModel, u32, u32)>,
     hp: Option<Key>,
     spot: Option<Key>,
-    /// Last second at which the eviction-window counts behind these keys
-    /// are still current (`None` = stable until the next mutation).
+    /// Last second at which the windowed eviction and failure counts
+    /// behind these keys are still current (`None` = stable until the next
+    /// mutation).
     valid_until: Option<u64>,
 }
 
@@ -244,8 +297,13 @@ pub(crate) struct ScoreIndex {
     last_now: SimTime,
     slots: Vec<Slot>,
     trees: BTreeMap<(GpuModel, u32), BucketTree>,
-    /// Min-heap of `(valid_until, node id)` eviction-window deadlines.
+    /// Min-heap of `(valid_until, node id)` count-window deadlines.
     expiry: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Per failure domain: the `draining_in_domain` its members' keys were
+    /// built with, and those members. Empty unless the policy is
+    /// drain-aware; fixed between rebuilds (a new topology is a new log
+    /// instance, and minted nodes join no domain).
+    domains: Vec<(u32, Vec<u32>)>,
     scratch: Vec<u32>,
 }
 
@@ -271,6 +329,7 @@ impl ScoreIndex {
         self.cursor = log.cursor();
         for &id in &ids {
             self.recompute(pts, cluster, id, now);
+            self.rekey_domain(pts, cluster, id, now);
         }
         self.scratch = ids;
         while let Some(&Reverse((t, id))) = self.expiry.peek() {
@@ -300,8 +359,40 @@ impl ScoreIndex {
         self.expiry.clear();
         self.slots.clear();
         self.slots.resize(cluster.nodes().len(), Slot::default());
+        let keyed_domains = if pts.policy().drain_aware {
+            cluster.failure_domain_count() as u32
+        } else {
+            0
+        };
+        self.domains = (0..keyed_domains)
+            .map(|d| (cluster.draining_in_domain(d), Vec::new()))
+            .collect();
         for node in cluster.nodes() {
+            let domain = cluster.domain_of(node.id());
+            if let Some((_, members)) = domain.and_then(|d| self.domains.get_mut(d as usize)) {
+                members.push(node.id().raw());
+            }
             self.recompute(pts, cluster, node.id().raw(), now);
+        }
+    }
+
+    /// Re-keys the domain-mates of changed node `id` when its domain's
+    /// drain count is no longer the one their keys were built with.
+    fn rekey_domain(&mut self, pts: &Pts, cluster: &Cluster, id: u32, now: SimTime) {
+        let Some(d) = cluster.domain_of(NodeId::new(id)) else {
+            return;
+        };
+        let Some((cached, members)) = self.domains.get_mut(d as usize) else {
+            return; // not drain-aware: no key reads the count
+        };
+        let draining = cluster.draining_in_domain(d);
+        if *cached == draining {
+            return;
+        }
+        *cached = draining;
+        for i in 0..members.len() {
+            let mate = self.domains[d as usize].1[i];
+            self.recompute(pts, cluster, mate, now);
         }
     }
 
@@ -317,15 +408,28 @@ impl ScoreIndex {
             None => (None, None, None),
             Some(_) => {
                 let node = &cluster.nodes()[id as usize];
-                let hp = pts.node_scores(node, Priority::Hp, now).map(pack);
-                let spot = pts.node_scores(node, Priority::Spot, now).map(pack);
-                let valid = if pts.scoring_time_invariant() {
+                let prefix = policy_prefix(pts, cluster, node, now);
+                let key = |priority| {
+                    pts.node_scores(node, priority, now)
+                        .map(|s| pack(prefix, s))
+                };
+                let evictions = if pts.scoring_time_invariant() {
                     None
                 } else {
                     node.eviction_score_valid_until(now, &pts.eviction_windows())
-                        .map(SimTime::as_secs)
                 };
-                (hp, spot, valid)
+                let failures = if pts.policy().reliability {
+                    node.failure_score_valid_until(now, pts.policy().failure_window_secs)
+                } else {
+                    None
+                };
+                // whichever count changes first
+                let valid = evictions.into_iter().chain(failures).min();
+                (
+                    key(Priority::Hp),
+                    key(Priority::Spot),
+                    valid.map(SimTime::as_secs),
+                )
             }
         };
         let slot = &mut self.slots[id as usize];
@@ -383,29 +487,40 @@ impl ScoreIndex {
         (best_id != EMPTY).then_some(best_id)
     }
 
-    /// Debug aid: prints every node whose cached state disagrees with a
-    /// fresh recomputation. Temporary instrumentation for the
-    /// index-equivalence work; only called under `GFS_XCHECK_INDEX`.
-    pub(crate) fn debug_dump(&self, pts: &Pts, cluster: &Cluster, now: SimTime) {
-        for node in cluster.nodes() {
-            let id = node.id().raw();
-            let slot = &self.slots[id as usize];
-            let placement = cluster.node_placement_key(id);
-            let hp = pts.node_scores(node, Priority::Hp, now).map(pack);
-            let spot = pts.node_scores(node, Priority::Spot, now).map(pack);
-            let bucket_ok = match (slot.bucket, placement) {
-                (Some((m, k, _)), Some(p)) => (m, k) == p,
-                (None, None) => true,
-                _ => false,
-            };
-            if slot.hp != hp || slot.spot != spot || !bucket_ok {
-                eprintln!(
-                    "node {id}: cached hp={:?} spot={:?} bucket={:?} vs fresh hp={:?} spot={:?} placement={:?} valid_until={:?} idle={}",
-                    slot.hp, slot.spot, slot.bucket, hp, spot, placement, slot.valid_until,
-                    node.idle_gpus()
-                );
-            }
-        }
+    /// Whether a decision has gone through this index yet.
+    #[cfg(test)]
+    pub(crate) fn is_bound(&self) -> bool {
+        self.bound.is_some()
+    }
+
+    /// The cached key of a node a query just returned.
+    pub(crate) fn key(&self, id: u32, flavor: Flavor) -> Key {
+        key_of(&self.slots, flavor, id).expect("query winners are keyed")
+    }
+
+    /// Oracle diagnostics: node `id`'s cached key and bucket next to a
+    /// fresh recomputation from cluster state.
+    #[cfg(debug_assertions)]
+    pub(crate) fn cached_vs_fresh(
+        &self,
+        pts: &Pts,
+        cluster: &Cluster,
+        id: NodeId,
+        priority: Priority,
+        now: SimTime,
+    ) -> String {
+        let node = &cluster.nodes()[id.index()];
+        let slot = &self.slots[id.index()];
+        let fresh = pts
+            .node_scores(node, priority, now)
+            .map(|s| pack(policy_prefix(pts, cluster, node, now), s));
+        format!(
+            "{id}: cached key {:?} bucket {:?} valid_until {:?} | fresh key {fresh:?} placement {:?}",
+            slot.key(Flavor::of(priority)),
+            slot.bucket,
+            slot.valid_until,
+            cluster.node_placement_key(id.raw()),
+        )
     }
 
     /// Temporarily hides a node from queries (gang budget exhausted for

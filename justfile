@@ -41,7 +41,8 @@ benchmark-smoke:
 # full-scale differential of the scheduling pass CI runs: one untraced
 # pass (refusal classes on) against one through the tracing proxy, which
 # forwards no classes (the exhaustive sweep); fingerprint and every
-# `sim.*` must agree or the run exits non-zero.
+# `sim.*` must agree or the run exits non-zero. `--workload churn_recover
+# --trace 1` is the same differential under the churn-aware policy.
 benchmark *args:
     cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- {{args}}
 

@@ -7,6 +7,7 @@
 
 use gfs::cluster::{DrainDecision, RunningTask};
 use gfs::prelude::*;
+use gfs::sched::placement::PlacementPolicy;
 use gfs::sim::{report_hash, ClusterService, PassStats, ServiceSnapshot};
 use gfs_types::{CheckpointPlan, SimDuration};
 use rand::{Rng, SeedableRng};
@@ -56,14 +57,22 @@ impl Scheduler for NoClass {
 }
 
 /// The policies that declare classes, by index: GFS (quota-gated) in its
-/// full and both degraded-preemption variants, and the bare PTS.
+/// full and both degraded-preemption variants, the bare PTS, and GFS
+/// under the churn-aware placement policy (which only ranks nodes, so it
+/// keeps the classes).
 fn classed(kind: u64) -> Box<dyn Scheduler> {
     let gfs = |v| Box::new(GfsScheduler::new(GfsParams::default(), v, None));
-    match kind % 4 {
+    match kind % 5 {
         0 => gfs(PtsVariant::Full),
         1 => Box::new(PtsScheduler::new(GfsParams::default())),
         2 => gfs(PtsVariant::RandomPreemption),
-        _ => gfs(PtsVariant::Degraded),
+        3 => gfs(PtsVariant::Degraded),
+        _ => Box::new(GfsScheduler::with_policy(
+            GfsParams::default(),
+            PtsVariant::Full,
+            None,
+            PlacementPolicy::churn_aware(),
+        )),
     }
 }
 
@@ -71,12 +80,13 @@ fn unclassed(kind: u64) -> Box<dyn Scheduler> {
     Box::new(NoClass(classed(kind)))
 }
 
-/// Two GPU models, 9 nodes × 8 cards.
+/// Two GPU models, 9 nodes × 8 cards, in racks of three.
 fn cluster() -> Cluster {
     let mut c = Cluster::homogeneous(6, GpuModel::A100, 8);
     for _ in 0..3 {
         c.add_node(GpuModel::H800, 8);
     }
+    c.set_failure_domains(&FailureDomain::racks(9, 3));
     c
 }
 
