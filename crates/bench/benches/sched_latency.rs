@@ -140,7 +140,7 @@ fn bench_timeline_apply(suite: &mut Suite) {
 /// Crash-safety hot path: checkpoint a live mid-run service and bring a
 /// replacement up from it. One iteration is the full cycle a controller
 /// pays per checkpoint interval plus what a failover pays at takeover —
-/// snapshot, canonical-JSON encode, parse back, restore into a fresh
+/// the streamed canonical-JSON encode, parse back, restore into a fresh
 /// service. Keeping this µs-scale is what makes aggressive snapshot
 /// cadences (and therefore short journal suffixes) affordable.
 fn bench_snapshot_restore(suite: &mut Suite) {
@@ -176,7 +176,7 @@ fn bench_snapshot_restore(suite: &mut Suite) {
         }
     }
     suite.bench("snapshot_restore", || {
-        let json = svc.snapshot(&sched).to_json();
+        let json = svc.snapshot_json(&sched);
         let snap = ServiceSnapshot::from_json(&json).expect("round-trip");
         let mut standby = YarnCs::new();
         let restored = ClusterService::restore(snap, &mut standby).expect("restore");

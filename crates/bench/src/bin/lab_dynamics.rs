@@ -13,22 +13,13 @@
 //! GFS_LAB_JSON=1 …           # dump the aggregated GridReport JSON
 //! ```
 
-use std::time::Instant;
-
-use gfs::lab::{ClusterShape, DynamicsAxis, Grid, SchedulerSpec, Threads, WorkloadAxis};
+use gfs::lab::{ClusterShape, DynamicsAxis, Grid, SchedulerSpec, WorkloadAxis};
 use gfs::prelude::*;
 use gfs::scenario;
-use gfs_bench::env_flag;
+use gfs_bench::{env_flag, run_lab_grid};
 
 fn main() {
     let smoke = env_flag("GFS_LAB_SMOKE");
-    let threads = match std::env::var("GFS_LAB_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        Some(n) => Threads::Fixed(n),
-        None => Threads::Auto,
-    };
     let (nodes, horizon_h, seeds): (u32, u64, Vec<u64>) = if smoke {
         (6, 8, vec![1, 2])
     } else {
@@ -111,12 +102,9 @@ fn main() {
         grid = grid.scheduler(scenario::gfs_no_gde_spec());
     }
 
-    let start = Instant::now();
-    let result = grid.run(threads);
-    let wall = start.elapsed();
-    println!(
-        "{}",
-        result.report.render_table(&[
+    run_lab_grid(
+        &grid,
+        &[
             "availability",
             "node_drains",
             "migration_count",
@@ -124,36 +112,6 @@ fn main() {
             "added_gpus",
             "hp_p99_jct_s",
             "spot_mean_jqt_s",
-        ])
+        ],
     );
-    let runs = result
-        .report
-        .cells
-        .iter()
-        .map(|c| c.seeds.len())
-        .sum::<usize>();
-    println!(
-        "{runs} runs in {:.2}s on {} threads",
-        wall.as_secs_f64(),
-        threads.count()
-    );
-
-    if env_flag("GFS_LAB_JSON") {
-        println!("{}", result.report.to_json());
-    }
-    if env_flag("GFS_LAB_COMPARE") {
-        let start = Instant::now();
-        let serial = grid.run(Threads::Fixed(1));
-        let serial_wall = start.elapsed();
-        assert_eq!(
-            serial.report.to_json(),
-            result.report.to_json(),
-            "parallel and serial dynamics grids must agree byte-for-byte"
-        );
-        println!(
-            "serial: {:.2}s  -> speedup {:.2}x, outputs identical",
-            serial_wall.as_secs_f64(),
-            serial_wall.as_secs_f64() / wall.as_secs_f64()
-        );
-    }
 }

@@ -7,24 +7,16 @@
 //! GFS_LAB_SMOKE=1  …         # tiny grid for CI (< 10 s)
 //! GFS_LAB_THREADS=8 …        # fixed worker count (default: one per core)
 //! GFS_LAB_COMPARE=1 …        # also run serially; verify identical output
+//! GFS_LAB_JSON=1 …           # dump the aggregated GridReport JSON
 //! ```
 
-use std::time::Instant;
-
-use gfs::lab::{ClusterShape, Grid, SchedulerSpec, Threads, WorkloadAxis};
+use gfs::lab::{ClusterShape, Grid, SchedulerSpec, WorkloadAxis};
 use gfs::prelude::*;
 use gfs::scenario;
-use gfs_bench::env_flag;
+use gfs_bench::{env_flag, run_lab_grid};
 
 fn main() {
     let smoke = env_flag("GFS_LAB_SMOKE");
-    let threads = match std::env::var("GFS_LAB_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        Some(n) => Threads::Fixed(n),
-        None => Threads::Auto,
-    };
     let (nodes, horizon_h) = if smoke { (8, 12) } else { (32, 72) };
 
     // The whole experiment, declaratively: schedulers × workload × seeds.
@@ -60,40 +52,15 @@ fn main() {
         grid = grid.scheduler(scenario::gfs_spec(3, 0.6));
     }
 
-    let start = Instant::now();
-    let result = grid.run(threads);
-    let wall = start.elapsed();
-    println!(
-        "{}",
-        result.report.render_table(&[
+    run_lab_grid(
+        &grid,
+        &[
             "hp_p99_jct_s",
             "hp_mean_jct_s",
             "hp_mean_jqt_s",
             "spot_mean_jct_s",
             "spot_mean_jqt_s",
             "eviction_rate",
-        ])
+        ],
     );
-    let runs = result.report.cells.len() * 3;
-    println!(
-        "{runs} runs in {:.2}s on {} threads",
-        wall.as_secs_f64(),
-        threads.count()
-    );
-
-    if env_flag("GFS_LAB_COMPARE") {
-        let start = Instant::now();
-        let serial = grid.run(Threads::Fixed(1));
-        let serial_wall = start.elapsed();
-        assert_eq!(
-            serial.report.to_json(),
-            result.report.to_json(),
-            "parallel and serial grids must agree byte-for-byte"
-        );
-        println!(
-            "serial: {:.2}s  -> speedup {:.2}x, outputs identical",
-            serial_wall.as_secs_f64(),
-            serial_wall.as_secs_f64() / wall.as_secs_f64()
-        );
-    }
 }

@@ -12,24 +12,13 @@
 //! GFS_LAB_JSON=1 …           # dump the aggregated GridReport JSON
 //! ```
 
-use std::time::Instant;
-
-use gfs::lab::{
-    ClusterShape, DynamicsAxis, Grid, MarketAxis, SchedulerSpec, Threads, WorkloadAxis,
-};
+use gfs::lab::{ClusterShape, DynamicsAxis, Grid, MarketAxis, SchedulerSpec, WorkloadAxis};
 use gfs::market::{spike, ForecastParams, MarketSpec};
 use gfs::prelude::*;
-use gfs_bench::env_flag;
+use gfs_bench::{env_flag, run_lab_grid};
 
 fn main() {
     let smoke = env_flag("GFS_LAB_SMOKE");
-    let threads = match std::env::var("GFS_LAB_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        Some(n) => Threads::Fixed(n),
-        None => Threads::Auto,
-    };
     let (nodes, hp, spot, seeds): (u32, usize, usize, Vec<u64>) = if smoke {
         (2, 14, 4, vec![1, 2])
     } else {
@@ -84,47 +73,14 @@ fn main() {
             ..SimConfig::default()
         });
 
-    let start = Instant::now();
-    let result = grid.run(threads);
-    let wall = start.elapsed();
-    println!(
-        "{}",
-        result.report.render_table(&[
+    run_lab_grid(
+        &grid,
+        &[
             "hp_mean_jct_s",
             "market_spend_usd",
             "gpu_hours_bought",
             "cost_per_completed_usd",
             "stranded_gpu_hours",
-        ])
+        ],
     );
-    let runs = result
-        .report
-        .cells
-        .iter()
-        .map(|c| c.seeds.len())
-        .sum::<usize>();
-    println!(
-        "{runs} runs in {:.2}s on {} threads",
-        wall.as_secs_f64(),
-        threads.count()
-    );
-
-    if env_flag("GFS_LAB_JSON") {
-        println!("{}", result.report.to_json());
-    }
-    if env_flag("GFS_LAB_COMPARE") {
-        let start = Instant::now();
-        let serial = grid.run(Threads::Fixed(1));
-        let serial_wall = start.elapsed();
-        assert_eq!(
-            serial.report.to_json(),
-            result.report.to_json(),
-            "parallel and serial market grids must agree byte-for-byte"
-        );
-        println!(
-            "serial: {:.2}s  -> speedup {:.2}x, outputs identical",
-            serial_wall.as_secs_f64(),
-            serial_wall.as_secs_f64() / wall.as_secs_f64()
-        );
-    }
 }

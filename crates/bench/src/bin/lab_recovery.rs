@@ -23,7 +23,7 @@ use gfs::lab::{
 };
 use gfs::prelude::*;
 use gfs::sim::{parse_journal, ClusterService, JournalError};
-use gfs_bench::env_flag;
+use gfs_bench::{env_flag, lab_threads};
 
 fn journal_damage_is_detected() {
     // a small live run with the journal on, for realistic record text
@@ -76,13 +76,7 @@ fn journal_damage_is_detected() {
 
 fn main() {
     let smoke = env_flag("GFS_LAB_SMOKE");
-    let threads = match std::env::var("GFS_LAB_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        Some(n) => Threads::Fixed(n),
-        None => Threads::Auto,
-    };
+    let threads = lab_threads();
     let (nodes, hp, spot, horizon_h) = if smoke {
         (4, 16, 6, 4)
     } else {

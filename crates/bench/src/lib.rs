@@ -8,6 +8,9 @@
 pub mod affinity;
 pub mod harness;
 
+use std::time::Instant;
+
+use gfs::lab::{Grid, Threads};
 use gfs::prelude::*;
 use gfs::scenario;
 
@@ -26,6 +29,61 @@ pub fn paper_cluster() -> Cluster {
 #[must_use]
 pub fn env_flag(name: &str) -> bool {
     std::env::var(name).is_ok_and(|v| v != "0" && !v.is_empty())
+}
+
+/// Worker count for the `lab_*` bins: `GFS_LAB_THREADS=n` fixes it,
+/// otherwise one worker per core.
+#[must_use]
+pub fn lab_threads() -> Threads {
+    match std::env::var("GFS_LAB_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+    {
+        Some(n) => Threads::Fixed(n),
+        None => Threads::Auto,
+    }
+}
+
+/// The body every `lab_*` grid bin shares: runs `grid` on
+/// [`lab_threads`] workers, prints the `metrics` table and the timing,
+/// dumps the aggregated JSON under `GFS_LAB_JSON`, and under
+/// `GFS_LAB_COMPARE` reruns it serially and asserts the two outputs are
+/// byte-identical.
+///
+/// # Panics
+///
+/// When `GFS_LAB_COMPARE` is set and the serial and parallel outputs
+/// differ.
+pub fn run_lab_grid(grid: &Grid, metrics: &[&str]) {
+    let threads = lab_threads();
+    let start = Instant::now();
+    let result = grid.run(threads);
+    let wall = start.elapsed();
+    println!("{}", result.report.render_table(metrics));
+    let runs: usize = result.report.cells.iter().map(|c| c.seeds.len()).sum();
+    println!(
+        "{runs} runs in {:.2}s on {} threads",
+        wall.as_secs_f64(),
+        threads.count()
+    );
+    let json = result.report.to_json();
+    if env_flag("GFS_LAB_JSON") {
+        println!("{json}");
+    }
+    if env_flag("GFS_LAB_COMPARE") {
+        let start = Instant::now();
+        let serial = grid.run(Threads::Fixed(1)).report.to_json();
+        let serial_wall = start.elapsed();
+        assert_eq!(
+            serial, json,
+            "parallel and serial grids must agree byte-for-byte"
+        );
+        println!(
+            "serial: {:.2}s  -> speedup {:.2}x, outputs identical",
+            serial_wall.as_secs_f64(),
+            serial_wall.as_secs_f64() / wall.as_secs_f64()
+        );
+    }
 }
 
 /// Scale factors for quick (CI) vs full (paper-scale) experiment runs,

@@ -931,52 +931,18 @@ impl Cluster {
         Ok(())
     }
 
-    /// Captures the cluster's full state as a serializable image: every
-    /// node (card occupancy, failure/drain history, up/draining flags),
-    /// the running-task registry, the spot/displacement/migration
-    /// counters and every incrementally-accumulated capacity total —
-    /// the floats verbatim, never recomputed, so restore is
-    /// bit-identical. The [`CapacityIndex`] is *not* serialized: it is a
-    /// pure acceleration structure and [`Cluster::from_snapshot`]
-    /// rebuilds it to a behaviorally identical state.
-    #[must_use]
-    pub fn snapshot(&self) -> ClusterSnapshot {
-        ClusterSnapshot {
-            nodes: self.nodes.iter().map(Node::snapshot).collect(),
-            running: self
-                .running
-                .values()
-                .map(|rt| RunningEntry {
-                    spec: (*rt.spec).clone(),
-                    placements: rt.placements.clone(),
-                    started_at: rt.started_at,
-                    carried_progress: rt.carried_progress,
-                })
-                .collect(),
-            spot_completed: self.spot_completed,
-            spot_evicted: self.spot_evicted,
-            displaced_total: self.displaced_total,
-            migrated_total: self.migrated_total,
-            down_nodes: self.down_nodes,
-            draining_nodes: self.draining_nodes,
-            cap_total: self.cap_total,
-            cap_static: self.cap_static,
-            idle_total: self.idle_total,
-            hp_total: self.hp_total,
-            spot_total: self.spot_total,
-            model_totals: self.model_totals.iter().map(|(m, t)| (*m, *t)).collect(),
-            node_domain: self.node_domain.clone(),
-            domain_draining: self.domain_draining.clone(),
-        }
-    }
-
-    /// Streams the canonical JSON of [`Cluster::snapshot`] into `out`
-    /// without materializing the [`ClusterSnapshot`] — no node-array
-    /// clone, no per-task spec deep copies. Byte-identical to
-    /// serializing the snapshot (the framing mirrors the derive: no
-    /// field is ever skipped, so commas are static); fleet-scale
-    /// checkpointing leans on this to keep snapshot cost linear in the
-    /// serialized bytes alone.
+    /// Appends the cluster's full state to `out` as canonical JSON — the
+    /// one cluster snapshot encoder: every node (card occupancy,
+    /// failure/drain history, up/draining flags), the running-task
+    /// registry, the spot/displacement/migration counters and every
+    /// incrementally-accumulated capacity total, the floats verbatim,
+    /// never recomputed, so restore is bit-identical. It streams off the
+    /// live state (no node-array clone, no per-task spec deep copies), so
+    /// checkpoint cost is linear in the bytes written. Fields appear in
+    /// [`ClusterSnapshot`]'s declaration order, which is what the decoder
+    /// reads back. The [`CapacityIndex`] is *not* written: it is a pure
+    /// acceleration structure and [`Cluster::from_snapshot`] rebuilds it
+    /// to a behaviorally identical state.
     pub fn snapshot_json_into(&self, out: &mut String) {
         out.push_str("{\"nodes\":[");
         for (i, n) in self.nodes.iter().enumerate() {
@@ -1096,8 +1062,10 @@ impl Cluster {
     }
 }
 
-/// Serializable image of a [`Cluster`] (see [`Cluster::snapshot`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A parsed [`Cluster::snapshot_json_into`] document, ready for
+/// [`Cluster::from_snapshot`]. Decode-only: the encoder streams off the
+/// live cluster.
+#[derive(Debug, Deserialize)]
 pub struct ClusterSnapshot {
     nodes: Vec<NodeSnapshot>,
     running: Vec<RunningEntry>,
@@ -1120,7 +1088,7 @@ pub struct ClusterSnapshot {
 /// One running task inside a [`ClusterSnapshot`]: the spec is stored by
 /// value (the `Arc` sharing with the simulator's task table is an
 /// in-memory optimisation, not state).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Deserialize)]
 struct RunningEntry {
     spec: TaskSpec,
     placements: Vec<PodPlacement>,
@@ -1146,38 +1114,6 @@ mod tests {
 
     fn cluster() -> Cluster {
         Cluster::homogeneous(4, GpuModel::A100, 8)
-    }
-
-    #[test]
-    fn streamed_snapshot_json_is_byte_identical() {
-        let mut c = Cluster::homogeneous(6, GpuModel::A100, 8);
-        c.set_failure_domains(&[
-            FailureDomain::new([NodeId::new(0), NodeId::new(1), NodeId::new(2)]),
-            FailureDomain::new([NodeId::new(3), NodeId::new(4)]),
-        ]);
-        c.start_task(
-            spec(1, Priority::Hp, 2, 4),
-            &[NodeId::new(0), NodeId::new(1)],
-            SimTime::ZERO,
-            0,
-        )
-        .unwrap();
-        c.start_task(
-            spec(2, Priority::Spot, 1, 8),
-            &[NodeId::new(2)],
-            SimTime::from_secs(30),
-            120,
-        )
-        .unwrap();
-        c.fail_node(NodeId::new(4), SimTime::from_secs(60)).unwrap();
-        c.drain_node(NodeId::new(3), SimTime::from_secs(500))
-            .unwrap();
-        c.add_node(GpuModel::H800, 8);
-        let mut derived = String::new();
-        c.snapshot().serialize_json(&mut derived);
-        let mut streamed = String::new();
-        c.snapshot_json_into(&mut streamed);
-        assert_eq!(derived, streamed);
     }
 
     #[test]
@@ -1843,13 +1779,15 @@ mod tests {
         );
     }
 
-    /// Snapshot → restore must be lossless: same serialized image, same
+    /// Snapshot → restore must be lossless: same snapshot bytes, same
     /// observable behaviour (capacity queries, index-served candidate
-    /// lists, running registry) after a busy history of placements,
-    /// evictions, drains, failures and scale-out.
+    /// lists, running registry) after a busy history of placements with
+    /// carried progress, evictions, drains and failures inside declared
+    /// failure domains, and nodes outside every domain.
     #[test]
     fn snapshot_round_trip_is_lossless() {
-        let mut c = cluster();
+        let mut c = Cluster::homogeneous(5, GpuModel::A100, 8);
+        // node 4 and the scaled-out node below sit in no domain
         c.set_failure_domains(&FailureDomain::racks(4, 2));
         c.start_task(
             spec(1, Priority::Hp, 2, 4),
@@ -1871,7 +1809,7 @@ mod tests {
             .duration_secs(9_000)
             .build()
             .unwrap();
-        c.start_task(frac, &[NodeId::new(2)], SimTime::from_secs(60), 0)
+        c.start_task(frac, &[NodeId::new(2)], SimTime::from_secs(60), 120)
             .unwrap();
         c.evict_task(TaskId::new(2), SimTime::from_secs(2_000))
             .unwrap();
@@ -1880,18 +1818,14 @@ mod tests {
         c.drain_node(NodeId::new(1), SimTime::from_secs(9_999))
             .unwrap();
         c.add_node(GpuModel::H800, 8);
-        let snap = c.snapshot();
-        let json = {
-            let mut s = String::new();
-            use serde::Serialize as _;
-            snap.serialize_json(&mut s);
-            s
-        };
+        let mut json = String::new();
+        c.snapshot_json_into(&mut json);
         let parsed: ClusterSnapshot = serde_json::from_str(&json).expect("snapshot parses");
-        assert_eq!(parsed, snap, "serialized image round-trips");
         let r = Cluster::from_snapshot(parsed);
         // persisted fields and totals are verbatim
-        assert_eq!(r.snapshot(), snap, "restore → snapshot is idempotent");
+        let mut again = String::new();
+        r.snapshot_json_into(&mut again);
+        assert_eq!(again, json, "encode → decode → restore → encode");
         // index-served queries match the live cluster's
         assert_eq!(
             r.whole_fit_candidates(GpuModel::A100, 1),

@@ -640,13 +640,6 @@ impl DynamicsAxis {
     }
 }
 
-/// Fault-only predecessor of [`DynamicsAxis`], kept so downstream call
-/// sites keep compiling.
-#[deprecated(
-    note = "renamed to DynamicsAxis; the axis now also builds drains and autoscale schedules"
-)]
-pub type FaultAxis = DynamicsAxis;
-
 /// A named [`PlacementPolicy`] — one point on the grid's placement-policy
 /// axis. Grids without the axis run every cell with the naive policy
 /// (labelled `"naive"`), which policy-capable schedulers treat as
@@ -972,20 +965,6 @@ impl Grid {
     pub fn policy(mut self, axis: PolicyAxis) -> Self {
         self.policies.push(axis);
         self
-    }
-
-    /// Adds cluster-timeline sources (pre-redesign name of
-    /// [`Grid::dynamics`]).
-    #[must_use]
-    pub fn faults(self, axes: impl IntoIterator<Item = DynamicsAxis>) -> Self {
-        self.dynamics(axes)
-    }
-
-    /// Adds one cluster-timeline source (pre-redesign name of
-    /// [`Grid::dynamic`]).
-    #[must_use]
-    pub fn fault(self, axis: DynamicsAxis) -> Self {
-        self.dynamic(axis)
     }
 
     /// Adds parameter overrides.

@@ -75,8 +75,6 @@ pub mod recovery;
 mod report;
 
 pub use agg::{MetricStats, MetricSummary};
-#[allow(deprecated)]
-pub use grid::FaultAxis;
 pub use grid::{
     ClusterShape, DynamicsAxis, Grid, GridResult, MarketAxis, NodeGroup, ParamsAxis, PolicyAxis,
     RunContext, Scenario, SchedulerSpec, UniformTrace, WorkloadAxis,

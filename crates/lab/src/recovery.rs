@@ -228,7 +228,7 @@ pub fn crash_and_recover(
     golden.start();
     let late = (!inputs.late.is_empty()).then(|| inputs.late.clone());
     drive_to_end(&mut golden, golden_sched.as_mut(), late, boundary);
-    let golden_state = golden.snapshot(golden_sched.as_ref()).state_hash();
+    let golden_state = golden.state_hash(golden_sched.as_ref());
     let golden_report = report_hash(&golden.finish());
 
     // victim: same loop, checkpointer on, killed at the crash point
@@ -238,7 +238,9 @@ pub fn crash_and_recover(
     victim.admit_tasks(inputs.initial.clone());
     victim.start();
     let mut late = (!inputs.late.is_empty()).then(|| inputs.late.clone());
-    let mut last_good: Option<ServiceSnapshot> = None;
+    // what survives the crash on durable storage: the last checkpoint's
+    // bytes, recovered through the same parser a real failover uses
+    let mut last_good: Option<String> = None;
     let mut drained = false;
     loop {
         late = admit_late_if_due(&mut victim, late, boundary);
@@ -256,7 +258,7 @@ pub fn crash_and_recover(
             continue;
         }
         if plan.snapshot_every > 0 && victim.steps().is_multiple_of(plan.snapshot_every) {
-            last_good = Some(victim.snapshot(victim_sched.as_ref()));
+            last_good = Some(victim.snapshot_json(victim_sched.as_ref()));
         }
     }
     let crashed_at_step = victim.steps();
@@ -267,7 +269,7 @@ pub fn crash_and_recover(
     // parser must reject the half-written file
     let torn_snapshot_rejected = match plan.point {
         CrashPoint::MidSnapshot(_) if !drained => {
-            let full = victim.snapshot(victim_sched.as_ref()).to_json();
+            let full = victim.snapshot_json(victim_sched.as_ref());
             let torn = &full[..full.len() / 2];
             Some(ServiceSnapshot::from_json(torn).is_err())
         }
@@ -285,8 +287,11 @@ pub fn crash_and_recover(
     let mut rec_sched = build_scheduler(scenario);
     let used_snapshot = last_good.is_some();
     let mut recovered = match last_good {
-        Some(snap) => ClusterService::restore(snap, rec_sched.as_mut())
-            .expect("a checkpointer snapshot restores"),
+        Some(json) => {
+            let snap = ServiceSnapshot::from_json(&json).expect("a checkpointer snapshot parses");
+            ClusterService::restore(snap, rec_sched.as_mut())
+                .expect("a checkpointer snapshot restores")
+        }
         None => ClusterService::new(inputs.cluster.clone(), inputs.sim.clone()),
     };
     recovered.enable_journal();
@@ -298,7 +303,7 @@ pub fn crash_and_recover(
     );
     let late = (!late_was_admitted).then(|| inputs.late.clone());
     drive_to_end(&mut recovered, rec_sched.as_mut(), late, boundary);
-    let recovered_state = recovered.snapshot(rec_sched.as_ref()).state_hash();
+    let recovered_state = recovered.state_hash(rec_sched.as_ref());
     let recovered_report = report_hash(&recovered.finish());
 
     RecoveryOutcome {

@@ -72,7 +72,7 @@ const INDEX_MUTATORS: [&str; 5] = [
 /// Journal/recovery functions of `gfs_sim::service` that must use typed
 /// errors only: a panic mid-recovery turns a detectable torn tail into a
 /// crash loop.
-const JOURNAL_FNS: [&str; 17] = [
+const JOURNAL_FNS: [&str; 16] = [
     "parse_journal",
     "checksum_ok",
     "append",
@@ -86,9 +86,8 @@ const JOURNAL_FNS: [&str; 17] = [
     "replay_journal",
     "restore",
     "from_json",
-    "to_json",
+    "check_task_indices",
     "state_hash",
-    "snapshot",
     "snapshot_json",
 ];
 

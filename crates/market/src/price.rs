@@ -14,22 +14,13 @@
 //! scenarios express "spot prices spike 3× for six hours mid maintenance
 //! wave" without touching the walk.
 
-use gfs_types::{GpuModel, SimDuration, SimTime, HOUR};
+use gfs_types::{GpuModel, SimDuration, SimTime, SplitMix64, HOUR};
 
 /// Mixing constant deriving the per-`(seed, model)` stream seed. Distinct
 /// from the per-node (`0x9E37…`) and per-domain (`0xA076…`) constants used
 /// by the dynamics generators, so a market run never correlates its price
 /// path with its failure schedule even under the same run seed.
 const MODEL_STREAM: u64 = 0xC2B2_AE3D_27D4_EB4F;
-
-/// One SplitMix64 output (Steele et al.); the standard constants.
-fn splitmix_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Uniform draw in `[-1, 1]` from the top 53 bits of a SplitMix64 output.
 fn unit_symmetric(z: u64) -> f64 {
@@ -132,11 +123,12 @@ impl PriceProcess {
                 .iter()
                 .position(|&m| m == model)
                 .expect("model in ALL") as u64;
-            let mut state = self.seed.wrapping_add((idx + 1).wrapping_mul(MODEL_STREAM));
+            let mut rng =
+                SplitMix64::new(self.seed.wrapping_add((idx + 1).wrapping_mul(MODEL_STREAM)));
             // deviation from baseline, mean-reverting toward 0
             let mut x = 0.0f64;
             for _ in 0..at.as_secs() / HOUR {
-                let u = unit_symmetric(splitmix_next(&mut state));
+                let u = unit_symmetric(rng.next_u64());
                 x += self.reversion * (0.0 - x) + self.vol * u;
             }
             rel = (1.0 + x).clamp(0.25, 4.0);

@@ -179,17 +179,6 @@
 //!   `allocation_rate` may transiently exceed 1 during a notice window.
 //!   Availability accounting, by contrast, counts the node as *available
 //!   until the deadline* — it is still serving its pods.
-//!
-//! # Migration note: `FaultPlan` → `DynamicsPlan`
-//!
-//! `FaultPlan` remains as a deprecated alias of
-//! [`DynamicsPlan`](gfs_types::DynamicsPlan); `SimConfig::faults` became
-//! [`SimConfig::dynamics`](crate::SimConfig::dynamics). Hand-built plans
-//! now validate per-node event ordering (`DynamicsPlan::new` returns
-//! `Result`; `new_unchecked` keeps the old tolerant behaviour for plans
-//! intentionally shared across cluster shapes), and seeded MTBF schedules
-//! are byte-identical to their `FaultPlan` ancestors, so fault-only
-//! golden hashes hold across the redesign.
 
 use gfs_types::SimTime;
 use serde::{Deserialize, Serialize};

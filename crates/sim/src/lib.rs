@@ -34,8 +34,7 @@
 //! Displaced and migrated tasks requeue through the normal path, and
 //! reports grow availability/displacement/migration/scaled-capacity
 //! metrics. The [`dynamics`] module documents the full event flow — who
-//! emits, who consumes, the determinism rules, and the
-//! `FaultPlan → DynamicsPlan` migration. An empty plan is a strict
+//! emits, who consumes, and the determinism rules. An empty plan is a strict
 //! no-op: the event sequence is bit-for-bit what it was before dynamics
 //! injection existed.
 //!

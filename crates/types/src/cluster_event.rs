@@ -10,10 +10,6 @@
 //! them* is documented on [`gfs_sim::dynamics`] (the engine-side module
 //! page of the cluster-timeline event flow).
 //!
-//! [`DynamicsPlan`] supersedes the fault-only `FaultPlan` of the first
-//! dynamics iteration; [`FaultPlan`] survives as a deprecated alias so
-//! downstream code keeps compiling. See the *Migration* section below.
-//!
 //! # Determinism rules
 //!
 //! A [`DynamicsPlan`] must be a pure function of its inputs so that a
@@ -35,17 +31,6 @@
 //!   parameters — no randomness at all.
 //!
 //! No wall-clock, thread id or global RNG state ever feeds a plan.
-//!
-//! # Migration: `FaultPlan` → `DynamicsPlan`
-//!
-//! | old | new |
-//! |---|---|
-//! | `FaultPlan::none()` | [`DynamicsPlan::none`] (unchanged) |
-//! | `FaultPlan::new(events)` (silent) | [`DynamicsPlan::new`] (validated, returns `Result`) or [`DynamicsPlan::new_unchecked`] |
-//! | `FaultPlan::seeded_mtbf(…)` | [`DynamicsPlan::seeded_mtbf`] (byte-identical schedules) |
-//! | — | [`DynamicsPlan::correlated`], [`DynamicsPlan::rolling_drain`], [`DynamicsPlan::scale_out`], [`DynamicsPlan::merge`] |
-//!
-//! `SimConfig::faults` became `SimConfig::dynamics` on the consuming side.
 
 use serde::{Deserialize, Serialize};
 
@@ -373,8 +358,7 @@ impl DynamicsPlan {
     /// down-time drawn from `Exp(1/mttr_secs)` until `horizon_secs`, the
     /// classic renewal model of machine churn. Each node draws from its
     /// own `(seed, node)` SplitMix64 stream (see the module docs for the
-    /// determinism rules), so the schedule is byte-identical to the
-    /// `FaultPlan::seeded_mtbf` of earlier releases.
+    /// determinism rules).
     ///
     /// A non-positive `mtbf_secs` yields the empty plan; a non-positive
     /// `mttr_secs` means nodes never come back within the horizon.
@@ -517,27 +501,26 @@ impl DynamicsPlan {
     }
 }
 
-/// Fault-only predecessor of [`DynamicsPlan`], kept so downstream call
-/// sites keep compiling. All constructors live on [`DynamicsPlan`]; note
-/// that `new` now validates and returns a `Result`.
-#[deprecated(
-    note = "renamed to DynamicsPlan; the cluster timeline now also carries drains and scale-out"
-)]
-pub type FaultPlan = DynamicsPlan;
-
-/// SplitMix64: a tiny, well-mixed, dependency-free generator — exactly
-/// what a seeded dynamics schedule needs (statistical perfection is not
-/// the point; platform-independent reproducibility is).
-struct SplitMix64 {
+/// SplitMix64 (Steele et al., standard constants): a tiny, well-mixed,
+/// dependency-free generator — exactly what seeded dynamics schedules and
+/// price walks need (statistical perfection is not the point;
+/// platform-independent reproducibility is). The workspace's one
+/// definition: derive a stream per entity by mixing the seed, never copy
+/// the generator.
+#[derive(Debug)]
+pub struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
-    fn new(seed: u64) -> Self {
+    /// A stream starting from `seed`.
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
-    fn next_u64(&mut self) -> u64 {
+    /// The next 64-bit output.
+    pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -832,12 +815,5 @@ mod tests {
         let json = serde_json::to_string(&p).unwrap();
         let back: DynamicsPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, p);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn fault_plan_alias_still_resolves() {
-        let p: FaultPlan = FaultPlan::seeded_mtbf(2, HOUR as f64, 600.0, 6 * HOUR, 5);
-        assert!(!p.is_empty());
     }
 }

@@ -43,10 +43,8 @@ mod id;
 mod task;
 mod time;
 
-#[allow(deprecated)]
-pub use cluster_event::FaultPlan;
 pub use cluster_event::{
-    ClusterEvent, ClusterEventKind, DynamicsPlan, FailureDomain, NodeTemplate,
+    ClusterEvent, ClusterEventKind, DynamicsPlan, FailureDomain, NodeTemplate, SplitMix64,
 };
 pub use config::{EtaUpdateRule, GfsParams, GfsParamsBuilder};
 pub use error::{Error, Result};

@@ -96,7 +96,7 @@ fn drive(
             }
         }
         if svc.steps().is_multiple_of(CADENCE) {
-            checkpoint = Some(svc.snapshot(sched).to_json());
+            checkpoint = Some(svc.snapshot_json(sched));
         }
     }
 }
@@ -106,7 +106,7 @@ fn main() {
     let (mut golden, late) = build_service();
     let mut sched = fresh_scheduler();
     drive(&mut golden, sched.as_mut(), &mut Some(late), None);
-    let golden_state = golden.snapshot(sched.as_ref()).state_hash();
+    let golden_state = golden.state_hash(sched.as_ref());
     let golden_report = report_hash(&golden.finish());
     println!("golden   : report {golden_report:016x}  state {golden_state:016x}");
 
@@ -145,7 +145,7 @@ fn main() {
     // the late wave was journaled before the crash, so replay re-admits
     // it; the recovered controller only has to drive the run home
     drive(&mut recovered, sched.as_mut(), &mut None, None);
-    let recovered_state = recovered.snapshot(sched.as_ref()).state_hash();
+    let recovered_state = recovered.state_hash(sched.as_ref());
     let recovered_report = report_hash(&recovered.finish());
     println!("recovered: report {recovered_report:016x}  state {recovered_state:016x}");
 

@@ -5,11 +5,9 @@
 //! fault schedules are seeded (not wall-clock or thread dependent), and
 //! report the availability/displacement metrics.
 
-mod common;
-
-use common::fnv1a;
 use gfs::lab::{ClusterShape, DynamicsAxis, Grid, NodeGroup, SchedulerSpec, Threads, WorkloadAxis};
 use gfs::prelude::*;
+use gfs::sim::fnv1a;
 
 /// 2 schedulers × 1 heterogeneous shape × 3 fault axes × 4 seeds = 6
 /// cells / 24 runs, with both pools exercised by a mixed-model workload.
@@ -92,10 +90,10 @@ fn golden_churn_grid_pinned() {
     let result = churn_grid().run(Threads::Auto);
     let json = result.report.to_json();
     if std::env::var("GFS_PRINT_GOLDEN").is_ok() {
-        println!("GOLDEN_CHURN = {}", fnv1a(&json));
+        println!("GOLDEN_CHURN = {}", fnv1a(json.as_bytes()));
     }
     assert_eq!(
-        fnv1a(&json),
+        fnv1a(json.as_bytes()),
         GOLDEN_CHURN,
         "faulted heterogeneous grid output drifted — displacement handling, \
          fault-schedule generation or aggregation changed (update the pin \

@@ -8,15 +8,12 @@
 //! spend integrals bit for bit; and the whole grid stays byte-identical
 //! for any worker count.
 
-mod common;
-
-use common::fnv1a;
 use gfs::lab::{
     ClusterShape, DynamicsAxis, Grid, MarketAxis, SchedulerSpec, Threads, WorkloadAxis,
 };
 use gfs::market::{spike, ForecastParams, MarketDriver, MarketSpec};
 use gfs::prelude::*;
-use gfs::sim::{report_hash, ClusterService, ServiceSnapshot};
+use gfs::sim::{fnv1a, report_hash, ClusterService, ServiceSnapshot};
 
 const SIM_HORIZON: u64 = 64 * HOUR;
 
@@ -299,7 +296,7 @@ fn recovered_market_run_reproduces_spend_bit_for_bit() {
         "spend must already be accrued at the crash point for the \
          resume path to have something to carry over"
     );
-    let snap_json = svc.snapshot(&victim_sched).to_json();
+    let snap_json = svc.snapshot_json(&victim_sched);
     let journal = svc.journal().expect("journal enabled").text().to_string();
     drop(svc); // the crash
 
@@ -358,7 +355,7 @@ fn golden_market_grid_pinned() {
     let result = market_grid().run(Threads::Auto);
     let json = result.report.to_json();
     if std::env::var("GFS_PRINT_GOLDEN").is_ok() {
-        println!("GOLDEN_MARKET = {}", fnv1a(&json));
+        println!("GOLDEN_MARKET = {}", fnv1a(json.as_bytes()));
         println!(
             "{}",
             result.report.render_table(&[
@@ -371,7 +368,7 @@ fn golden_market_grid_pinned() {
         );
     }
     assert_eq!(
-        fnv1a(&json),
+        fnv1a(json.as_bytes()),
         GOLDEN_MARKET,
         "market grid output drifted — the price walk, controller \
          decisions, cost metering or aggregation changed (update the pin \

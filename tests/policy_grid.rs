@@ -7,12 +7,10 @@
 //! against naive placement for both the bare PTS engine and the GFS
 //! framework, while the grid stays byte-identical for any worker count.
 
-mod common;
-
-use common::fnv1a;
 use gfs::lab::{ClusterShape, DynamicsAxis, Grid, PolicyAxis, Threads, WorkloadAxis};
 use gfs::prelude::*;
 use gfs::scenario;
+use gfs::sim::fnv1a;
 
 const RACK: u32 = 4;
 const SIM_HORIZON: u64 = 72 * HOUR;
@@ -129,7 +127,7 @@ fn golden_policy_grid_pinned() {
     let result = policy_grid().run(Threads::Auto);
     let json = result.report.to_json();
     if std::env::var("GFS_PRINT_GOLDEN").is_ok() {
-        println!("GOLDEN_POLICY = {}", fnv1a(&json));
+        println!("GOLDEN_POLICY = {}", fnv1a(json.as_bytes()));
         println!(
             "{}",
             result.report.render_table(&[
@@ -142,7 +140,7 @@ fn golden_policy_grid_pinned() {
         );
     }
     assert_eq!(
-        fnv1a(&json),
+        fnv1a(json.as_bytes()),
         GOLDEN_POLICY,
         "policy grid output drifted — placement-policy scoring, domain \
          bookkeeping or aggregation changed (update the pin only if \

@@ -441,7 +441,7 @@ fn snapshot_restore_is_transparent_under_dynamics() {
         svc.admit_tasks(tasks.clone());
         svc.start();
         svc.run_to_end(&mut sched);
-        let golden_state = svc.snapshot(&sched).state_hash();
+        let golden_state = svc.state_hash(&sched);
         let golden_report = svc.finish();
 
         // the same run chopped at random points by snapshot → restore
@@ -455,8 +455,7 @@ fn snapshot_restore_is_transparent_under_dynamics() {
                     break;
                 }
             }
-            let snap = svc.snapshot(&sched);
-            let json = snap.to_json();
+            let json = svc.snapshot_json(&sched);
             let mut sched2 = YarnCs::new();
             let restored = ClusterService::restore(
                 ServiceSnapshot::from_json(&json).expect("canonical JSON round-trips"),
@@ -464,7 +463,7 @@ fn snapshot_restore_is_transparent_under_dynamics() {
             )
             .expect("live snapshots restore");
             assert_eq!(
-                restored.snapshot(&sched2).to_json(),
+                restored.snapshot_json(&sched2),
                 json,
                 "snapshot → restore → snapshot must be byte-identical"
             );
@@ -473,7 +472,7 @@ fn snapshot_restore_is_transparent_under_dynamics() {
         }
         svc.run_to_end(&mut sched);
         assert_eq!(
-            svc.snapshot(&sched).state_hash(),
+            svc.state_hash(&sched),
             golden_state,
             "restored runs converge to the golden state"
         );
