@@ -12,18 +12,11 @@ use std::time::Instant;
 
 use gfs::lab::{Grid, Threads};
 use gfs::prelude::*;
-use gfs::scenario;
 
 /// The simulated A100 pool of §4.1: 287 nodes × 8 GPUs = 2,296 GPUs.
 pub const PAPER_NODES: u32 = 287;
 /// GPUs per node.
 pub const PAPER_GPUS_PER_NODE: u32 = 8;
-
-/// Builds the §4.1 evaluation cluster.
-#[must_use]
-pub fn paper_cluster() -> Cluster {
-    Cluster::homogeneous(PAPER_NODES, GpuModel::A100, PAPER_GPUS_PER_NODE)
-}
 
 /// Reads a boolean environment flag: set and neither `"0"` nor empty.
 #[must_use]
@@ -148,13 +141,6 @@ pub fn eval_sim_config(scale: Scale) -> SimConfig {
         max_time_secs: Some((scale.horizon_hours() + 96) * HOUR),
         ..SimConfig::default()
     }
-}
-
-/// Builds the full GFS scheduler for a cluster of the given scale.
-#[must_use]
-pub fn eval_gfs(scale: Scale, seed: u64) -> gfs::core::GfsScheduler {
-    let capacity = f64::from(scale.nodes() * PAPER_GPUS_PER_NODE);
-    scenario::gfs_full(GfsParams::default(), 3, seed, 0.60 * capacity)
 }
 
 /// One row of a Table 5-style comparison.

@@ -233,7 +233,7 @@ impl CapacityIndex {
 
     /// Re-inserts a restored (or drain-cancelled) node, recomputing its
     /// keys from the node's actual card state; also the growth path for
-    /// nodes minted by scale-out ([`insert_node`](Self::insert_node)
+    /// nodes minted by scale-out (`insert_node`
     /// extends the per-node slots on first sight).
     pub fn restore_node(&mut self, node: &Node) {
         self.insert_node(node);

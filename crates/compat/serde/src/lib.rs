@@ -453,6 +453,12 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn serialize_json(&self, out: &mut String) {
+        (**self).serialize_json(out);
+    }
+}
+
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn serialize_json(&self, out: &mut String) {
         out.push('[');

@@ -115,12 +115,6 @@ impl DemandEstimator {
         self.model.fit(template, cfg);
     }
 
-    /// The wrapped model's name.
-    #[must_use]
-    pub fn model_name(&self) -> &str {
-        self.model.name()
-    }
-
     /// Number of organizations tracked.
     #[must_use]
     pub fn num_orgs(&self) -> usize {

@@ -3,8 +3,10 @@
 //! The paper formulates placement-with-preemption as a mixed-integer
 //! program and then solves it heuristically (PTS) because the exact
 //! problem is NP-hard. This module provides an *exhaustive* optimal solver
-//! for tiny instances, used by tests and the ablation benches to measure
-//! how close the Alg. 2 heuristic gets to the optimum.
+//! for tiny instances: the oracle the Alg. 2 heuristic
+//! ([`crate::Pts::schedule_preemptive`]) is tested against on seeded
+//! clusters, for feasibility and for how many victims it evicts beyond
+//! the optimum.
 
 use gfs_cluster::Cluster;
 use gfs_types::{GpuDemand, NodeId, SimTime, TaskId, TaskSpec};
@@ -112,7 +114,7 @@ pub fn optimal_preemption(cluster: &Cluster, task: &TaskSpec, now: SimTime) -> O
 mod tests {
     use super::*;
     use crate::pts::{Pts, PtsVariant};
-    use gfs_types::{CheckpointPlan, GfsParams, GpuModel, Priority};
+    use gfs_types::{CheckpointPlan, GfsParams, GpuModel, Priority, SplitMix64};
 
     fn spot(id: u64, gpus: u32, start: u64) -> (TaskSpec, SimTime) {
         (
@@ -165,43 +167,61 @@ mod tests {
         assert!(optimal_preemption(&c, &hp(1, 1, 16), SimTime::ZERO).is_none());
     }
 
+    /// The exhaustive solver as the oracle of Alg. 2, on seeded tiny
+    /// clusters: 1–4 nodes hosting up to 16 running spot tasks (1/2/4/8-card
+    /// pods, one in four a 2-pod gang), and an incoming HP task of 1–2
+    /// pods. PTS must agree on feasibility, its plan must fit once its
+    /// victims leave, and it can never beat the optimum; the victims it
+    /// evicts beyond the optimum are pinned.
     #[test]
-    fn pts_heuristic_matches_optimum_on_small_instances() {
-        // randomized-ish small instances: PTS must match the optimal victim
-        // count (its victim choice may differ in waste but not count here)
+    fn pts_preemption_is_checked_against_the_exhaustive_optimum() {
         let pts = Pts::new(GfsParams::default(), PtsVariant::Full);
-        for seed in 0..8u64 {
-            let mut c = Cluster::homogeneous(2, GpuModel::A100, 8);
-            let sizes = [2u32, 4, 2, 4, 2];
-            let mut placed = 0u32;
-            for (i, &g) in sizes.iter().enumerate() {
-                let node = NodeId::new((i as u32 + seed as u32) % 2);
-                if c.node(node).unwrap().idle_gpus() >= g {
-                    let (s, _) = spot(i as u64 + 1, g, seed * 100);
-                    if c.start_task(s, &[node], SimTime::from_secs(seed * 100), 0)
-                        .is_ok()
-                    {
-                        placed += 1;
+        let now = SimTime::from_secs(5_000);
+        let (mut feasible, mut gap_cases, mut extra) = (0, 0, 0);
+        for case in 0..400u64 {
+            let mut rng = SplitMix64::new(case);
+            let mut draw = |n: u64| rng.next_u64() % n;
+            let nodes = 1 + draw(4) as u32;
+            let mut c = Cluster::homogeneous(nodes, GpuModel::A100, 8);
+            for id in 1..=16 {
+                let (s, _) = spot(id, [1, 2, 4, 8][draw(4) as usize], 0);
+                let pods = if draw(4) == 0 { 2 } else { 1 };
+                let s = TaskSpec { pods, ..s };
+                let at: Vec<NodeId> = (0..pods)
+                    .map(|_| NodeId::new(draw(u64::from(nodes)) as u32))
+                    .collect();
+                // a spot task that does not fit where it was sent is dropped
+                let _ = c.start_task(s, &at, SimTime::from_secs(draw(4_000)), 0);
+            }
+            let task = hp(99, 1 + draw(2) as u32, [1, 2, 4, 8][draw(4) as usize]);
+            match (
+                optimal_preemption(&c, &task, now),
+                pts.schedule_preemptive(&task, &c, now),
+            ) {
+                (None, None) => {}
+                (Some(opt), Some((pod_nodes, victims))) => {
+                    feasible += 1;
+                    let mut after = c.clone();
+                    for &v in &victims {
+                        after
+                            .evict_task(v, now)
+                            .expect("victims are running spot tasks");
+                    }
+                    after
+                        .start_task(task.clone(), &pod_nodes, now, 0)
+                        .unwrap_or_else(|e| panic!("case {case}: PTS plan does not fit: {e}"));
+                    let gap = victims.len().checked_sub(opt.victims.len());
+                    let gap = gap.unwrap_or_else(|| panic!("case {case}: PTS beat the optimum"));
+                    if gap > 0 {
+                        gap_cases += 1;
+                        extra += gap;
                     }
                 }
-            }
-            assert!(placed >= 3);
-            let now = SimTime::from_secs(5_000);
-            let task = hp(99, 1, 6);
-            let optimal = optimal_preemption(&c, &task, now);
-            let heuristic = pts.schedule_preemptive(&task, &c, now);
-            match (optimal, heuristic) {
-                (Some(opt), Some((_, victims))) => {
-                    assert!(
-                        victims.len() <= opt.objective.0 + 1,
-                        "seed {seed}: heuristic evicted {} vs optimal {}",
-                        victims.len(),
-                        opt.objective.0
-                    );
-                }
-                (None, None) => {}
-                (o, h) => panic!("seed {seed}: feasibility disagreement {o:?} vs {h:?}"),
+                (o, h) => panic!("case {case}: feasibility disagreement {o:?} vs {h:?}"),
             }
         }
+        // Alg. 2 spares the highest-waste victims first, so it trades extra
+        // victims for less waste on roughly a quarter of the instances
+        assert_eq!((feasible, gap_cases, extra), (388, 107, 174));
     }
 }

@@ -167,12 +167,12 @@ impl Pts {
     /// `<Score1, Score2, Score3>`; disabled components are constant, so
     /// the comparison falls through to the native scores.
     ///
-    /// Whole-card demand is answered from the [`ScoreIndex`] in O(log n)
+    /// Whole-card demand is answered from the `ScoreIndex` in O(log n)
     /// instead of scoring every feasible node, for every policy that is
     /// piecewise constant in time — `naive` (the paper's configuration),
     /// `domain_spread`, `reliability_scored`, `churn_aware`: reliability
     /// and drain avoidance extend the cached key, gang spread is resolved
-    /// at query time (module doc of [`crate::score_index`]). The index
+    /// at query time (module doc of `score_index`). The index
     /// reproduces the scan's total order exactly, and debug builds check
     /// every indexed decision against the scan. Two cases keep the scan:
     /// fractional demand, and `decayed_reliability` (`hazard_aware`),

@@ -1,5 +1,5 @@
 //! Crash-injection harness for the crash-safe
-//! [`ClusterService`](gfs_sim::ClusterService).
+//! [`ClusterService`].
 //!
 //! One experiment runs the same fully-specified [`Scenario`] twice:
 //!

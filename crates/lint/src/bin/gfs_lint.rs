@@ -1,57 +1,43 @@
-//! `gfs_lint` CLI — the workspace self-scan and baseline ratchet.
+//! `gfs_lint` CLI — the workspace self-scan.
 //!
 //! ```text
-//! gfs_lint check  [--root DIR] [--baseline FILE] [--json]   # gate (CI)
-//! gfs_lint record [--root DIR] [--baseline FILE]            # re-record baseline
-//! gfs_lint report [--root DIR] [--json]                     # print findings only
+//! gfs_lint check  [--root DIR] [--json]   # gate (CI)
+//! gfs_lint report [--root DIR] [--json]   # print findings only
 //! ```
 //!
-//! `check` exits 0 when every per-(path, rule) finding count is at or
-//! below the committed baseline, 1 when any count grew (new findings),
-//! and 2 on usage or I/O errors.
+//! `check` exits 0 when the workspace has no findings, 1 when it has any
+//! (printing them), and 2 on usage or I/O errors. A justified exception
+//! is a `// gfs-lint: allow(rule, "reason")` pragma on its line.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use gfs_lint::{parse_report, ratchet, render_json, render_table, scan_workspace, Finding};
+use gfs_lint::{render_json, render_table, scan_workspace, Finding};
 
 struct Opts {
     cmd: String,
     root: PathBuf,
-    baseline: PathBuf,
     json: bool,
 }
 
 fn parse_args() -> Result<Opts, String> {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().unwrap_or_else(|| "check".to_string());
-    if !matches!(cmd.as_str(), "check" | "record" | "report") {
+    if !matches!(cmd.as_str(), "check" | "report") {
         return Err(format!(
-            "unknown command `{cmd}` (expected check, record or report)"
+            "unknown command `{cmd}` (expected check or report)"
         ));
     }
     let mut root = PathBuf::from(".");
-    let mut baseline = None;
     let mut json = false;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => root = PathBuf::from(args.next().ok_or("--root needs a value")?),
-            "--baseline" => {
-                baseline = Some(PathBuf::from(
-                    args.next().ok_or("--baseline needs a value")?,
-                ));
-            }
             "--json" => json = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    let baseline = baseline.unwrap_or_else(|| root.join("LINT_BASELINE.json"));
-    Ok(Opts {
-        cmd,
-        root,
-        baseline,
-        json,
-    })
+    Ok(Opts { cmd, root, json })
 }
 
 fn print_findings(findings: &[Finding], json: bool) {
@@ -77,65 +63,18 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match opts.cmd.as_str() {
-        "report" => {
-            print_findings(&findings, opts.json);
-            ExitCode::SUCCESS
-        }
-        "record" => {
-            if let Err(e) = std::fs::write(&opts.baseline, render_json(&findings)) {
-                eprintln!("gfs_lint: cannot write {}: {e}", opts.baseline.display());
-                return ExitCode::from(2);
-            }
-            eprintln!(
-                "gfs_lint: recorded {} finding(s) to {}",
-                findings.len(),
-                opts.baseline.display()
-            );
-            ExitCode::SUCCESS
-        }
-        _ => {
-            // check: gate against the baseline (absent baseline = empty)
-            let base = match std::fs::read_to_string(&opts.baseline) {
-                Ok(text) => match parse_report(&text) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("gfs_lint: bad baseline {}: {e}", opts.baseline.display());
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-                Err(e) => {
-                    eprintln!("gfs_lint: cannot read {}: {e}", opts.baseline.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let diff = ratchet(&findings, &base);
-            for (path, rule, cur, was) in &diff.improved {
-                eprintln!(
-                    "gfs_lint: ratchet progress: {path} {} {cur} < baselined {was} — run `just lint-baseline` to lock it in",
-                    rule.name()
-                );
-            }
-            if diff.ok() {
-                eprintln!(
-                    "gfs_lint: ok — {} finding(s), none above baseline",
-                    findings.len()
-                );
-                ExitCode::SUCCESS
-            } else {
-                print_findings(&findings, opts.json);
-                for (path, rule, cur, was) in &diff.regressed {
-                    eprintln!(
-                        "gfs_lint: FAIL: {path} has {cur} `{}` finding(s), baseline allows {was}",
-                        rule.name()
-                    );
-                }
-                eprintln!(
-                    "gfs_lint: fix the new finding(s), add a `// gfs-lint: allow(rule, \"reason\")` pragma with a real justification, or (for accepted debt) re-record with `just lint-baseline`"
-                );
-                ExitCode::FAILURE
-            }
-        }
+    if opts.cmd == "report" {
+        print_findings(&findings, opts.json);
+        return ExitCode::SUCCESS;
     }
+    if findings.is_empty() {
+        eprintln!("gfs_lint: ok — no findings");
+        return ExitCode::SUCCESS;
+    }
+    print_findings(&findings, opts.json);
+    eprintln!(
+        "gfs_lint: FAIL: {} finding(s) — fix them, or add a `// gfs-lint: allow(rule, \"reason\")` pragma with a real justification",
+        findings.len()
+    );
+    ExitCode::FAILURE
 }

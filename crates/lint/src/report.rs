@@ -1,5 +1,5 @@
-//! Finding representation, the stable machine-readable report encoding,
-//! and the baseline ratchet.
+//! Finding representation and the stable machine-readable report
+//! encoding.
 //!
 //! # Report encoding
 //!
@@ -16,17 +16,7 @@
 //!   ]
 //! }
 //! ```
-//!
-//! # Ratchet semantics
-//!
-//! The committed `LINT_BASELINE.json` records the accepted debt. The gate
-//! compares **per-(path, rule) finding counts**, not exact lines: line
-//! numbers drift with every edit, and pinning them would make unrelated
-//! refactors fail the gate. A file may never *gain* findings of a rule
-//! beyond its baselined count (hard failure); dropping below the baseline
-//! is reported as ratchet progress and `just lint-baseline` re-records it.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The rules the engine knows. See the crate docs for what each protects.
@@ -199,317 +189,9 @@ fn digits(mut n: u32) -> usize {
     d
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON reader for the fixed report schema (the crate is
-// dependency-free on purpose; see Cargo.toml).
-// ---------------------------------------------------------------------
-
-struct Reader<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(s: &'a str) -> Self {
-        Reader {
-            b: s.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {} of baseline JSON",
-                c as char, self.i
-            ))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        while self.i < self.b.len() {
-            match self.b[self.i] {
-                b'"' => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.i += 1;
-                    let e = *self.b.get(self.i).ok_or("truncated escape")?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.i += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(format!("unsupported escape \\{}", other as char)),
-                    }
-                }
-                c if c < 0x80 => {
-                    out.push(c as char);
-                    self.i += 1;
-                }
-                _ => {
-                    // multi-byte UTF-8: copy the full sequence
-                    let start = self.i;
-                    self.i += 1;
-                    while self.i < self.b.len() && (self.b[self.i] & 0xC0) == 0x80 {
-                        self.i += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.b[start..self.i]).map_err(|_| "bad UTF-8")?,
-                    );
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        self.ws();
-        let start = self.i;
-        while self.i < self.b.len() && self.b[self.i].is_ascii_digit() {
-            self.i += 1;
-        }
-        if start == self.i {
-            return Err(format!("expected number at byte {start}"));
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|_| "bad number".to_string())?
-            .parse()
-            .map_err(|_| "bad number".to_string())
-    }
-}
-
-/// Parses a report/baseline JSON produced by [`render_json`] (tolerant of
-/// whitespace and key order inside each finding object).
-pub fn parse_report(json: &str) -> Result<Vec<Finding>, String> {
-    let mut r = Reader::new(json);
-    r.eat(b'{')?;
-    let mut findings = Vec::new();
-    loop {
-        let key = r.string()?;
-        r.eat(b':')?;
-        match key.as_str() {
-            "version" => {
-                let v = r.number()?;
-                if v != 1 {
-                    return Err(format!("unsupported report version {v}"));
-                }
-            }
-            "findings" => {
-                r.eat(b'[')?;
-                if r.peek() == Some(b']') {
-                    r.eat(b']')?;
-                } else {
-                    loop {
-                        findings.push(parse_finding(&mut r)?);
-                        match r.peek() {
-                            Some(b',') => r.eat(b',')?,
-                            _ => {
-                                r.eat(b']')?;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            other => return Err(format!("unknown top-level key {other:?}")),
-        }
-        match r.peek() {
-            Some(b',') => r.eat(b',')?,
-            _ => {
-                r.eat(b'}')?;
-                break;
-            }
-        }
-    }
-    Ok(findings)
-}
-
-fn parse_finding(r: &mut Reader<'_>) -> Result<Finding, String> {
-    r.eat(b'{')?;
-    let (mut path, mut line, mut rule, mut message) = (None, None, None, None);
-    loop {
-        let key = r.string()?;
-        r.eat(b':')?;
-        match key.as_str() {
-            "path" => path = Some(r.string()?),
-            "line" => line = Some(r.number()?),
-            "rule" => {
-                let name = r.string()?;
-                rule = Some(RuleId::parse(&name).ok_or_else(|| format!("unknown rule {name:?}"))?);
-            }
-            "message" => message = Some(r.string()?),
-            other => return Err(format!("unknown finding key {other:?}")),
-        }
-        match r.peek() {
-            Some(b',') => r.eat(b',')?,
-            _ => {
-                r.eat(b'}')?;
-                break;
-            }
-        }
-    }
-    Ok(Finding {
-        path: path.ok_or("finding missing \"path\"")?,
-        line: u32::try_from(line.ok_or("finding missing \"line\"")?)
-            .map_err(|_| "line out of range")?,
-        rule: rule.ok_or("finding missing \"rule\"")?,
-        message: message.ok_or("finding missing \"message\"")?,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Ratchet
-// ---------------------------------------------------------------------
-
-/// Outcome of diffing the current findings against the baseline.
-#[derive(Debug, Default)]
-pub struct Ratchet {
-    /// `(path, rule, current, baselined)` where current > baselined —
-    /// these fail the gate.
-    pub regressed: Vec<(String, RuleId, usize, usize)>,
-    /// `(path, rule, current, baselined)` where current < baselined —
-    /// ratchet progress; re-record the baseline to lock it in.
-    pub improved: Vec<(String, RuleId, usize, usize)>,
-}
-
-impl Ratchet {
-    /// Whether the gate passes (no per-(path, rule) count grew).
-    #[must_use]
-    pub fn ok(&self) -> bool {
-        self.regressed.is_empty()
-    }
-}
-
-/// Diffs current findings against the baseline by per-(path, rule) counts.
-#[must_use]
-pub fn ratchet(current: &[Finding], baseline: &[Finding]) -> Ratchet {
-    let count = |fs: &[Finding]| {
-        let mut m: BTreeMap<(String, RuleId), usize> = BTreeMap::new();
-        for f in fs {
-            *m.entry((f.path.clone(), f.rule)).or_insert(0) += 1;
-        }
-        m
-    };
-    let cur = count(current);
-    let base = count(baseline);
-    let mut out = Ratchet::default();
-    for (k, &c) in &cur {
-        let b = base.get(k).copied().unwrap_or(0);
-        if c > b {
-            out.regressed.push((k.0.clone(), k.1, c, b));
-        }
-    }
-    for (k, &b) in &base {
-        let c = cur.get(k).copied().unwrap_or(0);
-        if c < b {
-            out.improved.push((k.0.clone(), k.1, c, b));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn f(path: &str, line: u32, rule: RuleId) -> Finding {
-        Finding {
-            path: path.to_string(),
-            line,
-            rule,
-            message: format!("m{line}"),
-        }
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let findings = vec![
-            f("b.rs", 2, RuleId::DetClock),
-            f("a.rs", 9, RuleId::DetIter),
-            f("a.rs", 1, RuleId::GoldenSerde),
-        ];
-        let json = render_json(&findings);
-        let back = parse_report(&json).unwrap();
-        let mut sorted = findings.clone();
-        sort_findings(&mut sorted);
-        assert_eq!(back, sorted);
-    }
-
-    #[test]
-    fn empty_report_parses() {
-        let json = render_json(&[]);
-        assert_eq!(parse_report(&json).unwrap(), Vec::new());
-    }
-
-    #[test]
-    fn escapes_survive() {
-        let mut finding = f("a.rs", 1, RuleId::DetIter);
-        finding.message = "quote \" slash \\ tab\t".to_string();
-        let back = parse_report(&render_json(&[finding.clone()])).unwrap();
-        assert_eq!(back[0].message, finding.message);
-    }
-
-    #[test]
-    fn ratchet_fails_only_on_growth() {
-        let base = vec![f("a.rs", 1, RuleId::DetIter), f("a.rs", 5, RuleId::DetIter)];
-        // same count, different lines: drift is fine
-        let drifted = vec![f("a.rs", 2, RuleId::DetIter), f("a.rs", 9, RuleId::DetIter)];
-        assert!(ratchet(&drifted, &base).ok());
-        // one more in the same file: regression
-        let mut grown = drifted.clone();
-        grown.push(f("a.rs", 20, RuleId::DetIter));
-        let r = ratchet(&grown, &base);
-        assert!(!r.ok());
-        assert_eq!(
-            r.regressed,
-            vec![("a.rs".to_string(), RuleId::DetIter, 3, 2)]
-        );
-        // a new file with any finding: regression
-        let r = ratchet(&[f("new.rs", 1, RuleId::DetClock)], &base);
-        assert!(!r.ok());
-        // fewer than baselined: progress, still ok
-        let r = ratchet(&drifted[..1], &base);
-        assert!(r.ok());
-        assert_eq!(
-            r.improved,
-            vec![("a.rs".to_string(), RuleId::DetIter, 1, 2)]
-        );
-    }
 
     #[test]
     fn rule_names_round_trip() {

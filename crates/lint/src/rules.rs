@@ -69,16 +69,24 @@ const INDEX_MUTATORS: [&str; 5] = [
     "remove_spot",
 ];
 
-/// Journal/recovery functions of `gfs_sim::service` that must use typed
+/// The `gfs_sim` files holding the service's journal and recovery paths.
+const SERVICE_FILES: [&str; 3] = [
+    "crates/sim/src/service.rs",
+    "crates/sim/src/journal.rs",
+    "crates/sim/src/snapshot.rs",
+];
+
+/// Journal/recovery functions of [`SERVICE_FILES`] that must use typed
 /// errors only: a panic mid-recovery turns a detectable torn tail into a
 /// crash loop.
-const JOURNAL_FNS: [&str; 16] = [
+const JOURNAL_FNS: [&str; 17] = [
     "parse_journal",
     "checksum_ok",
+    "admit",
     "append",
     "append_record",
-    "with_seq",
-    "journal_admission",
+    "resume",
+    "enable",
     "enable_journal",
     "journal",
     "last_seq",
@@ -111,7 +119,7 @@ pub fn scan_source(path: &str, src: &str) -> Vec<Finding> {
     } else if in_decision_path(path) && !path.starts_with("crates/cluster/") {
         changelog_foreign(path, &f, &tests, &mut findings);
     }
-    if path.starts_with("crates/sim/") && path.ends_with("service.rs") {
+    if SERVICE_FILES.contains(&path) {
         service_unwrap(path, &f, &tests, &mut findings);
     }
     if path.starts_with("crates/nn/") {

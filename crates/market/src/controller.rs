@@ -51,15 +51,6 @@ impl MarketView<'_> {
             .iter()
             .filter(move |n| n.id().raw() >= origin)
     }
-
-    /// Up, non-draining GPU cards currently billed to the market.
-    #[must_use]
-    pub fn market_gpus(&self) -> u32 {
-        self.market_nodes()
-            .filter(|n| n.is_up() && !n.is_draining())
-            .map(Node::total_gpus)
-            .sum()
-    }
 }
 
 /// One capacity decision.

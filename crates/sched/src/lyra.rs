@@ -22,14 +22,6 @@ impl Lyra {
     pub fn new() -> Self {
         Lyra { reserve_frac: 0.10 }
     }
-
-    /// Creates the scheduler with a custom reserve fraction in `[0, 1)`.
-    #[must_use]
-    pub fn with_reserve(reserve_frac: f64) -> Self {
-        Lyra {
-            reserve_frac: reserve_frac.clamp(0.0, 0.99),
-        }
-    }
 }
 
 impl Scheduler for Lyra {

@@ -443,23 +443,6 @@ pub fn best_fit_nodes(cluster: &Cluster, task: &TaskSpec) -> Option<Vec<NodeId>>
     Some(out)
 }
 
-/// Worst-fit: prefer the emptiest nodes (used by Lyra's whole-node loans).
-pub fn worst_fit_nodes(cluster: &Cluster, task: &TaskSpec) -> Option<Vec<NodeId>> {
-    gang_nodes_by(cluster, task, |n| Some(f64::from(n.idle_gpus())))
-}
-
-/// A single-node preemption plan: evicting `victims` on `node` frees
-/// enough capacity for one pod.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PreemptionPlan {
-    /// Target node.
-    pub node: NodeId,
-    /// Spot tasks to evict (node-local view).
-    pub victims: Vec<TaskId>,
-    /// Total wasted GPU-seconds of the victims (Eq. 17 summed).
-    pub waste: f64,
-}
-
 /// Plans preemptive placement of every pod of an HP `task`: walks pods one
 /// at a time, evicting the spot tasks chosen by `victim_order` (smaller key
 /// evicted first) on the cheapest feasible node.
@@ -602,20 +585,6 @@ mod tests {
         .unwrap();
         let nodes = best_fit_nodes(&c, &task(2, 1, 2, Priority::Hp)).unwrap();
         assert_eq!(nodes, vec![NodeId::new(1)], "node 1 has fewer idle GPUs");
-    }
-
-    #[test]
-    fn worst_fit_spreads() {
-        let mut c = Cluster::homogeneous(2, GpuModel::A100, 8);
-        c.start_task(
-            task(1, 1, 6, Priority::Hp),
-            &[NodeId::new(1)],
-            SimTime::ZERO,
-            0,
-        )
-        .unwrap();
-        let nodes = worst_fit_nodes(&c, &task(2, 1, 2, Priority::Hp)).unwrap();
-        assert_eq!(nodes, vec![NodeId::new(0)]);
     }
 
     #[test]

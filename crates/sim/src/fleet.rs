@@ -118,7 +118,7 @@ use gfs_types::{DynamicsPlan, FailureDomain, GpuModel, NodeId, TaskSpec};
 
 use crate::engine::SimConfig;
 use crate::report::SimReport;
-use crate::service::{fnv1a, report_hash};
+use crate::snapshot::{fnv1a, report_hash};
 
 /// One failure-domain shard of a fleet: its cluster, its slice of the
 /// trace, and the dynamics that hit *its* nodes (node ids are

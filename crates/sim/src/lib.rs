@@ -43,10 +43,10 @@
 //! The event loop itself lives in the [`service`] module as the
 //! long-running [`ClusterService`]: a resident object that admits live
 //! streams of arrivals and dynamics plans, snapshots its entire state
-//! (canonical, hashable, versioned), write-ahead journals every admission
-//! and recovers from a crash via snapshot + journal replay —
-//! bit-identically to the uninterrupted run. [`run`] is a thin batch
-//! driver over it.
+//! (canonical, hashable, versioned — [`snapshot`]), write-ahead journals
+//! every admission and recovers from a crash via snapshot + journal
+//! replay ([`journal`]) — bit-identically to the uninterrupted run.
+//! [`run`] is a thin batch driver over it.
 //!
 //! # Examples
 //!
@@ -60,16 +60,20 @@
 
 pub mod dynamics;
 mod engine;
+mod event_heap;
 pub mod fleet;
+pub mod journal;
 mod pending;
 mod report;
 pub mod service;
+pub mod snapshot;
 
 pub use engine::{run, SimConfig};
 pub use fleet::{run_fleet, FleetReport, FleetShard};
+pub use journal::{
+    parse_journal, AdmittedEvent, Journal, JournalError, JournalRecord, JournalReplay,
+};
 pub use pending::PassStats;
 pub use report::{AllocSample, RunSummary, SimReport, TaskRecord};
-pub use service::{
-    fnv1a, parse_journal, report_hash, AdmittedEvent, ClusterService, Journal, JournalError,
-    JournalRecord, JournalReplay, RestoreError, ServiceSnapshot, SNAPSHOT_VERSION,
-};
+pub use service::ClusterService;
+pub use snapshot::{fnv1a, report_hash, RestoreError, ServiceSnapshot, SNAPSHOT_VERSION};

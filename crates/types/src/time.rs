@@ -134,12 +134,6 @@ impl SimTime {
         self.0 / HOUR
     }
 
-    /// Fractional hours since the epoch.
-    #[must_use]
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / HOUR as f64
-    }
-
     /// Hour of day in `0..24`.
     #[must_use]
     pub const fn hour_of_day(self) -> u64 {

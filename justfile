@@ -2,7 +2,7 @@
 # recipes by hand — each is a single cargo invocation (or a small loop).
 
 # Build, test, lint, gate — the full CI pipeline.
-ci: fmt build test clippy lint benchmark-smoke bench-smoke bench-gate lab-smokes examples-smoke
+ci: fmt build test clippy doc lint benchmark-smoke bench-smoke bench-gate lab-smokes examples-smoke
 
 # Formatting gate (no diffs tolerated).
 fmt:
@@ -20,15 +20,17 @@ test:
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
+# API docs with warnings denied: every intra-doc link must resolve, and
+# no public doc may link to a private item.
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # Workspace determinism/golden-pin static analysis (gfs_lint self-scan):
-# hard-fails when any per-(path, rule) finding count exceeds the committed
-# LINT_BASELINE.json. Std-only, offline, sub-second.
+# hard-fails on any finding; a justified exception is a
+# `// gfs-lint: allow(rule, "reason")` pragma on its line. Std-only,
+# offline, sub-second.
 lint:
     cargo run --release -q -p gfs-lint --bin gfs_lint -- check
-
-# Re-record the accepted lint debt after fixing findings (ratchet down).
-lint-baseline:
-    cargo run --release -q -p gfs-lint --bin gfs_lint -- record
 
 # 1/20-scale smoke of the four `benchmark/` sessions (≈ 5 s): checks the
 # output schema against BENCHMARK.json and — the dev profile keeps debug
