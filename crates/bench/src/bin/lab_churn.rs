@@ -5,24 +5,17 @@
 //!
 //! ```text
 //! cargo run --release -p gfs-bench --bin lab_churn
-//! GFS_LAB_SMOKE=1  …         # tiny grid for CI (< 10 s)
 //! GFS_LAB_THREADS=8 …        # fixed worker count (default: one per core)
-//! GFS_LAB_COMPARE=1 …        # also run serially; verify identical output
 //! GFS_LAB_JSON=1 …           # dump the aggregated GridReport JSON
 //! ```
 
 use gfs::lab::{ClusterShape, DynamicsAxis, Grid, NodeGroup, SchedulerSpec, WorkloadAxis};
 use gfs::prelude::*;
 use gfs::scenario;
-use gfs_bench::{env_flag, run_lab_grid};
+use gfs_bench::run_lab_grid;
 
 fn main() {
-    let smoke = env_flag("GFS_LAB_SMOKE");
-    let (a100_nodes, h800_nodes, horizon_h, seeds): (u32, u32, u64, Vec<u64>) = if smoke {
-        (4, 2, 8, vec![1, 2])
-    } else {
-        (24, 8, 48, vec![1, 2, 3, 4])
-    };
+    let (a100_nodes, h800_nodes, horizon_h) = (24, 8, 48);
     let sim_horizon = (horizon_h + 96) * HOUR;
 
     let shapes = [
@@ -53,39 +46,29 @@ fn main() {
         spot_scale: 2.0,
         ..WorkloadConfig::default()
     };
-    let workload = if smoke {
-        WorkloadAxis::generated_mixed(
-            "mixed",
-            WorkloadConfig {
-                hp_tasks: 40,
-                spot_tasks: 14,
-                ..base
-            },
-        )
-    } else {
-        WorkloadAxis::generated_mixed(
-            "mixed",
-            WorkloadConfig {
-                hp_tasks: 400,
-                spot_tasks: 120,
-                ..base
-            },
-        )
-    };
+    let workload = WorkloadAxis::generated_mixed(
+        "mixed",
+        WorkloadConfig {
+            hp_tasks: 400,
+            spot_tasks: 120,
+            ..base
+        },
+    );
 
-    let mut grid = Grid::new()
-        .schedulers([SchedulerSpec::yarn_cs(), SchedulerSpec::fgd()])
+    let grid = Grid::new()
+        .schedulers([
+            SchedulerSpec::yarn_cs(),
+            SchedulerSpec::fgd(),
+            scenario::gfs_no_gde_spec(),
+        ])
         .shapes(shapes)
         .workload(workload)
         .dynamics(dynamics)
-        .seeds(seeds)
+        .seeds([1, 2, 3, 4])
         .sim(SimConfig {
             max_time_secs: Some(sim_horizon),
             ..SimConfig::default()
         });
-    if !smoke {
-        grid = grid.scheduler(scenario::gfs_no_gde_spec());
-    }
 
     run_lab_grid(
         &grid,

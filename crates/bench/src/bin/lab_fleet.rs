@@ -1,14 +1,12 @@
-//! Fleet-scale engine smoke: a sharded, churned, heavy-tailed fleet run
+//! Fleet-scale engine check: a sharded, churned, heavy-tailed fleet run
 //! through `gfs::sim::fleet::run_fleet`, verifying the sharded engine's
-//! determinism contract end to end — any thread count produces the same
-//! `fleet_hash`, and the smoke configuration's hash is pinned so a
+//! determinism contract end to end — a serial rerun reproduces the
+//! parallel run bit for bit, and the `fleet_hash` is pinned so a
 //! behavioral drift in the engine, the trace generator or the merge
 //! rules cannot land silently.
 //!
 //! ```text
 //! cargo run --release -p gfs-bench --bin lab_fleet
-//! GFS_LAB_SMOKE=1  …         # tiny fleet for CI (< 10 s), pinned hash
-//! GFS_LAB_COMPARE=1 …        # also run serially; verify identical output
 //! ```
 
 use std::time::Instant;
@@ -16,12 +14,11 @@ use std::time::Instant;
 use gfs::prelude::*;
 use gfs::sim::fleet::{domain_shards, run_fleet, FleetShard};
 use gfs::trace::fleet::{FleetTraceConfig, FleetTraceGenerator};
-use gfs_bench::env_flag;
 
-/// `fleet_hash` of the smoke configuration below. Recompute with
-/// `GFS_LAB_SMOKE=1 cargo run --release -p gfs-bench --bin lab_fleet`
-/// after an *intentional* behavior change.
-const SMOKE_FLEET_HASH: u64 = 0x5cf4_59cf_2f8b_929d;
+/// `fleet_hash` of the fleet below. Recompute with
+/// `cargo run --release -p gfs-bench --bin lab_fleet` after an
+/// *intentional* behavior change.
+const FLEET_HASH: u64 = 0xb2d6_1ae9_adb9_64e4;
 
 fn build_fleet(shards: u32, nodes_per_shard: u32, tasks: u64) -> Vec<FleetShard> {
     let clusters = domain_shards(shards as usize, nodes_per_shard, GpuModel::A100, 8);
@@ -51,12 +48,7 @@ fn build_fleet(shards: u32, nodes_per_shard: u32, tasks: u64) -> Vec<FleetShard>
 }
 
 fn main() {
-    let smoke = env_flag("GFS_LAB_SMOKE");
-    let (shards, nodes_per_shard, tasks) = if smoke {
-        (4u32, 50u32, 2_000u64)
-    } else {
-        (8, 2_000, 200_000)
-    };
+    let (shards, nodes_per_shard, tasks) = (8, 2_000, 200_000);
     let cfg = SimConfig {
         max_time_secs: Some(30 * 24 * HOUR),
         ..SimConfig::default()
@@ -98,29 +90,24 @@ fn main() {
         wall.as_secs_f64()
     );
 
-    if smoke {
-        assert_eq!(
-            fleet.fleet_hash, SMOKE_FLEET_HASH,
-            "smoke fleet hash drifted — if the change is intentional, \
-             update SMOKE_FLEET_HASH"
-        );
-    }
-    if env_flag("GFS_LAB_COMPARE") {
-        let start = Instant::now();
-        let serial = run_fleet(
-            build_fleet(shards, nodes_per_shard, tasks),
-            &factory,
-            &cfg,
-            1,
-        );
-        let serial_wall = start.elapsed();
-        assert_eq!(
-            serial, fleet,
-            "serial and parallel fleet runs must agree bit-for-bit"
-        );
-        println!(
-            "serial: {:.2}s, outputs identical (threads=1 == threads=auto)",
-            serial_wall.as_secs_f64()
-        );
-    }
+    assert_eq!(
+        fleet.fleet_hash, FLEET_HASH,
+        "fleet hash drifted — if the change is intentional, update FLEET_HASH"
+    );
+    let start = Instant::now();
+    let serial = run_fleet(
+        build_fleet(shards, nodes_per_shard, tasks),
+        &factory,
+        &cfg,
+        1,
+    );
+    let serial_wall = start.elapsed();
+    assert_eq!(
+        serial, fleet,
+        "serial and parallel fleet runs must agree bit-for-bit"
+    );
+    println!(
+        "serial: {:.2}s, outputs identical (threads=1 == threads=auto)",
+        serial_wall.as_secs_f64()
+    );
 }

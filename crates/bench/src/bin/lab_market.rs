@@ -6,25 +6,17 @@
 //!
 //! ```text
 //! cargo run --release -p gfs-bench --bin lab_market
-//! GFS_LAB_SMOKE=1  …         # tiny grid for CI (< 10 s)
 //! GFS_LAB_THREADS=8 …        # fixed worker count (default: one per core)
-//! GFS_LAB_COMPARE=1 …        # also run serially; verify identical output
 //! GFS_LAB_JSON=1 …           # dump the aggregated GridReport JSON
 //! ```
 
 use gfs::lab::{ClusterShape, DynamicsAxis, Grid, MarketAxis, SchedulerSpec, WorkloadAxis};
 use gfs::market::{spike, ForecastParams, MarketSpec};
 use gfs::prelude::*;
-use gfs_bench::{env_flag, run_lab_grid};
+use gfs_bench::run_lab_grid;
 
 fn main() {
-    let smoke = env_flag("GFS_LAB_SMOKE");
-    let (nodes, hp, spot, seeds): (u32, usize, usize, Vec<u64>) = if smoke {
-        (2, 14, 4, vec![1, 2])
-    } else {
-        (8, 60, 20, vec![1, 2, 3])
-    };
-    let horizon_h = if smoke { 4 } else { 5 };
+    let horizon_h = 5;
     let sim_horizon = (horizon_h + 60) * HOUR;
 
     // one shared price story: A100 spot triples for six hours once the
@@ -41,12 +33,12 @@ fn main() {
 
     let grid = Grid::new()
         .schedulers([SchedulerSpec::yarn_cs(), SchedulerSpec::fgd()])
-        .shape(ClusterShape::a100(nodes, 8))
+        .shape(ClusterShape::a100(8, 8))
         .workload(WorkloadAxis::generated(
             "backlog",
             WorkloadConfig {
-                hp_tasks: hp,
-                spot_tasks: spot,
+                hp_tasks: 60,
+                spot_tasks: 20,
                 spot_scale: 2.0,
                 horizon_secs: horizon_h * HOUR,
                 ..WorkloadConfig::default()
@@ -60,14 +52,17 @@ fn main() {
         .markets([
             MarketAxis::none(),
             // meter-only: bills whatever the autoscale timeline adds
-            MarketAxis::new("bill", MarketSpec::fixed_price().with_shocks(shock.clone())),
+            MarketAxis::fixed(
+                "bill",
+                Some(MarketSpec::fixed_price().with_shocks(shock.clone())),
+            ),
             // the closed loop: forecast-driven buys, price-aware
-            MarketAxis::new(
+            MarketAxis::fixed(
                 "closedloop",
-                MarketSpec::forecast(params).with_shocks(shock),
+                Some(MarketSpec::forecast(params).with_shocks(shock)),
             ),
         ])
-        .seeds(seeds)
+        .seeds([1, 2, 3])
         .sim(SimConfig {
             max_time_secs: Some(sim_horizon),
             ..SimConfig::default()

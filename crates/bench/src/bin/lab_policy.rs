@@ -5,26 +5,19 @@
 //!
 //! ```text
 //! cargo run --release -p gfs-bench --bin lab_policy
-//! GFS_LAB_SMOKE=1  …         # tiny grid for CI (< 10 s)
 //! GFS_LAB_THREADS=8 …        # fixed worker count (default: one per core)
-//! GFS_LAB_COMPARE=1 …        # also run serially; verify identical output
 //! GFS_LAB_JSON=1 …           # dump the aggregated GridReport JSON
 //! ```
 
 use gfs::lab::{ClusterShape, DynamicsAxis, Grid, PolicyAxis, WorkloadAxis};
 use gfs::prelude::*;
 use gfs::scenario;
-use gfs_bench::{env_flag, run_lab_grid};
+use gfs_bench::run_lab_grid;
 
 fn main() {
-    let smoke = env_flag("GFS_LAB_SMOKE");
     let rack = 4;
-    let (nodes, hp, spot, seeds): (u32, usize, usize, Vec<u64>) = if smoke {
-        (8, 20, 6, vec![1, 2])
-    } else {
-        (32, 120, 40, vec![1, 2, 3, 4])
-    };
-    let horizon_h = if smoke { 8 } else { 24 };
+    let nodes = 32;
+    let horizon_h = 24;
     let sim_horizon = (horizon_h + 48) * HOUR;
 
     // half the racks churn as correlated blast radii, half are stable —
@@ -47,8 +40,8 @@ fn main() {
         .workload(WorkloadAxis::generated(
             "steady",
             WorkloadConfig {
-                hp_tasks: hp,
-                spot_tasks: spot,
+                hp_tasks: 120,
+                spot_tasks: 40,
                 spot_scale: 2.0,
                 horizon_secs: horizon_h * HOUR,
                 heavy_tail_frac: 0.0,
@@ -62,7 +55,7 @@ fn main() {
             PolicyAxis::reliability(),
             PolicyAxis::churn_aware(),
         ])
-        .seeds(seeds)
+        .seeds([1, 2, 3, 4])
         .sim(SimConfig {
             max_time_secs: Some(sim_horizon),
             ..SimConfig::default()

@@ -8,9 +8,7 @@
 //!
 //! ```text
 //! cargo run --release -p gfs-bench --bin lab_recovery
-//! GFS_LAB_SMOKE=1  …         # tiny grid for CI (< 10 s)
 //! GFS_LAB_THREADS=8 …        # fixed worker count (default: one per core)
-//! GFS_LAB_COMPARE=1 …        # also run serially; verify identical output
 //! GFS_LAB_JSON=1 …           # dump the outcome matrix as JSON lines
 //! ```
 
@@ -75,15 +73,10 @@ fn journal_damage_is_detected() {
 }
 
 fn main() {
-    let smoke = env_flag("GFS_LAB_SMOKE");
     let threads = lab_threads();
-    let (nodes, hp, spot, horizon_h) = if smoke {
-        (4, 16, 6, 4)
-    } else {
-        (16, 120, 40, 24)
-    };
+    let horizon_h = 24;
     let sim_horizon = (horizon_h + 48) * HOUR;
-    let shape = ClusterShape::a100(nodes, 8);
+    let shape = ClusterShape::a100(16, 8);
     let sim = SimConfig {
         max_time_secs: Some(sim_horizon),
         ..SimConfig::default()
@@ -91,8 +84,8 @@ fn main() {
     let workload = WorkloadAxis::generated(
         "steady",
         WorkloadConfig {
-            hp_tasks: hp,
-            spot_tasks: spot,
+            hp_tasks: 120,
+            spot_tasks: 40,
             spot_scale: 2.0,
             horizon_secs: horizon_h * HOUR,
             ..WorkloadConfig::default()
@@ -110,12 +103,12 @@ fn main() {
     // last good checkpoint and the late admission wave, so recovery
     // replays a genuine journal suffix on top of a snapshot
     let points = [
-        CrashPoint::AfterEvents(if smoke { 3 } else { 12 }),
+        CrashPoint::AfterEvents(12),
         CrashPoint::AtTime(SimTime::from_hours(2)),
-        CrashPoint::MidSnapshot(if smoke { 9 } else { 40 }),
+        CrashPoint::MidSnapshot(40),
     ];
     let seeds = [1u64, 2];
-    let cadence = if smoke { 6 } else { 25 };
+    let cadence = 25;
     let late_at = cadence + 2;
 
     // the cell matrix, in a fixed enumeration order
@@ -207,18 +200,16 @@ fn main() {
             );
         }
     }
-    if env_flag("GFS_LAB_COMPARE") {
-        let start = Instant::now();
-        let serial = run_all(Threads::Fixed(1));
-        let serial_wall = start.elapsed();
-        assert_eq!(
-            serial, outcomes,
-            "parallel and serial recovery sweeps must agree exactly"
-        );
-        println!(
-            "serial: {:.2}s  -> speedup {:.2}x, outputs identical",
-            serial_wall.as_secs_f64(),
-            serial_wall.as_secs_f64() / wall.as_secs_f64()
-        );
-    }
+    let start = Instant::now();
+    let serial = run_all(Threads::Fixed(1));
+    let serial_wall = start.elapsed();
+    assert_eq!(
+        serial, outcomes,
+        "parallel and serial recovery sweeps must agree exactly"
+    );
+    println!(
+        "serial: {:.2}s  -> speedup {:.2}x, outputs identical",
+        serial_wall.as_secs_f64(),
+        serial_wall.as_secs_f64() / wall.as_secs_f64()
+    );
 }

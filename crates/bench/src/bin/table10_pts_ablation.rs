@@ -2,42 +2,23 @@
 //! GFS-p (random preemption) and GFS-sp (both degraded).
 
 use gfs::prelude::*;
-use gfs::scenario::{org_template_scaled, trained_gde, GdeModel};
-use gfs_bench::{eval_workload, print_rows, run_row, Scale, PAPER_GPUS_PER_NODE};
-
-fn build(variant: PtsVariant, capacity: f64, seed: u64) -> GfsScheduler {
-    let template = org_template_scaled(3, 168, 4, seed, Some(0.60 * capacity));
-    let cfg = TrainConfig {
-        epochs: 15,
-        stride: 7,
-        seed,
-        ..TrainConfig::default()
-    };
-    let gde = trained_gde(&template, GdeModel::OrgLinear, &cfg, seed);
-    GfsScheduler::new(GfsParams::default(), variant, Some(gde))
-}
+use gfs::scenario;
+use gfs_bench::{eval_grid, run_lab_grid, spot_workload, Scale, TABLE_METRICS};
 
 fn main() {
     let scale = Scale::from_env();
     println!("Table 10 reproduction — PTS ablation, medium spot workload");
-    let tasks = eval_workload(scale, 2.0, 9);
-    let capacity = f64::from(scale.nodes() * PAPER_GPUS_PER_NODE);
-    let mut rows = Vec::new();
-    for variant in [
-        PtsVariant::Degraded,
-        PtsVariant::SimpleScoring,
-        PtsVariant::RandomPreemption,
-        PtsVariant::Full,
-    ] {
-        let mut s = build(variant, capacity, 9);
-        let name = match variant {
-            PtsVariant::Degraded => "GFS-sp",
-            PtsVariant::SimpleScoring => "GFS-s",
-            PtsVariant::RandomPreemption => "GFS-p",
-            PtsVariant::Full => "GFS",
-        };
-        rows.push(run_row(name, &mut s, scale, &tasks));
-    }
-    print_rows("PTS ablation", &rows);
+    let grid = eval_grid(scale)
+        .schedulers(
+            [
+                PtsVariant::Degraded,
+                PtsVariant::SimpleScoring,
+                PtsVariant::RandomPreemption,
+                PtsVariant::Full,
+            ]
+            .map(|variant| scenario::gfs_pts_spec(variant, 3, 0.60)),
+        )
+        .workload(spot_workload(scale, "medium-spot", 2.0));
+    run_lab_grid(&grid, &TABLE_METRICS);
     println!("\n(paper: restoring each module cuts spot JCT ~11%; both together 23.5%)");
 }

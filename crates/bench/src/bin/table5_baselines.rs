@@ -1,16 +1,14 @@
 //! Table 5: scheduling-metrics comparison of GFS against the four baseline
 //! schedulers under the low / medium / high spot workloads (§4.4), declared
-//! as one `gfs::lab` grid (workloads × schedulers) instead of hand-rolled
-//! serial loops.
+//! as one `gfs::lab` grid (workloads × schedulers).
 //!
 //! ```text
 //! GFS_BENCH_SCALE=full cargo run --release -p gfs-bench --bin table5_baselines
 //! ```
 
-use gfs::lab::{ClusterShape, Grid, SchedulerSpec, Threads, WorkloadAxis};
-use gfs::prelude::*;
+use gfs::lab::SchedulerSpec;
 use gfs::scenario;
-use gfs_bench::{eval_sim_config, Scale, PAPER_GPUS_PER_NODE};
+use gfs_bench::{eval_grid, run_lab_grid, spot_workload, Scale, TABLE_METRICS};
 
 fn main() {
     let scale = Scale::from_env();
@@ -19,35 +17,15 @@ fn main() {
         scale.nodes(),
         scale.horizon_hours()
     );
-    let workloads =
-        [("(a) low", 1.0), ("(b) medium", 2.0), ("(c) high", 4.0)].map(|(name, spot_scale)| {
-            let base = WorkloadConfig {
-                horizon_secs: scale.horizon_hours() * HOUR,
-                spot_scale,
-                ..WorkloadConfig::default()
-            };
-            WorkloadAxis::generated_sized(format!("{name}-spot"), base, 0.60, 0.12)
-        });
-    let grid = Grid::new()
+    let grid = eval_grid(scale)
         .schedulers(SchedulerSpec::baselines())
         .scheduler(scenario::gfs_spec(3, 0.60))
-        .shape(ClusterShape::a100(scale.nodes(), PAPER_GPUS_PER_NODE))
-        .workloads(workloads)
-        .seeds([9])
-        .sim(eval_sim_config(scale));
-
-    let result = grid.run(Threads::Auto);
-    println!(
-        "{}",
-        result.report.render_table(&[
-            "hp_p99_jct_s",
-            "hp_mean_jct_s",
-            "hp_mean_jqt_s",
-            "spot_mean_jct_s",
-            "spot_mean_jqt_s",
-            "eviction_rate",
-        ])
-    );
+        .workloads(
+            [("(a) low", 1.0), ("(b) medium", 2.0), ("(c) high", 4.0)].map(|(name, spot_scale)| {
+                spot_workload(scale, &format!("{name}-spot"), spot_scale)
+            }),
+        );
+    run_lab_grid(&grid, &TABLE_METRICS);
     println!("\n(Chronus displaces best-effort jobs only at lease expiry; its eviction_rate");
     println!(" column is reported for completeness where the paper prints '-'.)");
 }

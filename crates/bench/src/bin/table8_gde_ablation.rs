@@ -1,20 +1,18 @@
 //! Table 8: GDE ablation — GFS with OrgLinear vs GFS-e, which replaces the
 //! demand model with the naive last-week-peak heuristic.
 
-use gfs::prelude::*;
 use gfs::scenario;
-use gfs_bench::{eval_workload, print_rows, run_row, Scale, PAPER_GPUS_PER_NODE};
+use gfs_bench::{eval_grid, run_lab_grid, spot_workload, Scale, TABLE_METRICS};
 
 fn main() {
     let scale = Scale::from_env();
     println!("Table 8 reproduction — GDE ablation, medium spot workload");
-    let tasks = eval_workload(scale, 2.0, 9);
-    let capacity = f64::from(scale.nodes() * PAPER_GPUS_PER_NODE);
-    let mut rows = Vec::new();
-    let mut naive = scenario::gfs_naive_gde(GfsParams::default(), 3, 9, 0.60 * capacity);
-    rows.push(run_row("GFS-e", &mut naive, scale, &tasks));
-    let mut full = scenario::gfs_full(GfsParams::default(), 3, 9, 0.60 * capacity);
-    rows.push(run_row("GFS", &mut full, scale, &tasks));
-    print_rows("GDE ablation", &rows);
+    let grid = eval_grid(scale)
+        .schedulers([
+            scenario::gfs_naive_spec(3, 0.60),
+            scenario::gfs_spec(3, 0.60),
+        ])
+        .workload(spot_workload(scale, "medium-spot", 2.0));
+    run_lab_grid(&grid, &TABLE_METRICS);
     println!("\n(paper: GFS cuts spot JCT 48%, JQT 95%, e 85% vs the peak heuristic)");
 }

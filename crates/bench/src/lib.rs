@@ -1,5 +1,6 @@
-//! Shared harness code for the experiment binaries that regenerate every
-//! table and figure of the paper (see DESIGN.md §4 for the index).
+//! Shared code of the experiment bins: `table*`/`fig*` regenerate the
+//! paper's tables and figures, `lab_*` run the extension grids, and
+//! `bench_gate`/`profile_forecast` serve the micro-benchmarks.
 
 // `deny` rather than `forbid`: the affinity module scopes one audited
 // raw-syscall allowance (no `libc` is available offline).
@@ -10,7 +11,7 @@ pub mod harness;
 
 use std::time::Instant;
 
-use gfs::lab::{Grid, Threads};
+use gfs::lab::{ClusterShape, Grid, Threads, WorkloadAxis};
 use gfs::prelude::*;
 
 /// The simulated A100 pool of §4.1: 287 nodes × 8 GPUs = 2,296 GPUs.
@@ -24,29 +25,53 @@ pub fn env_flag(name: &str) -> bool {
     std::env::var(name).is_ok_and(|v| v != "0" && !v.is_empty())
 }
 
-/// Worker count for the `lab_*` bins: `GFS_LAB_THREADS=n` fixes it,
+/// Worker count for the grid bins: `GFS_LAB_THREADS=n` fixes it,
 /// otherwise one worker per core.
-#[must_use]
-pub fn lab_threads() -> Threads {
-    match std::env::var("GFS_LAB_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        Some(n) => Threads::Fixed(n),
-        None => Threads::Auto,
-    }
-}
-
-/// The body every `lab_*` grid bin shares: runs `grid` on
-/// [`lab_threads`] workers, prints the `metrics` table and the timing,
-/// dumps the aggregated JSON under `GFS_LAB_JSON`, and under
-/// `GFS_LAB_COMPARE` reruns it serially and asserts the two outputs are
-/// byte-identical.
 ///
 /// # Panics
 ///
-/// When `GFS_LAB_COMPARE` is set and the serial and parallel outputs
-/// differ.
+/// When `GFS_LAB_THREADS` is set to anything but a positive integer.
+#[must_use]
+pub fn lab_threads() -> Threads {
+    parse_threads(std::env::var("GFS_LAB_THREADS").ok().as_deref())
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Parses a `GFS_LAB_THREADS` value: unset is one worker per core, a
+/// positive integer fixes the worker count.
+///
+/// # Errors
+///
+/// Any other value, with a message naming the accepted ones.
+pub fn parse_threads(value: Option<&str>) -> Result<Threads, String> {
+    match value.map(str::parse::<usize>) {
+        None => Ok(Threads::Auto),
+        Some(Ok(n)) if n > 0 => Ok(Threads::Fixed(n)),
+        Some(_) => Err(format!(
+            "GFS_LAB_THREADS={:?}: expected a positive integer worker count, or unset for one per core",
+            value.unwrap_or_default()
+        )),
+    }
+}
+
+/// The six §4.2 metric columns of Tables 5–10.
+pub const TABLE_METRICS: [&str; 6] = [
+    "hp_p99_jct_s",
+    "hp_mean_jct_s",
+    "hp_mean_jqt_s",
+    "spot_mean_jct_s",
+    "spot_mean_jqt_s",
+    "eviction_rate",
+];
+
+/// The body every grid bin shares: runs `grid` on [`lab_threads`]
+/// workers, prints the `metrics` table and the timing, dumps the
+/// aggregated JSON under `GFS_LAB_JSON`, then reruns it serially and
+/// asserts the two outputs are byte-identical.
+///
+/// # Panics
+///
+/// When the serial and parallel outputs differ.
 pub fn run_lab_grid(grid: &Grid, metrics: &[&str]) {
     let threads = lab_threads();
     let start = Instant::now();
@@ -63,20 +88,18 @@ pub fn run_lab_grid(grid: &Grid, metrics: &[&str]) {
     if env_flag("GFS_LAB_JSON") {
         println!("{json}");
     }
-    if env_flag("GFS_LAB_COMPARE") {
-        let start = Instant::now();
-        let serial = grid.run(Threads::Fixed(1)).report.to_json();
-        let serial_wall = start.elapsed();
-        assert_eq!(
-            serial, json,
-            "parallel and serial grids must agree byte-for-byte"
-        );
-        println!(
-            "serial: {:.2}s  -> speedup {:.2}x, outputs identical",
-            serial_wall.as_secs_f64(),
-            serial_wall.as_secs_f64() / wall.as_secs_f64()
-        );
-    }
+    let start = Instant::now();
+    let serial = grid.run(Threads::Fixed(1)).report.to_json();
+    let serial_wall = start.elapsed();
+    assert_eq!(
+        serial, json,
+        "parallel and serial grids must agree byte-for-byte"
+    );
+    println!(
+        "serial: {:.2}s  -> speedup {:.2}x, outputs identical",
+        serial_wall.as_secs_f64(),
+        serial_wall.as_secs_f64() / wall.as_secs_f64()
+    );
 }
 
 /// Scale factors for quick (CI) vs full (paper-scale) experiment runs,
@@ -92,11 +115,29 @@ pub enum Scale {
 
 impl Scale {
     /// Reads the scale from the environment.
+    ///
+    /// # Panics
+    ///
+    /// When `GFS_BENCH_SCALE` is set to anything but `quick` or `full`.
     #[must_use]
     pub fn from_env() -> Self {
-        match std::env::var("GFS_BENCH_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            _ => Scale::Quick,
+        Scale::parse(std::env::var("GFS_BENCH_SCALE").ok().as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Parses a `GFS_BENCH_SCALE` value; unset is [`Scale::Quick`].
+    ///
+    /// # Errors
+    ///
+    /// Any value other than `quick` or `full`, with a message naming the
+    /// accepted ones.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("quick") => Ok(Scale::Quick),
+            Some("full") => Ok(Scale::Full),
+            Some(other) => Err(format!(
+                "GFS_BENCH_SCALE={other:?}: expected `quick` or `full`"
+            )),
         }
     }
 
@@ -119,87 +160,55 @@ impl Scale {
     }
 }
 
-/// The standard evaluation workload: Table 3 mix sized to the cluster,
-/// at the given spot scale (1 / 2 / 4 = low / medium / high).
+/// The standard evaluation workload: the Table 3 mix sized to 60 % HP and
+/// 12 % spot load of the cell's cluster, at the given spot scale
+/// (1 / 2 / 4 = low / medium / high).
 #[must_use]
-pub fn eval_workload(scale: Scale, spot_scale: f64, seed: u64) -> Vec<TaskSpec> {
-    let capacity = f64::from(scale.nodes() * PAPER_GPUS_PER_NODE);
-    let cfg = WorkloadConfig {
+pub fn spot_workload(scale: Scale, name: &str, spot_scale: f64) -> WorkloadAxis {
+    let base = WorkloadConfig {
         horizon_secs: scale.horizon_hours() * HOUR,
         spot_scale,
-        seed,
         ..WorkloadConfig::default()
-    }
-    .sized_for(capacity, 0.60, 0.12);
-    WorkloadGenerator::new(cfg).generate()
+    };
+    WorkloadAxis::generated_sized(name, base, 0.60, 0.12)
 }
 
-/// Simulation settings shared by the scheduling experiments.
+/// The grid every scheduling table shares: the A100 pool at `scale`,
+/// seed 9 and a simulation cut off 96 h after the last submission. A
+/// table adds its schedulers, workloads and parameter points.
 #[must_use]
-pub fn eval_sim_config(scale: Scale) -> SimConfig {
-    SimConfig {
-        max_time_secs: Some((scale.horizon_hours() + 96) * HOUR),
-        ..SimConfig::default()
+pub fn eval_grid(scale: Scale) -> Grid {
+    Grid::new()
+        .shape(ClusterShape::a100(scale.nodes(), PAPER_GPUS_PER_NODE))
+        .seeds([9])
+        .sim(SimConfig {
+            max_time_secs: Some((scale.horizon_hours() + 96) * HOUR),
+            ..SimConfig::default()
+        })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scale_accepts_quick_and_full_only() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
+        for bad in ["Full", "FULL", "", "paper"] {
+            let err = Scale::parse(Some(bad)).unwrap_err();
+            assert!(err.contains("`quick` or `full`"), "{err}");
+        }
     }
-}
 
-/// One row of a Table 5-style comparison.
-#[derive(Debug, Clone)]
-pub struct SchedRow {
-    /// Scheduler display name.
-    pub name: String,
-    /// P99 HP job completion time, seconds.
-    pub hp_jct_p99: f64,
-    /// Mean HP JCT, seconds.
-    pub hp_jct: f64,
-    /// Mean HP JQT, seconds.
-    pub hp_jqt: f64,
-    /// Mean spot JCT, seconds.
-    pub spot_jct: f64,
-    /// Mean spot JQT, seconds.
-    pub spot_jqt: f64,
-    /// Spot eviction rate (`e`), fraction.
-    pub eviction: f64,
-}
-
-/// Runs one scheduler on a workload and summarises the §4.2 metrics.
-pub fn run_row(
-    name: &str,
-    scheduler: &mut dyn Scheduler,
-    scale: Scale,
-    tasks: &[TaskSpec],
-) -> SchedRow {
-    let cluster = Cluster::homogeneous(scale.nodes(), GpuModel::A100, PAPER_GPUS_PER_NODE);
-    let report = gfs::sim::run(cluster, scheduler, tasks.to_vec(), &eval_sim_config(scale));
-    SchedRow {
-        name: name.to_string(),
-        hp_jct_p99: report.p99_jct(Priority::Hp),
-        hp_jct: report.mean_jct(Priority::Hp),
-        hp_jqt: report.mean_jqt(Priority::Hp),
-        spot_jct: report.mean_jct(Priority::Spot),
-        spot_jqt: report.mean_jqt(Priority::Spot),
-        eviction: report.eviction_rate(),
-    }
-}
-
-/// Prints a Table 5-style block.
-pub fn print_rows(title: &str, rows: &[SchedRow]) {
-    println!("\n### {title}");
-    println!(
-        "{:<9} | {:>12} {:>10} {:>8} | {:>10} {:>8} {:>6}",
-        "sched", "JCT-p99(s)", "JCT(s)", "JQT(s)", "JCT(s)", "JQT(s)", "e(%)"
-    );
-    println!("{}", "-".repeat(78));
-    for r in rows {
-        println!(
-            "{:<9} | {:>12.1} {:>10.1} {:>8.1} | {:>10.1} {:>8.1} {:>6.2}",
-            r.name,
-            r.hp_jct_p99,
-            r.hp_jct,
-            r.hp_jqt,
-            r.spot_jct,
-            r.spot_jqt,
-            r.eviction * 100.0
-        );
+    #[test]
+    fn threads_accept_positive_integers_only() {
+        assert_eq!(parse_threads(None), Ok(Threads::Auto));
+        assert_eq!(parse_threads(Some("8")), Ok(Threads::Fixed(8)));
+        for bad in ["0", "-1", "eight", "", "2.5"] {
+            let err = parse_threads(Some(bad)).unwrap_err();
+            assert!(err.contains("positive integer"), "{err}");
+        }
     }
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use gfs_cluster::{Cluster, Node, Scheduler};
 use gfs_market::MarketSpec;
 use gfs_sched::{Chronus, Fgd, Lyra, YarnCs};
-use gfs_sim::{RunSummary, SimConfig, SimReport};
+use gfs_sim::{run_indexed, RunSummary, SimConfig, SimReport, Threads};
 use gfs_trace::{WorkloadConfig, WorkloadGenerator};
 use gfs_types::{
     DynamicsPlan, Error, FailureDomain, GfsParams, GpuModel, NodeId, Result, SimDuration, SimTime,
@@ -17,7 +17,6 @@ use gfs_types::{
 
 use gfs_sched::PlacementPolicy;
 
-use crate::pool::{run_indexed, Threads};
 use crate::report::{CellSummary, GridReport};
 
 /// One homogeneous pool inside a [`ClusterShape`]: `nodes` machines of
@@ -181,13 +180,6 @@ impl ClusterShape {
 pub struct RunContext<'a> {
     /// Cluster shape of the cell.
     pub shape: &'a ClusterShape,
-    /// Workload-axis label of the cell.
-    pub workload: &'a str,
-    /// Dynamics-axis label of the cell (`"none"` when no axis is
-    /// declared).
-    pub dynamics: &'a str,
-    /// Market-axis label of the cell (`"none"` when no axis is declared).
-    pub market: &'a str,
     /// Placement policy of the cell (naive when no axis is declared).
     /// Policy-capable constructors (the facade's `gfs::scenario` specs)
     /// pass it into their schedulers; baselines ignore it.
@@ -277,33 +269,103 @@ impl SchedulerSpec {
     }
 }
 
-type WorkloadFactory = dyn Fn(&ClusterShape, u64) -> Vec<TaskSpec> + Send + Sync;
+type Builder<T> = dyn Fn(&ClusterShape, u64) -> T + Send + Sync;
 
-/// A named task-trace source — one point on the grid's workload axis.
-#[derive(Clone)]
-pub struct WorkloadAxis {
+/// A named point on one of the grid's axes: a display label plus a pure
+/// builder from the cell's shape and the run seed to the axis value.
+///
+/// Every axis is a pure function of `(shape, seed)` — the run seed is the
+/// only source of variation, so seed replication varies traces, churn and
+/// prices together while any thread count sees the same inputs (see
+/// `gfs_types::cluster_event` for the dynamics determinism rules). The
+/// grid's five axes are aliases of this one type: [`WorkloadAxis`],
+/// [`DynamicsAxis`], [`PolicyAxis`], [`MarketAxis`] and [`ParamsAxis`].
+pub struct Axis<T> {
     name: String,
-    build: Arc<WorkloadFactory>,
+    build: Arc<Builder<T>>,
 }
 
-impl std::fmt::Debug for WorkloadAxis {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "WorkloadAxis({})", self.name)
+impl<T> Clone for Axis<T> {
+    fn clone(&self) -> Self {
+        Axis {
+            name: self.name.clone(),
+            build: Arc::clone(&self.build),
+        }
     }
 }
 
-impl WorkloadAxis {
-    /// Wraps an arbitrary trace source (hand-built traces, replayed logs…).
+impl<T> std::fmt::Debug for Axis<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Axis({})", self.name)
+    }
+}
+
+impl<T: 'static> Axis<T> {
+    /// Wraps an arbitrary builder (hand-built traces, replayed logs,
+    /// composed timelines…) under a display name.
     pub fn new(
         name: impl Into<String>,
-        build: impl Fn(&ClusterShape, u64) -> Vec<TaskSpec> + Send + Sync + 'static,
+        build: impl Fn(&ClusterShape, u64) -> T + Send + Sync + 'static,
     ) -> Self {
-        WorkloadAxis {
+        Axis {
             name: name.into(),
             build: Arc::new(build),
         }
     }
 
+    /// One value for every shape and seed.
+    #[must_use]
+    pub fn fixed(name: impl Into<String>, value: T) -> Self
+    where
+        T: Clone + Send + Sync,
+    {
+        Axis::new(name, move |_, _| value.clone())
+    }
+
+    /// Display name.
+    #[must_use]
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Builds the axis value for one run.
+    #[must_use]
+    pub fn build(&self, shape: &ClusterShape, seed: u64) -> T {
+        (self.build)(shape, seed)
+    }
+}
+
+/// A named task-trace source — one point on the grid's workload axis.
+pub type WorkloadAxis = Axis<Vec<TaskSpec>>;
+
+/// A named cluster-timeline source — one point on the grid's dynamics
+/// axis: independent churn, correlated rack failures, rolling maintenance
+/// drains, autoscale schedules, or any hand-built composition. The
+/// dynamics seed is the run seed, so seed replication varies the churn
+/// along with the workload.
+pub type DynamicsAxis = Axis<DynamicsPlan>;
+
+/// A named [`PlacementPolicy`] — one point on the grid's placement-policy
+/// axis. Grids without the axis run every cell with the naive policy
+/// (labelled `"naive"`), which policy-capable schedulers treat as
+/// placement-untouched; comparing axis points isolates what churn-aware
+/// placement contributes under the same workload and cluster timeline.
+pub type PolicyAxis = Axis<PlacementPolicy>;
+
+/// A named [`MarketSpec`] — one point on the grid's capacity-market axis.
+///
+/// Grids without the axis run every cell market-free (labelled `"none"`,
+/// value `None`) through the plain engine, byte-identical to pre-market
+/// grids; a market point routes its cells through `gfs_market::run`, so
+/// the spot-price process, the capacity controller and the cost meter are
+/// live and the cost metrics appear in the cell summaries. The per-run
+/// price streams are derived from the run seed at execution time.
+pub type MarketAxis = Axis<Option<MarketSpec>>;
+
+/// A named [`GfsParams`] override — one point on the grid's parameter axis.
+pub type ParamsAxis = Axis<GfsParams>;
+
+impl WorkloadAxis {
     /// A generated workload: `base` with its seed replaced by the run seed.
     #[must_use]
     pub fn generated(name: impl Into<String>, base: WorkloadConfig) -> Self {
@@ -384,18 +446,6 @@ impl WorkloadAxis {
             }
             tasks
         })
-    }
-
-    /// Display name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Builds the trace for one run.
-    #[must_use]
-    pub fn build(&self, shape: &ClusterShape, seed: u64) -> Vec<TaskSpec> {
-        (self.build)(shape, seed)
     }
 }
 
@@ -491,40 +541,7 @@ impl UniformTrace {
     }
 }
 
-type DynamicsFactory = dyn Fn(&ClusterShape, u64) -> DynamicsPlan + Send + Sync;
-
-/// A named cluster-timeline source — one point on the grid's dynamics
-/// axis: independent churn, correlated rack failures, rolling maintenance
-/// drains, autoscale schedules, or any hand-built composition.
-///
-/// Like every other axis, a `DynamicsAxis` must be a pure function of the
-/// cell's shape and the run seed (see `gfs_types::cluster_event` for the
-/// determinism rules); the dynamics seed is derived from the run seed, so
-/// seed replication varies the churn along with the workload.
-#[derive(Clone)]
-pub struct DynamicsAxis {
-    name: String,
-    build: Arc<DynamicsFactory>,
-}
-
-impl std::fmt::Debug for DynamicsAxis {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DynamicsAxis({})", self.name)
-    }
-}
-
 impl DynamicsAxis {
-    /// Wraps an arbitrary schedule source.
-    pub fn new(
-        name: impl Into<String>,
-        build: impl Fn(&ClusterShape, u64) -> DynamicsPlan + Send + Sync + 'static,
-    ) -> Self {
-        DynamicsAxis {
-            name: name.into(),
-            build: Arc::new(build),
-        }
-    }
-
     /// The static-cluster axis point (the default when no axis is
     /// declared).
     #[must_use]
@@ -618,159 +635,63 @@ impl DynamicsAxis {
             )
         })
     }
-
-    /// A hand-built schedule applied identically at every seed (node ids
-    /// must be valid for the shapes the grid pairs it with; events on
-    /// unknown nodes are engine no-ops).
-    #[must_use]
-    pub fn fixed(name: impl Into<String>, plan: DynamicsPlan) -> Self {
-        DynamicsAxis::new(name, move |_, _| plan.clone())
-    }
-
-    /// Display name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Builds the schedule for one run.
-    #[must_use]
-    pub fn build(&self, shape: &ClusterShape, seed: u64) -> DynamicsPlan {
-        (self.build)(shape, seed)
-    }
-}
-
-/// A named [`PlacementPolicy`] — one point on the grid's placement-policy
-/// axis. Grids without the axis run every cell with the naive policy
-/// (labelled `"naive"`), which policy-capable schedulers treat as
-/// placement-untouched; comparing axis points isolates what churn-aware
-/// placement contributes under the same workload and cluster timeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyAxis {
-    /// Display label ("naive" / "spread" / "churn-aware" …).
-    pub name: String,
-    /// The policy cells on this axis point hand to their schedulers.
-    pub policy: PlacementPolicy,
 }
 
 impl PolicyAxis {
-    /// Wraps a policy under a display name.
-    #[must_use]
-    pub fn new(name: impl Into<String>, policy: PlacementPolicy) -> Self {
-        PolicyAxis {
-            name: name.into(),
-            policy,
-        }
-    }
-
     /// The policy-less control row (the default when no axis is declared).
     #[must_use]
     pub fn naive() -> Self {
-        PolicyAxis::new("naive", PlacementPolicy::naive())
+        Axis::fixed("naive", PlacementPolicy::naive())
     }
 
     /// Gang anti-affinity over failure domains only.
     #[must_use]
     pub fn domain_spread() -> Self {
-        PolicyAxis::new("spread", PlacementPolicy::domain_spread())
+        Axis::fixed("spread", PlacementPolicy::domain_spread())
     }
 
     /// Failure-history reliability scoring only.
     #[must_use]
     pub fn reliability() -> Self {
-        PolicyAxis::new("reliability", PlacementPolicy::reliability_scored())
+        Axis::fixed("reliability", PlacementPolicy::reliability_scored())
     }
 
     /// The full churn-aware policy: spread + reliability + drain
     /// awareness.
     #[must_use]
     pub fn churn_aware() -> Self {
-        PolicyAxis::new("churn-aware", PlacementPolicy::churn_aware())
+        Axis::fixed("churn-aware", PlacementPolicy::churn_aware())
     }
 
     /// Churn-aware plus the decayed, domain-pooled reliability score and
     /// the preemptive-path reliability discount.
     #[must_use]
     pub fn hazard_aware() -> Self {
-        PolicyAxis::new("hazard-aware", PlacementPolicy::hazard_aware())
+        Axis::fixed("hazard-aware", PlacementPolicy::hazard_aware())
     }
-
-    /// Display name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// A named [`MarketSpec`] — one point on the grid's capacity-market axis.
-///
-/// Grids without the axis run every cell market-free (labelled `"none"`)
-/// through the plain engine, byte-identical to pre-market grids; a
-/// market point routes its cells through `gfs_market::run`, so the
-/// spot-price process, the capacity controller and the cost meter are
-/// live and the cost metrics appear in the cell summaries. Like every
-/// axis, the spec must be a pure value — the per-run price streams are
-/// derived from the run seed at execution time.
-#[derive(Debug, Clone)]
-pub struct MarketAxis {
-    /// Display label ("none" / "fixed" / "shock3x" …).
-    pub name: String,
-    /// The market of cells on this axis point; `None` is the market-free
-    /// control (cells run the plain engine).
-    pub spec: Option<MarketSpec>,
 }
 
 impl MarketAxis {
-    /// Wraps a market spec under a display name.
-    #[must_use]
-    pub fn new(name: impl Into<String>, spec: MarketSpec) -> Self {
-        MarketAxis {
-            name: name.into(),
-            spec: Some(spec),
-        }
-    }
-
     /// The market-free control row (the default when no axis is
     /// declared).
     #[must_use]
     pub fn none() -> Self {
-        MarketAxis {
-            name: "none".to_string(),
-            spec: None,
-        }
+        Axis::fixed("none", None)
     }
 
     /// Fixed-price passive accounting: bills whatever capacity the
     /// dynamics plan adds, decides nothing.
     #[must_use]
     pub fn fixed_price() -> Self {
-        MarketAxis::new("fixed", MarketSpec::fixed_price())
+        Axis::fixed("fixed", Some(MarketSpec::fixed_price()))
     }
-
-    /// Display name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// A named [`GfsParams`] override — one point on the grid's parameter axis.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParamsAxis {
-    /// Display label ("default", "H=4", …).
-    pub name: String,
-    /// The parameter set cells on this axis point use.
-    pub params: GfsParams,
 }
 
 impl ParamsAxis {
     /// The Table 4 defaults under the label `default`.
     #[must_use]
     pub fn default_params() -> Self {
-        ParamsAxis {
-            name: "default".to_string(),
-            params: GfsParams::default(),
-        }
+        Axis::fixed("default", GfsParams::default())
     }
 }
 
@@ -803,32 +724,37 @@ impl Scenario {
     /// given the scenario.
     #[must_use]
     pub fn execute(&self, sim: &SimConfig) -> SimReport {
-        let ctx = RunContext {
-            shape: &self.shape,
-            workload: self.workload.name(),
-            dynamics: self.dynamics.name(),
-            market: self.market.name(),
-            policy: &self.policy.policy,
-            params: &self.params.params,
-            seed: self.seed,
-        };
         let tasks = self.workload.build(&self.shape, self.seed);
         let sim = SimConfig {
             dynamics: self.dynamics.build(&self.shape, self.seed),
             ..sim.clone()
         };
-        let mut scheduler = self.scheduler.build(&ctx);
-        match &self.market.spec {
+        let mut scheduler = self.build_scheduler();
+        match self.market.build(&self.shape, self.seed) {
             Some(spec) => gfs_market::run(
                 self.shape.build(),
                 scheduler.as_mut(),
                 tasks,
                 &sim,
-                spec,
+                &spec,
                 self.seed,
             ),
             None => gfs_sim::run(self.shape.build(), scheduler.as_mut(), tasks, &sim),
         }
+    }
+
+    /// Builds the run's scheduler from the cell's shape, policy and
+    /// parameter override at the run seed.
+    #[must_use]
+    pub fn build_scheduler(&self) -> Box<dyn Scheduler> {
+        let policy = self.policy.build(&self.shape, self.seed);
+        let params = self.params.build(&self.shape, self.seed);
+        self.scheduler.build(&RunContext {
+            shape: &self.shape,
+            policy: &policy,
+            params: &params,
+            seed: self.seed,
+        })
     }
 }
 
@@ -945,13 +871,6 @@ impl Grid {
         self
     }
 
-    /// Adds one capacity-market point.
-    #[must_use]
-    pub fn market(mut self, axis: MarketAxis) -> Self {
-        self.markets.push(axis);
-        self
-    }
-
     /// Adds placement-policy points (each cell runs once per axis point;
     /// omitting the axis means naive-placement runs).
     #[must_use]
@@ -995,38 +914,6 @@ impl Grid {
     pub fn keep_reports(mut self, keep: bool) -> Self {
         self.keep_reports = keep;
         self
-    }
-
-    fn dynamics_axis(&self) -> Vec<DynamicsAxis> {
-        if self.dynamics.is_empty() {
-            vec![DynamicsAxis::none()]
-        } else {
-            self.dynamics.clone()
-        }
-    }
-
-    fn market_axis(&self) -> Vec<MarketAxis> {
-        if self.markets.is_empty() {
-            vec![MarketAxis::none()]
-        } else {
-            self.markets.clone()
-        }
-    }
-
-    fn params_axis(&self) -> Vec<ParamsAxis> {
-        if self.params.is_empty() {
-            vec![ParamsAxis::default_params()]
-        } else {
-            self.params.clone()
-        }
-    }
-
-    fn policy_axis(&self) -> Vec<PolicyAxis> {
-        if self.policies.is_empty() {
-            vec![PolicyAxis::naive()]
-        } else {
-            self.policies.clone()
-        }
     }
 
     fn seed_axis(&self) -> Vec<u64> {
@@ -1085,7 +972,7 @@ impl Grid {
         no_dupes("dynamics", self.dynamics.iter().map(DynamicsAxis::name))?;
         no_dupes("market", self.markets.iter().map(MarketAxis::name))?;
         no_dupes("policy", self.policies.iter().map(PolicyAxis::name))?;
-        no_dupes("params", self.params.iter().map(|p| p.name.as_str()))?;
+        no_dupes("params", self.params.iter().map(ParamsAxis::name))?;
         let mut seen = Vec::new();
         for &s in &self.seeds {
             if seen.contains(&s) {
@@ -1107,10 +994,10 @@ impl Grid {
     /// See [`Grid::validate`].
     pub fn try_scenarios(&self) -> Result<Vec<Scenario>> {
         self.validate()?;
-        let dynamics = self.dynamics_axis();
-        let markets = self.market_axis();
-        let policies = self.policy_axis();
-        let params = self.params_axis();
+        let dynamics = or_default(&self.dynamics, DynamicsAxis::none);
+        let markets = or_default(&self.markets, MarketAxis::none);
+        let policies = or_default(&self.policies, PolicyAxis::naive);
+        let params = or_default(&self.params, ParamsAxis::default_params);
         let seeds = self.seed_axis();
         let mut out = Vec::new();
         let mut cell = 0;
@@ -1161,10 +1048,10 @@ impl Grid {
         self.schedulers.len()
             * self.shapes.len()
             * self.workloads.len()
-            * self.dynamics_axis().len()
-            * self.market_axis().len()
-            * self.policy_axis().len()
-            * self.params_axis().len()
+            * self.dynamics.len().max(1)
+            * self.markets.len().max(1)
+            * self.policies.len().max(1)
+            * self.params.len().max(1)
     }
 
     /// Executes the whole grid on `threads` workers and aggregates each
@@ -1205,7 +1092,7 @@ impl Grid {
                 first.dynamics.name(),
                 first.market.name(),
                 first.policy.name(),
-                &first.params.name,
+                first.params.name(),
                 &seeds,
                 runs,
             ));
@@ -1233,6 +1120,15 @@ impl Grid {
     #[must_use]
     pub fn run(&self, threads: Threads) -> GridResult {
         self.try_run(threads).unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// The declared points of an optional axis, or its one default point.
+fn or_default<T>(declared: &[Axis<T>], default: fn() -> Axis<T>) -> Vec<Axis<T>> {
+    if declared.is_empty() {
+        vec![default()]
+    } else {
+        declared.to_vec()
     }
 }
 
@@ -1311,7 +1207,7 @@ mod tests {
         let scenarios = grid.scenarios();
         assert_eq!(scenarios.len(), 1);
         assert_eq!(scenarios[0].seed, 1);
-        assert_eq!(scenarios[0].params.name, "default");
+        assert_eq!(scenarios[0].params.name(), "default");
     }
 
     #[test]
@@ -1500,8 +1396,9 @@ mod tests {
         let scenarios = grid.scenarios();
         assert_eq!(scenarios.len(), 12);
         // policy nests outside params/scheduler
-        assert!(scenarios[0].policy.policy.is_naive());
-        assert!(!scenarios[6].policy.policy.is_naive());
+        let policy = |s: &Scenario| s.policy.build(&s.shape, s.seed);
+        assert!(policy(&scenarios[0]).is_naive());
+        assert!(!policy(&scenarios[6]).is_naive());
         let result = grid.run(Threads::Fixed(2));
         let json = result.report.to_json();
         assert!(json.contains("\"policy\":\"churn-aware\""));
@@ -1530,7 +1427,10 @@ mod tests {
             .workload(tiny_workload())
             .markets([
                 MarketAxis::none(),
-                MarketAxis::new("buyer", MarketSpec::forecast(ForecastParams::default())),
+                MarketAxis::fixed(
+                    "buyer",
+                    Some(MarketSpec::forecast(ForecastParams::default())),
+                ),
             ])
             .seeds([1, 2])
             .sim(SimConfig {

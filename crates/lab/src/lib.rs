@@ -70,15 +70,15 @@
 
 pub mod agg;
 mod grid;
-pub mod pool;
 pub mod recovery;
 mod report;
 
 pub use agg::{MetricStats, MetricSummary};
+pub use gfs_sim::pool;
+pub use gfs_sim::Threads;
 pub use grid::{
-    ClusterShape, DynamicsAxis, Grid, GridResult, MarketAxis, NodeGroup, ParamsAxis, PolicyAxis,
-    RunContext, Scenario, SchedulerSpec, UniformTrace, WorkloadAxis,
+    Axis, ClusterShape, DynamicsAxis, Grid, GridResult, MarketAxis, NodeGroup, ParamsAxis,
+    PolicyAxis, RunContext, Scenario, SchedulerSpec, UniformTrace, WorkloadAxis,
 };
-pub use pool::Threads;
 pub use recovery::{crash_and_recover, CrashPlan, CrashPoint, RecoveryOutcome};
 pub use report::{CellSummary, GridReport};

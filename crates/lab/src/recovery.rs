@@ -30,7 +30,7 @@ use gfs_cluster::{Cluster, Scheduler};
 use gfs_sim::{report_hash, ClusterService, ServiceSnapshot, SimConfig};
 use gfs_types::{SimTime, TaskSpec};
 
-use crate::{RunContext, Scenario};
+use crate::Scenario;
 
 /// Where the controller is killed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,19 +159,6 @@ fn build_inputs(scenario: &Scenario, sim: &SimConfig, plan: &CrashPlan) -> Input
     }
 }
 
-fn build_scheduler(scenario: &Scenario) -> Box<dyn Scheduler> {
-    let ctx = RunContext {
-        shape: &scenario.shape,
-        workload: scenario.workload.name(),
-        dynamics: scenario.dynamics.name(),
-        market: scenario.market.name(),
-        policy: &scenario.policy.policy,
-        params: &scenario.params.params,
-        seed: scenario.seed,
-    };
-    scenario.scheduler.build(&ctx)
-}
-
 /// Admits the late wave if its boundary has been reached. Returns the
 /// wave onward when still pending.
 fn admit_late_if_due(
@@ -221,7 +208,7 @@ pub fn crash_and_recover(
     let boundary = plan.admit_late_after.unwrap_or(0);
 
     // golden: the uninterrupted run
-    let mut golden_sched = build_scheduler(scenario);
+    let mut golden_sched = scenario.build_scheduler();
     let mut golden = ClusterService::new(inputs.cluster.clone(), inputs.sim.clone());
     golden.enable_journal();
     golden.admit_tasks(inputs.initial.clone());
@@ -232,7 +219,7 @@ pub fn crash_and_recover(
     let golden_report = report_hash(&golden.finish());
 
     // victim: same loop, checkpointer on, killed at the crash point
-    let mut victim_sched = build_scheduler(scenario);
+    let mut victim_sched = scenario.build_scheduler();
     let mut victim = ClusterService::new(inputs.cluster.clone(), inputs.sim.clone());
     victim.enable_journal();
     victim.admit_tasks(inputs.initial.clone());
@@ -284,7 +271,7 @@ pub fn crash_and_recover(
     drop(victim_sched);
 
     // recovery: last good snapshot + journal suffix, or journal alone
-    let mut rec_sched = build_scheduler(scenario);
+    let mut rec_sched = scenario.build_scheduler();
     let used_snapshot = last_good.is_some();
     let mut recovered = match last_good {
         Some(json) => {

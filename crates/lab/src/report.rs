@@ -273,9 +273,10 @@ impl GridReport {
     }
 }
 
-/// Magnitude-adaptive formatting: rates in `[0, 1]` keep three decimals,
-/// second-scale metrics one — a `0.12` eviction rate must not collapse to
-/// `0.1` next to a five-digit JCT.
+/// Magnitude-adaptive formatting: rates in `[0, 1]` keep four decimals
+/// (a percentage to two, as the paper prints it), second-scale metrics
+/// one — a `0.12` eviction rate must not collapse to `0.1` next to a
+/// five-digit JCT.
 fn fmt_value(v: f64) -> String {
     let a = v.abs();
     if a >= 100.0 {
@@ -283,7 +284,7 @@ fn fmt_value(v: f64) -> String {
     } else if a >= 1.0 {
         format!("{v:.2}")
     } else {
-        format!("{v:.3}")
+        format!("{v:.4}")
     }
 }
 

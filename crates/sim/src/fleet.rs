@@ -110,13 +110,13 @@
 //! assert_eq!(fleet.shard_hashes.len(), 2);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use gfs_cluster::{Cluster, Scheduler};
 use gfs_types::{DynamicsPlan, FailureDomain, GpuModel, NodeId, TaskSpec};
 
 use crate::engine::SimConfig;
+use crate::pool::{run_indexed, Threads};
 use crate::report::SimReport;
 use crate::snapshot::{fnv1a, report_hash};
 
@@ -203,61 +203,23 @@ pub fn run_fleet(
     threads: usize,
 ) -> FleetReport {
     let n = shards.len();
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    }
-    .min(n.max(1));
-
-    let run_shard = |i: usize, shard: FleetShard| -> ShardOutcome {
+    let threads = match threads {
+        0 => Threads::Auto,
+        t => Threads::Fixed(t),
+    };
+    // each shard is handed to exactly one job; results land by shard index
+    let work = Mutex::new(shards.into_iter().map(Some).collect::<Vec<_>>());
+    let outcomes = run_indexed(n, threads, |i| {
+        let shard = work.lock().expect("shard list poisoned")[i]
+            .take()
+            .expect("each shard taken once");
         let weight = shard.cluster.static_capacity(None);
         let mut scheduler = scheduler_factory(i);
         let mut shard_cfg = cfg.clone();
         shard_cfg.dynamics = shard.dynamics;
         let report = crate::run(shard.cluster, &mut *scheduler, shard.tasks, &shard_cfg);
         ShardOutcome { report, weight }
-    };
-
-    let outcomes: Vec<ShardOutcome> = if threads <= 1 {
-        shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| run_shard(i, s))
-            .collect()
-    } else {
-        // self-scheduling worker pool over the shard list; results land
-        // in per-shard slots so completion order cannot leak into output
-        let slots: Vec<Mutex<Option<ShardOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let work: Vec<Mutex<Option<FleetShard>>> =
-            shards.into_iter().map(|s| Mutex::new(Some(s))).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let shard = work[i]
-                        .lock()
-                        .expect("shard slot poisoned")
-                        .take()
-                        .expect("each shard taken once");
-                    let outcome = run_shard(i, shard);
-                    *slots[i].lock().expect("result slot poisoned") = Some(outcome);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every shard ran")
-            })
-            .collect()
-    };
+    });
 
     let shard_hashes: Vec<u64> = outcomes.iter().map(|o| report_hash(&o.report)).collect();
     let report = merge_reports(outcomes);

@@ -64,6 +64,7 @@ mod event_heap;
 pub mod fleet;
 pub mod journal;
 mod pending;
+pub mod pool;
 mod report;
 pub mod service;
 pub mod snapshot;
@@ -74,6 +75,7 @@ pub use journal::{
     parse_journal, AdmittedEvent, Journal, JournalError, JournalRecord, JournalReplay,
 };
 pub use pending::PassStats;
+pub use pool::{run_indexed, Threads};
 pub use report::{AllocSample, RunSummary, SimReport, TaskRecord};
 pub use service::ClusterService;
 pub use snapshot::{fnv1a, report_hash, RestoreError, ServiceSnapshot, SNAPSHOT_VERSION};

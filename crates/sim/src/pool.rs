@@ -1,4 +1,5 @@
-//! A small std-only work pool for embarrassingly parallel experiment runs.
+//! A small std-only work pool for embarrassingly parallel jobs: grid runs,
+//! crash-injection cells and fleet shards.
 //!
 //! Jobs are identified by index; workers pull chunks of indices from a
 //! shared [`VecDeque`] (chunked self-scheduling — the cheap cousin of work

@@ -430,12 +430,6 @@ impl RunSummary {
     /// of static or fault-only grids keep their historical encoding.
     pub const DYNAMICS_METRICS_START: usize = 17;
 
-    /// Index of the first capacity-market cost metric inside
-    /// [`RunSummary::METRICS`]. Suppressed from aggregation rows exactly
-    /// like the dynamics extension when every run reports zero, so
-    /// market-free grids keep their historical encoding.
-    pub const COST_METRICS_START: usize = 20;
-
     /// Names of every scalar metric, in the order [`RunSummary::values`]
     /// returns them. The experiment layer uses this single source of truth
     /// for aggregation, JSON keys and table headers.

@@ -11,7 +11,6 @@
 //!
 //! ```text
 //! cargo run --release --example churn_policies
-//! GFS_POLICY_SMOKE=1 …    # tiny run (< 10 s)
 //! ```
 
 use gfs::lab::{ClusterShape, DynamicsAxis, Grid, PolicyAxis, Threads, UniformTrace, WorkloadAxis};
@@ -21,12 +20,7 @@ use gfs::scenario;
 const RACK: u32 = 4;
 
 fn main() {
-    let smoke = std::env::var("GFS_POLICY_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
-    let (nodes, horizon_h, seeds): (u32, u64, Vec<u64>) = if smoke {
-        (8, 8, vec![1])
-    } else {
-        (16, 24, vec![1, 2, 3, 4])
-    };
+    let (nodes, horizon_h) = (16, 24);
     let sim_horizon = (horizon_h + 48) * HOUR;
 
     // flaky racks + a rolling maintenance wave, composed into one timeline
@@ -72,14 +66,14 @@ fn main() {
         .workload(WorkloadAxis::uniform(
             "uniform",
             UniformTrace {
-                hp_tasks: if smoke { 16 } else { 44 },
-                spot_tasks: if smoke { 4 } else { 8 },
+                hp_tasks: 44,
+                spot_tasks: 8,
                 ..UniformTrace::default()
             },
         ))
         .dynamic(dynamics)
         .policies([PolicyAxis::naive(), PolicyAxis::churn_aware()])
-        .seeds(seeds)
+        .seeds([1, 2, 3, 4])
         .sim(SimConfig {
             max_time_secs: Some(sim_horizon),
             ..SimConfig::default()

@@ -13,19 +13,13 @@
 //!
 //! ```text
 //! cargo run --release --example maintenance_wave
-//! GFS_WAVE_SMOKE=1 …    # tiny run (< 10 s)
 //! ```
 
 use gfs::lab::{ClusterShape, DynamicsAxis, Grid, SchedulerSpec, Threads, WorkloadAxis};
 use gfs::prelude::*;
 
 fn main() {
-    let smoke = std::env::var("GFS_WAVE_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
-    let (nodes, horizon_h, seeds): (u32, u64, Vec<u64>) = if smoke {
-        (6, 8, vec![1])
-    } else {
-        (16, 24, vec![1, 2, 3])
-    };
+    let (nodes, horizon_h) = (16, 24);
     let sim_horizon = (horizon_h + 72) * HOUR;
 
     // ---- Act 1: one run, watched closely -------------------------------
@@ -42,8 +36,8 @@ fn main() {
         wave.validate().is_ok(),
     );
     let tasks = WorkloadGenerator::new(WorkloadConfig {
-        hp_tasks: if smoke { 40 } else { 200 },
-        spot_tasks: if smoke { 14 } else { 60 },
+        hp_tasks: 200,
+        spot_tasks: 60,
         spot_scale: 2.0,
         horizon_secs: horizon_h * HOUR,
         ..WorkloadConfig::default()
@@ -105,8 +99,8 @@ fn main() {
         .workload(WorkloadAxis::generated(
             "steady",
             WorkloadConfig {
-                hp_tasks: if smoke { 40 } else { 200 },
-                spot_tasks: if smoke { 14 } else { 60 },
+                hp_tasks: 200,
+                spot_tasks: 60,
                 spot_scale: 2.0,
                 horizon_secs: horizon_h * HOUR,
                 ..WorkloadConfig::default()
@@ -117,7 +111,7 @@ fn main() {
             wave_axis("wave", false),
             wave_axis("wave+grow", true),
         ])
-        .seeds(seeds)
+        .seeds([1, 2, 3])
         .sim(SimConfig {
             max_time_secs: Some(sim_horizon),
             ..SimConfig::default()

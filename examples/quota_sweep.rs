@@ -9,7 +9,6 @@
 //!
 //! ```text
 //! cargo run --release --example quota_sweep
-//! GFS_QUOTA_SMOKE=1 …    # tiny grid (< 30 s)
 //! GFS_QUOTA_JSON=1  …    # dump the aggregated GridReport JSON to stdout
 //! ```
 
@@ -17,26 +16,14 @@ use gfs::lab::{ClusterShape, Grid, ParamsAxis, Threads, WorkloadAxis};
 use gfs::prelude::*;
 use gfs::scenario;
 
-fn axis(name: &str, params: GfsParams) -> ParamsAxis {
-    ParamsAxis {
-        name: name.to_string(),
-        params,
-    }
-}
-
 fn main() {
-    let smoke = std::env::var("GFS_QUOTA_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
-    let (nodes, horizon_h, seeds): (u32, u64, Vec<u64>) = if smoke {
-        (8, 12, vec![1])
-    } else {
-        (16, 48, vec![1, 2, 3])
-    };
+    let horizon_h = 48;
 
     // the three quota levers, each swept around the Table 4 default
     let sweep = vec![
-        axis("default", GfsParams::default()),
+        ParamsAxis::default_params(),
         // longer guarantee horizon: quota protects spot tasks for 4 h
-        axis(
+        ParamsAxis::fixed(
             "H=4",
             GfsParams::builder()
                 .guarantee_hours(4)
@@ -44,7 +31,7 @@ fn main() {
                 .expect("valid"),
         ),
         // a looser guarantee (p = 0.7): more inventory sold to spot
-        axis(
+        ParamsAxis::fixed(
             "p=0.7",
             GfsParams::builder()
                 .guarantee_rate(0.7)
@@ -52,7 +39,7 @@ fn main() {
                 .expect("valid"),
         ),
         // a stricter guarantee (p = 0.99): spot throttled hard
-        axis(
+        ParamsAxis::fixed(
             "p=0.99",
             GfsParams::builder()
                 .guarantee_rate(0.99)
@@ -60,7 +47,7 @@ fn main() {
                 .expect("valid"),
         ),
         // conservative η clamp: the feedback loop can never over-admit
-        axis(
+        ParamsAxis::fixed(
             "eta<=1",
             GfsParams::builder()
                 .eta_bounds(0.1, 1.0)
@@ -71,7 +58,7 @@ fn main() {
 
     let grid = Grid::new()
         .scheduler(scenario::gfs_spec(2, 0.6))
-        .shape(ClusterShape::a100(nodes, 8))
+        .shape(ClusterShape::a100(16, 8))
         .workload(WorkloadAxis::generated_sized(
             "medium-spot",
             WorkloadConfig {
@@ -83,7 +70,7 @@ fn main() {
             0.15,
         ))
         .params(sweep)
-        .seeds(seeds)
+        .seeds([1, 2, 3])
         .sim(SimConfig {
             max_time_secs: Some((horizon_h + 96) * HOUR),
             ..SimConfig::default()

@@ -36,10 +36,7 @@ fn main() {
         .scheduler(scenario::gfs_spec(3, 0.6))
         .shape(shape)
         .workload(medium)
-        .params([gfs::lab::ParamsAxis {
-            name: "eta<=1.5".into(),
-            params,
-        }])
+        .params([gfs::lab::ParamsAxis::fixed("eta<=1.5", params)])
         .seeds([9])
         .sim(SimConfig {
             max_time_secs: Some(8 * 24 * HOUR),

@@ -14,7 +14,6 @@
 //!
 //! ```text
 //! cargo run --release --example spot_market
-//! GFS_MARKET_SMOKE=1 …       # tiny grid for CI (seconds)
 //! ```
 
 use gfs::lab::{
@@ -24,13 +23,8 @@ use gfs::market::{spike, ForecastParams, MarketSpec};
 use gfs::prelude::*;
 
 fn main() {
-    let smoke = std::env::var("GFS_MARKET_SMOKE").is_ok_and(|v| v != "0");
-    let (nodes, hp, spot, seeds): (u32, usize, usize, Vec<u64>) = if smoke {
-        (4, 16, 4, vec![1])
-    } else {
-        (8, 48, 16, vec![1, 2, 3])
-    };
-    let horizon_h = if smoke { 4 } else { 10 };
+    let nodes = 8;
+    let horizon_h = 10;
     let sim_horizon = (horizon_h + 60) * HOUR;
 
     // maintenance wave: half the fleet drains one node per half hour
@@ -50,8 +44,8 @@ fn main() {
         .workload(WorkloadAxis::generated(
             "steady",
             WorkloadConfig {
-                hp_tasks: hp,
-                spot_tasks: spot,
+                hp_tasks: 48,
+                spot_tasks: 16,
                 spot_scale: 2.0,
                 horizon_secs: horizon_h * HOUR,
                 ..WorkloadConfig::default()
@@ -62,25 +56,29 @@ fn main() {
             // price-blind: an autoscale-like fixed buy plan billed by the
             // passive meter would go here; simplest contrast is the
             // forecast loop with and without price awareness
-            MarketAxis::new(
+            MarketAxis::fixed(
                 "priceblind",
-                MarketSpec::forecast(ForecastParams {
-                    max_buy_rel_price: f64::INFINITY, // buys through the spike
-                    max_nodes_per_step: 2,
-                    ..ForecastParams::default()
-                })
-                .with_shocks(shock.clone()),
+                Some(
+                    MarketSpec::forecast(ForecastParams {
+                        max_buy_rel_price: f64::INFINITY, // buys through the spike
+                        max_nodes_per_step: 2,
+                        ..ForecastParams::default()
+                    })
+                    .with_shocks(shock.clone()),
+                ),
             ),
-            MarketAxis::new(
+            MarketAxis::fixed(
                 "priceaware",
-                MarketSpec::forecast(ForecastParams {
-                    max_nodes_per_step: 2,
-                    ..ForecastParams::default() // waits out rel price > 1.5
-                })
-                .with_shocks(shock),
+                Some(
+                    MarketSpec::forecast(ForecastParams {
+                        max_nodes_per_step: 2,
+                        ..ForecastParams::default() // waits out rel price > 1.5
+                    })
+                    .with_shocks(shock),
+                ),
             ),
         ])
-        .seeds(seeds)
+        .seeds([1, 2, 3])
         .sim(SimConfig {
             max_time_secs: Some(sim_horizon),
             ..SimConfig::default()

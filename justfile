@@ -2,7 +2,7 @@
 # recipes by hand — each is a single cargo invocation (or a small loop).
 
 # Build, test, lint, gate — the full CI pipeline.
-ci: fmt build test clippy doc lint benchmark-smoke bench-smoke bench-gate lab-smokes examples-smoke
+ci: fmt build test clippy doc lint benchmark-smoke bench-smoke bench-gate bins examples-smoke
 
 # Formatting gate (no diffs tolerated).
 fmt:
@@ -58,33 +58,26 @@ bench-smoke:
 bench-gate:
     cargo run --release -p gfs-bench --bin bench_gate
 
-# Every lab smoke in one pass, discovered from the bin list — a new
-# lab_*.rs bin is picked up automatically, so it cannot silently miss CI
-# wiring. Each bin runs its tiny grid with the serial == parallel
-# assertion (deterministic aggregation for any thread count).
-lab-smokes:
-    set -e; for src in crates/bench/src/bin/lab_*.rs; do \
+# Every paper and lab bin (fig*, table*, lab_*) at its default size,
+# discovered from the bin list — a new bin is picked up automatically, so
+# it cannot silently miss CI wiring. Each grid bin reruns its grid
+# serially and asserts byte-identical output; lab_fleet and lab_recovery
+# make the same serial == parallel check, and lab_fleet pins its hash.
+bins:
+    set -e; for src in crates/bench/src/bin/fig*.rs crates/bench/src/bin/table*.rs crates/bench/src/bin/lab_*.rs; do \
         bin=$(basename "$src" .rs); \
         echo "== $bin"; \
-        GFS_LAB_SMOKE=1 GFS_LAB_COMPARE=1 cargo run --release -p gfs-bench --bin "$bin"; \
+        cargo run --release -q -p gfs-bench --bin "$bin"; \
     done
 
-# Crash-injection sweep on its own: kill live services at every crash
-# point of the grid and require bit-identical recovery (also part of
-# lab-smokes via bin discovery).
-recovery-smoke:
-    GFS_LAB_SMOKE=1 GFS_LAB_COMPARE=1 cargo run --release -p gfs-bench --bin lab_recovery
-
-# Examples must keep running as the APIs evolve: drive the quickstart,
-# the maintenance-wave walkthrough, the churn-policy comparison, the
-# crash-recovery demo and the spot-market walkthrough in release
-# (smoke-sized where the example supports it).
+# Examples must keep running as the APIs evolve: every example in
+# release, discovered from examples/*.rs.
 examples-smoke:
-    cargo run --release --example quickstart
-    GFS_WAVE_SMOKE=1 cargo run --release --example maintenance_wave
-    GFS_POLICY_SMOKE=1 cargo run --release --example churn_policies
-    cargo run --release --example crash_recovery
-    GFS_MARKET_SMOKE=1 cargo run --release --example spot_market
+    set -e; for src in examples/*.rs; do \
+        ex=$(basename "$src" .rs); \
+        echo "== $ex"; \
+        cargo run --release -q --example "$ex"; \
+    done
 
 # Full benchmark suites; writes BENCH_*.json at the repo root.
 bench tag="local":

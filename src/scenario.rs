@@ -103,52 +103,24 @@ pub fn trained_gde(
 /// demand of the simulated workload), default Table 4 parameters.
 #[must_use]
 pub fn gfs_full(params: GfsParams, weeks: usize, seed: u64, expected_hp_gpus: f64) -> GfsScheduler {
-    gfs_with_gde(params, weeks, seed, expected_hp_gpus, GdeModel::OrgLinear)
-}
-
-/// Assembles the `GFS-e` ablation: identical but with the naive peak
-/// predictor in the GDE (Table 8).
-#[must_use]
-pub fn gfs_naive_gde(
-    params: GfsParams,
-    weeks: usize,
-    seed: u64,
-    expected_hp_gpus: f64,
-) -> GfsScheduler {
-    let mut s = gfs_with_gde(
+    assemble(
         params,
         weeks,
         seed,
         expected_hp_gpus,
-        GdeModel::LastWeekPeak,
-    );
-    s.set_display_name("GFS-e");
-    s
-}
-
-fn gfs_with_gde(
-    params: GfsParams,
-    weeks: usize,
-    seed: u64,
-    expected_hp_gpus: f64,
-    model: GdeModel,
-) -> GfsScheduler {
-    gfs_with_gde_policy(
-        params,
-        weeks,
-        seed,
-        expected_hp_gpus,
-        model,
+        GdeModel::OrgLinear,
+        PtsVariant::Full,
         PlacementPolicy::naive(),
     )
 }
 
-fn gfs_with_gde_policy(
+fn assemble(
     params: GfsParams,
     weeks: usize,
     seed: u64,
     expected_hp_gpus: f64,
     model: GdeModel,
+    variant: PtsVariant,
     policy: PlacementPolicy,
 ) -> GfsScheduler {
     let horizon = (params.guarantee_hours as usize).max(4);
@@ -160,7 +132,33 @@ fn gfs_with_gde_policy(
         ..TrainConfig::default()
     };
     let gde = trained_gde(&template, model, &cfg, seed);
-    GfsScheduler::with_policy(params, PtsVariant::Full, Some(gde), policy)
+    GfsScheduler::with_policy(params, variant, Some(gde), policy)
+}
+
+/// A grid-ready GFS constructor named `name`: each run trains a `model`
+/// GDE on `weeks` of history scaled to `hp_load` of the cell's cluster
+/// capacity, seeded with the run seed, with the `variant` PTS and the
+/// cell's parameter override and placement policy.
+fn trained_spec(
+    name: &'static str,
+    weeks: usize,
+    hp_load: f64,
+    model: GdeModel,
+    variant: PtsVariant,
+) -> gfs_lab::SchedulerSpec {
+    gfs_lab::SchedulerSpec::new(name, move |ctx| {
+        let mut s = assemble(
+            ctx.params.clone(),
+            weeks,
+            ctx.seed,
+            hp_load * ctx.shape.capacity_gpus(),
+            model,
+            variant,
+            ctx.policy.clone(),
+        );
+        s.set_display_name(name);
+        Box::new(s)
+    })
 }
 
 /// Grid-ready constructor for the full GFS framework (§4 deployment):
@@ -183,34 +181,34 @@ fn gfs_with_gde_policy(
 /// ```
 #[must_use]
 pub fn gfs_spec(weeks: usize, hp_load: f64) -> gfs_lab::SchedulerSpec {
-    gfs_lab::SchedulerSpec::new("GFS", move |ctx| {
-        Box::new(gfs_with_gde_policy(
-            ctx.params.clone(),
-            weeks,
-            ctx.seed,
-            hp_load * ctx.shape.capacity_gpus(),
-            GdeModel::OrgLinear,
-            ctx.policy.clone(),
-        ))
-    })
+    trained_spec("GFS", weeks, hp_load, GdeModel::OrgLinear, PtsVariant::Full)
 }
 
 /// Grid-ready constructor for the `GFS-e` ablation (naive peak predictor
 /// in the GDE, Table 8).
 #[must_use]
 pub fn gfs_naive_spec(weeks: usize, hp_load: f64) -> gfs_lab::SchedulerSpec {
-    gfs_lab::SchedulerSpec::new("GFS-e", move |ctx| {
-        let mut s = gfs_with_gde_policy(
-            ctx.params.clone(),
-            weeks,
-            ctx.seed,
-            hp_load * ctx.shape.capacity_gpus(),
-            GdeModel::LastWeekPeak,
-            ctx.policy.clone(),
-        );
-        s.set_display_name("GFS-e");
-        Box::new(s)
-    })
+    trained_spec(
+        "GFS-e",
+        weeks,
+        hp_load,
+        GdeModel::LastWeekPeak,
+        PtsVariant::Full,
+    )
+}
+
+/// Grid-ready constructor for one PTS ablation of Table 10 — `GFS-s`
+/// (packing-only scoring), `GFS-p` (random preemption), `GFS-sp` (both)
+/// or the full `GFS` — with the OrgLinear GDE of [`gfs_spec`].
+#[must_use]
+pub fn gfs_pts_spec(variant: PtsVariant, weeks: usize, hp_load: f64) -> gfs_lab::SchedulerSpec {
+    let name = match variant {
+        PtsVariant::Full => "GFS",
+        PtsVariant::SimpleScoring => "GFS-s",
+        PtsVariant::RandomPreemption => "GFS-p",
+        PtsVariant::Degraded => "GFS-sp",
+    };
+    trained_spec(name, weeks, hp_load, GdeModel::OrgLinear, variant)
 }
 
 /// Grid-ready constructor for the estimator-free framework
@@ -260,9 +258,15 @@ mod tests {
 
     #[test]
     fn naive_gde_scheduler_is_named_gfs_e() {
-        use gfs_cluster::Scheduler;
-        let s = gfs_naive_gde(GfsParams::default(), 2, 1, 64.0);
-        assert_eq!(s.name(), "GFS-e");
+        use gfs_lab::{ClusterShape, RunContext};
+        let shape = ClusterShape::a100(2, 8);
+        let ctx = RunContext {
+            shape: &shape,
+            policy: &PlacementPolicy::naive(),
+            params: &GfsParams::default(),
+            seed: 1,
+        };
+        assert_eq!(gfs_naive_spec(2, 0.5).build(&ctx).name(), "GFS-e");
     }
 
     #[test]
@@ -279,9 +283,6 @@ mod tests {
         let policy = gfs_sched::PlacementPolicy::naive();
         let ctx = RunContext {
             shape: &shape,
-            workload: "tiny",
-            dynamics: "none",
-            market: "none",
             policy: &policy,
             params: &params,
             seed: 1,
@@ -289,5 +290,12 @@ mod tests {
         let s = gfs_no_gde_spec().build(&ctx);
         assert_eq!(s.name(), "GFS (no GDE)");
         assert_eq!(gfs_naive_spec(2, 0.6).name(), "GFS-e");
+        for (variant, name) in [
+            (PtsVariant::SimpleScoring, "GFS-s"),
+            (PtsVariant::RandomPreemption, "GFS-p"),
+            (PtsVariant::Degraded, "GFS-sp"),
+        ] {
+            assert_eq!(gfs_pts_spec(variant, 2, 0.6).name(), name);
+        }
     }
 }

@@ -4,9 +4,10 @@
 //! and one grid summary is golden-pinned so aggregation semantics cannot
 //! drift silently.
 
-use gfs::lab::{ClusterShape, Grid, SchedulerSpec, Threads, WorkloadAxis};
+use gfs::lab::{ClusterShape, Grid, ParamsAxis, SchedulerSpec, Threads, WorkloadAxis};
 use gfs::prelude::*;
-use gfs::sim::fnv1a;
+use gfs::scenario;
+use gfs::sim::{fnv1a, report_hash};
 
 /// A 2 (schedulers) × 3 (workloads) grid, 4 seeds per cell: 24 runs.
 fn grid_2x3x4() -> Grid {
@@ -84,4 +85,58 @@ fn replicated_cells_have_spread_statistics() {
         stats.iqr
     );
     assert!(cell.median("hp_completion") > 0.0);
+}
+
+/// A grid cell wires its shape, parameter point and seed into the
+/// scheduler exactly as a hand-assembled run does: `gfs_spec` under a
+/// non-default `ParamsAxis` and seed reproduces `gfs_full` + `sim::run`
+/// on the same shape and trace, report hash for report hash.
+#[test]
+fn gfs_spec_cell_matches_a_direct_gfs_full_run() {
+    let (weeks, hp_load, seed) = (2, 0.6, 5);
+    let shape = ClusterShape::a100(16, 8);
+    let workload = WorkloadAxis::generated_sized(
+        "medium-spot",
+        WorkloadConfig {
+            horizon_secs: 24 * HOUR,
+            spot_scale: 2.0,
+            ..WorkloadConfig::default()
+        },
+        0.6,
+        0.15,
+    );
+    let params = GfsParams::builder()
+        .guarantee_hours(4)
+        .build()
+        .expect("valid params");
+    let sim = SimConfig {
+        max_time_secs: Some(72 * HOUR),
+        ..SimConfig::default()
+    };
+    let result = Grid::new()
+        .scheduler(scenario::gfs_spec(weeks, hp_load))
+        .shape(shape.clone())
+        .workload(workload.clone())
+        .params([ParamsAxis::fixed("H=4", params.clone())])
+        .seeds([seed])
+        .sim(sim.clone())
+        .keep_reports(true)
+        .run(Threads::Fixed(1));
+
+    let direct = |params: GfsParams| {
+        let mut gfs = scenario::gfs_full(params, weeks, seed, hp_load * shape.capacity_gpus());
+        report_hash(&run(
+            shape.build(),
+            &mut gfs,
+            workload.build(&shape, seed),
+            &sim,
+        ))
+    };
+    let cell = report_hash(&result.sim_reports[0][0]);
+    assert_eq!(cell, direct(params), "grid cell and direct run diverge");
+    assert_ne!(
+        cell,
+        direct(GfsParams::default()),
+        "the parameter point must reach the scheduler"
+    );
 }

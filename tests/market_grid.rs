@@ -51,18 +51,23 @@ fn market_grid() -> Grid {
         ])
         .markets([
             MarketAxis::none(),
-            MarketAxis::new("bill", MarketSpec::fixed_price().with_shocks(shock.clone())),
-            MarketAxis::new(
+            MarketAxis::fixed(
+                "bill",
+                Some(MarketSpec::fixed_price().with_shocks(shock.clone())),
+            ),
+            MarketAxis::fixed(
                 "closedloop",
-                MarketSpec::forecast(ForecastParams {
-                    // two nodes per boundary front-loads the backlog
-                    // faster than the schedule's one-per-hour trickle
-                    // without overshooting the demand estimate and then
-                    // holding the excess through the spike
-                    max_nodes_per_step: 2,
-                    ..ForecastParams::default()
-                })
-                .with_shocks(shock),
+                Some(
+                    MarketSpec::forecast(ForecastParams {
+                        // two nodes per boundary front-loads the backlog
+                        // faster than the schedule's one-per-hour trickle
+                        // without overshooting the demand estimate and then
+                        // holding the excess through the spike
+                        max_nodes_per_step: 2,
+                        ..ForecastParams::default()
+                    })
+                    .with_shocks(shock),
+                ),
             ),
         ])
         .seeds([1, 2, 3])
