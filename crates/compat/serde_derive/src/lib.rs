@@ -11,6 +11,10 @@
 //! * enums whose variants are unit, single-field tuple, or named-field
 //!   struct variants (externally tagged, matching real serde's default).
 //!
+//! Field keys and enum tags are read with `Parser::parse_str` and matched
+//! as borrowed `&str`, so a derived decoder allocates only for the values
+//! it builds (`Vec`s, `String`s), never for a key or a tag.
+//!
 //! Generics are not supported; the workspace's serializable types are all
 //! concrete. Parsing is hand-rolled over `proc_macro::TokenTree` so no
 //! external dependencies (`syn`/`quote`) are needed.
@@ -455,17 +459,17 @@ fn gen_deserialize(item: &Item) -> String {
             }
             let body = format!(
                 "if p.peek() == ::core::option::Option::Some(b'\"') {{\
-                     let tag = p.parse_string()?;\
-                     match tag.as_str() {{\
+                     let tag = p.parse_str()?;\
+                     match &*tag {{\
                          {unit_arms}\
                          other => Err(::serde::de::DeError::msg(format!(\
                              \"unknown variant {{other}} of {name}\"))),\
                      }}\
                  }} else {{\
                      p.expect_char('{{')?;\
-                     let tag = p.parse_string()?;\
+                     let tag = p.parse_str()?;\
                      p.expect_char(':')?;\
-                     let value = match tag.as_str() {{\
+                     let value = match &*tag {{\
                          {data_arms}\
                          other => return Err(::serde::de::DeError::msg(format!(\
                              \"unknown variant {{other}} of {name}\"))),\
@@ -512,9 +516,9 @@ fn gen_struct_body(name: &str, suffix: &str, fields: &[Field]) -> String {
          {decls}\
          if !p.consume_char('}}') {{\
              loop {{\
-                 let __key = p.parse_string()?;\
+                 let __key = p.parse_str()?;\
                  p.expect_char(':')?;\
-                 match __key.as_str() {{\
+                 match &*__key {{\
                      {arms}\
                      _ => p.skip_value()?,\
                  }}\

@@ -107,6 +107,52 @@ mod tests {
         assert!(from_str::<u32>("3 x").is_err());
     }
 
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    enum Tier {
+        Hp,
+        Spot { grace: u32 },
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Rec {
+        seq: u64,
+        tier: Tier,
+    }
+
+    #[test]
+    fn escaped_keys_and_tags_decode_to_their_field_and_variant() {
+        let canonical = Rec {
+            seq: 3,
+            tier: Tier::Hp,
+        };
+        assert_eq!(to_string(&canonical).unwrap(), r#"{"seq":3,"tier":"Hp"}"#);
+        let escaped = r#"{"\u0073eq":3,"ti\u0065r":"H\u0070"}"#;
+        assert_eq!(from_str::<Rec>(escaped).unwrap(), canonical);
+        let data = r#"{"seq":4,"tier":{"\u0053pot":{"gr\u0061ce":9}}}"#;
+        assert_eq!(
+            from_str::<Rec>(data).unwrap(),
+            Rec {
+                seq: 4,
+                tier: Tier::Spot { grace: 9 }
+            }
+        );
+        assert!(from_str::<Rec>(r#"{"seq":1,"tier":"Hq"}"#).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_in_a_skipped_field_is_an_error_not_a_crash() {
+        let nested = |depth: usize| {
+            format!(
+                r#"{{"x":{}{},"seq":1,"tier":"Hp"}}"#,
+                "[".repeat(depth),
+                "]".repeat(depth)
+            )
+        };
+        assert!(from_str::<Rec>(&nested(100)).is_ok());
+        let err = from_str::<Rec>(&nested(100_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting too deep"), "{err}");
+    }
+
     #[test]
     fn writer_reader_round_trip() {
         let mut buf = Vec::new();

@@ -79,9 +79,13 @@ const SERVICE_FILES: [&str; 3] = [
 /// Journal/recovery functions of [`SERVICE_FILES`] that must use typed
 /// errors only: a panic mid-recovery turns a detectable torn tail into a
 /// crash loop.
-const JOURNAL_FNS: [&str; 17] = [
+const JOURNAL_FNS: [&str; 21] = [
     "parse_journal",
-    "checksum_ok",
+    "scan_line",
+    "check_line",
+    "scan_journal",
+    "decode_event",
+    "record_crc",
     "admit",
     "append",
     "append_record",

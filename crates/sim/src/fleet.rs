@@ -239,7 +239,19 @@ pub fn run_fleet(
 /// Folds shard reports in shard order under the merge rules of the
 /// [module docs](self).
 fn merge_reports(outcomes: Vec<ShardOutcome>) -> SimReport {
-    let mut merged = SimReport::default();
+    // exact capacities: growth by doubling would leave up to half of each
+    // merged vector allocated and never touched
+    let total = |len: fn(&SimReport) -> usize| outcomes.iter().map(|o| len(&o.report)).sum();
+    let mut merged = SimReport {
+        tasks: Vec::with_capacity(total(|r| r.tasks.len())),
+        alloc_samples: Vec::with_capacity(total(|r| r.alloc_samples.len())),
+        node_alloc_samples: Vec::with_capacity(total(|r| r.node_alloc_samples.len())),
+        eviction_times: Vec::with_capacity(total(|r| r.eviction_times.len())),
+        spot_start_times: Vec::with_capacity(total(|r| r.spot_start_times.len())),
+        displacement_times: Vec::with_capacity(total(|r| r.displacement_times.len())),
+        migration_times: Vec::with_capacity(total(|r| r.migration_times.len())),
+        ..SimReport::default()
+    };
     let mut weight_total = 0.0;
     let mut unavail_weighted = 0.0;
     for o in outcomes {

@@ -48,7 +48,14 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// hashes and journal record CRCs (and by the golden-pin test harness).
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an [`fnv1a`] hash whose state after the bytes before
+/// `bytes` is `state`: `fnv1a(a ++ b) == fnv1a_from(fnv1a(a), b)`.
+#[must_use]
+pub(crate) fn fnv1a_from(state: u64, bytes: &[u8]) -> u64 {
+    let mut h = state;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -378,6 +385,20 @@ mod tests {
             );
         }
         assert!(ServiceSnapshot::from_json(&json).is_ok());
+    }
+
+    #[test]
+    fn deeply_nested_snapshot_is_an_error_not_a_stack_overflow() {
+        let mut s = churn_service();
+        s.admit_tasks(trace(2));
+        let json = s.snapshot_json(&FirstFit);
+        let nested = |depth: usize| {
+            let extra = format!("{{\"x\":{}{},", "[".repeat(depth), "]".repeat(depth));
+            json.replacen('{', &extra, 1)
+        };
+        assert!(ServiceSnapshot::from_json(&nested(100)).is_ok());
+        let err = ServiceSnapshot::from_json(&nested(100_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting too deep"), "{err}");
     }
 
     #[test]
