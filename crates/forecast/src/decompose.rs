@@ -134,21 +134,29 @@ impl DecomposeScratch {
         }
         let half = window / 2;
         let n = xs.len();
-        // identical reflection rule to `moving_average`
-        let reflect = |i: isize| -> usize {
-            let idx = if i < 0 {
-                (-i) as usize % (2 * n.max(1))
-            } else if (i as usize) >= n {
-                let over = i as usize - n + 1;
-                n.saturating_sub(1 + over % n.max(1))
-            } else {
-                i as usize
-            };
-            idx.min(n - 1)
-        };
         self.padded.clear();
-        for i in -(half as isize)..(n + half) as isize {
-            self.padded.push(xs[reflect(i)]);
+        if half < n {
+            // the reflection rule of `moving_average` never wraps here:
+            // x[half], …, x[1], x, x[n−2], …, x[n−1−half]
+            self.padded.extend(xs[1..=half].iter().rev());
+            self.padded.extend_from_slice(xs);
+            self.padded.extend(xs[n - 1 - half..n - 1].iter().rev());
+        } else {
+            // identical reflection rule to `moving_average`
+            let reflect = |i: isize| -> usize {
+                let idx = if i < 0 {
+                    (-i) as usize % (2 * n.max(1))
+                } else if (i as usize) >= n {
+                    let over = i as usize - n + 1;
+                    n.saturating_sub(1 + over % n.max(1))
+                } else {
+                    i as usize
+                };
+                idx.min(n - 1)
+            };
+            for i in -(half as isize)..(n + half) as isize {
+                self.padded.push(xs[reflect(i)]);
+            }
         }
         // identical prefix-sum accumulation to `windowed_means`
         self.prefix.clear();
@@ -235,7 +243,15 @@ mod tests {
     #[test]
     fn scratch_form_is_bit_identical_and_reusable() {
         let mut sc = DecomposeScratch::default();
-        for (len, window) in [(20usize, 5usize), (96, 25), (7, 3), (96, 25)] {
+        // windows wider than the series take the wrapping reflection
+        for (len, window) in [
+            (20usize, 5usize),
+            (96, 25),
+            (7, 3),
+            (96, 25),
+            (7, 25),
+            (1, 1),
+        ] {
             let xs: Vec<f64> = (0..len)
                 .map(|i| (i as f64 * 0.37).sin() * 12.3 + i as f64 * 0.05)
                 .collect();

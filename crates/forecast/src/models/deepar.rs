@@ -17,7 +17,7 @@ use rand_chacha::ChaCha8Rng;
 use gfs_nn::{Adam, Graph, GruCell, Linear, Optimizer, Param, Var};
 
 use crate::dataset::{Normalizer, OrgDataset, Sample};
-use crate::models::{minibatches, FitReport, Forecast, Forecaster, TrainConfig};
+use crate::models::{minibatches, target_slot, FitReport, Forecast, Forecaster, TrainConfig};
 use crate::timing::TrainTimer;
 
 const HIDDEN: usize = 24;
@@ -30,7 +30,6 @@ pub struct DeepAr {
     head_mu: Linear,
     head_sigma: Linear,
     norm: Normalizer,
-    horizon: usize,
     graph: RefCell<Graph>,
 }
 
@@ -44,7 +43,6 @@ impl DeepAr {
             head_mu: Linear::new(HIDDEN, data.horizon(), &mut rng),
             head_sigma: Linear::new(HIDDEN, data.horizon(), &mut rng),
             norm: data.normalizer(0.8),
-            horizon: data.horizon(),
             graph: RefCell::new(Graph::new()),
         }
     }
@@ -108,13 +106,7 @@ impl Forecaster for DeepAr {
                 let mut g = self.graph.borrow_mut();
                 g.reset();
                 let (mu, sigma_pre) = self.forward(&mut g, data, &batch);
-                let t = g.constant_slot(batch.len(), self.horizon);
-                let tgt = g.slot_mut(t);
-                for (r, s) in batch.iter().enumerate() {
-                    for (c, &y) in data.target(*s).iter().enumerate() {
-                        tgt[r * self.horizon + c] = self.norm.norm(s.org, y);
-                    }
-                }
+                let t = target_slot(&mut g, data, &self.norm, &batch);
                 let l = g.gaussian_nll_softplus(mu, sigma_pre, t, SIGMA_FLOOR);
                 total += g.value(l).item();
                 n += 1;
@@ -180,6 +172,25 @@ mod tests {
         let f = m.predict(&data, Sample { org: 0, start: 130 });
         assert_eq!(f.mean.len(), 6);
         assert!(f.std.unwrap().iter().all(|&s| s > 0.0));
+    }
+
+    #[test]
+    fn pruned_backward_matches_the_full_sweep() {
+        let series = vec![(0..220)
+            .map(|i| 15.0 + 4.0 * ((i % 24) as f64 / 24.0 * std::f64::consts::TAU).sin())
+            .collect::<Vec<_>>()];
+        let orgs = vec![OrgInfo {
+            name: "A".into(),
+            attrs: vec![],
+        }];
+        let data = OrgDataset::new(series, orgs, vec![], vec![], 48, 6).unwrap();
+        let m = DeepAr::new(&data, 5);
+        let batch: Vec<Sample> = data.split(12, 0.8).0.into_iter().take(3).collect();
+        crate::models::assert_pruning_exact(&m.params(), |g| {
+            let (mu, pre) = m.forward(g, &data, &batch);
+            let t = target_slot(g, &data, &m.norm, &batch);
+            g.gaussian_nll_softplus(mu, pre, t, SIGMA_FLOOR)
+        });
     }
 
     #[test]

@@ -15,7 +15,7 @@ use gfs_nn::{loss, Adam, Graph, Linear, Optimizer, Param, Var};
 
 use crate::dataset::{Normalizer, OrgDataset, Sample};
 use crate::decompose::DecomposeScratch;
-use crate::models::{minibatches, FitReport, Forecast, Forecaster, TrainConfig};
+use crate::models::{minibatches, target_slot, FitReport, Forecast, Forecaster, TrainConfig};
 use crate::timing::TrainTimer;
 
 const MA_WINDOW: usize = 25;
@@ -27,7 +27,6 @@ pub struct DLinear {
     head_cyclical: Linear,
     norm: Normalizer,
     input_len: usize,
-    horizon: usize,
     graph: RefCell<Graph>,
     scratch: RefCell<(Vec<f64>, DecomposeScratch)>,
 }
@@ -42,7 +41,6 @@ impl DLinear {
             head_cyclical: Linear::new(data.input_len(), data.horizon(), &mut rng),
             norm: data.normalizer(0.8),
             input_len: data.input_len(),
-            horizon: data.horizon(),
             graph: RefCell::new(Graph::new()),
             scratch: RefCell::new((vec![0.0; data.input_len()], DecomposeScratch::default())),
         }
@@ -99,13 +97,7 @@ impl Forecaster for DLinear {
                 let mut g = self.graph.borrow_mut();
                 g.reset();
                 let pred = self.forward(&mut g, data, &batch);
-                let t = g.constant_slot(batch.len(), self.horizon);
-                let tgt = g.slot_mut(t);
-                for (r, s) in batch.iter().enumerate() {
-                    for (c, &y) in data.target(*s).iter().enumerate() {
-                        tgt[r * self.horizon + c] = self.norm.norm(s.org, y);
-                    }
-                }
+                let t = target_slot(&mut g, data, &self.norm, &batch);
                 let l = loss::mse(&mut g, pred, t);
                 total += g.value(l).item();
                 n += 1;
@@ -162,6 +154,18 @@ mod tests {
         assert_eq!(f.mean.len(), 12);
         assert!(f.std.is_none(), "DLinear is a point model");
         assert!(!m.is_probabilistic());
+    }
+
+    #[test]
+    fn pruned_backward_matches_the_full_sweep() {
+        let d = data();
+        let m = DLinear::new(&d, 1);
+        let batch: Vec<Sample> = d.split(12, 0.8).0.into_iter().take(5).collect();
+        crate::models::assert_pruning_exact(&m.params(), |g| {
+            let pred = m.forward(g, &d, &batch);
+            let t = target_slot(g, &d, &m.norm, &batch);
+            loss::mse(g, pred, t)
+        });
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //! [`Forecaster::predict_many`] call allocate nothing (see the
 //! `forecast-alloc-gate` test lane). `predict_many` builds the whole org
 //! batch as one forward pass — the GDE aggregation path (`gfs_core`)
-//! depends on this for its per-tick latency budget.
+//! depends on this for its per-tick latency budget. Each head is one
+//! [`Graph::affine_cat`] over `[input, c_o, c_t]`, so no concatenation is
+//! built and the backward sweep differentiates only the context columns.
+//! `fit` stages every training window once (see `Staged`) instead of
+//! once per epoch.
 
 use std::cell::RefCell;
 
@@ -27,7 +31,7 @@ use gfs_nn::{Adam, Embedding, Graph, Linear, Optimizer, Param, Var};
 
 use crate::dataset::{Normalizer, OrgDataset, Sample};
 use crate::decompose::DecomposeScratch;
-use crate::models::{minibatches, FitReport, Forecast, Forecaster, TrainConfig};
+use crate::models::{minibatches, target_slot, FitReport, Forecast, Forecaster, TrainConfig};
 use crate::timing::TrainTimer;
 
 /// Embedding width per temporal component (hour / weekday / holiday).
@@ -56,6 +60,66 @@ struct Scratch {
     idx: Vec<usize>,
     embs: Vec<Var>,
     scores: Vec<Var>,
+}
+
+/// Training inputs staged once per fit. The normalised, clamped series
+/// is a pure function of `(org, hour)` and a window's trend row a pure
+/// function of the window, so both are computed once instead of once per
+/// epoch; the cyclical row stays the per-batch subtraction `x − trend`.
+/// Trend rows are addressed `(start / stride) · orgs + org`, because
+/// [`OrgDataset::split`] keeps a prefix of the `(start, org)` sample
+/// order. Dropped when `fit` returns.
+struct Staged {
+    /// Normalised, clamped series, `orgs × hours` row-major.
+    series: Vec<f64>,
+    hours: usize,
+    orgs: usize,
+    stride: usize,
+    input_len: usize,
+    /// Trend row of every training window, `train.len() × input_len`.
+    trend: Vec<f64>,
+}
+
+impl Staged {
+    fn new(model: &OrgLinear, data: &OrgDataset, train: &[Sample], stride: usize) -> Self {
+        let (orgs, hours, l) = (data.num_orgs(), data.len_hours(), model.input_len);
+        let stride = stride.max(1);
+        let mut series = Vec::with_capacity(orgs * hours);
+        for org in 0..orgs {
+            series.extend(
+                data.series(org)
+                    .iter()
+                    .map(|&x| model.norm.norm(org, x).clamp(-Z_CLIP, Z_CLIP)),
+            );
+        }
+        let mut trend = vec![0.0; train.len() * l];
+        let mut cyc = vec![0.0; l];
+        let mut decomp = DecomposeScratch::default();
+        for (idx, (row, s)) in trend.chunks_exact_mut(l).zip(train).enumerate() {
+            debug_assert_eq!((s.start / stride) * orgs + s.org, idx, "window order");
+            let window = &series[s.org * hours + s.start..][..l];
+            decomp.decompose_into(window, MA_WINDOW, row, &mut cyc);
+        }
+        Staged {
+            series,
+            hours,
+            orgs,
+            stride,
+            input_len: l,
+            trend,
+        }
+    }
+
+    /// The normalised, clamped input window of `s`.
+    fn window(&self, s: Sample) -> &[f64] {
+        &self.series[s.org * self.hours + s.start..][..self.input_len]
+    }
+
+    /// The trend row of training window `s`.
+    fn trend(&self, s: Sample) -> &[f64] {
+        let row = (s.start / self.stride) * self.orgs + s.org;
+        &self.trend[row * self.input_len..][..self.input_len]
+    }
 }
 
 /// The OrgLinear forecaster.
@@ -209,8 +273,15 @@ impl OrgLinear {
     /// Builds `(mu, pre)` for a batch in normalized space, where `pre` is
     /// the *pre-activation* of the variance head: apply
     /// `softplus(pre) + SIGMA_FLOOR` to obtain σ (training fuses that map
-    /// into the loss; `predict` applies it explicitly).
-    fn forward(&self, g: &mut Graph, data: &OrgDataset, batch: &[Sample]) -> (Var, Var) {
+    /// into the loss; `predict` applies it explicitly). Training batches
+    /// read their windows from `staged`; prediction stages them here.
+    fn forward(
+        &self,
+        g: &mut Graph,
+        data: &OrgDataset,
+        batch: &[Sample],
+        staged: Option<&Staged>,
+    ) -> (Var, Var) {
         let b = batch.len();
         let l = self.input_len;
         let full_v = g.constant_slot(b, l);
@@ -220,40 +291,50 @@ impl OrgLinear {
             let mut sc = self.scratch.borrow_mut();
             let sc = &mut *sc;
             for (r, s) in batch.iter().enumerate() {
-                // normalize into the pooled window, then stage the batch
-                // row and its decomposition — no per-sample temporaries
-                for (slot, &x) in sc.window.iter_mut().zip(data.input(*s)) {
-                    *slot = self.norm.norm(s.org, x).clamp(-Z_CLIP, Z_CLIP);
-                }
-                g.slot_mut(full_v)[r * l..(r + 1) * l].copy_from_slice(&sc.window);
+                // normalize into the pooled window (unless staged), then
+                // stage the batch row and its decomposition — no
+                // per-sample temporaries
+                let window: &[f64] = match staged {
+                    Some(st) => st.window(*s),
+                    None => {
+                        for (slot, &x) in sc.window.iter_mut().zip(data.input(*s)) {
+                            *slot = self.norm.norm(s.org, x).clamp(-Z_CLIP, Z_CLIP);
+                        }
+                        &sc.window
+                    }
+                };
+                let row = r * l..(r + 1) * l;
+                g.slot_mut(full_v)[row.clone()].copy_from_slice(window);
                 let (trend_m, cyc_m) = g.two_slots_mut(trend_v, cyc_v);
-                sc.decomp.decompose_into(
-                    &sc.window,
-                    MA_WINDOW,
-                    &mut trend_m[r * l..(r + 1) * l],
-                    &mut cyc_m[r * l..(r + 1) * l],
-                );
+                let (trend_m, cyc_m) = (&mut trend_m[row.clone()], &mut cyc_m[row]);
+                match staged {
+                    Some(st) => {
+                        trend_m.copy_from_slice(st.trend(*s));
+                        for ((c, x), t) in cyc_m.iter_mut().zip(window).zip(trend_m.iter()) {
+                            *c = x - t;
+                        }
+                    }
+                    None => sc.decomp.decompose_into(window, MA_WINDOW, trend_m, cyc_m),
+                }
             }
         }
 
         let c_t = self.temporal_context(g, data, batch);
         let c_o = self.business_context(g, data, batch);
 
-        let with_ctx = |g: &mut Graph, x: Var| -> Var {
+        // each head maps [x, c_o, c_t] without building the concatenation
+        let head = |g: &mut Graph, layer: &Linear, x: Var| -> Var {
             match c_o {
-                Some(co) => g.concat_cols(&[x, co, c_t]),
-                None => g.concat_cols(&[x, c_t]),
+                Some(co) => layer.forward_cat(g, &[x, co, c_t]),
+                None => layer.forward_cat(g, &[x, c_t]),
             }
         };
 
-        let in_c = with_ctx(g, cyc_v);
-        let y_c = self.head_cyclical.forward(g, in_c);
-        let in_t = with_ctx(g, trend_v);
-        let y_t = self.head_trend.forward(g, in_t);
+        let y_c = head(g, &self.head_cyclical, cyc_v);
+        let y_t = head(g, &self.head_trend, trend_v);
         let mu = g.add(y_c, y_t); // Eq. 6
 
-        let in_v = with_ctx(g, full_v);
-        let h_v = self.head_variance.forward(g, in_v);
+        let h_v = head(g, &self.head_variance, full_v);
         // pre-activation of Eq. 7; the σ = softplus(·) + floor map is fused
         // into the NLL during training and applied directly in predict
         (mu, h_v)
@@ -273,6 +354,7 @@ impl Forecaster for OrgLinear {
         let start = TrainTimer::start();
         self.norm = data.normalizer(cfg.train_frac);
         let (train, _) = data.split(cfg.stride, cfg.train_frac);
+        let staged = Staged::new(self, data, &train, cfg.stride);
         let mut opt = Adam::new(self.params(), cfg.lr);
         let mut final_loss = f64::NAN;
         for epoch in 0..cfg.epochs {
@@ -281,14 +363,8 @@ impl Forecaster for OrgLinear {
             for batch in minibatches(&train, cfg.batch_size, cfg.seed, epoch) {
                 let mut g = self.graph.borrow_mut();
                 g.reset();
-                let (mu, sigma_pre) = self.forward(&mut g, data, &batch);
-                let t = g.constant_slot(batch.len(), self.horizon);
-                let tgt = g.slot_mut(t);
-                for (r, s) in batch.iter().enumerate() {
-                    for (c, &y) in data.target(*s).iter().enumerate() {
-                        tgt[r * self.horizon + c] = self.norm.norm(s.org, y);
-                    }
-                }
+                let (mu, sigma_pre) = self.forward(&mut g, data, &batch, Some(&staged));
+                let t = target_slot(&mut g, data, &self.norm, &batch);
                 let l = g.gaussian_nll_softplus(mu, sigma_pre, t, SIGMA_FLOOR); // Eq. 7–8 fused
                 epoch_loss += g.value(l).item();
                 batches += 1;
@@ -307,7 +383,7 @@ impl Forecaster for OrgLinear {
     fn predict(&self, data: &OrgDataset, sample: Sample) -> Forecast {
         let mut g = self.graph.borrow_mut();
         g.reset();
-        let (mu, sigma_pre) = self.forward(&mut g, data, &[sample]);
+        let (mu, sigma_pre) = self.forward(&mut g, data, &[sample], None);
         g.finish();
         let mean = g
             .value(mu)
@@ -336,7 +412,7 @@ impl Forecaster for OrgLinear {
         }
         let mut g = self.graph.borrow_mut();
         g.reset();
-        let (mu, sigma_pre) = self.forward(&mut g, data, samples);
+        let (mu, sigma_pre) = self.forward(&mut g, data, samples, None);
         g.finish();
         let h = self.horizon;
         let mu_t = g.value(mu);
@@ -452,6 +528,39 @@ mod tests {
         m.fit(&data, &TrainConfig::fast());
         let f = m.predict(&data, Sample { org: 0, start: 100 });
         assert_eq!(f.mean.len(), 12);
+    }
+
+    #[test]
+    fn pruned_backward_matches_the_full_sweep() {
+        let data = sine_dataset(2, 400);
+        let m = OrgLinear::new(&data, 3);
+        let batch: Vec<Sample> = data.split(12, 0.8).0.into_iter().take(6).collect();
+        crate::models::assert_pruning_exact(&m.params(), |g| {
+            let (mu, pre) = m.forward(g, &data, &batch, None);
+            let t = target_slot(g, &data, &m.norm, &batch);
+            g.gaussian_nll_softplus(mu, pre, t, SIGMA_FLOOR)
+        });
+    }
+
+    #[test]
+    fn staged_windows_match_per_batch_staging_bitwise() {
+        let data = sine_dataset(3, 400);
+        let m = OrgLinear::new(&data, 3);
+        let stride = 5;
+        let (train, _) = data.split(stride, 0.8);
+        let staged = Staged::new(&m, &data, &train, stride);
+        let batch: Vec<Sample> = train.iter().rev().step_by(7).copied().collect();
+        let run = |staged: Option<&Staged>| {
+            let mut g = Graph::new();
+            let (mu, pre) = m.forward(&mut g, &data, &batch, staged);
+            let bits = |v: Var| -> Vec<u64> {
+                g.value(v).as_slice().iter().map(|x| x.to_bits()).collect()
+            };
+            let out = (bits(mu), bits(pre));
+            g.finish();
+            out
+        };
+        assert_eq!(run(Some(&staged)), run(None));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::layers::GruCellNodes;
 use crate::param::Param;
-use crate::tensor::{matmul_slices, matmul_transa_slices, Tensor};
+use crate::tensor::{matmul_slices, matmul_transa_slices, transpose_slices, Tensor};
 
 /// Index of a node on a [`Graph`] tape.
 ///
@@ -51,6 +51,14 @@ enum Op {
     MatMul(TapeIndex, TapeIndex),
     /// Fused `x · w + b` with a broadcast bias row.
     Affine(TapeIndex, TapeIndex, TapeIndex),
+    /// Fused `[parts…] · w + b`: an affine map over the column
+    /// concatenation of `aux[aux_start..aux_start + parts]`.
+    AffineCat {
+        aux_start: u32,
+        parts: u32,
+        w: TapeIndex,
+        b: TapeIndex,
+    },
     /// `x (n×m) + row (1×m)` broadcast over rows.
     AddRow(TapeIndex, TapeIndex),
     Scale(TapeIndex, f64),
@@ -97,12 +105,12 @@ enum Op {
         target: TapeIndex,
     },
     /// Fused heteroscedastic head: `σ = softplus(pre) + floor` folded into
-    /// the Gaussian NLL above.
+    /// the Gaussian NLL above; the forward σ is kept in `saved[sigma]`.
     GaussianNllSoftplus {
         mu: TapeIndex,
         pre: TapeIndex,
         target: TapeIndex,
-        floor: f64,
+        sigma: u32,
     },
     /// Multiply row `r` of `x` by `col[r]` (`col` is `n × 1`).
     ScaleRows(TapeIndex, TapeIndex),
@@ -208,6 +216,25 @@ impl GruScanState {
     }
 }
 
+/// State of one node's gradient slot during a backward sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Grad {
+    /// The node depends on no parameter: every contribution to it is
+    /// skipped and its slot is never read.
+    Pruned,
+    /// No contribution yet this sweep; the slot holds stale values.
+    Empty,
+    /// The slot holds this sweep's gradient.
+    Live,
+}
+
+/// The gradient slots below the node being differentiated, with their
+/// states: the destination of every backward contribution.
+struct Slots<'a> {
+    grads: &'a mut [Tensor],
+    state: &'a mut [Grad],
+}
+
 /// A dynamic computation graph (tape) backed by a reusable arena.
 ///
 /// # Examples
@@ -247,10 +274,13 @@ pub struct Graph {
     /// Forward value of each op; `values.len() >= ops.len()` and surplus
     /// entries are retired buffers awaiting reuse.
     values: Vec<Tensor>,
+    /// Whether each op depends on a [`Param`] (the requires-grad flag,
+    /// recorded by `commit`); parallel to `ops`.
+    needs_grad: Vec<bool>,
     /// Gradient slot per op, reshaped in place every backward sweep.
     grads: Vec<Tensor>,
-    /// Whether `grads[i]` holds a live gradient this sweep.
-    grad_seen: Vec<bool>,
+    /// State of each gradient slot this sweep.
+    grad_state: Vec<Grad>,
     /// Shared pool for variable-length operand lists (concat parts,
     /// embedding indices); rewound by `reset`, never shrunk.
     aux: Vec<u32>,
@@ -258,6 +288,10 @@ pub struct Graph {
     /// Arena of GRU scan states; rewound by `reset`, never shrunk.
     scans: Vec<GruScanState>,
     scan_count: usize,
+    /// Forward activations kept for the backward sweep (the fused NLL's
+    /// σ); rewound by `reset`, never shrunk.
+    saved: Vec<Tensor>,
+    saved_count: usize,
     /// General backward scratch (revisit products, scatter buffers).
     scratch: Tensor,
     /// Transpose scratch for `∂x = ∂y · Wᵀ` backward kernels.
@@ -273,12 +307,15 @@ impl Graph {
         Graph {
             ops: Vec::new(),
             values: Vec::new(),
+            needs_grad: Vec::new(),
             grads: Vec::new(),
-            grad_seen: Vec::new(),
+            grad_state: Vec::new(),
             aux: Vec::new(),
             aux_len: 0,
             scans: Vec::new(),
             scan_count: 0,
+            saved: Vec::new(),
+            saved_count: 0,
             scratch: Tensor::zeros(0, 0),
             scratch_t: Tensor::zeros(0, 0),
             empty: Tensor::zeros(0, 0),
@@ -304,8 +341,10 @@ impl Graph {
     pub fn reset(&mut self) {
         self.release_params();
         self.ops.clear();
+        self.needs_grad.clear();
         self.aux_len = 0;
         self.scan_count = 0;
+        self.saved_count = 0;
     }
 
     /// Ensures `values[ops.len()]` exists and returns that index. Pushes a
@@ -321,8 +360,80 @@ impl Graph {
     }
 
     fn commit(&mut self, op: Op) -> Var {
+        let needs = self.requires_grad(&op);
+        self.needs_grad.push(needs);
         self.ops.push(op);
         TapeIndex((self.ops.len() - 1) as u32)
+    }
+
+    /// The requires-grad rule: a `Const` leaf needs no gradient, a `Param`
+    /// leaf does, and an op needs one iff an operand it differentiates
+    /// does (a loss target and a GRU scan's input receive none).
+    fn requires_grad(&self, op: &Op) -> bool {
+        let n = |v: &TapeIndex| self.needs_grad[v.ix()];
+        let any = |start: u32, len: u32| {
+            self.aux[start as usize..(start + len) as usize]
+                .iter()
+                .any(|&p| self.needs_grad[p as usize])
+        };
+        match op {
+            Op::Const => false,
+            Op::Param(_) => true,
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::Div(a, b)
+            | Op::MatMul(a, b)
+            | Op::AddRow(a, b)
+            | Op::ScaleRows(a, b)
+            | Op::GaussianNll {
+                mu: a, sigma: b, ..
+            }
+            | Op::GaussianNllSoftplus { mu: a, pre: b, .. } => n(a) || n(b),
+            Op::Scale(x, _)
+            | Op::AddConst(x)
+            | Op::Exp(x)
+            | Op::Ln(x)
+            | Op::Tanh(x)
+            | Op::Sigmoid(x)
+            | Op::Relu(x)
+            | Op::Softplus(x)
+            | Op::SumAll(x)
+            | Op::MeanAll(x)
+            | Op::Transpose(x)
+            | Op::SoftmaxRows(x)
+            | Op::SliceCols { x, .. }
+            | Op::Embedding { table: x, .. } => n(x),
+            Op::Affine(x, w, b) => n(x) || n(w) || n(b),
+            Op::Blend { gate, a, b } => n(gate) || n(a) || n(b),
+            Op::Affine2 { x, w, h, u, b } => n(x) || n(w) || n(h) || n(u) || n(b),
+            Op::ConcatCols { aux_start, parts } => any(*aux_start, *parts),
+            Op::AffineCat {
+                aux_start,
+                parts,
+                w,
+                b,
+            } => any(*aux_start, *parts) || n(w) || n(b),
+            Op::GruScan { state } => {
+                let st = &self.scans[*state as usize];
+                [
+                    st.wz, st.uz, st.bz, st.wr, st.ur, st.br, st.wh, st.uh, st.bh,
+                ]
+                .iter()
+                .any(n)
+            }
+        }
+    }
+
+    /// Index of a fresh saved-activation slot (contents stale). Pushes a
+    /// placeholder only the first time the arena is this deep.
+    fn save_slot(&mut self) -> usize {
+        let s = self.saved_count;
+        if s == self.saved.len() {
+            self.saved.push(self.empty.clone());
+        }
+        self.saved_count += 1;
+        s
     }
 
     /// Reshapes the output slot at `i` (contents stale, caller overwrites)
@@ -424,6 +535,26 @@ impl Graph {
         self.commit(Op::Param(p.clone()))
     }
 
+    /// Re-records every constant leaf on the tape so far as a fresh
+    /// parameter leaf holding the same value, and returns those parameters
+    /// in tape order. The next [`Graph::backward`] then also differentiates
+    /// with respect to the former constants (input gradients), so it
+    /// computes every contribution the requires-grad rule would otherwise
+    /// skip — which is how the pruning is tested against the full sweep.
+    pub fn promote_constants(&mut self) -> Vec<Param> {
+        let mut promoted = Vec::new();
+        for i in 0..self.ops.len() {
+            if matches!(self.ops[i], Op::Const) {
+                let p = Param::new(self.values[i].clone());
+                self.ops[i] = Op::Param(p.clone());
+                promoted.push(p);
+            }
+            let needs = self.requires_grad(&self.ops[i]);
+            self.needs_grad[i] = needs;
+        }
+        promoted
+    }
+
     /// Releases parameter value shares after a forward-only pass (predict
     /// paths). [`Graph::backward`] does this automatically; without it the
     /// next optimizer update would copy every shared weight buffer.
@@ -507,6 +638,53 @@ impl Graph {
         let (head, tail) = self.values.split_at_mut(i);
         head[x.ix()].matmul_add_into(&head[w.ix()], Some(&head[b.ix()]), &mut tail[0]);
         self.commit(Op::Affine(x, w, b))
+    }
+
+    /// Fused affine map over a column concatenation, `[p₀ p₁ …] · w + b`,
+    /// without building the concatenation: part `pᵢ` multiplies the rows
+    /// of `w` at its column offset. Every output element accumulates the
+    /// parts in column order, the same chain as [`Graph::concat_cols`]
+    /// followed by [`Graph::affine`], so values and parameter gradients
+    /// are bit-identical to that pair; the backward sweep computes `∂pᵢ`
+    /// only for parts that need a gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty, the parts' row counts differ, their
+    /// column counts do not sum to `w`'s rows, or `b` is not `1 × m`.
+    pub fn affine_cat(&mut self, parts: &[Var], w: Var, b: Var) -> Var {
+        assert!(!parts.is_empty(), "affine_cat requires at least one part");
+        let i = self.reserve();
+        let aux_start = self.aux_len as u32;
+        for p in parts {
+            self.aux_push(p.0);
+        }
+        let rows = self.values[parts[0].ix()].rows();
+        let (k, n) = self.values[w.ix()].shape();
+        let (head, out) = Self::out_slot(&mut self.values, i, rows, n);
+        let (wv, bias) = (head[w.ix()].as_slice(), &head[b.ix()]);
+        assert_eq!(bias.shape(), (1, n), "affine_cat bias shape");
+        let os = out.as_mut_slice();
+        for r in 0..rows {
+            os[r * n..(r + 1) * n].copy_from_slice(bias.as_slice());
+        }
+        let mut offset = 0;
+        for p in parts {
+            let x = &head[p.ix()];
+            assert_eq!(x.rows(), rows, "affine_cat row count mismatch");
+            let c = x.cols();
+            assert!(offset + c <= k, "affine_cat parts wider than w");
+            let w_rows = &wv[offset * n..(offset + c) * n];
+            matmul_slices(x.as_slice(), rows, c, w_rows, n, os, true);
+            offset += c;
+        }
+        assert_eq!(offset, k, "affine_cat parts narrower than w");
+        self.commit(Op::AffineCat {
+            aux_start,
+            parts: parts.len() as u32,
+            w,
+            b,
+        })
     }
 
     /// Adds a `1 × m` row vector to every row of an `n × m` matrix.
@@ -676,7 +854,8 @@ impl Graph {
     /// [`Graph::gaussian_nll`] with the variance head folded in:
     /// `σ = softplus(pre) + floor` (Eq. 7 + Eq. 8 as one node). Saves the
     /// intermediate softplus/shift tensors and their backward passes on
-    /// the per-batch training path.
+    /// the per-batch training path; the backward sweep reuses the forward
+    /// σ instead of recomputing the softplus.
     ///
     /// # Panics
     ///
@@ -694,13 +873,17 @@ impl Graph {
             self.values[target.ix()].shape(),
             "gaussian_nll_softplus shape mismatch"
         );
+        let sigma = self.save_slot();
+        let saved = &mut self.saved[sigma];
+        saved.resize_reuse(shape.0, shape.1);
         let (head, out) = Self::out_slot(&mut self.values, i, 1, 1);
         let mv = head[mu.ix()].as_slice();
         let pv = head[pre.ix()].as_slice();
         let tv = head[target.ix()].as_slice();
         let mut acc = 0.0;
-        for ((m, p), y) in mv.iter().zip(pv).zip(tv) {
+        for (((m, p), y), sv) in mv.iter().zip(pv).zip(tv).zip(saved.as_mut_slice()) {
             let s = softplus(*p) + floor;
+            *sv = s;
             let z = (y - m) / s;
             acc += s.ln() + 0.5 * z * z;
         }
@@ -710,7 +893,7 @@ impl Graph {
             mu,
             pre,
             target,
-            floor,
+            sigma: sigma as u32,
         })
     }
 
@@ -1005,30 +1188,43 @@ impl Graph {
     /// (so the optimizer's in-place update does not copy). `output` is
     /// typically a scalar loss; for non-scalars the seed gradient is
     /// all-ones.
+    ///
+    /// Contributions to nodes that depend on no parameter (the
+    /// requires-grad rule, see `requires_grad`) are skipped: such a
+    /// node's gradient reaches no `Param`, and its slot is never read.
     // gfs-lint: hot(tape)
     pub fn backward(&mut self, output: Var) {
         let n = self.ops.len();
         if self.grads.len() < n {
             self.grads.resize_with(n, || Tensor::zeros(0, 0));
         }
-        self.grad_seen.clear();
-        self.grad_seen.resize(n, false);
-        {
+        self.grad_state.clear();
+        self.grad_state.extend(self.needs_grad.iter().map(|&needs| {
+            if needs {
+                Grad::Empty
+            } else {
+                Grad::Pruned
+            }
+        }));
+        if self.needs_grad[output.ix()] {
             let (orows, ocols) = self.values[output.ix()].shape();
             let seed = &mut self.grads[output.ix()];
             seed.resize_reuse(orows, ocols);
             seed.as_mut_slice().iter_mut().for_each(|v| *v = 1.0);
-            self.grad_seen[output.ix()] = true;
+            self.grad_state[output.ix()] = Grad::Live;
         }
 
         for i in (0..n).rev() {
-            if !self.grad_seen[i] {
+            if self.grad_state[i] != Grad::Live {
                 continue;
             }
             let (glo, ghi) = self.grads.split_at_mut(i);
             let gy: &Tensor = &ghi[0];
             let gys = gy.as_slice();
-            let seen = &mut self.grad_seen;
+            let to = &mut Slots {
+                grads: glo,
+                state: &mut self.grad_state[..i],
+            };
             let values = &self.values;
             match &self.ops[i] {
                 Op::Const => {}
@@ -1037,160 +1233,190 @@ impl Graph {
                 }
                 Op::Add(a, b) => {
                     let (rows, cols) = gy.shape();
-                    acc_map(glo, seen, a.ix(), rows, cols, |j| gys[j]);
-                    acc_map(glo, seen, b.ix(), rows, cols, |j| gys[j]);
+                    to.map(a.ix(), rows, cols, |j| gys[j]);
+                    to.map(b.ix(), rows, cols, |j| gys[j]);
                 }
                 Op::Sub(a, b) => {
                     let (rows, cols) = gy.shape();
-                    acc_map(glo, seen, a.ix(), rows, cols, |j| gys[j]);
-                    acc_map(glo, seen, b.ix(), rows, cols, |j| -gys[j]);
+                    to.map(a.ix(), rows, cols, |j| gys[j]);
+                    to.map(b.ix(), rows, cols, |j| -gys[j]);
                 }
                 Op::Mul(a, b) => {
                     let (rows, cols) = gy.shape();
                     let av = values[a.ix()].as_slice();
                     let bv = values[b.ix()].as_slice();
-                    acc_map(glo, seen, a.ix(), rows, cols, |j| gys[j] * bv[j]);
-                    acc_map(glo, seen, b.ix(), rows, cols, |j| gys[j] * av[j]);
+                    to.map(a.ix(), rows, cols, |j| gys[j] * bv[j]);
+                    to.map(b.ix(), rows, cols, |j| gys[j] * av[j]);
                 }
                 Op::Div(a, b) => {
                     let (rows, cols) = gy.shape();
                     let av = values[a.ix()].as_slice();
                     let bv = values[b.ix()].as_slice();
-                    acc_map(glo, seen, a.ix(), rows, cols, |j| gys[j] / bv[j]);
-                    acc_map(glo, seen, b.ix(), rows, cols, |j| {
+                    to.map(a.ix(), rows, cols, |j| gys[j] / bv[j]);
+                    to.map(b.ix(), rows, cols, |j| {
                         let t = gys[j] * av[j];
                         -t / (bv[j] * bv[j])
                     });
                 }
                 Op::MatMul(a, b) => {
-                    acc_matmul_transb(
-                        glo,
-                        seen,
-                        a.ix(),
-                        gy,
-                        &values[b.ix()],
-                        &mut self.scratch_t,
-                        &mut self.scratch,
-                    );
-                    acc_matmul_transa(glo, seen, b.ix(), &values[a.ix()], gy, &mut self.scratch);
+                    let bm = &values[b.ix()];
+                    let (scr_t, scr) = (&mut self.scratch_t, &mut self.scratch);
+                    to.matmul_transb(a.ix(), gy, bm.as_slice(), bm.rows(), scr_t, scr);
+                    to.matmul_transa(b.ix(), &values[a.ix()], gy, &mut self.scratch);
                 }
                 Op::Affine(x, w, b) => {
-                    acc_matmul_transb(
-                        glo,
-                        seen,
-                        x.ix(),
-                        gy,
-                        &values[w.ix()],
-                        &mut self.scratch_t,
-                        &mut self.scratch,
-                    );
-                    acc_matmul_transa(glo, seen, w.ix(), &values[x.ix()], gy, &mut self.scratch);
-                    acc_colsum(glo, seen, b.ix(), gy, &mut self.scratch);
+                    let wm = &values[w.ix()];
+                    let (scr_t, scr) = (&mut self.scratch_t, &mut self.scratch);
+                    to.matmul_transb(x.ix(), gy, wm.as_slice(), wm.rows(), scr_t, scr);
+                    to.matmul_transa(w.ix(), &values[x.ix()], gy, &mut self.scratch);
+                    to.colsum(b.ix(), gy, &mut self.scratch);
+                }
+                Op::AffineCat {
+                    aux_start,
+                    parts,
+                    w,
+                    b,
+                } => {
+                    let parts = &self.aux[*aux_start as usize..(*aux_start + *parts) as usize];
+                    let (k, n) = values[w.ix()].shape();
+                    let wv = values[w.ix()].as_slice();
+                    // ∂pᵢ = ∂y · w[rows of pᵢ]ᵀ, for the parts that need it
+                    let mut offset = 0;
+                    for &p in parts {
+                        let c = values[p as usize].cols();
+                        let w_rows = &wv[offset * n..(offset + c) * n];
+                        let (scr_t, scr) = (&mut self.scratch_t, &mut self.scratch);
+                        to.matmul_transb(p as usize, gy, w_rows, c, scr_t, scr);
+                        offset += c;
+                    }
+                    // ∂w = [p₀ p₁ …]ᵀ · ∂y, written part by part into its rows
+                    if let Some(first) = to.prep(w.ix(), k, n) {
+                        let dst = if first {
+                            to.grads[w.ix()].as_mut_slice()
+                        } else {
+                            self.scratch.resize_reuse(k, n);
+                            self.scratch.as_mut_slice()
+                        };
+                        let mut offset = 0;
+                        for &p in parts {
+                            let x = &values[p as usize];
+                            let (m, c) = x.shape();
+                            let rows = &mut dst[offset * n..(offset + c) * n];
+                            matmul_transa_slices(x.as_slice(), m, c, gys, n, rows, false);
+                            offset += c;
+                        }
+                        if !first {
+                            to.grads[w.ix()].add_scaled(&self.scratch, 1.0);
+                        }
+                    }
+                    to.colsum(b.ix(), gy, &mut self.scratch);
                 }
                 Op::AddRow(x, row) => {
                     let (rows, cols) = gy.shape();
-                    acc_map(glo, seen, x.ix(), rows, cols, |j| gys[j]);
-                    acc_colsum(glo, seen, row.ix(), gy, &mut self.scratch);
+                    to.map(x.ix(), rows, cols, |j| gys[j]);
+                    to.colsum(row.ix(), gy, &mut self.scratch);
                 }
                 Op::Scale(x, k) => {
                     let (rows, cols) = gy.shape();
                     let k = *k;
-                    acc_map(glo, seen, x.ix(), rows, cols, |j| gys[j] * k);
+                    to.map(x.ix(), rows, cols, |j| gys[j] * k);
                 }
                 Op::AddConst(x) => {
                     let (rows, cols) = gy.shape();
-                    acc_map(glo, seen, x.ix(), rows, cols, |j| gys[j]);
+                    to.map(x.ix(), rows, cols, |j| gys[j]);
                 }
                 Op::Exp(x) => {
                     let (rows, cols) = gy.shape();
                     let ys = values[i].as_slice();
-                    acc_map(glo, seen, x.ix(), rows, cols, |j| gys[j] * ys[j]);
+                    to.map(x.ix(), rows, cols, |j| gys[j] * ys[j]);
                 }
                 Op::Ln(x) => {
                     let (rows, cols) = gy.shape();
                     let xs = values[x.ix()].as_slice();
-                    acc_map(glo, seen, x.ix(), rows, cols, |j| gys[j] / xs[j]);
+                    to.map(x.ix(), rows, cols, |j| gys[j] / xs[j]);
                 }
                 Op::Tanh(x) => {
                     let (rows, cols) = gy.shape();
                     let ys = values[i].as_slice();
-                    acc_map(glo, seen, x.ix(), rows, cols, |j| {
-                        gys[j] * (1.0 - ys[j] * ys[j])
-                    });
+                    to.map(x.ix(), rows, cols, |j| gys[j] * (1.0 - ys[j] * ys[j]));
                 }
                 Op::Sigmoid(x) => {
                     let (rows, cols) = gy.shape();
                     let ys = values[i].as_slice();
-                    acc_map(glo, seen, x.ix(), rows, cols, |j| {
-                        gys[j] * ys[j] * (1.0 - ys[j])
-                    });
+                    to.map(x.ix(), rows, cols, |j| gys[j] * ys[j] * (1.0 - ys[j]));
                 }
                 Op::Relu(x) => {
                     let (rows, cols) = gy.shape();
                     let xs = values[x.ix()].as_slice();
-                    acc_map(glo, seen, x.ix(), rows, cols, |j| {
-                        if xs[j] > 0.0 {
-                            gys[j]
-                        } else {
-                            0.0
-                        }
-                    });
+                    to.map(
+                        x.ix(),
+                        rows,
+                        cols,
+                        |j| if xs[j] > 0.0 { gys[j] } else { 0.0 },
+                    );
                 }
                 Op::Softplus(x) => {
                     let (rows, cols) = gy.shape();
                     let xs = values[x.ix()].as_slice();
-                    acc_map(glo, seen, x.ix(), rows, cols, |j| gys[j] * sigmoid(xs[j]));
+                    to.map(x.ix(), rows, cols, |j| gys[j] * sigmoid(xs[j]));
                 }
                 Op::SumAll(x) => {
                     let s = gy.item();
                     let (rows, cols) = values[x.ix()].shape();
-                    acc_map(glo, seen, x.ix(), rows, cols, |_| s);
+                    to.map(x.ix(), rows, cols, |_| s);
                 }
                 Op::MeanAll(x) => {
                     let (rows, cols) = values[x.ix()].shape();
                     let s = gy.item() / (rows * cols) as f64;
-                    acc_map(glo, seen, x.ix(), rows, cols, |_| s);
+                    to.map(x.ix(), rows, cols, |_| s);
                 }
                 Op::Transpose(x) => {
                     let (rows, cols) = values[x.ix()].shape();
                     gy.transpose_into(&mut self.scratch);
                     let ss = self.scratch.as_slice();
-                    acc_map(glo, seen, x.ix(), rows, cols, |j| ss[j]);
+                    to.map(x.ix(), rows, cols, |j| ss[j]);
                 }
                 Op::SoftmaxRows(x) => {
                     let (rows, cols) = gy.shape();
                     let ys = values[i].as_slice();
-                    let first = prep(glo, seen, x.ix(), rows, cols);
-                    let s = glo[x.ix()].as_mut_slice();
-                    for r in 0..rows {
-                        let base = r * cols;
-                        let mut dot = 0.0;
-                        for c in 0..cols {
-                            dot += gys[base + c] * ys[base + c];
-                        }
-                        for c in 0..cols {
-                            let v = (gys[base + c] - dot) * ys[base + c];
-                            if first {
-                                s[base + c] = v;
-                            } else {
-                                s[base + c] += v;
+                    if let Some(first) = to.prep(x.ix(), rows, cols) {
+                        let s = to.grads[x.ix()].as_mut_slice();
+                        for r in 0..rows {
+                            let base = r * cols;
+                            let mut dot = 0.0;
+                            for c in 0..cols {
+                                dot += gys[base + c] * ys[base + c];
+                            }
+                            for c in 0..cols {
+                                let v = (gys[base + c] - dot) * ys[base + c];
+                                if first {
+                                    s[base + c] = v;
+                                } else {
+                                    s[base + c] += v;
+                                }
                             }
                         }
                     }
                 }
                 Op::ConcatCols { aux_start, parts } => {
                     let total = gy.cols();
-                    let astart = *aux_start as usize;
-                    let pcount = *parts as usize;
+                    let parts = &self.aux[*aux_start as usize..(*aux_start + *parts) as usize];
                     let mut offset = 0;
-                    for pi in 0..pcount {
-                        let p = self.aux[astart + pi] as usize;
+                    for &p in parts {
+                        let p = p as usize;
                         let (rows, cols) = values[p].shape();
-                        acc_map(glo, seen, p, rows, cols, |j| {
-                            let r = j / cols;
-                            let c = j % cols;
-                            gys[r * total + offset + c]
-                        });
+                        if let Some(first) = to.prep(p, rows, cols) {
+                            let s = to.grads[p].as_mut_slice();
+                            for r in 0..rows {
+                                let src = &gys[r * total + offset..r * total + offset + cols];
+                                let dst = &mut s[r * cols..(r + 1) * cols];
+                                if first {
+                                    dst.copy_from_slice(src);
+                                } else {
+                                    dst.iter_mut().zip(src).for_each(|(d, v)| *d += v);
+                                }
+                            }
+                        }
                         offset += cols;
                     }
                 }
@@ -1202,52 +1428,39 @@ impl Graph {
                     let t = table.ix();
                     let (vocab, dim) = values[t].shape();
                     let idxs = &self.aux[*aux_start as usize..(*aux_start + *len) as usize];
-                    let first = prep(glo, seen, t, vocab, dim);
-                    if first {
-                        let s = glo[t].as_mut_slice();
-                        s.iter_mut().for_each(|v| *v = 0.0);
-                        scatter_rows(s, dim, idxs, gys);
-                    } else {
-                        self.scratch.resize_reuse(vocab, dim);
-                        let s = self.scratch.as_mut_slice();
-                        s.iter_mut().for_each(|v| *v = 0.0);
-                        scatter_rows(s, dim, idxs, gys);
-                        glo[t].add_scaled(&self.scratch, 1.0);
+                    if let Some(first) = to.prep(t, vocab, dim) {
+                        if first {
+                            let s = to.grads[t].as_mut_slice();
+                            s.iter_mut().for_each(|v| *v = 0.0);
+                            scatter_rows(s, dim, idxs, gys);
+                        } else {
+                            self.scratch.resize_reuse(vocab, dim);
+                            let s = self.scratch.as_mut_slice();
+                            s.iter_mut().for_each(|v| *v = 0.0);
+                            scatter_rows(s, dim, idxs, gys);
+                            to.grads[t].add_scaled(&self.scratch, 1.0);
+                        }
                     }
                 }
                 Op::Affine2 { x, w, h, u, b } => {
-                    acc_matmul_transb(
-                        glo,
-                        seen,
-                        x.ix(),
-                        gy,
-                        &values[w.ix()],
-                        &mut self.scratch_t,
-                        &mut self.scratch,
-                    );
-                    acc_matmul_transa(glo, seen, w.ix(), &values[x.ix()], gy, &mut self.scratch);
-                    acc_matmul_transb(
-                        glo,
-                        seen,
-                        h.ix(),
-                        gy,
-                        &values[u.ix()],
-                        &mut self.scratch_t,
-                        &mut self.scratch,
-                    );
-                    acc_matmul_transa(glo, seen, u.ix(), &values[h.ix()], gy, &mut self.scratch);
-                    acc_colsum(glo, seen, b.ix(), gy, &mut self.scratch);
+                    let wm = &values[w.ix()];
+                    let (scr_t, scr) = (&mut self.scratch_t, &mut self.scratch);
+                    to.matmul_transb(x.ix(), gy, wm.as_slice(), wm.rows(), scr_t, scr);
+                    to.matmul_transa(w.ix(), &values[x.ix()], gy, &mut self.scratch);
+                    let um = &values[u.ix()];
+                    let (scr_t, scr) = (&mut self.scratch_t, &mut self.scratch);
+                    to.matmul_transb(h.ix(), gy, um.as_slice(), um.rows(), scr_t, scr);
+                    to.matmul_transa(u.ix(), &values[h.ix()], gy, &mut self.scratch);
+                    to.colsum(b.ix(), gy, &mut self.scratch);
                 }
                 Op::Blend { gate, a, b } => {
                     let (rows, cols) = gy.shape();
                     let gv = values[gate.ix()].as_slice();
                     let av = values[a.ix()].as_slice();
                     let bv = values[b.ix()].as_slice();
-                    acc_map(glo, seen, gate.ix(), rows, cols, |j| {
-                        gys[j] * (bv[j] - av[j])
-                    });
-                    acc_map(glo, seen, a.ix(), rows, cols, |j| gys[j] * (1.0 - gv[j]));
-                    acc_map(glo, seen, b.ix(), rows, cols, |j| gys[j] * gv[j]);
+                    to.map(gate.ix(), rows, cols, |j| gys[j] * (bv[j] - av[j]));
+                    to.map(a.ix(), rows, cols, |j| gys[j] * (1.0 - gv[j]));
+                    to.map(b.ix(), rows, cols, |j| gys[j] * gv[j]);
                 }
                 Op::GaussianNll { mu, sigma, target } => {
                     let mv = values[mu.ix()].as_slice();
@@ -1255,11 +1468,11 @@ impl Graph {
                     let tv = values[target.ix()].as_slice();
                     let scale = gy.item() / mv.len().max(1) as f64;
                     let (rows, cols) = values[mu.ix()].shape();
-                    acc_map(glo, seen, mu.ix(), rows, cols, |j| {
+                    to.map(mu.ix(), rows, cols, |j| {
                         let z = (tv[j] - mv[j]) / sv[j];
                         scale * (-z / sv[j])
                     });
-                    acc_map(glo, seen, sigma.ix(), rows, cols, |j| {
+                    to.map(sigma.ix(), rows, cols, |j| {
                         let z = (tv[j] - mv[j]) / sv[j];
                         scale * (1.0 - z * z) / sv[j]
                     });
@@ -1268,42 +1481,41 @@ impl Graph {
                     mu,
                     pre,
                     target,
-                    floor,
+                    sigma,
                 } => {
-                    let floor = *floor;
                     let mv = values[mu.ix()].as_slice();
                     let pv = values[pre.ix()].as_slice();
                     let tv = values[target.ix()].as_slice();
+                    let sv = self.saved[*sigma as usize].as_slice();
                     let scale = gy.item() / mv.len().max(1) as f64;
                     let (rows, cols) = values[mu.ix()].shape();
-                    acc_map(glo, seen, mu.ix(), rows, cols, |j| {
-                        let s = softplus(pv[j]) + floor;
-                        let z = (tv[j] - mv[j]) / s;
-                        scale * (-z / s)
+                    to.map(mu.ix(), rows, cols, |j| {
+                        let z = (tv[j] - mv[j]) / sv[j];
+                        scale * (-z / sv[j])
                     });
                     // ∂L/∂σ · ∂σ/∂pre, with ∂softplus = sigmoid
-                    acc_map(glo, seen, pre.ix(), rows, cols, |j| {
-                        let s = softplus(pv[j]) + floor;
-                        let z = (tv[j] - mv[j]) / s;
-                        scale * ((1.0 - z * z) / s) * sigmoid(pv[j])
+                    to.map(pre.ix(), rows, cols, |j| {
+                        let z = (tv[j] - mv[j]) / sv[j];
+                        scale * ((1.0 - z * z) / sv[j]) * sigmoid(pv[j])
                     });
                 }
                 Op::ScaleRows(x, col) => {
                     let (rows, cols) = gy.shape();
                     let xv = values[x.ix()].as_slice();
                     let cv = values[col.ix()].as_slice();
-                    acc_map(glo, seen, x.ix(), rows, cols, |j| gys[j] * cv[j / cols]);
-                    let firstc = prep(glo, seen, col.ix(), rows, 1);
-                    let s = glo[col.ix()].as_mut_slice();
-                    for r in 0..rows {
-                        let mut dot = 0.0;
-                        for c in 0..cols {
-                            dot += gys[r * cols + c] * xv[r * cols + c];
-                        }
-                        if firstc {
-                            s[r] = dot;
-                        } else {
-                            s[r] += dot;
+                    to.map(x.ix(), rows, cols, |j| gys[j] * cv[j / cols]);
+                    if let Some(first) = to.prep(col.ix(), rows, 1) {
+                        let s = to.grads[col.ix()].as_mut_slice();
+                        for r in 0..rows {
+                            let mut dot = 0.0;
+                            for c in 0..cols {
+                                dot += gys[r * cols + c] * xv[r * cols + c];
+                            }
+                            if first {
+                                s[r] = dot;
+                            } else {
+                                s[r] += dot;
+                            }
                         }
                     }
                 }
@@ -1312,21 +1524,22 @@ impl Graph {
                     let (rows, cols) = values[xi].shape();
                     let start = *start as usize;
                     let gcols = gy.cols();
-                    let first = prep(glo, seen, xi, rows, cols);
-                    if first {
-                        let s = glo[xi].as_mut_slice();
+                    if let Some(first) = to.prep(xi, rows, cols) {
+                        let s = if first {
+                            to.grads[xi].as_mut_slice()
+                        } else {
+                            self.scratch.resize_reuse(rows, cols);
+                            self.scratch.as_mut_slice()
+                        };
                         s.iter_mut().for_each(|v| *v = 0.0);
                         expand_cols(s, cols, start, gys, gcols, rows);
-                    } else {
-                        self.scratch.resize_reuse(rows, cols);
-                        let s = self.scratch.as_mut_slice();
-                        s.iter_mut().for_each(|v| *v = 0.0);
-                        expand_cols(s, cols, start, gys, gcols, rows);
-                        glo[xi].add_scaled(&self.scratch, 1.0);
+                        if !first {
+                            to.grads[xi].add_scaled(&self.scratch, 1.0);
+                        }
                     }
                 }
                 Op::GruScan { state } => {
-                    gru_scan_backward(&mut self.scans[*state as usize], values, glo, seen, gy);
+                    gru_scan_backward(&mut self.scans[*state as usize], values, to, gy);
                 }
             }
         }
@@ -1340,149 +1553,147 @@ impl Default for Graph {
     }
 }
 
-/// Prepares grad slot `idx` for a contribution: on the first visit this
-/// sweep the slot is reshaped (contents stale — the caller must assign, not
-/// accumulate) and `true` is returned; later visits return `false`.
-///
-/// First visits **assign** and revisits **add** to reproduce the float
-/// behaviour of the fresh-tensor graph exactly (a zero-init slot would turn
-/// `set(-0.0)` into `0.0 + -0.0 = 0.0`, flipping a sign bit).
-// gfs-lint: hot(tape)
-fn prep(glo: &mut [Tensor], seen: &mut [bool], idx: usize, rows: usize, cols: usize) -> bool {
-    let first = !seen[idx];
-    if first {
-        seen[idx] = true;
-        glo[idx].resize_reuse(rows, cols);
-    } else {
-        debug_assert_eq!(glo[idx].shape(), (rows, cols), "gradient shape drift");
-    }
-    first
-}
-
-/// Elementwise gradient contribution `slot[j] (+)= f(j)`.
-// gfs-lint: hot(tape)
-fn acc_map(
-    glo: &mut [Tensor],
-    seen: &mut [bool],
-    idx: usize,
-    rows: usize,
-    cols: usize,
-    f: impl Fn(usize) -> f64,
-) {
-    let first = prep(glo, seen, idx, rows, cols);
-    let s = glo[idx].as_mut_slice();
-    if first {
-        for (j, o) in s.iter_mut().enumerate() {
-            *o = f(j);
-        }
-    } else {
-        for (j, o) in s.iter_mut().enumerate() {
-            *o += f(j);
+impl Slots<'_> {
+    /// Prepares slot `idx` for a contribution. `None` when the node is
+    /// pruned (the caller computes nothing); otherwise `Some(first)`: on
+    /// the first contribution this sweep the slot is reshaped (contents
+    /// stale — the caller must assign, not accumulate) and `first` is
+    /// `true`; later contributions add.
+    ///
+    /// First contributions **assign** and later ones **add** to reproduce
+    /// the float behaviour of the fresh-tensor graph exactly (a zero-init
+    /// slot would turn `set(-0.0)` into `0.0 + -0.0 = 0.0`, flipping a sign
+    /// bit).
+    // gfs-lint: hot(tape)
+    fn prep(&mut self, idx: usize, rows: usize, cols: usize) -> Option<bool> {
+        match self.state[idx] {
+            Grad::Pruned => None,
+            Grad::Empty => {
+                self.state[idx] = Grad::Live;
+                self.grads[idx].resize_reuse(rows, cols);
+                Some(true)
+            }
+            Grad::Live => {
+                debug_assert_eq!(
+                    self.grads[idx].shape(),
+                    (rows, cols),
+                    "gradient shape drift"
+                );
+                Some(false)
+            }
         }
     }
-}
 
-/// Gradient contribution `slot (+)= gy · bmatᵀ` (`∂x` of a matmul/affine).
-/// The transpose goes through `tscratch` once; revisits compute into
-/// `pscratch` and add, matching the fresh-tensor-then-`add_scaled` float
-/// order of the node-allocated graph.
-// gfs-lint: hot(tape)
-fn acc_matmul_transb(
-    glo: &mut [Tensor],
-    seen: &mut [bool],
-    idx: usize,
-    gy: &Tensor,
-    bmat: &Tensor,
-    tscratch: &mut Tensor,
-    pscratch: &mut Tensor,
-) {
-    let (brows, bcols) = bmat.shape();
-    debug_assert_eq!(bcols, gy.cols(), "acc_matmul_transb inner dim");
-    bmat.transpose_into(tscratch);
-    let m = gy.rows();
-    let first = prep(glo, seen, idx, m, brows);
-    if first {
-        matmul_slices(
-            gy.as_slice(),
-            m,
-            bcols,
-            tscratch.as_slice(),
-            brows,
-            glo[idx].as_mut_slice(),
-            false,
-        );
-    } else {
-        pscratch.resize_reuse(m, brows);
-        matmul_slices(
-            gy.as_slice(),
-            m,
-            bcols,
-            tscratch.as_slice(),
-            brows,
-            pscratch.as_mut_slice(),
-            false,
-        );
-        glo[idx].add_scaled(pscratch, 1.0);
+    /// Elementwise gradient contribution `slot[j] (+)= f(j)`.
+    // gfs-lint: hot(tape)
+    fn map(&mut self, idx: usize, rows: usize, cols: usize, f: impl Fn(usize) -> f64) {
+        let Some(first) = self.prep(idx, rows, cols) else {
+            return;
+        };
+        let s = self.grads[idx].as_mut_slice();
+        if first {
+            for (j, o) in s.iter_mut().enumerate() {
+                *o = f(j);
+            }
+        } else {
+            for (j, o) in s.iter_mut().enumerate() {
+                *o += f(j);
+            }
+        }
     }
-}
 
-/// Gradient contribution `slot (+)= amatᵀ · gy` (`∂w` of a matmul/affine).
-// gfs-lint: hot(tape)
-fn acc_matmul_transa(
-    glo: &mut [Tensor],
-    seen: &mut [bool],
-    idx: usize,
-    amat: &Tensor,
-    gy: &Tensor,
-    pscratch: &mut Tensor,
-) {
-    let (m, k) = amat.shape();
-    let ncols = gy.cols();
-    debug_assert_eq!(gy.rows(), m, "acc_matmul_transa inner dim");
-    let first = prep(glo, seen, idx, k, ncols);
-    if first {
-        matmul_transa_slices(
-            amat.as_slice(),
-            m,
-            k,
-            gy.as_slice(),
-            ncols,
-            glo[idx].as_mut_slice(),
-            false,
-        );
-    } else {
-        pscratch.resize_reuse(k, ncols);
-        matmul_transa_slices(
-            amat.as_slice(),
-            m,
-            k,
-            gy.as_slice(),
-            ncols,
-            pscratch.as_mut_slice(),
-            false,
-        );
-        glo[idx].add_scaled(pscratch, 1.0);
+    /// Gradient contribution `slot (+)= gy · bmatᵀ` (`∂x` of a matmul or
+    /// affine map), where `bmat` is a row-major `brows × gy.cols` buffer.
+    /// The transpose goes through `tscratch` once; later contributions
+    /// compute into `pscratch` and add, matching the fresh-tensor-then-
+    /// `add_scaled` float order of the node-allocated graph.
+    // gfs-lint: hot(tape)
+    fn matmul_transb(
+        &mut self,
+        idx: usize,
+        gy: &Tensor,
+        bmat: &[f64],
+        brows: usize,
+        tscratch: &mut Tensor,
+        pscratch: &mut Tensor,
+    ) {
+        let (m, bcols) = gy.shape();
+        let Some(first) = self.prep(idx, m, brows) else {
+            return;
+        };
+        tscratch.resize_reuse(bcols, brows);
+        transpose_slices(bmat, brows, bcols, tscratch.as_mut_slice());
+        let bt = tscratch.as_slice();
+        if first {
+            let out = self.grads[idx].as_mut_slice();
+            matmul_slices(gy.as_slice(), m, bcols, bt, brows, out, false);
+        } else {
+            pscratch.resize_reuse(m, brows);
+            matmul_slices(
+                gy.as_slice(),
+                m,
+                bcols,
+                bt,
+                brows,
+                pscratch.as_mut_slice(),
+                false,
+            );
+            self.grads[idx].add_scaled(pscratch, 1.0);
+        }
     }
-}
 
-/// Gradient contribution `slot (+)= column sums of gy` (`∂b` of an affine).
-// gfs-lint: hot(tape)
-fn acc_colsum(
-    glo: &mut [Tensor],
-    seen: &mut [bool],
-    idx: usize,
-    gy: &Tensor,
-    pscratch: &mut Tensor,
-) {
-    let (rows, cols) = gy.shape();
-    let gys = gy.as_slice();
-    let first = prep(glo, seen, idx, 1, cols);
-    if first {
-        colsum_into(gys, rows, cols, glo[idx].as_mut_slice());
-    } else {
-        pscratch.resize_reuse(1, cols);
-        colsum_into(gys, rows, cols, pscratch.as_mut_slice());
-        glo[idx].add_scaled(pscratch, 1.0);
+    /// Gradient contribution `slot (+)= amatᵀ · gy` (`∂w` of a matmul or
+    /// affine map).
+    // gfs-lint: hot(tape)
+    fn matmul_transa(&mut self, idx: usize, amat: &Tensor, gy: &Tensor, pscratch: &mut Tensor) {
+        let (m, k) = amat.shape();
+        let ncols = gy.cols();
+        debug_assert_eq!(gy.rows(), m, "matmul_transa inner dim");
+        let Some(first) = self.prep(idx, k, ncols) else {
+            return;
+        };
+        let (a, g) = (amat.as_slice(), gy.as_slice());
+        if first {
+            matmul_transa_slices(a, m, k, g, ncols, self.grads[idx].as_mut_slice(), false);
+        } else {
+            pscratch.resize_reuse(k, ncols);
+            matmul_transa_slices(a, m, k, g, ncols, pscratch.as_mut_slice(), false);
+            self.grads[idx].add_scaled(pscratch, 1.0);
+        }
+    }
+
+    /// Gradient contribution `slot (+)= column sums of gy` (`∂b` of an
+    /// affine map).
+    // gfs-lint: hot(tape)
+    fn colsum(&mut self, idx: usize, gy: &Tensor, pscratch: &mut Tensor) {
+        let (rows, cols) = gy.shape();
+        let gys = gy.as_slice();
+        let Some(first) = self.prep(idx, 1, cols) else {
+            return;
+        };
+        if first {
+            colsum_into(gys, rows, cols, self.grads[idx].as_mut_slice());
+        } else {
+            pscratch.resize_reuse(1, cols);
+            colsum_into(gys, rows, cols, pscratch.as_mut_slice());
+            self.grads[idx].add_scaled(pscratch, 1.0);
+        }
+    }
+
+    /// Adds a finished per-step scratch gradient into slot `idx` (assign
+    /// on the first contribution, `add_scaled` after — the same order the
+    /// node-per-step tape accumulated per-step weight gradients).
+    // gfs-lint: hot(tape)
+    fn add_scratch(&mut self, idx: TapeIndex, scratch: &Tensor) {
+        let i = idx.ix();
+        match self.state[i] {
+            Grad::Pruned => {}
+            Grad::Empty => {
+                self.state[i] = Grad::Live;
+                self.grads[i].copy_from(scratch);
+            }
+            Grad::Live => self.grads[i].add_scaled(scratch, 1.0),
+        }
     }
 }
 
@@ -1539,13 +1750,7 @@ fn add_bias_rows(out: &mut [f64], bias: &[f64], rows: usize, cols: usize) {
 /// order of the unfused chain (blend, candidate-via-reset, reset gate,
 /// update gate).
 // gfs-lint: hot(tape)
-fn gru_scan_backward(
-    st: &mut GruScanState,
-    values: &[Tensor],
-    glo: &mut [Tensor],
-    seen: &mut [bool],
-    gy: &Tensor,
-) {
+fn gru_scan_backward(st: &mut GruScanState, values: &[Tensor], to: &mut Slots<'_>, gy: &Tensor) {
     let steps = st.steps as usize;
     let b = st.batch as usize;
     let in_dim = st.in_dim as usize;
@@ -1612,7 +1817,7 @@ fn gru_scan_backward(
             st.step_gw.as_mut_slice(),
             false,
         );
-        acc_from_scratch(glo, seen, st.wh, &st.step_gw);
+        to.add_scratch(st.wh, &st.step_gw);
         matmul_transa_slices(
             st.rh.as_slice(),
             b,
@@ -1622,9 +1827,9 @@ fn gru_scan_backward(
             st.step_gu.as_mut_slice(),
             false,
         );
-        acc_from_scratch(glo, seen, st.uh, &st.step_gu);
+        to.add_scratch(st.uh, &st.step_gu);
         colsum_into(gcs, b, hidden, st.step_gb.as_mut_slice());
-        acc_from_scratch(glo, seen, st.bh, &st.step_gb);
+        to.add_scratch(st.bh, &st.step_gb);
         // r⊙h product: ∂r = ∂(r⊙h) ⊙ h, ∂h += ∂(r⊙h) ⊙ r  [#2]
         {
             let gts = st.gtmp.as_slice();
@@ -1662,11 +1867,11 @@ fn gru_scan_backward(
             st.step_gw.as_mut_slice(),
             false,
         );
-        acc_from_scratch(glo, seen, st.wr, &st.step_gw);
+        to.add_scratch(st.wr, &st.step_gw);
         matmul_transa_slices(hp, b, hidden, grs, hidden, st.step_gu.as_mut_slice(), false);
-        acc_from_scratch(glo, seen, st.ur, &st.step_gu);
+        to.add_scratch(st.ur, &st.step_gu);
         colsum_into(grs, b, hidden, st.step_gb.as_mut_slice());
-        acc_from_scratch(glo, seen, st.br, &st.step_gb);
+        to.add_scratch(st.br, &st.step_gb);
         // update sigmoid: ∂z_pre = ∂z ⊙ z ⊙ (1 − z)
         for j in 0..bh {
             gzs[j] = gzs[j] * zb[j] * (1.0 - zb[j]);
@@ -1696,26 +1901,12 @@ fn gru_scan_backward(
             st.step_gw.as_mut_slice(),
             false,
         );
-        acc_from_scratch(glo, seen, st.wz, &st.step_gw);
+        to.add_scratch(st.wz, &st.step_gw);
         matmul_transa_slices(hp, b, hidden, gzs, hidden, st.step_gu.as_mut_slice(), false);
-        acc_from_scratch(glo, seen, st.uz, &st.step_gu);
+        to.add_scratch(st.uz, &st.step_gu);
         colsum_into(gzs, b, hidden, st.step_gb.as_mut_slice());
-        acc_from_scratch(glo, seen, st.bz, &st.step_gb);
+        to.add_scratch(st.bz, &st.step_gb);
         std::mem::swap(&mut st.gh, &mut st.ghp);
-    }
-}
-
-/// Adds a finished per-step scratch gradient into tape grad slot `idx`
-/// (assign on first visit, `add_scaled` after — the same order the
-/// node-per-step tape accumulated per-step weight gradients).
-// gfs-lint: hot(tape)
-fn acc_from_scratch(glo: &mut [Tensor], seen: &mut [bool], idx: TapeIndex, scratch: &Tensor) {
-    let i = idx.ix();
-    if seen[i] {
-        glo[i].add_scaled(scratch, 1.0);
-    } else {
-        seen[i] = true;
-        glo[i].copy_from(scratch);
     }
 }
 

@@ -46,6 +46,16 @@ impl Linear {
         g.affine(x, w, b)
     }
 
+    /// Applies the projection to the column concatenation of `parts`
+    /// (their widths sum to `in_dim`) through [`Graph::affine_cat`]: no
+    /// concatenation is built, and values and gradients are bit-identical
+    /// to [`Linear::forward`] on [`Graph::concat_cols`] of the parts.
+    pub fn forward_cat(&self, g: &mut Graph, parts: &[Var]) -> Var {
+        let w = g.param(&self.w);
+        let b = g.param(&self.b);
+        g.affine_cat(parts, w, b)
+    }
+
     /// The trainable parameters `[W, b]`.
     #[must_use]
     pub fn params(&self) -> Vec<Param> {

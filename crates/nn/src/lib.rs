@@ -47,18 +47,48 @@
 //!
 //! ## Fusion and float reassociation
 //!
-//! Fused ops (`affine`, `affine2`, `blend`, `gaussian_nll_softplus`,
-//! and the sequence-level GRU scan [`GruCell::scan`]) are **bit-compatible**
-//! with the op chains they replace: they evaluate the same expressions
-//! in the same association order, just without materialising
-//! intermediates on the tape. `gru_scan` in particular is pinned
-//! bit-identical — values and gradients — to the unfused per-step
-//! chain by `tests/grad_check.rs`. The one deliberate reassociation in
-//! the stack lives outside this crate: the forecast decomposition's
-//! prefix-sum moving average, documented at its definition. Anything
-//! that would reassociate sums (blocked matmul tilings, SIMD
-//! reductions) is out of contract for this crate, because golden tests
-//! pin training trajectories bit-for-bit.
+//! The contract is **per-element accumulation order**: every output
+//! element of every kernel and op is one fixed chain of float operations
+//! over its inputs, and no change may alter that chain. How elements are
+//! grouped, blocked or vectorised is free — only the chain is pinned,
+//! because golden tests pin training trajectories bit-for-bit. The
+//! chains are:
+//!
+//! - a matrix product `a · b`: starting from the output's initial value
+//!   (zero, or the bias), one `fmadd` per inner index, ascending;
+//! - `aᵀ · b` (weight gradients): i ascending, `fmadd` over the row
+//!   quartets `i < m − m % 4`, then an unfused `+= a·b` per tail row;
+//! - the second and later gradient contributions to a node are computed
+//!   apart and added, in reverse tape order.
+//!
+//! This is what makes the kernels legal. Products with at most eight
+//! output columns run on thin kernels that carry four rows (or eight
+//! weight-gradient rows) in fixed-size accumulator arrays, so several
+//! independent chains are in flight; debug builds recompute every thin
+//! block with the general kernel and compare bits. Fused ops (`affine`,
+//! `affine2`, `affine_cat`, `blend`, `gaussian_nll_softplus`, and the
+//! sequence-level GRU scan [`GruCell::scan`]) evaluate the chains of the
+//! op sequences they replace, just without materialising intermediates
+//! on the tape: `affine_cat` accumulates its parts in column order, the
+//! chain of `concat_cols` followed by `affine`. `tests/grad_check.rs`
+//! pins `gru_scan` and `affine_cat` bit-identical — values and
+//! gradients — to their unfused chains. The one deliberate
+//! reassociation in the stack lives outside this crate: the forecast
+//! decomposition's prefix-sum moving average, documented at its
+//! definition. Anything that would reassociate a chain (split-k sums,
+//! SIMD horizontal reductions) is out of contract.
+//!
+//! ## Requires-grad
+//!
+//! Recording an op also records whether it depends on a [`Param`]: a
+//! constant leaf does not, a parameter leaf does, and an op does iff an
+//! operand it differentiates does. [`Graph::backward`] skips every
+//! contribution to a node that does not — `∂x` of a linear layer over
+//! constant inputs, the constant columns of an `affine_cat`. Such a
+//! node's gradient reaches no parameter and its slot is never read, so
+//! parameter gradients are bit-identical to the full sweep;
+//! [`Graph::promote_constants`] turns constants into parameters, which is
+//! how the tests force the full sweep to compare.
 //!
 //! # Examples
 //!

@@ -75,11 +75,52 @@ fn axpy_tile(out_row: &mut [f64], a_row: &[f64], b: &[f64], n: usize, kb: usize,
     }
 }
 
-/// Slice-level blocked matmul: `out (+)= a · b` with `a` an `m × k` and `b`
-/// a `k × n` row-major buffer. With `accumulate == false` the output is
+/// Widest output (columns of `out`) the register-blocked thin kernels
+/// serve; wider products take the general blocked kernels.
+const THIN_MAX: usize = 8;
+
+/// LHS rows the thin forward kernel carries per sweep.
+const FWD_ROWS: usize = 4;
+
+/// Output rows the thin `aᵀ · b` kernel carries per sweep.
+const TRANSA_ROWS: usize = 8;
+
+/// Signature shared by the thin kernels, indexed by output width.
+type ThinKernel = fn(&[f64], usize, usize, &[f64], &mut [f64], bool);
+
+/// Thin forward kernels for `n = 1..=THIN_MAX`.
+const THIN_FWD: [ThinKernel; THIN_MAX] = [
+    thin_fwd::<1>,
+    thin_fwd::<2>,
+    thin_fwd::<3>,
+    thin_fwd::<4>,
+    thin_fwd::<5>,
+    thin_fwd::<6>,
+    thin_fwd::<7>,
+    thin_fwd::<8>,
+];
+
+/// Thin `aᵀ · b` kernels for `n = 1..=THIN_MAX`.
+const THIN_TRANSA: [ThinKernel; THIN_MAX] = [
+    thin_transa::<1>,
+    thin_transa::<2>,
+    thin_transa::<3>,
+    thin_transa::<4>,
+    thin_transa::<5>,
+    thin_transa::<6>,
+    thin_transa::<7>,
+    thin_transa::<8>,
+];
+
+/// Slice-level matmul: `out (+)= a · b` with `a` an `m × k` and `b` a
+/// `k × n` row-major buffer. With `accumulate == false` the output is
 /// overwritten and the result is bit-identical to [`Tensor::matmul`]; with
 /// `accumulate == true` the product is added on top of the existing values
 /// in the same k-ascending order as [`Tensor::add_matmul`].
+///
+/// Outputs of at most `THIN_MAX` columns go to [`thin_fwd`], every other
+/// shape to [`matmul_general`]; both run each output element as the same
+/// k-ascending chain of `fmadd`s, so the choice never changes a bit.
 ///
 /// This is the entry point the fused GRU scan drives directly over
 /// preallocated scratch, bypassing tensor construction entirely.
@@ -96,6 +137,25 @@ pub(crate) fn matmul_slices(
     debug_assert_eq!(a.len(), m * k, "matmul_slices lhs length");
     debug_assert_eq!(b.len(), k * n, "matmul_slices rhs length");
     debug_assert_eq!(out.len(), m * n, "matmul_slices out length");
+    match n {
+        1..=THIN_MAX => THIN_FWD[n - 1](a, m, k, b, out, accumulate),
+        _ => matmul_general(a, m, k, b, n, out, accumulate),
+    }
+}
+
+/// The general blocked kernel behind [`matmul_slices`]: k is tiled by
+/// `MATMUL_KC` and every output row runs one axpy per tile. Serves
+/// outputs wider than `THIN_MAX` and is the oracle of the thin kernels.
+// gfs-lint: hot(tape)
+pub(crate) fn matmul_general(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    b: &[f64],
+    n: usize,
+    out: &mut [f64],
+    accumulate: bool,
+) {
     if !accumulate {
         out.iter_mut().for_each(|v| *v = 0.0);
     }
@@ -115,6 +175,11 @@ pub(crate) fn matmul_slices(
 /// (`a` is `m × k` so the product is `k × n`). Same i-ascending
 /// accumulation order as [`Tensor::matmul_transa`], so overwriting a
 /// zeroed buffer is bit-identical to it.
+///
+/// Every output element is one i-ascending chain: `fmadd` over the row
+/// quartets `i < m − m % 4`, then an unfused `+= a·b` per tail row.
+/// Outputs of at most `THIN_MAX` columns go to [`thin_transa`], the rest
+/// to [`matmul_transa_general`]; both keep that chain.
 // gfs-lint: hot(tape)
 pub(crate) fn matmul_transa_slices(
     a: &[f64],
@@ -128,6 +193,25 @@ pub(crate) fn matmul_transa_slices(
     debug_assert_eq!(a.len(), m * k, "matmul_transa_slices lhs length");
     debug_assert_eq!(b.len(), m * n, "matmul_transa_slices rhs length");
     debug_assert_eq!(out.len(), k * n, "matmul_transa_slices out length");
+    match n {
+        1..=THIN_MAX => THIN_TRANSA[n - 1](a, m, k, b, out, accumulate),
+        _ => matmul_transa_general(a, m, k, b, n, out, accumulate),
+    }
+}
+
+/// The general kernel behind [`matmul_transa_slices`]: four LHS rows per
+/// pass over every output row. Serves outputs wider than `THIN_MAX` and
+/// is the oracle of the thin kernels.
+// gfs-lint: hot(tape)
+pub(crate) fn matmul_transa_general(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    b: &[f64],
+    n: usize,
+    out: &mut [f64],
+    accumulate: bool,
+) {
     if !accumulate {
         out.iter_mut().for_each(|v| *v = 0.0);
     }
@@ -168,6 +252,220 @@ pub(crate) fn matmul_transa_slices(
             }
         }
         i += 1;
+    }
+}
+
+/// Thin forward kernel, `out (+)= a · b` for `N ≤ THIN_MAX` output
+/// columns. Four LHS rows ride in a fixed `4 × N` accumulator array
+/// through one k-ascending sweep, so four independent `fmadd` chains per
+/// column are in flight where the general kernel runs one output row's
+/// chain at a time. Each element keeps the general kernel's chain.
+// gfs-lint: hot(tape)
+fn thin_fwd<const N: usize>(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    b: &[f64],
+    out: &mut [f64],
+    accumulate: bool,
+) {
+    let mut i = 0;
+    while i + FWD_ROWS <= m {
+        let rows = &a[i * k..(i + FWD_ROWS) * k];
+        let out_rows = &mut out[i * N..(i + FWD_ROWS) * N];
+        thin_fwd_rows::<FWD_ROWS, N>(rows, k, b, out_rows, accumulate);
+        i += FWD_ROWS;
+    }
+    while i < m {
+        let row = &a[i * k..(i + 1) * k];
+        thin_fwd_rows::<1, N>(row, k, b, &mut out[i * N..(i + 1) * N], accumulate);
+        i += 1;
+    }
+}
+
+/// `R` rows of [`thin_fwd`]: `a` is `R × k`, `out` is `R × N`.
+// gfs-lint: hot(tape)
+#[inline(always)]
+fn thin_fwd_rows<const R: usize, const N: usize>(
+    a: &[f64],
+    k: usize,
+    b: &[f64],
+    out: &mut [f64],
+    accumulate: bool,
+) {
+    let mut acc = [[0.0; N]; R];
+    if accumulate {
+        for (row, o) in acc.iter_mut().zip(out.chunks_exact(N)) {
+            row.copy_from_slice(o);
+        }
+    }
+    #[cfg(debug_assertions)]
+    let init = acc;
+    let rows: [&[f64]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    for kk in 0..k {
+        let brow: &[f64; N] = b[kk * N..(kk + 1) * N].try_into().expect("N columns");
+        for (row, lhs) in acc.iter_mut().zip(&rows) {
+            let av = lhs[kk];
+            for (o, &bv) in row.iter_mut().zip(brow) {
+                *o = fmadd(av, bv, *o);
+            }
+        }
+    }
+    for (row, o) in acc.iter().zip(out.chunks_exact_mut(N)) {
+        o.copy_from_slice(row);
+    }
+    #[cfg(debug_assertions)]
+    oracle::fwd(a, k, b, &init, &acc);
+}
+
+/// Thin `out (+)= aᵀ · b` kernel for `N ≤ THIN_MAX` output columns. Eight
+/// output rows (columns of `a`) ride in a fixed `8 × N` accumulator array
+/// through one i-ascending sweep, so eight independent chains per column
+/// are in flight. The general kernel's split is kept: `fmadd` over the
+/// row quartets, unfused `+= a·b` for the `m % 4` tail rows.
+// gfs-lint: hot(tape)
+fn thin_transa<const N: usize>(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    b: &[f64],
+    out: &mut [f64],
+    accumulate: bool,
+) {
+    let mut c = 0;
+    while c + TRANSA_ROWS <= k {
+        let out_rows = &mut out[c * N..(c + TRANSA_ROWS) * N];
+        thin_transa_cols::<TRANSA_ROWS, N>(a, m, k, c, b, out_rows, accumulate);
+        c += TRANSA_ROWS;
+    }
+    while c < k {
+        thin_transa_cols::<1, N>(a, m, k, c, b, &mut out[c * N..(c + 1) * N], accumulate);
+        c += 1;
+    }
+}
+
+/// Output rows `[c0, c0 + R)` of [`thin_transa`]; `out` is `R × N`.
+// gfs-lint: hot(tape)
+#[inline(always)]
+fn thin_transa_cols<const R: usize, const N: usize>(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    c0: usize,
+    b: &[f64],
+    out: &mut [f64],
+    accumulate: bool,
+) {
+    let mut acc = [[0.0; N]; R];
+    if accumulate {
+        for (row, o) in acc.iter_mut().zip(out.chunks_exact(N)) {
+            row.copy_from_slice(o);
+        }
+    }
+    #[cfg(debug_assertions)]
+    let init = acc;
+    let row_pair = |i: usize| -> (&[f64; R], &[f64; N]) {
+        let lhs = a[i * k + c0..i * k + c0 + R].try_into().expect("R columns");
+        let rhs = b[i * N..(i + 1) * N].try_into().expect("N columns");
+        (lhs, rhs)
+    };
+    // two loops, not a branch per row: a branchy body spills the
+    // accumulators to the stack
+    let quartets = m - m % 4;
+    for i in 0..quartets {
+        let (lhs, rhs) = row_pair(i);
+        for (row, &av) in acc.iter_mut().zip(lhs) {
+            for (o, &bv) in row.iter_mut().zip(rhs) {
+                *o = fmadd(av, bv, *o);
+            }
+        }
+    }
+    for i in quartets..m {
+        let (lhs, rhs) = row_pair(i);
+        for (row, &av) in acc.iter_mut().zip(lhs) {
+            for (o, &bv) in row.iter_mut().zip(rhs) {
+                *o += av * bv;
+            }
+        }
+    }
+    for (row, o) in acc.iter().zip(out.chunks_exact_mut(N)) {
+        o.copy_from_slice(row);
+    }
+    #[cfg(debug_assertions)]
+    oracle::transa(a, m, k, c0, b, &init, &acc);
+}
+
+/// Debug-build oracle of the thin kernels: every block a thin kernel
+/// finishes is recomputed by the general kernel from the same starting
+/// values and compared bit for bit. Scratch lives on the stack, so the
+/// check allocates nothing and a warm training step stays allocation-free
+/// in debug builds too.
+#[cfg(debug_assertions)]
+mod oracle {
+    use super::{matmul_general, matmul_transa_general, TRANSA_ROWS};
+
+    /// LHS rows gathered per general-kernel call in [`transa`]. A multiple
+    /// of four, so chunking keeps the general kernel's quartet/tail split.
+    const CHUNK: usize = 64;
+
+    /// Checks `got` (started from `init`) against the general forward
+    /// kernel on the same `R` rows of `a`; rows are independent, so this
+    /// equals the general kernel on the whole product.
+    pub(super) fn fwd<const R: usize, const N: usize>(
+        a: &[f64],
+        k: usize,
+        b: &[f64],
+        init: &[[f64; N]; R],
+        got: &[[f64; N]; R],
+    ) {
+        let mut want = *init;
+        matmul_general(a, R, k, b, N, want.as_flattened_mut(), true);
+        check("matmul_slices", &want, got);
+    }
+
+    /// Checks output rows `[c0, c0 + R)` of `aᵀ · b` against the general
+    /// kernel run on those columns of `a`, gathered `CHUNK` rows at a time
+    /// and accumulated chunk by chunk (the same i-ascending chain).
+    pub(super) fn transa<const R: usize, const N: usize>(
+        a: &[f64],
+        m: usize,
+        k: usize,
+        c0: usize,
+        b: &[f64],
+        init: &[[f64; N]; R],
+        got: &[[f64; N]; R],
+    ) {
+        let mut want = *init;
+        let mut lhs = [0.0; CHUNK * TRANSA_ROWS];
+        let mut i0 = 0;
+        while i0 < m {
+            let i1 = (i0 + CHUNK).min(m);
+            for i in i0..i1 {
+                let src = &a[i * k + c0..i * k + c0 + R];
+                lhs[(i - i0) * R..(i - i0 + 1) * R].copy_from_slice(src);
+            }
+            let rows = i1 - i0;
+            let rhs = &b[i0 * N..i1 * N];
+            let out = want.as_flattened_mut();
+            matmul_transa_general(&lhs[..rows * R], rows, R, rhs, N, out, true);
+            i0 = i1;
+        }
+        check("matmul_transa_slices", &want, got);
+    }
+
+    fn check<const R: usize, const N: usize>(
+        kernel: &str,
+        want: &[[f64; N]; R],
+        got: &[[f64; N]; R],
+    ) {
+        let (want, got) = (want.as_flattened(), got.as_flattened());
+        for (w, g) in want.iter().zip(got) {
+            assert_eq!(
+                w.to_bits(),
+                g.to_bits(),
+                "{kernel}: thin kernel diverged from the general kernel ({w:e} vs {g:e})"
+            );
+        }
     }
 }
 
@@ -804,6 +1102,14 @@ mod tests {
         Tensor::uniform(rows, cols, 1.0, &mut rng)
     }
 
+    /// Full-mantissa values: the 27-bit samples of [`Tensor::uniform`]
+    /// multiply exactly, so they cannot tell a fused multiply-add from an
+    /// unfused one.
+    fn dense_random(rows: usize, cols: usize, seed: u64) -> Vec<f64> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    }
+
     fn assert_close(a: &Tensor, b: &Tensor) {
         assert_eq!(a.shape(), b.shape());
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
@@ -819,6 +1125,41 @@ mod tests {
             let a = random(m, k, 11);
             let b = random(k, n, 13);
             assert_close(&a.matmul(&b), &naive_matmul(&a, &b));
+        }
+    }
+
+    /// The thin kernels (`n ≤ THIN_MAX`) and the general kernels agree bit
+    /// for bit across the row-block tail (`m % 4`, `m < 4`), the column
+    /// blocks of `aᵀ · b` (`k % 8`) and the `MATMUL_KC` tile edge, with and
+    /// without accumulation. `n = 9` checks the dispatch boundary.
+    #[test]
+    fn thin_kernels_are_bit_identical_to_the_general_kernels() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut seed = 100;
+        for m in 1..=9 {
+            for k in [1, 3, 4, 5, 63, 64, 65, 130, 186] {
+                for n in 1..=9 {
+                    for accumulate in [false, true] {
+                        seed += 1;
+                        let a = dense_random(m, k, seed);
+                        let case = format!("m={m} k={k} n={n} accumulate={accumulate}");
+
+                        let rhs = dense_random(k, n, seed + 5_000);
+                        let mut thin = dense_random(m, n, seed + 10_000);
+                        let mut general = thin.clone();
+                        matmul_slices(&a, m, k, &rhs, n, &mut thin, accumulate);
+                        matmul_general(&a, m, k, &rhs, n, &mut general, accumulate);
+                        assert_eq!(bits(&thin), bits(&general), "matmul_slices {case}");
+
+                        let rhs = dense_random(m, n, seed + 15_000);
+                        let mut thin = dense_random(k, n, seed + 20_000);
+                        let mut general = thin.clone();
+                        matmul_transa_slices(&a, m, k, &rhs, n, &mut thin, accumulate);
+                        matmul_transa_general(&a, m, k, &rhs, n, &mut general, accumulate);
+                        assert_eq!(bits(&thin), bits(&general), "matmul_transa {case}");
+                    }
+                }
+            }
         }
     }
 

@@ -1,13 +1,17 @@
 //! Gradient checks: tape backward vs seeded central differences.
 //!
-//! Every fused op the trainers rely on — `affine`/`affine2`, `blend`,
-//! the Gaussian NLL pair, `embedding`, `softmax_rows`/`scale_rows`/
-//! `slice_cols`/`concat_cols`, and the whole-sequence `gru_scan` — is
-//! checked against `(L(θ+ε) − L(θ−ε)) / 2ε` element by element. A second
-//! suite pins the fused GRU scan to the unfused `step_bound` chain
-//! *exactly* (values and weight gradients bit-for-bit), which is the
-//! contract that let the trainers switch to [`GruCell::scan`] without
-//! disturbing the golden loss trajectories.
+//! Every fused op the trainers rely on — `affine`/`affine2`/`affine_cat`,
+//! `blend`, the Gaussian NLL pair, `embedding`, `softmax_rows`/
+//! `scale_rows`/`slice_cols`/`concat_cols`, and the whole-sequence
+//! `gru_scan` — is checked against `(L(θ+ε) − L(θ−ε)) / 2ε` element by
+//! element. A second suite pins fused ops to the chains they replace
+//! *exactly* (values and weight gradients bit-for-bit): the GRU scan to
+//! the unfused `step_bound` chain, which let the trainers switch to
+//! [`GruCell::scan`] without disturbing the golden loss trajectories, and
+//! `affine_cat` to `concat_cols` + `affine`. A third pins the
+//! requires-grad pruning: promoting every constant leaf to a throw-away
+//! parameter forces the full sweep, and the real parameters' gradients
+//! must not move by a bit.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -321,4 +325,138 @@ fn gru_scan_matches_unfused_chain_bitwise() {
             "weight grad {i} of the fused scan must be bit-identical to the step chain"
         );
     }
+}
+
+/// A concatenation of a constant and a parameter feeding `affine_cat`
+/// beside a second constant part: the pruned sweep skips `∂x` of both
+/// constants.
+fn concat_affine_cat_graph(
+    w: &Param,
+    b: &Param,
+    p: &Param,
+    x: &Tensor,
+    x2: &Tensor,
+) -> impl Fn(&mut Graph) -> Var {
+    let (w, b, p, x, x2) = (w.clone(), b.clone(), p.clone(), x.clone(), x2.clone());
+    move |g: &mut Graph| {
+        let xv = g.constant(x.clone());
+        let pv = g.param(&p);
+        let cat = g.concat_cols(&[xv, pv]);
+        let x2v = g.constant(x2.clone());
+        let wv = g.param(&w);
+        let bv = g.param(&b);
+        let y = g.affine_cat(&[cat, x2v], wv, bv);
+        let t = g.tanh(y);
+        g.mean_all(t)
+    }
+}
+
+fn unit_graph_params(rng: &mut ChaCha8Rng) -> (Param, Param, Param, Tensor, Tensor) {
+    let w = Param::new(rand_tensor(6, 4, -0.8, 0.8, rng));
+    let b = Param::new(rand_tensor(1, 4, -0.3, 0.3, rng));
+    let p = Param::new(rand_tensor(5, 3, -1.0, 1.0, rng));
+    let x = rand_tensor(5, 2, -1.0, 1.0, rng);
+    let x2 = rand_tensor(5, 1, -1.0, 1.0, rng);
+    (w, b, p, x, x2)
+}
+
+#[test]
+fn affine_cat_concat_chain() {
+    let mut rng = ChaCha8Rng::seed_from_u64(19);
+    let (w, b, p, x, x2) = unit_graph_params(&mut rng);
+    let params = [w.clone(), b.clone(), p.clone()];
+    grad_check(
+        "affine_cat",
+        &params,
+        concat_affine_cat_graph(&w, &b, &p, &x, &x2),
+        1e-6,
+    );
+}
+
+/// Parameter gradients as bit patterns, zeroing them for the next run.
+fn take_grad_bits(params: &[Param]) -> Vec<Vec<u64>> {
+    params
+        .iter()
+        .map(|p| {
+            let bits = p.grad().as_slice().iter().map(|v| v.to_bits()).collect();
+            p.zero_grad();
+            bits
+        })
+        .collect()
+}
+
+#[test]
+fn affine_cat_matches_concat_then_affine_bitwise() {
+    let mut rng = ChaCha8Rng::seed_from_u64(20);
+    // 12 output columns take the general kernel, 3 the thin one
+    for n in [3, 12] {
+        let w = Param::new(rand_tensor(9, n, -0.8, 0.8, &mut rng));
+        let b = Param::new(rand_tensor(1, n, -0.3, 0.3, &mut rng));
+        let p = Param::new(rand_tensor(7, 3, -1.0, 1.0, &mut rng));
+        let x = rand_tensor(7, 6, -1.0, 1.0, &mut rng);
+        let params = [w.clone(), b.clone(), p.clone()];
+        let run = |fused: bool| {
+            let mut g = Graph::new();
+            let xv = g.constant(x.clone());
+            let pv = g.param(&p);
+            let wv = g.param(&w);
+            let bv = g.param(&b);
+            let y = if fused {
+                g.affine_cat(&[xv, pv], wv, bv)
+            } else {
+                let cat = g.concat_cols(&[xv, pv]);
+                g.affine(cat, wv, bv)
+            };
+            let t = g.tanh(y);
+            let loss = g.mean_all(t);
+            let value: Vec<u64> = g.value(y).as_slice().iter().map(|v| v.to_bits()).collect();
+            g.backward(loss);
+            (value, take_grad_bits(&params))
+        };
+        assert_eq!(
+            run(true),
+            run(false),
+            "affine_cat drifted from concat + affine (n={n})"
+        );
+    }
+}
+
+#[test]
+fn pruning_is_exact_on_a_unit_graph() {
+    let mut rng = ChaCha8Rng::seed_from_u64(21);
+    let (w, b, p, x, x2) = unit_graph_params(&mut rng);
+    let params = [w.clone(), b.clone(), p.clone()];
+    let build = concat_affine_cat_graph(&w, &b, &p, &x, &x2);
+    let sweep = |promote: bool| {
+        let mut g = Graph::new();
+        let loss = build(&mut g);
+        if promote {
+            // the two constant leaves become throw-away parameters
+            assert_eq!(g.promote_constants().len(), 2);
+        }
+        g.backward(loss);
+        take_grad_bits(&params)
+    };
+    let pruned = sweep(false);
+    assert!(
+        pruned.iter().flatten().any(|&bits| bits != 0),
+        "gradients flow"
+    );
+    assert_eq!(pruned, sweep(true), "pruning moved a parameter gradient");
+}
+
+#[test]
+fn promoted_constants_receive_input_gradients() {
+    // L = sum(x · w) with x constant: after promotion ∂L/∂x = 1 · wᵀ
+    let w = Param::new(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
+    let mut g = Graph::new();
+    let x = g.constant(Tensor::from_rows(&[&[1.0, 1.0]]));
+    let wv = g.param(&w);
+    let y = g.matmul(x, wv);
+    let loss = g.sum_all(y);
+    let promoted = g.promote_constants();
+    g.backward(loss);
+    assert_eq!(promoted.len(), 1);
+    assert_eq!(promoted[0].grad().as_slice(), &[3.0, 7.0]);
+    assert_eq!(w.grad().as_slice(), &[1.0, 1.0, 1.0, 1.0]);
 }

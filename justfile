@@ -83,10 +83,6 @@ examples-smoke:
 bench tag="local":
     GFS_BENCH_TAG={{tag}} cargo bench -p gfs-bench
 
-# Hot-path component breakdown for the forecast training loop.
-profile-forecast:
-    cargo run --release -p gfs-bench --bin profile_forecast
-
 # Build a bench under the `profiling` profile (release codegen + debug
 # info) and run it in full mode — the binary perf/flamegraph should
 # attach to. Defaults to the fleet-scale suite.
