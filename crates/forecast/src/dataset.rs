@@ -262,6 +262,14 @@ impl OrgDataset {
         out
     }
 
+    /// Position of `s` in [`OrgDataset::samples`] at this `stride`: the
+    /// inverse of its `(start, org)` loop. The training half of
+    /// [`OrgDataset::split`] is a prefix of that order, so this is also
+    /// `s`'s index among the training samples.
+    pub(crate) fn sample_row(&self, s: Sample, stride: usize) -> usize {
+        (s.start / stride.max(1)) * self.num_orgs() + s.org
+    }
+
     /// Splits samples chronologically: windows whose *forecast* falls in the
     /// first `train_frac` of the timeline train, the rest test.
     #[must_use]
@@ -359,6 +367,19 @@ mod tests {
         let max_train = train.iter().map(|s| d.forecast_start(*s)).max().unwrap();
         let min_test = test.iter().map(|s| d.forecast_start(*s)).min().unwrap();
         assert!(max_train < min_test + d.horizon());
+    }
+
+    #[test]
+    fn sample_row_indexes_samples_and_the_training_prefix() {
+        let d = toy();
+        for stride in [1, 5, 12] {
+            for (i, s) in d.samples(stride).into_iter().enumerate() {
+                assert_eq!(d.sample_row(s, stride), i, "{s:?} at stride {stride}");
+            }
+            for (i, s) in d.split(stride, 0.7).0.into_iter().enumerate() {
+                assert_eq!(d.sample_row(s, stride), i, "{s:?} at stride {stride}");
+            }
+        }
     }
 
     #[test]

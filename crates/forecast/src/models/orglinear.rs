@@ -66,14 +66,12 @@ struct Scratch {
 /// is a pure function of `(org, hour)` and a window's trend row a pure
 /// function of the window, so both are computed once instead of once per
 /// epoch; the cyclical row stays the per-batch subtraction `x − trend`.
-/// Trend rows are addressed `(start / stride) · orgs + org`, because
-/// [`OrgDataset::split`] keeps a prefix of the `(start, org)` sample
-/// order. Dropped when `fit` returns.
+/// Trend rows are addressed by [`OrgDataset::sample_row`], which owns the
+/// sample order. Dropped when `fit` returns.
 struct Staged {
     /// Normalised, clamped series, `orgs × hours` row-major.
     series: Vec<f64>,
     hours: usize,
-    orgs: usize,
     stride: usize,
     input_len: usize,
     /// Trend row of every training window, `train.len() × input_len`.
@@ -83,7 +81,6 @@ struct Staged {
 impl Staged {
     fn new(model: &OrgLinear, data: &OrgDataset, train: &[Sample], stride: usize) -> Self {
         let (orgs, hours, l) = (data.num_orgs(), data.len_hours(), model.input_len);
-        let stride = stride.max(1);
         let mut series = Vec::with_capacity(orgs * hours);
         for org in 0..orgs {
             series.extend(
@@ -96,14 +93,13 @@ impl Staged {
         let mut cyc = vec![0.0; l];
         let mut decomp = DecomposeScratch::default();
         for (idx, (row, s)) in trend.chunks_exact_mut(l).zip(train).enumerate() {
-            debug_assert_eq!((s.start / stride) * orgs + s.org, idx, "window order");
+            assert_eq!(data.sample_row(*s, stride), idx, "training window order");
             let window = &series[s.org * hours + s.start..][..l];
             decomp.decompose_into(window, MA_WINDOW, row, &mut cyc);
         }
         Staged {
             series,
             hours,
-            orgs,
             stride,
             input_len: l,
             trend,
@@ -116,8 +112,8 @@ impl Staged {
     }
 
     /// The trend row of training window `s`.
-    fn trend(&self, s: Sample) -> &[f64] {
-        let row = (s.start / self.stride) * self.orgs + s.org;
+    fn trend(&self, data: &OrgDataset, s: Sample) -> &[f64] {
+        let row = data.sample_row(s, self.stride);
         &self.trend[row * self.input_len..][..self.input_len]
     }
 }
@@ -309,7 +305,7 @@ impl OrgLinear {
                 let (trend_m, cyc_m) = (&mut trend_m[row.clone()], &mut cyc_m[row]);
                 match staged {
                     Some(st) => {
-                        trend_m.copy_from_slice(st.trend(*s));
+                        trend_m.copy_from_slice(st.trend(data, *s));
                         for ((c, x), t) in cyc_m.iter_mut().zip(window).zip(trend_m.iter()) {
                             *c = x - t;
                         }

@@ -49,10 +49,9 @@ enum Op {
     Mul(TapeIndex, TapeIndex),
     Div(TapeIndex, TapeIndex),
     MatMul(TapeIndex, TapeIndex),
-    /// Fused `x · w + b` with a broadcast bias row.
-    Affine(TapeIndex, TapeIndex, TapeIndex),
-    /// Fused `[parts…] · w + b`: an affine map over the column
-    /// concatenation of `aux[aux_start..aux_start + parts]`.
+    /// Fused `[parts…] · w + b` with a broadcast bias row: an affine map
+    /// over the column concatenation of `aux[aux_start..aux_start + parts]`
+    /// (one part is the plain `x · w + b`).
     AffineCat {
         aux_start: u32,
         parts: u32,
@@ -404,7 +403,6 @@ impl Graph {
             | Op::SoftmaxRows(x)
             | Op::SliceCols { x, .. }
             | Op::Embedding { table: x, .. } => n(x),
-            Op::Affine(x, w, b) => n(x) || n(w) || n(b),
             Op::Blend { gate, a, b } => n(gate) || n(a) || n(b),
             Op::Affine2 { x, w, h, u, b } => n(x) || n(w) || n(h) || n(u) || n(b),
             Op::ConcatCols { aux_start, parts } => any(*aux_start, *parts),
@@ -634,19 +632,16 @@ impl Graph {
     ///
     /// Panics if the inner dimensions disagree or `b` is not `1 × m`.
     pub fn affine(&mut self, x: Var, w: Var, b: Var) -> Var {
-        let i = self.reserve();
-        let (head, tail) = self.values.split_at_mut(i);
-        head[x.ix()].matmul_add_into(&head[w.ix()], Some(&head[b.ix()]), &mut tail[0]);
-        self.commit(Op::Affine(x, w, b))
+        self.affine_cat(&[x], w, b)
     }
 
     /// Fused affine map over a column concatenation, `[p₀ p₁ …] · w + b`,
     /// without building the concatenation: part `pᵢ` multiplies the rows
     /// of `w` at its column offset. Every output element accumulates the
     /// parts in column order, the same chain as [`Graph::concat_cols`]
-    /// followed by [`Graph::affine`], so values and parameter gradients
-    /// are bit-identical to that pair; the backward sweep computes `∂pᵢ`
-    /// only for parts that need a gradient.
+    /// followed by [`Graph::affine`] (which is this op with one part), so
+    /// values and parameter gradients are bit-identical to that pair; the
+    /// backward sweep computes `∂pᵢ` only for parts that need a gradient.
     ///
     /// # Panics
     ///
@@ -1263,13 +1258,6 @@ impl Graph {
                     let (scr_t, scr) = (&mut self.scratch_t, &mut self.scratch);
                     to.matmul_transb(a.ix(), gy, bm.as_slice(), bm.rows(), scr_t, scr);
                     to.matmul_transa(b.ix(), &values[a.ix()], gy, &mut self.scratch);
-                }
-                Op::Affine(x, w, b) => {
-                    let wm = &values[w.ix()];
-                    let (scr_t, scr) = (&mut self.scratch_t, &mut self.scratch);
-                    to.matmul_transb(x.ix(), gy, wm.as_slice(), wm.rows(), scr_t, scr);
-                    to.matmul_transa(w.ix(), &values[x.ix()], gy, &mut self.scratch);
-                    to.colsum(b.ix(), gy, &mut self.scratch);
                 }
                 Op::AffineCat {
                     aux_start,

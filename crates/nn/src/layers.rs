@@ -41,9 +41,7 @@ impl Linear {
     /// Applies the projection to an `n × in_dim` input via the fused
     /// `xW + b` kernel.
     pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
-        let w = g.param(&self.w);
-        let b = g.param(&self.b);
-        g.affine(x, w, b)
+        self.forward_cat(g, &[x])
     }
 
     /// Applies the projection to the column concatenation of `parts`
