@@ -6,6 +6,7 @@
 use std::collections::HashSet;
 
 use gfs::prelude::*;
+use gfs::sched::PlacementPolicy;
 use gfs_types::CheckpointPlan;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -291,22 +292,60 @@ fn gang_pods_never_oversubscribe_one_node() {
 
 /// A two-model cluster with a random running population: whole-card and
 /// fractional pods of both priorities, started at scattered times.
-fn random_loaded_cluster(rng: &mut ChaCha8Rng) -> Cluster {
+///
+/// With `churn` the cluster also sits in racks of two, carries a failure
+/// history on one to three nodes, and is filled mostly with spot work; one
+/// spot task is then evicted and one node starts draining — every input
+/// the placement policies, Eq. 16 and Alg. 2 read.
+fn random_loaded_cluster(rng: &mut ChaCha8Rng, churn: bool) -> Cluster {
     let mut c = Cluster::homogeneous(5, GpuModel::A100, 8);
     for _ in 0..2 {
         c.add_node(GpuModel::H800, 8);
     }
+    if churn {
+        c.set_failure_domains(&FailureDomain::racks(7, 2));
+        for k in 0..rng.gen_range(1..4u64) {
+            let node = NodeId::new(rng.gen_range(0..7u32));
+            let at = SimTime::from_secs(k * 900 + rng.gen_range(0..600u64));
+            c.fail_node(node, at).expect("every node is up");
+            c.restore_node(node, at + 200).expect("just failed");
+        }
+    }
     let mut filler = GfsScheduler::with_defaults();
     filler.on_tick(SimTime::from_secs(300), &c);
-    for i in 0..rng.gen_range(10..40u64) {
+    let fill = if churn {
+        rng.gen_range(30..60u64)
+    } else {
+        rng.gen_range(10..40u64)
+    };
+    for i in 0..fill {
         let submit = rng.gen_range(0..3_000u64);
-        let t = random_spec(rng, 1_000 + i, submit);
+        let mut t = random_spec(rng, 1_000 + i, submit);
+        if churn && rng.gen_range(0..4u32) != 0 {
+            t.priority = Priority::Spot;
+        }
         if let Some(d) = filler.schedule(&t, &c, SimTime::from_secs(300)) {
             if d.preemptions.is_empty() {
                 c.start_task(t.clone(), &d.pod_nodes, t.submit_at, 0)
                     .expect("a non-preemptive decision fits");
             }
         }
+    }
+    if churn {
+        let mut spot: Vec<TaskId> = c
+            .running()
+            .filter(|rt| rt.spec.priority.is_spot())
+            .map(|rt| rt.spec.id)
+            .collect();
+        spot.sort_unstable();
+        if !spot.is_empty() {
+            let victim = spot[rng.gen_range(0..spot.len())];
+            c.evict_task(victim, SimTime::from_secs(3_500))
+                .expect("running");
+        }
+        let node = NodeId::new(rng.gen_range(0..7u32));
+        c.drain_node(node, SimTime::from_hours(3))
+            .expect("every node is up");
     }
     c
 }
@@ -354,7 +393,7 @@ fn refusal_classes_keep_their_promise() {
     let mut upheld = [0u32; 6];
     for case in 0..40u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(0xc0de_0000 + case);
-        let loaded = random_loaded_cluster(&mut rng);
+        let loaded = random_loaded_cluster(&mut rng, false);
         let mut queue: Vec<TaskSpec> = (0..60)
             .map(|i| {
                 let submit = 3_000 + rng.gen_range(0..900u64);
@@ -434,4 +473,138 @@ fn refusal_classes_keep_their_promise() {
     // GFS and PTS declare classes, and the cases above do exercise them
     assert!(upheld[4] > 100 && upheld[5] > 100, "{upheld:?}");
     assert_eq!(upheld[..4], [0; 4], "baselines declare no class");
+}
+
+/// The scheduler configurations the decision pin covers: the four
+/// baselines, GFS in each Table 10 variant, and bare PTS under each
+/// placement policy.
+fn pinned_schedulers() -> Vec<Box<dyn Scheduler>> {
+    let mut out: Vec<Box<dyn Scheduler>> = vec![
+        Box::new(YarnCs::new()),
+        Box::new(Chronus::new()),
+        Box::new(Lyra::new()),
+        Box::new(Fgd::new()),
+    ];
+    for variant in [
+        PtsVariant::Full,
+        PtsVariant::SimpleScoring,
+        PtsVariant::RandomPreemption,
+        PtsVariant::Degraded,
+    ] {
+        out.push(Box::new(GfsScheduler::new(
+            GfsParams::default(),
+            variant,
+            None,
+        )));
+    }
+    for policy in [
+        PlacementPolicy::naive(),
+        PlacementPolicy::domain_spread(),
+        PlacementPolicy::reliability_scored(),
+        PlacementPolicy::churn_aware(),
+        PlacementPolicy::hazard_aware(),
+    ] {
+        out.push(Box::new(PtsScheduler::with_policy(
+            GfsParams::default(),
+            policy,
+        )));
+    }
+    out
+}
+
+/// Appends one answer — `None`, or the pod nodes and victims — to `out`.
+fn record(out: &mut Vec<u8>, answer: Option<(&[NodeId], &[TaskId])>) {
+    let Some((nodes, victims)) = answer else {
+        out.push(0);
+        return;
+    };
+    out.push(1);
+    out.extend((nodes.len() as u32).to_le_bytes());
+    for n in nodes {
+        out.extend(n.raw().to_le_bytes());
+    }
+    out.extend((victims.len() as u32).to_le_bytes());
+    for v in victims {
+        out.extend(v.raw().to_le_bytes());
+    }
+}
+
+#[test]
+fn decisions_on_churned_clusters_are_pinned() {
+    // every answer of every scheduler configuration, committed as it comes
+    // (victims evicted, the task started) so later offers see the
+    // evictions, plus direct scan and Alg. 2 calls under two PTS variants
+    // and three policies — all folded into one FNV-1a hash
+    let now = SimTime::from_secs(4_000);
+    let mut bytes = Vec::new();
+    let (mut placed, mut preemptive, mut direct_preemptive) = (0u32, 0u32, 0u32);
+    for case in 0..150u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x91a0_0000 + case);
+        let loaded = random_loaded_cluster(&mut rng, true);
+        let queue: Vec<TaskSpec> = (0..40)
+            .map(|i| {
+                let submit = 3_000 + rng.gen_range(0..900u64);
+                random_spec(&mut rng, i + 1, submit)
+            })
+            .collect();
+        for s in pinned_schedulers() {
+            let mut s = warmed(s, &loaded);
+            let mut queue = queue.clone();
+            s.sort_queue(&mut queue);
+            let mut c = loaded.clone();
+            for t in &queue {
+                let d = s.schedule(t, &c, now);
+                record(
+                    &mut bytes,
+                    d.as_ref().map(|d| (&d.pod_nodes[..], &d.preemptions[..])),
+                );
+                let Some(d) = d else { continue };
+                placed += 1;
+                preemptive += u32::from(d.is_preemptive());
+                for v in &d.preemptions {
+                    c.evict_task(*v, now).expect("victim is running");
+                    s.on_event(&TaskEvent::Evicted { task: *v, at: now }, &c);
+                }
+                if c.start_task(t.clone(), &d.pod_nodes, now, 0).is_ok() {
+                    s.on_event(
+                        &TaskEvent::Started {
+                            task: t.id,
+                            priority: t.priority,
+                            queued_secs: 0,
+                            at: now,
+                        },
+                        &c,
+                    );
+                }
+            }
+        }
+        for variant in [PtsVariant::Full, PtsVariant::RandomPreemption] {
+            for policy in [
+                PlacementPolicy::naive(),
+                PlacementPolicy::churn_aware(),
+                PlacementPolicy::hazard_aware(),
+            ] {
+                let pts = Pts::with_policy(GfsParams::default(), variant, policy);
+                for t in &queue {
+                    let scan = pts.schedule_nonpreemptive_scan(t, &loaded, now);
+                    record(&mut bytes, scan.as_deref().map(|n| (n, &[][..])));
+                    if t.priority.is_hp() {
+                        let plan = pts.schedule_preemptive(t, &loaded, now);
+                        record(&mut bytes, plan.as_ref().map(|(n, v)| (&n[..], &v[..])));
+                        direct_preemptive += u32::from(plan.is_some_and(|(_, v)| !v.is_empty()));
+                    }
+                }
+            }
+        }
+    }
+    // the pin must not go vacuous: a large share of the answers evict
+    assert!(
+        placed > 20_000 && preemptive > 9_000 && direct_preemptive > 12_000,
+        "placed {placed}, preemptive {preemptive}, direct preemptive {direct_preemptive}"
+    );
+    assert_eq!(
+        gfs::sim::fnv1a(&bytes),
+        0xf7b6_e285_7157_1a54,
+        "placed {placed}, preemptive {preemptive}, direct preemptive {direct_preemptive}"
+    );
 }
