@@ -114,6 +114,7 @@ pub fn optimal_preemption(cluster: &Cluster, task: &TaskSpec, now: SimTime) -> O
 mod tests {
     use super::*;
     use crate::pts::{Pts, PtsVariant};
+    use gfs_cluster::Decision;
     use gfs_types::{CheckpointPlan, GfsParams, GpuModel, Priority, SplitMix64};
 
     fn spot(id: u64, gpus: u32, start: u64) -> (TaskSpec, SimTime) {
@@ -199,7 +200,13 @@ mod tests {
                 pts.schedule_preemptive(&task, &c, now),
             ) {
                 (None, None) => {}
-                (Some(opt), Some((pod_nodes, victims))) => {
+                (
+                    Some(opt),
+                    Some(Decision {
+                        pod_nodes,
+                        preemptions: victims,
+                    }),
+                ) => {
                     feasible += 1;
                     let mut after = c.clone();
                     for &v in &victims {

@@ -11,13 +11,18 @@
 //! Preemptive scheduling (Alg. 2) virtually evicts spot tasks per node,
 //! spares the highest-waste victims (Eq. 17), and places each HP pod on
 //! the node with the lowest preemption cost (Eq. 18–19).
+//!
+//! Both algorithms run on the placement engine every scheduler shares:
+//! the reference scan of Alg. 1 is one
+//! [`gang_nodes_by`] walk with the PTS key (the `ScoreIndex` answers the
+//! same order in O(log n)), and Alg. 2 is one plan on
+//! [`plan_preemption_by`], which owns the gang's virtual-idle ledger.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::HashMap;
 
-use gfs_cluster::{Cluster, Node, RunningTask};
-use gfs_sched::placement::{DomainUse, PlacementPolicy};
+use gfs_cluster::{Cluster, Decision, Node, RunningTask};
+use gfs_sched::placement::{gang_nodes_by, plan_preemption_by, DomainUse, PlacementPolicy};
 use gfs_types::{
     GfsParams, GpuDemand, GpuModel, NodeId, Priority, SimDuration, SimTime, TaskId, TaskSpec, HOUR,
 };
@@ -230,11 +235,12 @@ impl Pts {
         );
     }
 
-    /// The reference implementation of Alg. 1: scores every feasible
-    /// candidate per pod and takes the lexicographic max. O(n) per
-    /// decision — kept for fractional demand, for `decayed_reliability`
-    /// policies, and as the oracle every indexed decision is checked
-    /// against in debug builds.
+    /// The reference implementation of Alg. 1: one
+    /// [`gang_nodes_by`] walk that scores every feasible candidate per pod
+    /// with the key `<hazard, drain, spread, S1, S2, S3>` and takes the
+    /// lexicographic max. O(n) per decision — kept for fractional demand,
+    /// for `decayed_reliability` policies, and as the oracle every indexed
+    /// decision is checked against in debug builds.
     #[must_use]
     pub fn schedule_nonpreemptive_scan(
         &self,
@@ -242,62 +248,21 @@ impl Pts {
         cluster: &Cluster,
         now: SimTime,
     ) -> Option<Vec<NodeId>> {
-        // Alg. 1 line 1 ("filter feasible nodes") through the capacity
-        // index instead of a full scan; the lexicographic max is a total
-        // order (scores, then lower id), so the result is scan-identical.
-        let candidates: Vec<u32> = match task.gpus_per_pod {
-            GpuDemand::Whole(g) => cluster.whole_fit_candidates(task.gpu_model, g),
-            GpuDemand::Fraction(f) => cluster.fraction_fit_candidates(task.gpu_model, f),
-        };
-        let mut budget: HashMap<NodeId, u32> = HashMap::new();
-        let mut used_domains = DomainUse::new();
-        let mut out = Vec::with_capacity(task.pods as usize);
-        for _ in 0..task.pods {
-            let candidate = candidates
-                .iter()
-                .map(|&id| (NodeId::new(id), &cluster.nodes()[id as usize]))
-                .filter(|(id, n)| match task.gpus_per_pod {
-                    GpuDemand::Whole(g) => {
-                        budget.get(id).copied().unwrap_or_else(|| n.idle_gpus()) >= g
-                    }
-                    GpuDemand::Fraction(f) => {
-                        n.gpus().iter().any(|gpu| gpu.free_fraction() >= f - 1e-12)
-                    }
-                })
-                .filter_map(|(id, n)| {
-                    let (s1, s2, s3) = self.node_scores(n, task.priority, now)?;
-                    // reliability outranks spread: avoiding flaky hardware
-                    // beats separating pods — anti-affinity then chooses
-                    // *among* the reliable candidates, never overrides them
-                    // into a failure-prone rack
-                    let key = (
-                        self.policy.hazard_component(cluster, n, now),
-                        self.policy.drain_component(cluster, id),
-                        self.policy.spread_component(cluster, id, &used_domains),
-                        s1,
-                        s2,
-                        s3,
-                    );
-                    Some((id, key))
-                })
-                .max_by(|a, b| {
-                    a.1.partial_cmp(&b.1)
-                        .expect("scores are finite")
-                        .then(b.0.cmp(&a.0))
-                })
-                .map(|(id, _)| id)?;
-            if let GpuDemand::Whole(g) = task.gpus_per_pod {
-                let entry = budget
-                    .entry(candidate)
-                    .or_insert_with(|| cluster.nodes()[candidate.index()].idle_gpus());
-                *entry -= g;
-            }
-            if self.policy.spread_domains {
-                used_domains.note(PlacementPolicy::domain_key(cluster, candidate));
-            }
-            out.push(candidate);
-        }
-        Some(out)
+        gang_nodes_by(cluster, task, |n, used| {
+            let (s1, s2, s3) = self.node_scores(n, task.priority, now)?;
+            // reliability outranks spread: avoiding flaky hardware beats
+            // separating pods — anti-affinity then chooses *among* the
+            // reliable candidates, never overrides them into a
+            // failure-prone rack
+            Some((
+                self.policy.hazard_component(cluster, n, now),
+                self.policy.drain_component(cluster, n.id()),
+                self.policy.spread_component(cluster, n.id(), used),
+                s1,
+                s2,
+                s3,
+            ))
+        })
     }
 
     /// The indexed whole-card fast path: each pod's node is the winner
@@ -388,9 +353,13 @@ impl Pts {
         eviction_impact + self.params.beta * victims_waste / gpu_time
     }
 
-    /// Preemptive scheduling (Alg. 2) for an HP task: returns the chosen
-    /// node per pod plus the global victim set, or `None` if infeasible
-    /// even after virtually evicting every spot task.
+    /// Preemptive scheduling (Alg. 2) for an HP task: the chosen node per
+    /// pod plus the global victim set, or `None` if infeasible even after
+    /// virtually evicting every spot task. Both variants are plans on
+    /// [`plan_preemption_by`]: Alg. 2 virtually evicts every spot task on
+    /// a node, spares the highest-waste ones while the pod still fits, and
+    /// ranks nodes by `(reliability, −cost)` (Eq. 17–19); `GFS-p` evicts
+    /// in id-hash order and ranks nodes by hash.
     ///
     /// # Panics
     ///
@@ -401,141 +370,65 @@ impl Pts {
         task: &TaskSpec,
         cluster: &Cluster,
         now: SimTime,
-    ) -> Option<(Vec<NodeId>, Vec<TaskId>)> {
+    ) -> Option<Decision> {
         debug_assert!(task.priority.is_hp(), "only HP tasks may preempt");
         let need = task.gpus_per_pod.cards();
-        // Alg. 2 only ever succeeds on nodes that already fit the pod or
-        // host evictable spot tasks; the index yields exactly those,
-        // ascending by id (the former full-scan visit order).
-        let candidates = cluster.preemption_candidates(task.gpu_model, need.ceil() as u32);
-        let mut virt_idle: HashMap<NodeId, f64> = HashMap::new();
-        let mut evicted: Vec<TaskId> = Vec::new();
-        let mut pod_nodes = Vec::with_capacity(task.pods as usize);
-
-        for pod in 0..task.pods {
-            // (node, victims, reliability, cost): reliability leads the
-            // comparison but is a constant 1.0 except under the gated
-            // decayed-reliability policy, so legacy preemptive decisions
-            // reduce to the pure cost comparison they were pinned on
-            let mut best: Option<(NodeId, Vec<TaskId>, f64, f64)> = None;
-            for n in candidates.iter().map(|&id| &cluster.nodes()[id as usize]) {
-                let idle = virt_idle
-                    .get(&n.id())
-                    .copied()
-                    .unwrap_or_else(|| f64::from(n.idle_gpus()));
-                let spots: Vec<&RunningTask> = cluster
-                    .spot_tasks_on(n.id())
-                    .into_iter()
-                    .filter(|rt| !evicted.contains(&rt.spec.id))
-                    .collect();
-                let local_gpus = |rt: &RunningTask| -> f64 {
-                    rt.placements
-                        .iter()
-                        .filter(|p| p.node == n.id())
-                        .map(|p| p.alloc.cards())
-                        .sum()
-                };
-                let total_reclaimable: f64 =
-                    idle + spots.iter().map(|rt| local_gpus(rt)).sum::<f64>();
-                if total_reclaimable + 1e-9 < need {
-                    continue; // even full eviction cannot host this pod
-                }
-                let (victims, waste) = if self.variant.preemption_degraded() {
-                    // GFS-p: victims in pseudo-random (id-hash) order
-                    let mut order: Vec<&RunningTask> = spots.clone();
-                    order.sort_by_key(|rt| {
-                        rt.spec.id.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(pod)
-                    });
-                    let mut r = idle;
-                    let mut vs = Vec::new();
-                    let mut w = 0.0;
-                    for rt in order {
-                        if r + 1e-9 >= need {
-                            break;
-                        }
-                        r += local_gpus(rt);
-                        w += rt.waste(now);
-                        vs.push(rt.spec.id);
-                    }
-                    (vs, w)
-                } else {
-                    // Alg. 2 lines 8–12: start from "evict everyone", then
-                    // spare the highest-waste tasks while the pod still fits
-                    let mut order: Vec<&RunningTask> = spots.clone();
-                    order.sort_by(|a, b| {
-                        b.waste(now)
-                            .partial_cmp(&a.waste(now))
-                            .expect("waste is finite")
-                            .then(a.spec.id.cmp(&b.spec.id))
-                    });
-                    let mut r = total_reclaimable;
-                    let mut victims: Vec<TaskId> = order.iter().map(|rt| rt.spec.id).collect();
-                    let mut waste: f64 = order.iter().map(|rt| rt.waste(now)).sum();
-                    for rt in &order {
-                        let local = local_gpus(rt);
-                        if r - local + 1e-9 >= need {
-                            r -= local;
-                            waste -= rt.waste(now);
-                            victims.retain(|v| *v != rt.spec.id);
-                        }
-                    }
-                    (victims, waste)
-                };
-                let cost = self.preemption_cost(cluster, waste, victims.len(), now);
-                let rel = self.policy.preemption_reliability(cluster, n, now);
-                let better = match &best {
-                    None => true,
-                    Some((b, _, br, c)) => {
-                        if self.variant.preemption_degraded() {
-                            // pseudo-random node pick: hash order instead of cost
-                            let h = |id: NodeId| {
-                                (u64::from(id.raw()) ^ task.id.raw())
-                                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            };
-                            h(n.id()) < h(*b)
-                        } else {
-                            // a flaky target loses to a dependable one
-                            // before cost is consulted (Eq. 18 extended)
-                            (rel, -cost) > (*br, -*c)
-                        }
-                    }
-                };
-                if better {
-                    let decided = victims.is_empty();
-                    best = Some((n.id(), victims, rel, cost));
-                    // a zero-victim plan carries the global minimum cost
-                    // (Eq. 19 is monotone in victim count and waste) and
-                    // later zero-victim ties lose to this lower id, so —
-                    // when cost alone decides — no candidate can still
-                    // strictly win: stop scanning
-                    if decided
-                        && !self.variant.preemption_degraded()
-                        && !self.policy.decayed_reliability
-                    {
+        // idle plus every evictable card, when that can host the pod
+        let reclaimable = |idle: f64, spots: &[(&RunningTask, f64)]| {
+            let total = idle + spots.iter().map(|(_, local)| local).sum::<f64>();
+            (total + 1e-9 >= need).then_some(total)
+        };
+        if self.variant.preemption_degraded() {
+            let hash = |x: u64| x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let plan = |n: &Node, pod: u32, mut idle: f64, mut spots: Vec<(&RunningTask, f64)>| {
+                reclaimable(idle, &spots)?;
+                spots.sort_by_key(|(rt, _)| hash(rt.spec.id.raw()) ^ u64::from(pod));
+                let mut victims = Vec::new();
+                for (rt, local) in spots {
+                    if idle + 1e-9 >= need {
                         break;
                     }
+                    idle += local;
+                    victims.push(rt.spec.id);
                 }
-            }
-            let (node, victims, _, _) = best?;
-            // absent entries mean "actual idle" now that the map is lazy
-            let actual_idle =
-                |c: &Cluster, id: NodeId| f64::from(c.nodes()[id.index()].idle_gpus());
-            for v in &victims {
-                if let Some(rt) = cluster.running_task(*v) {
-                    for p in &rt.placements {
-                        *virt_idle
-                            .entry(p.node)
-                            .or_insert_with(|| actual_idle(cluster, p.node)) += p.alloc.cards();
-                    }
-                }
-                evicted.push(*v);
-            }
-            *virt_idle
-                .entry(node)
-                .or_insert_with(|| actual_idle(cluster, node)) -= need;
-            pod_nodes.push(node);
+                let node_hash = hash(u64::from(n.id().raw()) ^ task.id.raw());
+                Some((victims, Reverse(node_hash)))
+            };
+            return plan_preemption_by(cluster, task, plan, |_, _| false);
         }
-        Some((pod_nodes, evicted))
+        let plan = |n: &Node, _, idle: f64, mut spots: Vec<(&RunningTask, f64)>| {
+            // Alg. 2 lines 8–12: start from "evict everyone", then spare
+            // the highest-waste tasks while the pod still fits
+            let mut r = reclaimable(idle, &spots)?;
+            spots.sort_by(|(a, _), (b, _)| {
+                b.waste(now)
+                    .partial_cmp(&a.waste(now))
+                    .expect("waste is finite")
+                    .then(a.spec.id.cmp(&b.spec.id))
+            });
+            let mut victims: Vec<TaskId> = spots.iter().map(|(rt, _)| rt.spec.id).collect();
+            let mut waste: f64 = spots.iter().map(|(rt, _)| rt.waste(now)).sum();
+            for (rt, local) in &spots {
+                if r - local + 1e-9 >= need {
+                    r -= local;
+                    waste -= rt.waste(now);
+                    victims.retain(|v| *v != rt.spec.id);
+                }
+            }
+            let cost = self.preemption_cost(cluster, waste, victims.len(), now);
+            // a flaky target loses to a dependable one before cost is
+            // consulted (Eq. 18 extended); the reliability is a constant
+            // 1.0 except under the decayed-reliability policy
+            let rel = self.policy.preemption_reliability(cluster, n, now);
+            Some((victims, (rel, -cost)))
+        };
+        // a zero-victim plan carries the global minimum cost (Eq. 19 is
+        // monotone in victim count and waste) and later zero-victim ties
+        // lose to its lower id, so — when cost alone decides — nothing
+        // later can strictly win
+        plan_preemption_by(cluster, task, plan, |victims, _| {
+            victims.is_empty() && !self.policy.decayed_reliability
+        })
     }
 
     /// The refusal class of `task` (see
@@ -783,12 +676,12 @@ mod tests {
         )
         .unwrap();
         let now = SimTime::from_secs(3_599); // old: 1799s since checkpoint; young: 99s
-        let (nodes, victims) = pts()
+        let d = pts()
             .schedule_preemptive(&task(3, Priority::Hp, 1, 4), &c, now)
             .unwrap();
-        assert_eq!(nodes, vec![NodeId::new(0)]);
+        assert_eq!(d.pod_nodes, vec![NodeId::new(0)]);
         assert_eq!(
-            victims,
+            d.preemptions,
             vec![TaskId::new(2)],
             "the young (low-waste) task is evicted"
         );
@@ -804,12 +697,12 @@ mod tests {
             0,
         )
         .unwrap();
-        let (nodes, victims) = pts()
+        let d = pts()
             .schedule_preemptive(&task(2, Priority::Hp, 1, 4), &c, SimTime::from_secs(10))
             .unwrap();
-        assert_eq!(nodes, vec![NodeId::new(1)]);
+        assert_eq!(d.pod_nodes, vec![NodeId::new(1)]);
         assert!(
-            victims.is_empty(),
+            !d.is_preemptive(),
             "no eviction needed: zero-victim plan wins"
         );
     }
@@ -832,11 +725,11 @@ mod tests {
         )
         .unwrap();
         let gang = task(3, Priority::Hp, 2, 8);
-        let (nodes, victims) = pts()
+        let d = pts()
             .schedule_preemptive(&gang, &c, SimTime::from_secs(100))
             .unwrap();
-        assert_eq!(nodes.len(), 2);
-        assert_eq!(victims.len(), 2, "both spot tasks must go");
+        assert_eq!(d.pod_nodes.len(), 2);
+        assert_eq!(d.preemptions.len(), 2, "both spot tasks must go");
     }
 
     #[test]
@@ -897,7 +790,7 @@ mod tests {
         let a = p.schedule_preemptive(&task(3, Priority::Hp, 1, 4), &c, SimTime::from_secs(50));
         let b = p.schedule_preemptive(&task(3, Priority::Hp, 1, 4), &c, SimTime::from_secs(50));
         assert_eq!(a, b, "hash-based choice is reproducible");
-        assert!(a.unwrap().1.len() == 1);
+        assert_eq!(a.unwrap().preemptions.len(), 1);
     }
 
     #[test]
@@ -927,17 +820,17 @@ mod tests {
             PtsVariant::Full,
             PlacementPolicy::churn_aware(),
         );
-        let (nodes, _) = legacy.schedule_preemptive(&hp, &build(), now).unwrap();
-        assert_eq!(nodes, vec![NodeId::new(0)]);
+        let d = legacy.schedule_preemptive(&hp, &build(), now).unwrap();
+        assert_eq!(d.pod_nodes, vec![NodeId::new(0)]);
         // the hazard policy discounts the flaky node before cost
         let hazard = Pts::with_policy(
             GfsParams::default(),
             PtsVariant::Full,
             PlacementPolicy::hazard_aware(),
         );
-        let (nodes, victims) = hazard.schedule_preemptive(&hp, &build(), now).unwrap();
-        assert_eq!(nodes, vec![NodeId::new(1)], "flaky target loses");
-        assert_eq!(victims, vec![TaskId::new(2)]);
+        let d = hazard.schedule_preemptive(&hp, &build(), now).unwrap();
+        assert_eq!(d.pod_nodes, vec![NodeId::new(1)], "flaky target loses");
+        assert_eq!(d.preemptions, vec![TaskId::new(2)]);
     }
 
     #[test]

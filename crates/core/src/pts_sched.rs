@@ -53,11 +53,7 @@ impl Scheduler for PtsScheduler {
             return Some(Decision::place(nodes));
         }
         if task.priority.is_hp() {
-            let (nodes, victims) = self.pts.schedule_preemptive(task, cluster, now)?;
-            return Some(Decision {
-                pod_nodes: nodes,
-                preemptions: victims,
-            });
+            return self.pts.schedule_preemptive(task, cluster, now);
         }
         None
     }

@@ -162,7 +162,8 @@ fn key_of(slots: &[Slot], flavor: Flavor, id: u32) -> Option<Key> {
 }
 
 /// The scan's total order: higher packed scores win, ties prefer the
-/// *lower* node id (the `then(b.0.cmp(&a.0))` of the scan's `max_by`).
+/// *lower* node id (in [`gang_nodes_by`](gfs_sched::placement::gang_nodes_by)
+/// a candidate must be strictly greater to displace an earlier, lower id).
 fn duel(slots: &[Slot], flavor: Flavor, a: u32, b: u32) -> u32 {
     match (key_of(slots, flavor, a), key_of(slots, flavor, b)) {
         (None, None) => EMPTY,

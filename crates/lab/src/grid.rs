@@ -1397,8 +1397,8 @@ mod tests {
         assert_eq!(scenarios.len(), 12);
         // policy nests outside params/scheduler
         let policy = |s: &Scenario| s.policy.build(&s.shape, s.seed);
-        assert!(policy(&scenarios[0]).is_naive());
-        assert!(!policy(&scenarios[6]).is_naive());
+        assert_eq!(policy(&scenarios[0]), PlacementPolicy::naive());
+        assert_eq!(policy(&scenarios[6]), PlacementPolicy::churn_aware());
         let result = grid.run(Threads::Fixed(2));
         let json = result.report.to_json();
         assert!(json.contains("\"policy\":\"churn-aware\""));

@@ -52,7 +52,7 @@ impl Scheduler for Chronus {
         }
         if task.priority.is_hp() {
             // displacement only of best-effort jobs whose lease expired
-            let (nodes, victims) = plan_preemption(cluster, task, now, |rt, t| {
+            let d = plan_preemption(cluster, task, now, |rt, t| {
                 // lease-expired tasks first (ordered by how long past expiry,
                 // most-expired first); unexpired tasks get a huge key so they
                 // are only touched when unavoidable — and then we bail below
@@ -64,18 +64,12 @@ impl Scheduler for Chronus {
                 }
             })?;
             // reject plans that would displace jobs inside their lease
-            let all_expired = victims.iter().all(|v| {
+            let all_expired = d.preemptions.iter().all(|v| {
                 cluster
                     .running_task(*v)
                     .is_some_and(|rt| rt.executed(now) >= SPOT_LEASE_SECS)
             });
-            if !all_expired {
-                return None;
-            }
-            return Some(Decision {
-                pod_nodes: nodes,
-                preemptions: victims,
-            });
+            return all_expired.then_some(d);
         }
         None
     }

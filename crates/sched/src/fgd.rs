@@ -73,18 +73,14 @@ impl Scheduler for Fgd {
             GpuDemand::Whole(n) => n,
             GpuDemand::Fraction(_) => 1,
         };
-        if let Some(nodes) = gang_nodes_by(cluster, task, |n| Some(-frag_delta(n, demand))) {
+        if let Some(nodes) = gang_nodes_by(cluster, task, |n, _| Some(-frag_delta(n, demand))) {
             return Some(Decision::place(nodes));
         }
         if task.priority.is_hp() {
             // preemption falls back to evicting the newest spot containers,
             // like YARN — FGD itself contributes only the placement rule
-            let (nodes, victims) = plan_preemption(cluster, task, now, |rt, _| {
+            return plan_preemption(cluster, task, now, |rt, _| {
                 u64::MAX - rt.started_at.as_secs()
-            })?;
-            return Some(Decision {
-                pod_nodes: nodes,
-                preemptions: victims,
             });
         }
         None

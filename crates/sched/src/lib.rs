@@ -6,9 +6,9 @@
 //! * [`Lyra`] — whole-node loans to spot tasks with minimal-waste reclaim.
 //! * [`Fgd`] — fragmentation-gradient-descent placement.
 //!
-//! The [`placement`] module exposes the shared first-fit / best-fit /
-//! preemption-planning helpers these policies (and tests elsewhere) use,
-//! plus the churn-aware [`PlacementPolicy`] layer (failure-domain
+//! The [`placement`] module is the placement engine these policies and
+//! the PTS/GFS schedulers share — one gang walk, one preemption planner,
+//! best-fit and first-fit — plus the churn-aware [`PlacementPolicy`] layer (failure-domain
 //! spreading, reliability scoring, drain awareness) that the PTS/GFS
 //! schedulers consult at placement time.
 

@@ -37,11 +37,7 @@ impl Scheduler for Lyra {
             // reclaim loaned nodes at minimal preemption cost (Lyra's
             // heuristic objective): evict the training tasks that waste the
             // least work
-            let (nodes, victims) = plan_preemption(cluster, task, now, |rt, t| rt.waste(t) as u64)?;
-            return Some(Decision {
-                pod_nodes: nodes,
-                preemptions: victims,
-            });
+            return plan_preemption(cluster, task, now, |rt, t| rt.waste(t) as u64);
         }
         // spot (training) tasks only run on loans: nodes that are entirely
         // idle or already loaned, and only while the reserve holds — both
@@ -54,7 +50,7 @@ impl Scheduler for Lyra {
         if idle_nodes <= total_nodes * self.reserve_frac {
             return None; // loan book is full: protect inference headroom
         }
-        let nodes = gang_nodes_by(cluster, task, |n| {
+        let nodes = gang_nodes_by(cluster, task, |n, _| {
             let fully_idle = n.idle_gpus() == n.total_gpus();
             let loaned = cluster.has_spot_on(n.id());
             if fully_idle || loaned {

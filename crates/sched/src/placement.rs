@@ -1,9 +1,18 @@
-//! Shared placement helpers used by the baseline schedulers, and the
-//! churn-aware [`PlacementPolicy`] layer the PTS/GFS schedulers consult.
+//! The placement engine every scheduler shares, and the churn-aware
+//! [`PlacementPolicy`] layer the PTS/GFS schedulers consult.
+//!
+//! Two loops serve the four baselines and PTS alike. [`gang_nodes_by`]
+//! places a gang pod by pod under a virtual idle-card budget, taking the
+//! best-keyed feasible node each time; the PTS reference scan (Alg. 1)
+//! is this walk with its `<hazard, drain, spread, S1, S2, S3>` key.
+//! [`plan_preemption_by`] plans an HP gang against a virtual-idle ledger
+//! of evicted victims, asking a per-node plan for victims and a rank;
+//! the baselines' greedy [`plan_preemption`], Alg. 2 and `GFS-p` are
+//! three such plans.
 
 use std::collections::HashMap;
 
-use gfs_cluster::{Cluster, DrainDecision, Node, RunningTask};
+use gfs_cluster::{Cluster, Decision, DrainDecision, Node, RunningTask};
 use gfs_types::{GpuDemand, NodeId, SimDuration, SimTime, TaskId, TaskSpec, HOUR};
 
 /// A placement-time churn policy: how a scheduler anticipates failures,
@@ -25,7 +34,7 @@ use gfs_types::{GpuDemand, NodeId, SimDuration, SimTime, TaskId, TaskSpec, HOUR}
 ///    nodes whose failure domain currently contains a draining node:
 ///    maintenance waves walk through racks, so a rack with one node in
 ///    maintenance is where the next notices land. Also switches
-///    [`PlacementPolicy::migrate_on_drain`] to the capacity-aware
+///    [`PlacementPolicy::drain_decision`] to the capacity-aware
 ///    variant.
 /// 3. **Domain spread** ([`PlacementPolicy::spread_domains`]) — gang
 ///    anti-affinity over the cluster's declared
@@ -140,12 +149,6 @@ impl PlacementPolicy {
         }
     }
 
-    /// Whether every component is off (placement decisions are untouched).
-    #[must_use]
-    pub fn is_naive(&self) -> bool {
-        !self.spread_domains && !self.reliability && !self.drain_aware
-    }
-
     /// The anti-affinity key of a node: its declared failure domain, or a
     /// per-node pseudo-domain when the cluster has no topology (spreading
     /// then degenerates to spreading across nodes).
@@ -257,8 +260,9 @@ impl PlacementPolicy {
         self.hazard_component(cluster, node, now)
     }
 
-    /// The capacity-aware drain response (see
-    /// `gfs_cluster::Scheduler::drain_decision`): migrate a can't-finish
+    /// The capacity-aware drain response, the one implementation of
+    /// [`Scheduler::drain_decision`](gfs_cluster::Scheduler::drain_decision)
+    /// every policy-carrying scheduler delegates to: migrate a can't-finish
     /// gang at the notice — early in the window — *unless* the cluster
     /// has no room of the gang's model to receive it, in which case the
     /// gang stays and keeps checkpointing until the forced deadline (an
@@ -277,15 +281,15 @@ impl PlacementPolicy {
     /// a queue wait and a harvested window — both requeue paths remain
     /// correct.
     #[must_use]
-    pub fn migrate_on_drain(
+    pub fn drain_decision(
         &self,
         task: &RunningTask,
         notice: SimDuration,
         cluster: &Cluster,
         now: SimTime,
-    ) -> bool {
+    ) -> DrainDecision {
         if task.remaining(now) <= notice {
-            return false; // finishes in place
+            return DrainDecision::Stay; // finishes in place
         }
         if self.drain_aware {
             let spec = &task.spec;
@@ -304,29 +308,10 @@ impl PlacementPolicy {
                 .map(|p| p.alloc.cards())
                 .sum();
             if idle + freed < spec.total_gpus() {
-                return false; // nowhere to go: harvest checkpoints instead
+                return DrainDecision::Stay; // nowhere to go: harvest checkpoints instead
             }
         }
-        true
-    }
-
-    /// [`PlacementPolicy::migrate_on_drain`] mapped onto the
-    /// [`Scheduler::drain_decision`](gfs_cluster::Scheduler::drain_decision)
-    /// answer — the one shared implementation every policy-carrying
-    /// scheduler delegates to.
-    #[must_use]
-    pub fn drain_decision(
-        &self,
-        task: &RunningTask,
-        notice: SimDuration,
-        cluster: &Cluster,
-        now: SimTime,
-    ) -> DrainDecision {
-        if self.migrate_on_drain(task, notice, cluster, now) {
-            DrainDecision::Migrate
-        } else {
-            DrainDecision::Stay
-        }
+        DrainDecision::Migrate
     }
 }
 
@@ -356,20 +341,21 @@ impl DomainUse {
     }
 }
 
-/// Picks one node per pod of `task`, choosing for each pod the
-/// highest-scoring node that still fits (ties broken by node id).
+/// Picks one node per pod of `task`, choosing for each pod the node with
+/// the greatest key that still fits (ties broken by the lower node id).
 ///
-/// `score` returns `None` to exclude a node. Whole-card demands consume a
-/// virtual idle-GPU budget so gangs spread correctly; fractional demands
-/// are single-pod by construction.
-pub fn gang_nodes_by<F>(cluster: &Cluster, task: &TaskSpec, score: F) -> Option<Vec<NodeId>>
+/// `key` sees each candidate with the gang's pods placed so far, tallied
+/// per anti-affinity domain, and returns `None` to exclude it.
+/// Whole-card demands consume a virtual idle-GPU budget so gangs spread
+/// correctly; fractional demands are single-pod by construction.
+pub fn gang_nodes_by<K, F>(cluster: &Cluster, task: &TaskSpec, key: F) -> Option<Vec<NodeId>>
 where
-    F: Fn(&Node) -> Option<f64>,
+    K: PartialOrd,
+    F: Fn(&Node, &DomainUse) -> Option<K>,
 {
-    // Feasible nodes come from the capacity index (O(answer)), not a scan
-    // over every node. The selection itself is a max over a *total* order
-    // (score, then lower node id), so candidate enumeration order cannot
-    // change the outcome.
+    // Feasible nodes come from the capacity index (O(answer)), ascending
+    // by id, not a scan over every node. A candidate wins only with a
+    // strictly greater key, so a tie keeps the lower id.
     let candidates: Vec<u32> = match task.gpus_per_pod {
         GpuDemand::Whole(need) => cluster.whole_fit_candidates(task.gpu_model, need),
         GpuDemand::Fraction(f) => cluster.fraction_fit_candidates(task.gpu_model, f),
@@ -378,38 +364,46 @@ where
     // Keyed lookups only (`get`/`entry`), never iterated — the det-iter
     // lint's canonical clean pattern: hash order can't reach a decision.
     let mut budget: HashMap<NodeId, u32> = HashMap::new();
+    let mut used = DomainUse::new();
     let mut out = Vec::with_capacity(task.pods as usize);
     for _ in 0..task.pods {
-        let chosen = candidates
-            .iter()
-            .map(|&id| (NodeId::new(id), &cluster.nodes()[id as usize]))
-            .filter(|(id, n)| match task.gpus_per_pod {
+        let mut best: Option<(NodeId, K)> = None;
+        for n in candidates.iter().map(|&id| &cluster.nodes()[id as usize]) {
+            let fits = match task.gpus_per_pod {
                 GpuDemand::Whole(need) => {
-                    budget.get(id).copied().unwrap_or_else(|| n.idle_gpus()) >= need
+                    budget
+                        .get(&n.id())
+                        .copied()
+                        .unwrap_or_else(|| n.idle_gpus())
+                        >= need
                 }
                 GpuDemand::Fraction(f) => n.gpus().iter().any(|g| g.free_fraction() >= f - 1e-12),
-            })
-            .filter_map(|(id, n)| score(n).map(|s| (id, s)))
-            .max_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .expect("scores are finite")
-                    .then(b.0.cmp(&a.0))
-            })
-            .map(|(id, _)| id)?;
+            };
+            if !fits {
+                continue;
+            }
+            let Some(k) = key(n, &used) else { continue };
+            if best.as_ref().is_none_or(|(_, b)| k > *b) {
+                best = Some((n.id(), k));
+            }
+        }
+        let (chosen, _) = best?;
         if let GpuDemand::Whole(need) = task.gpus_per_pod {
             let entry = budget
                 .entry(chosen)
                 .or_insert_with(|| cluster.nodes()[chosen.index()].idle_gpus());
             *entry -= need;
         }
+        used.note(PlacementPolicy::domain_key(cluster, chosen));
         out.push(chosen);
     }
     Some(out)
 }
 
-/// First-fit: the first node (by id) with room for each pod.
+/// First-fit: the first node (by id) with room for each pod — every key
+/// ties, so the lowest id wins.
 pub fn first_fit_nodes(cluster: &Cluster, task: &TaskSpec) -> Option<Vec<NodeId>> {
-    gang_nodes_by(cluster, task, |n| Some(-(n.id().raw() as f64)))
+    gang_nodes_by(cluster, task, |_, _| Some(()))
 }
 
 /// Best-fit: prefer nodes with the fewest idle GPUs that still fit.
@@ -420,7 +414,7 @@ pub fn first_fit_nodes(cluster: &Cluster, task: &TaskSpec) -> Option<Vec<NodeId>
 /// budget *is* the scan's argmax — no collect-then-score pass.
 pub fn best_fit_nodes(cluster: &Cluster, task: &TaskSpec) -> Option<Vec<NodeId>> {
     let GpuDemand::Whole(need) = task.gpus_per_pod else {
-        return gang_nodes_by(cluster, task, |n| Some(-(f64::from(n.idle_gpus()))));
+        return gang_nodes_by(cluster, task, |n, _| Some(-(f64::from(n.idle_gpus()))));
     };
     let mut budget: HashMap<NodeId, u32> = HashMap::new();
     let mut out = Vec::with_capacity(task.pods as usize);
@@ -443,112 +437,125 @@ pub fn best_fit_nodes(cluster: &Cluster, task: &TaskSpec) -> Option<Vec<NodeId>>
     Some(out)
 }
 
-/// Plans preemptive placement of every pod of an HP `task`: walks pods one
-/// at a time, evicting the spot tasks chosen by `victim_order` (smaller key
-/// evicted first) on the cheapest feasible node.
+/// The skeleton of every preemptive placement: walks the pods of an HP
+/// `task` one at a time and, for each, asks `plan` what each candidate
+/// node would cost, taking the node with the greatest rank (ties keep the
+/// lower node id).
 ///
-/// Returns `(pod_nodes, victims)` or `None` when even full eviction cannot
-/// fit the task. Victims are deduplicated across pods (a gang victim
-/// spanning nodes frees capacity everywhere it runs).
-pub fn plan_preemption<K: Ord + Copy, F>(
+/// `plan` receives the node, the pod's index, the node's idle cards net of
+/// the gang's earlier pods and evictions, and its spot tasks not yet
+/// evicted — ascending by id, each with the cards it holds on this node.
+/// It returns the victims that make the pod fit plus their rank, or
+/// `None` when the node cannot host the pod. A plan for which `decided`
+/// holds, once taken, ends the walk for that pod: nothing later can
+/// strictly beat it.
+///
+/// Returns `None` when some pod fits nowhere. Victims are deduplicated
+/// across pods: a gang victim spanning nodes frees capacity everywhere it
+/// runs.
+pub fn plan_preemption_by<R, P, D>(
     cluster: &Cluster,
     task: &TaskSpec,
-    now: SimTime,
-    victim_order: F,
-) -> Option<(Vec<NodeId>, Vec<TaskId>)>
+    plan: P,
+    decided: D,
+) -> Option<Decision>
 where
-    F: Fn(&gfs_cluster::RunningTask, SimTime) -> K,
+    R: PartialOrd,
+    P: Fn(&Node, u32, f64, Vec<(&RunningTask, f64)>) -> Option<(Vec<TaskId>, R)>,
+    D: Fn(&[TaskId], &R) -> bool,
 {
-    let need = match task.gpus_per_pod {
-        GpuDemand::Whole(n) => f64::from(n),
-        GpuDemand::Fraction(f) => f,
-    };
+    let need = task.gpus_per_pod.cards();
     // Only nodes that already fit or host an evictable spot pod can ever
-    // satisfy a pod; the index enumerates exactly those, ascending by id
-    // (matching the former full-scan visit order).
+    // satisfy a pod; the index enumerates exactly those, ascending by id.
     let candidates = cluster.preemption_candidates(task.gpu_model, need.ceil() as u32);
-    // virtual idle capacity per node, updated as we plan evictions.
-    // Keyed lookups only (`get`/`entry`), never iterated — candidate order
-    // comes from `preemption_candidates`, so hash order never decides.
+    // virtual idle capacity per node, updated as we plan evictions; an
+    // absent entry means the node's actual idle count. Keyed lookups only
+    // (`get`/`entry`), never iterated, so hash order never decides.
     let mut virt_idle: HashMap<NodeId, f64> = HashMap::new();
+    let actual_idle = |id: NodeId| f64::from(cluster.nodes()[id.index()].idle_gpus());
     let mut evicted: Vec<TaskId> = Vec::new();
     let mut pod_nodes = Vec::with_capacity(task.pods as usize);
-
-    for _ in 0..task.pods {
-        // candidate = node where idle + evictable spot >= need
-        let mut best: Option<(NodeId, Vec<TaskId>, f64)> = None;
+    for pod in 0..task.pods {
+        let mut best: Option<(NodeId, Vec<TaskId>, R)> = None;
         for n in candidates.iter().map(|&id| &cluster.nodes()[id as usize]) {
-            // Victim waste is non-negative, so a zero-waste plan is the
-            // global minimum and `better` below is a strict improvement:
-            // nothing later in the (ascending-id) walk can win. Stop.
-            if matches!(&best, Some((_, _, w)) if *w <= 0.0) {
-                break;
-            }
-            let mut idle = virt_idle
+            let idle = virt_idle
                 .get(&n.id())
                 .copied()
-                .unwrap_or_else(|| f64::from(n.idle_gpus()));
-            if idle >= need {
-                // no eviction required on this node: zero-waste plan
-                match &best {
-                    Some((_, _, w)) if *w <= 0.0 => {}
-                    _ => best = Some((n.id(), Vec::new(), 0.0)),
-                }
-                continue;
-            }
-            let mut spots: Vec<&gfs_cluster::RunningTask> = cluster
+                .unwrap_or_else(|| actual_idle(n.id()));
+            let spots = cluster
                 .spot_tasks_on(n.id())
                 .into_iter()
                 .filter(|rt| !evicted.contains(&rt.spec.id))
+                .map(|rt| {
+                    let local = rt.placements.iter().filter(|p| p.node == n.id());
+                    (rt, local.map(|p| p.alloc.cards()).sum::<f64>())
+                })
                 .collect();
-            spots.sort_by_key(|rt| victim_order(rt, now));
-            let mut victims = Vec::new();
-            let mut waste = 0.0;
-            for rt in spots {
-                if idle >= need {
+            let Some((victims, rank)) = plan(n, pod, idle, spots) else {
+                continue;
+            };
+            if best.as_ref().is_none_or(|(.., b)| rank > *b) {
+                let stop = decided(&victims, &rank);
+                best = Some((n.id(), victims, rank));
+                if stop {
                     break;
-                }
-                // GPUs this task holds on *this* node
-                let local: f64 = rt
-                    .placements
-                    .iter()
-                    .filter(|p| p.node == n.id())
-                    .map(|p| p.alloc.cards())
-                    .sum();
-                idle += local;
-                waste += rt.waste(now);
-                victims.push(rt.spec.id);
-            }
-            if idle >= need {
-                let better = match &best {
-                    None => true,
-                    Some((_, _, w)) => waste < *w,
-                };
-                if better {
-                    best = Some((n.id(), victims, waste));
                 }
             }
         }
         let (node, victims, _) = best?;
-        // absent entries mean "actual idle count" now that the map is lazy
-        let actual_idle = |c: &Cluster, id: NodeId| f64::from(c.nodes()[id.index()].idle_gpus());
         for v in &victims {
             // credit every node the victim occupies
             if let Some(rt) = cluster.running_task(*v) {
                 for p in &rt.placements {
                     *virt_idle
                         .entry(p.node)
-                        .or_insert_with(|| actual_idle(cluster, p.node)) += p.alloc.cards();
+                        .or_insert_with(|| actual_idle(p.node)) += p.alloc.cards();
                 }
             }
             evicted.push(*v);
         }
-        *virt_idle
-            .entry(node)
-            .or_insert_with(|| actual_idle(cluster, node)) -= need;
+        *virt_idle.entry(node).or_insert_with(|| actual_idle(node)) -= need;
         pod_nodes.push(node);
     }
-    Some((pod_nodes, evicted))
+    Some(Decision {
+        pod_nodes,
+        preemptions: evicted,
+    })
+}
+
+/// The baselines' greedy preemption: on each node, evict spot tasks in
+/// `victim_order` (smaller key first) until the pod fits, and take the
+/// node whose victims waste the least work. A plan wasting nothing is the
+/// global minimum and ends the walk.
+pub fn plan_preemption<K: Ord, F>(
+    cluster: &Cluster,
+    task: &TaskSpec,
+    now: SimTime,
+    victim_order: F,
+) -> Option<Decision>
+where
+    F: Fn(&RunningTask, SimTime) -> K,
+{
+    let need = task.gpus_per_pod.cards();
+    plan_preemption_by(
+        cluster,
+        task,
+        |_, _, mut idle, mut spots| {
+            spots.sort_by_key(|(rt, _)| victim_order(rt, now));
+            let mut victims = Vec::new();
+            let mut waste = 0.0;
+            for (rt, local) in spots {
+                if idle >= need {
+                    break;
+                }
+                idle += local;
+                waste += rt.waste(now);
+                victims.push(rt.spec.id);
+            }
+            (idle >= need).then_some((victims, -waste))
+        },
+        |_, rank| *rank >= 0.0,
+    )
 }
 
 #[cfg(test)]
@@ -627,12 +634,16 @@ mod tests {
             .unwrap();
         let now = SimTime::from_secs(10_000);
         // prefer evicting the youngest (least waste): order key = waste
-        let (nodes, victims) = plan_preemption(&c, &task(3, 1, 4, Priority::Hp), now, |rt, t| {
+        let d = plan_preemption(&c, &task(3, 1, 4, Priority::Hp), now, |rt, t| {
             rt.waste(t) as u64
         })
         .unwrap();
-        assert_eq!(nodes, vec![NodeId::new(0)]);
-        assert_eq!(victims, vec![TaskId::new(2)], "young task wastes less");
+        assert_eq!(d.pod_nodes, vec![NodeId::new(0)]);
+        assert_eq!(
+            d.preemptions,
+            vec![TaskId::new(2)],
+            "young task wastes less"
+        );
     }
 
     #[test]
@@ -646,15 +657,19 @@ mod tests {
             .unwrap();
         c.start_task(spot, &[NodeId::new(0)], SimTime::ZERO, 0)
             .unwrap();
-        let (nodes, victims) = plan_preemption(
+        let d = plan_preemption(
             &c,
             &task(2, 1, 8, Priority::Hp),
             SimTime::from_secs(100),
             |rt, t| rt.waste(t) as u64,
         )
         .unwrap();
-        assert_eq!(nodes, vec![NodeId::new(1)], "idle node wins (zero waste)");
-        assert!(victims.is_empty());
+        assert_eq!(
+            d.pod_nodes,
+            vec![NodeId::new(1)],
+            "idle node wins (zero waste)"
+        );
+        assert!(!d.is_preemptive());
     }
 
     #[test]
@@ -672,7 +687,6 @@ mod tests {
     fn naive_policy_components_are_neutral() {
         let c = Cluster::homogeneous(2, GpuModel::A100, 8);
         let p = PlacementPolicy::naive();
-        assert!(p.is_naive());
         let mut used = DomainUse::new();
         used.note(PlacementPolicy::domain_key(&c, NodeId::new(0)));
         assert_eq!(p.spread_component(&c, NodeId::new(0), &used), 0.0);
@@ -681,7 +695,7 @@ mod tests {
             p.reliability_component(&c.nodes()[0], SimTime::from_hours(1)),
             1.0
         );
-        assert!(!PlacementPolicy::churn_aware().is_naive());
+        assert_ne!(PlacementPolicy::churn_aware(), p);
     }
 
     #[test]
@@ -804,7 +818,7 @@ mod tests {
         assert_eq!(legacy.preemption_reliability(&c, &c.nodes()[0], now), 1.0);
         let p = PlacementPolicy::hazard_aware();
         assert!(p.preemption_reliability(&c, &c.nodes()[0], now) < 1.0);
-        assert!(!p.is_naive());
+        assert_ne!(p, PlacementPolicy::naive());
     }
 
     #[test]
@@ -842,19 +856,17 @@ mod tests {
         let rt = |c: &Cluster, id: u64| c.running_task(TaskId::new(id)).unwrap().clone();
         let gang = rt(&c, 1);
         // room on node 1: both migrate the can't-finish gang at the notice
-        assert!(naive.migrate_on_drain(&gang, 600, &c, SimTime::ZERO));
-        assert!(aware.migrate_on_drain(&gang, 600, &c, SimTime::ZERO));
-        assert_eq!(
-            aware.drain_decision(&gang, 600, &c, SimTime::ZERO),
-            DrainDecision::Migrate
-        );
+        for p in [&naive, &aware] {
+            assert_eq!(
+                p.drain_decision(&gang, 600, &c, SimTime::ZERO),
+                DrainDecision::Migrate
+            );
+        }
         // neither touches a gang that finishes inside the window
         let end = SimTime::from_secs(3_600 - 100);
-        assert!(!naive.migrate_on_drain(&gang, 600, &c, end));
-        assert_eq!(
-            aware.drain_decision(&gang, 600, &c, end),
-            DrainDecision::Stay
-        );
+        for p in [&naive, &aware] {
+            assert_eq!(p.drain_decision(&gang, 600, &c, end), DrainDecision::Stay);
+        }
         // fill node 1 and drain node 0: the gang's own cards sit on the
         // draining node, so they never count as receivable — the
         // drain-aware policy stays and harvests
@@ -868,8 +880,9 @@ mod tests {
         c.drain_node(NodeId::new(0), SimTime::from_secs(600))
             .unwrap();
         let gang = rt(&c, 1);
-        assert!(
-            naive.migrate_on_drain(&gang, 600, &c, SimTime::ZERO),
+        assert_eq!(
+            naive.drain_decision(&gang, 600, &c, SimTime::ZERO),
+            DrainDecision::Migrate,
             "naive migrates regardless"
         );
         assert_eq!(
@@ -880,6 +893,9 @@ mod tests {
         // migrating task 8 frees node 1, so it can re-place into its own
         // vacated cards
         let gang_elsewhere = rt(&c, 8);
-        assert!(aware.migrate_on_drain(&gang_elsewhere, 600, &c, SimTime::ZERO));
+        assert_eq!(
+            aware.drain_decision(&gang_elsewhere, 600, &c, SimTime::ZERO),
+            DrainDecision::Migrate
+        );
     }
 }

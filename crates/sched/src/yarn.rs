@@ -32,12 +32,8 @@ impl Scheduler for YarnCs {
         if task.priority.is_hp() {
             // newest-first victim selection: YARN kills the most recently
             // launched containers
-            let (nodes, victims) = plan_preemption(cluster, task, now, |rt, _| {
+            return plan_preemption(cluster, task, now, |rt, _| {
                 u64::MAX - rt.started_at.as_secs()
-            })?;
-            return Some(Decision {
-                pod_nodes: nodes,
-                preemptions: victims,
             });
         }
         None

@@ -590,8 +590,11 @@ fn decisions_on_churned_clusters_are_pinned() {
                     record(&mut bytes, scan.as_deref().map(|n| (n, &[][..])));
                     if t.priority.is_hp() {
                         let plan = pts.schedule_preemptive(t, &loaded, now);
-                        record(&mut bytes, plan.as_ref().map(|(n, v)| (&n[..], &v[..])));
-                        direct_preemptive += u32::from(plan.is_some_and(|(_, v)| !v.is_empty()));
+                        let answer = plan
+                            .as_ref()
+                            .map(|d| (&d.pod_nodes[..], &d.preemptions[..]));
+                        record(&mut bytes, answer);
+                        direct_preemptive += u32::from(plan.is_some_and(|d| d.is_preemptive()));
                     }
                 }
             }
