@@ -80,50 +80,9 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
-
+    use crate::service::tests::FirstFit;
     use gfs_cluster::Decision;
     use gfs_types::{GpuDemand, GpuModel, NodeId, Priority, SimTime, TaskId};
-
-    /// Minimal first-fit policy used to exercise the engine.
-    struct FirstFit;
-
-    impl Scheduler for FirstFit {
-        fn name(&self) -> &str {
-            "first-fit"
-        }
-
-        fn schedule(
-            &mut self,
-            task: &TaskSpec,
-            cluster: &Cluster,
-            _now: SimTime,
-        ) -> Option<Decision> {
-            let need = match task.gpus_per_pod {
-                GpuDemand::Whole(n) => n,
-                GpuDemand::Fraction(_) => 1,
-            };
-            // first-fit over the capacity index: only feasible nodes visited
-            let candidates = cluster.whole_fit_candidates(task.gpu_model, need);
-            let mut budget: HashMap<NodeId, u32> = HashMap::new();
-            let mut nodes = Vec::with_capacity(task.pods as usize);
-            for _ in 0..task.pods {
-                let slot = candidates
-                    .iter()
-                    .map(|&id| (NodeId::new(id), &cluster.nodes()[id as usize]))
-                    .find(|(id, n)| {
-                        budget.get(id).copied().unwrap_or_else(|| n.idle_gpus()) >= need
-                    })
-                    .map(|(id, _)| id)?;
-                let entry = budget
-                    .entry(slot)
-                    .or_insert_with(|| cluster.nodes()[slot.index()].idle_gpus());
-                *entry -= need;
-                nodes.push(slot);
-            }
-            Some(Decision::place(nodes))
-        }
-    }
 
     fn task(id: u64, priority: Priority, gpus: u32, dur: u64, submit: u64) -> TaskSpec {
         TaskSpec::builder(id)

@@ -293,45 +293,9 @@ fn merge_reports(outcomes: Vec<ShardOutcome>) -> SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfs_cluster::Decision;
+    use crate::service::tests::FirstFit;
     use gfs_types::{ClusterEvent, GpuDemand, OrgId, Priority, SimTime};
     use serde::Serialize;
-    use std::collections::HashMap;
-
-    struct FirstFit;
-
-    impl Scheduler for FirstFit {
-        fn name(&self) -> &str {
-            "first-fit"
-        }
-
-        fn schedule(
-            &mut self,
-            task: &TaskSpec,
-            cluster: &Cluster,
-            _now: SimTime,
-        ) -> Option<Decision> {
-            let need = task.gpus_per_pod.whole_cards().unwrap_or(1);
-            let candidates = cluster.whole_fit_candidates(task.gpu_model, need);
-            let mut budget: HashMap<NodeId, u32> = HashMap::new();
-            let mut nodes = Vec::with_capacity(task.pods as usize);
-            for _ in 0..task.pods {
-                let slot = candidates
-                    .iter()
-                    .map(|&id| (NodeId::new(id), &cluster.nodes()[id as usize]))
-                    .find(|(id, n)| {
-                        budget.get(id).copied().unwrap_or_else(|| n.idle_gpus()) >= need
-                    })
-                    .map(|(id, _)| id)?;
-                let entry = budget
-                    .entry(slot)
-                    .or_insert_with(|| cluster.nodes()[slot.index()].idle_gpus());
-                *entry -= need;
-                nodes.push(slot);
-            }
-            Some(Decision::place(nodes))
-        }
-    }
 
     fn task(id: u64, org: u16, gpus: u32, dur: u64, submit: u64) -> TaskSpec {
         TaskSpec::builder(id)
