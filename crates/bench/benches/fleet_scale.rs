@@ -5,8 +5,8 @@
 //!
 //! Short mode (`GFS_BENCH_SHORT=1`, the CI smoke) runs scaled-down
 //! entries under their own names; the full run (`just bench`) records
-//! both the smoke entries and the full-size ones, so the committed
-//! baseline covers everything the gate may see.
+//! both the smoke entries and the full-size ones, so a full run covers
+//! every entry a smoke run reports.
 
 use gfs::prelude::*;
 use gfs::sim::fleet::{domain_shards, run_fleet, FleetShard};
@@ -47,7 +47,7 @@ fn run_whole_fleet(shards: Vec<FleetShard>) -> u64 {
 }
 
 fn bench_fleet(suite: &mut Suite) {
-    // smoke size runs in every mode so CI always has a gated datapoint
+    // smoke size runs in every mode, so every run has this datapoint
     suite.bench("fleet_2k_nodes_20k_tasks_week", || {
         run_whole_fleet(fleet_inputs(4, 500, 20_000))
     });

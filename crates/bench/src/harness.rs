@@ -14,7 +14,7 @@
 //! Spread is `(max − min)/median` with the single slowest repetition
 //! excluded (when there are ≥3): one scheduler preemption on a shared
 //! host would otherwise define the whole entry's noise figure, which
-//! made the raw statistic too flaky for `bench_gate`'s spread ratchet.
+//! made the raw statistic too flaky to compare runs by.
 //! A genuinely noisy entry still shows, because noise that matters
 //! affects more than one repetition.
 //!
@@ -99,7 +99,7 @@ impl Suite {
         if self.short {
             // 3 reps, not 2: the median then sheds a single slow
             // repetition, which keeps the smoke-mode spread_pct stable
-            // enough for bench_gate's spread ratchet to be meaningful
+            // enough to be meaningful
             (1, Duration::from_millis(15), 3)
         } else {
             (3, Duration::from_millis(250), 5)

@@ -1,6 +1,6 @@
 //! Shared code of the experiment bins: `table*`/`fig*` regenerate the
 //! paper's tables and figures, `lab_*` run the extension grids, and
-//! `bench_gate` serves the micro-benchmarks.
+//! [`harness`] times the micro-benchmarks.
 
 // `deny` rather than `forbid`: the affinity module scopes one audited
 // raw-syscall allowance (no `libc` is available offline).

@@ -1,8 +1,8 @@
 # Developer entry points. `just` (https://github.com/casey/just) or copy the
 # recipes by hand — each is a single cargo invocation (or a small loop).
 
-# Build, test, lint, gate — the full CI pipeline.
-ci: fmt build test clippy doc lint benchmark-smoke bench-smoke bench-gate bins examples-smoke
+# Build, test, lint, smoke — the full CI pipeline.
+ci: fmt build test clippy doc lint benchmark-smoke bench-smoke bins examples-smoke
 
 # Formatting gate (no diffs tolerated).
 fmt:
@@ -52,12 +52,6 @@ benchmark *args:
 bench-smoke:
     GFS_BENCH_SHORT=1 GFS_BENCH_TAG=ci-smoke cargo bench -p gfs-bench
 
-# Regression gate over the smoke run: diffs BENCH_*.json against the
-# committed BENCH_*.baseline.json with a spread-aware tolerance and
-# hard-fails only on >2.5x regressions. Run bench-smoke first.
-bench-gate:
-    cargo run --release -p gfs-bench --bin bench_gate
-
 # Every paper and lab bin (fig*, table*, lab_*) at its default size,
 # discovered from the bin list — a new bin is picked up automatically, so
 # it cannot silently miss CI wiring. Each grid bin reruns its grid
@@ -79,7 +73,7 @@ examples-smoke:
         cargo run --release -q --example "$ex"; \
     done
 
-# Full benchmark suites; writes BENCH_*.json at the repo root.
+# Full benchmark suites; writes BENCH_*.json (untracked) at the repo root.
 bench tag="local":
     GFS_BENCH_TAG={{tag}} cargo bench -p gfs-bench
 
