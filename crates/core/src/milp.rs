@@ -114,7 +114,6 @@ pub fn optimal_preemption(cluster: &Cluster, task: &TaskSpec, now: SimTime) -> O
 mod tests {
     use super::*;
     use crate::pts::{Pts, PtsVariant};
-    use gfs_cluster::Decision;
     use gfs_types::{CheckpointPlan, GfsParams, GpuModel, Priority, SplitMix64};
 
     fn spot(id: u64, gpus: u32, start: u64) -> (TaskSpec, SimTime) {
@@ -200,24 +199,18 @@ mod tests {
                 pts.schedule_preemptive(&task, &c, now),
             ) {
                 (None, None) => {}
-                (
-                    Some(opt),
-                    Some(Decision {
-                        pod_nodes,
-                        preemptions: victims,
-                    }),
-                ) => {
+                (Some(opt), Some(plan)) => {
                     feasible += 1;
                     let mut after = c.clone();
-                    for &v in &victims {
+                    for &v in &plan.preemptions {
                         after
                             .evict_task(v, now)
                             .expect("victims are running spot tasks");
                     }
                     after
-                        .start_task(task.clone(), &pod_nodes, now, 0)
+                        .start_task(task.clone(), &plan.pod_nodes, now, 0)
                         .unwrap_or_else(|e| panic!("case {case}: PTS plan does not fit: {e}"));
-                    let gap = victims.len().checked_sub(opt.victims.len());
+                    let gap = plan.preemptions.len().checked_sub(opt.victims.len());
                     let gap = gap.unwrap_or_else(|| panic!("case {case}: PTS beat the optimum"));
                     if gap > 0 {
                         gap_cases += 1;
