@@ -1,13 +1,7 @@
 //! Shared code of the experiment bins: `table*`/`fig*` regenerate the
-//! paper's tables and figures, `lab_*` run the extension grids, and
-//! [`harness`] times the micro-benchmarks.
+//! paper's tables and figures, and `lab_*` run the extension grids.
 
-// `deny` rather than `forbid`: the affinity module scopes one audited
-// raw-syscall allowance (no `libc` is available offline).
-#![deny(unsafe_code)]
-
-pub mod affinity;
-pub mod harness;
+#![forbid(unsafe_code)]
 
 use std::time::Instant;
 

@@ -175,20 +175,6 @@ impl DecomposeScratch {
     }
 }
 
-/// Zero-padding variant of [`moving_average`], kept for the ablation bench
-/// comparing reflection vs zero padding at series boundaries.
-#[must_use]
-pub fn moving_average_zero_pad(xs: &[f64], window: usize) -> Vec<f64> {
-    assert!(
-        window % 2 == 1 && window > 0,
-        "window must be odd and positive"
-    );
-    let half = window / 2;
-    let mut padded = vec![0.0; xs.len() + 2 * half];
-    padded[half..half + xs.len()].copy_from_slice(xs);
-    windowed_means(&padded, window)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,16 +209,6 @@ mod tests {
     #[should_panic(expected = "window must be odd")]
     fn even_window_rejected() {
         let _ = moving_average(&[1.0, 2.0], 2);
-    }
-
-    #[test]
-    fn reflection_beats_zero_padding_at_boundaries() {
-        // on a constant series, zero padding biases the edges toward 0
-        let xs = vec![10.0; 11];
-        let refl = moving_average(&xs, 5);
-        let zero = moving_average_zero_pad(&xs, 5);
-        assert!((refl[0] - 10.0).abs() < 1e-12);
-        assert!(zero[0] < 10.0);
     }
 
     #[test]

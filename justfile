@@ -2,7 +2,7 @@
 # recipes by hand — each is a single cargo invocation (or a small loop).
 
 # Build, test, lint, smoke — the full CI pipeline.
-ci: fmt build test clippy doc lint benchmark-smoke bench-smoke bins examples-smoke
+ci: fmt build test clippy doc lint benchmark-smoke bins examples-smoke
 
 # Formatting gate (no diffs tolerated).
 fmt:
@@ -48,10 +48,6 @@ benchmark-smoke:
 benchmark *args:
     cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- {{args}}
 
-# Short-mode micro-bench smoke run (seconds, not minutes).
-bench-smoke:
-    GFS_BENCH_SHORT=1 GFS_BENCH_TAG=ci-smoke cargo bench -p gfs-bench
-
 # Every paper and lab bin (fig*, table*, lab_*) at its default size,
 # discovered from the bin list — a new bin is picked up automatically, so
 # it cannot silently miss CI wiring. Each grid bin reruns its grid
@@ -73,12 +69,8 @@ examples-smoke:
         cargo run --release -q --example "$ex"; \
     done
 
-# Full benchmark suites; writes BENCH_*.json (untracked) at the repo root.
-bench tag="local":
-    GFS_BENCH_TAG={{tag}} cargo bench -p gfs-bench
-
-# Build a bench under the `profiling` profile (release codegen + debug
-# info) and run it in full mode — the binary perf/flamegraph should
-# attach to. Defaults to the fleet-scale suite.
-profile bench="fleet_scale":
-    cargo bench -p gfs-bench --bench {{bench}} --profile profiling
+# Build an experiment bin under the `profiling` profile (release codegen
+# + debug info) and run it — the binary perf/flamegraph should attach
+# to. Defaults to the sharded fleet-engine run.
+profile bin="lab_fleet":
+    cargo run --profile profiling -p gfs-bench --bin {{bin}}
