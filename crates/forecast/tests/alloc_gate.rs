@@ -15,10 +15,11 @@
 //!
 //! The counts are additionally pinned byte-exact against the committed
 //! `ALLOC_BASELINE.json` so a regression in the batching plumbing is
-//! caught too. Re-record intentionally with:
+//! caught too. To re-record intentionally, print the file's new text and
+//! commit it:
 //!
 //! ```text
-//! GFS_ALLOC_RECORD=1 cargo test --test alloc_gate
+//! GFS_PRINT_GOLDEN=1 cargo test -p gfs-forecast --test alloc_gate -- --nocapture
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -191,18 +192,17 @@ fn warm_training_step_allocates_nothing() {
         );
     }
 
-    let path = baseline_path();
-    if std::env::var("GFS_ALLOC_RECORD").is_ok() {
-        std::fs::write(&path, render(&measurements)).expect("write ALLOC_BASELINE.json");
-        eprintln!("recorded {}", path.display());
+    if std::env::var("GFS_PRINT_GOLDEN").is_ok() {
+        print!("{}", render(&measurements));
         return;
     }
 
     // The ratchet: byte-exact pin of the counts, so regressions in the
     // batching plumbing (or silent growth anywhere in fit) fail CI.
+    let path = baseline_path();
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
-            "read {} ({e}); record with GFS_ALLOC_RECORD=1",
+            "read {} ({e}); print its text with GFS_PRINT_GOLDEN=1",
             path.display()
         )
     });
@@ -213,7 +213,7 @@ fn warm_training_step_allocates_nothing() {
             (m.warm_epoch_allocs, m.minibatch_allocs),
             (warm, mb),
             "{}: allocation profile drifted from ALLOC_BASELINE.json \
-             (got warm={} minibatch={}); re-record intentionally with GFS_ALLOC_RECORD=1",
+             (got warm={} minibatch={}); re-record intentionally with GFS_PRINT_GOLDEN=1",
             m.model,
             m.warm_epoch_allocs,
             m.minibatch_allocs

@@ -1,8 +1,7 @@
 //! `gfs_lint` CLI — the workspace self-scan.
 //!
 //! ```text
-//! gfs_lint check  [--root DIR] [--json]   # gate (CI)
-//! gfs_lint report [--root DIR] [--json]   # print findings only
+//! gfs_lint check [--root DIR]   # gate (CI)
 //! ```
 //!
 //! `check` exits 0 when the workspace has no findings, 1 when it has any
@@ -12,66 +11,44 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use gfs_lint::{render_json, render_table, scan_workspace, Finding};
+use gfs_lint::{render_table, scan_workspace};
 
-struct Opts {
-    cmd: String,
-    root: PathBuf,
-    json: bool,
-}
-
-fn parse_args() -> Result<Opts, String> {
+fn parse_args() -> Result<PathBuf, String> {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().unwrap_or_else(|| "check".to_string());
-    if !matches!(cmd.as_str(), "check" | "report") {
-        return Err(format!(
-            "unknown command `{cmd}` (expected check or report)"
-        ));
+    if cmd != "check" {
+        return Err(format!("unknown command `{cmd}` (expected check)"));
     }
     let mut root = PathBuf::from(".");
-    let mut json = false;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => root = PathBuf::from(args.next().ok_or("--root needs a value")?),
-            "--json" => json = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    Ok(Opts { cmd, root, json })
-}
-
-fn print_findings(findings: &[Finding], json: bool) {
-    if json {
-        print!("{}", render_json(findings));
-    } else {
-        print!("{}", render_table(findings));
-    }
+    Ok(root)
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
+    let root = match parse_args() {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("gfs_lint: {e}");
             return ExitCode::from(2);
         }
     };
-    let findings = match scan_workspace(&opts.root) {
+    let findings = match scan_workspace(&root) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("gfs_lint: scan failed: {e}");
             return ExitCode::from(2);
         }
     };
-    if opts.cmd == "report" {
-        print_findings(&findings, opts.json);
-        return ExitCode::SUCCESS;
-    }
     if findings.is_empty() {
         eprintln!("gfs_lint: ok — no findings");
         return ExitCode::SUCCESS;
     }
-    print_findings(&findings, opts.json);
+    print!("{}", render_table(&findings));
     eprintln!(
         "gfs_lint: FAIL: {} finding(s) — fix them, or add a `// gfs-lint: allow(rule, \"reason\")` pragma with a real justification",
         findings.len()

@@ -14,7 +14,7 @@
 //! | rule | invariant protected |
 //! |------|---------------------|
 //! | `det-iter` | **Replay determinism.** `std` hash containers iterate in a per-process random order (`RandomState`). Iterating one inside a decision path (`crates/{sim,sched,cluster,core,market}`) can reorder placement, eviction or pricing decisions between two runs of the same seed, silently breaking the golden pins. Keyed lookups (`get`, `entry`, `insert`, `remove`, `contains_key`) are fine — the `budget`/`virt_idle` maps in `gfs_sched::placement` are the canonical clean pattern. Fix: `BTreeMap`/`BTreeSet`, or collect-and-sort before iterating. |
-//! | `det-clock` | **Reproducibility.** `Instant::now()`/`SystemTime` reads feed wall-clock time into results. Decision paths may only read simulated time (`SimTime`). Allowlisted: `crates/bench/` (harness timing is its job) and `crates/forecast/src/timing.rs` (the one choke point for model train-time measurement). |
+//! | `det-clock` | **Reproducibility.** `Instant::now()`/`SystemTime` reads feed wall-clock time into results. Decision paths may only read simulated time (`SimTime`). Allowlisted: `crates/bench/` (the experiment bins report their wall time) and `crates/forecast/src/timing.rs` (the one choke point for model train-time measurement). |
 //! | `golden-serde` | **Golden-pin forward/backward compatibility.** A field with `#[serde(skip_serializing_if = …)]` but no `default` produces reports that cannot be re-read when the field was skipped — the skip-at-zero pin contract requires the pair. |
 //! | `changelog-coverage` | **ScoreIndex epoch protocol.** Score-relevant `Cluster`/`Node` mutations must reach `ChangeLog::note` so the incremental `ScoreIndex` invalidates the right nodes. Inside `crates/cluster/src/cluster.rs`, any `fn` calling a mutation primitive (`place_pod`, `set_up`, `index.refresh`, …) must reach `changes.note` directly or via a same-file logged helper. Outside `gfs_cluster`, raw `Node` mutators are flagged outright — go through `Cluster`'s logged API. |
 //! | `service-unwrap` | **Crash-safe recovery.** `unwrap`/`expect` in `ClusterService` journal/recovery functions turns a detectable torn journal tail into a crash loop; those paths must return the typed `JournalError`/`RestoreError`. |
@@ -42,8 +42,8 @@
 //!
 //! # Report & gate
 //!
-//! Findings are emitted sorted by `(path, line, rule)` in a byte-stable
-//! JSON encoding plus a human table ([`report`]). CI runs the self-scan
+//! Findings are emitted sorted by `(path, line, rule)` as a byte-stable
+//! table ([`report`]). CI runs the self-scan
 //! (`just lint`) and hard-fails on any finding: the pragma above is the
 //! only exception mechanism, so every accepted exception carries its
 //! reason on the line it excuses.
@@ -55,7 +55,7 @@ pub mod lexer;
 pub mod report;
 pub mod rules;
 
-pub use report::{render_json, render_table, sort_findings, Finding, RuleId};
+pub use report::{render_table, sort_findings, Finding, RuleId};
 pub use rules::scan_source;
 
 use std::fs;

@@ -1,21 +1,9 @@
-//! Finding representation and the stable machine-readable report
-//! encoding.
-//!
-//! # Report encoding
+//! Finding representation and the report table.
 //!
 //! Findings are always emitted sorted by `(path, line, rule)` — byte-wise
 //! on the path, numerically on the line — so two runs over the same tree
 //! produce byte-identical reports (the same property every golden pin in
-//! this repo relies on). The JSON shape is fixed:
-//!
-//! ```json
-//! {
-//!   "version": 1,
-//!   "findings": [
-//!     {"path": "crates/core/src/sqa.rs", "line": 65, "rule": "det-iter", "message": "…"}
-//!   ]
-//! }
-//! ```
+//! this repo relies on).
 
 use std::fmt::Write as _;
 
@@ -99,53 +87,6 @@ pub fn sort_findings(findings: &mut [Finding]) {
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.rule.name()).cmp(&(b.path.as_str(), b.line, b.rule.name()))
     });
-}
-
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Renders the canonical sorted JSON report. Byte-stable: the same
-/// findings always produce the same bytes.
-#[must_use]
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut sorted: Vec<Finding> = findings.to_vec();
-    sort_findings(&mut sorted);
-    let mut out = String::new();
-    out.push_str("{\n  \"version\": 1,\n  \"findings\": [");
-    for (i, f) in sorted.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\"path\": \"");
-        escape_json(&f.path, &mut out);
-        let _ = write!(
-            out,
-            "\", \"line\": {}, \"rule\": \"{}\", \"message\": \"",
-            f.line,
-            f.rule.name()
-        );
-        escape_json(&f.message, &mut out);
-        out.push_str("\"}");
-    }
-    if sorted.is_empty() {
-        out.push_str("]\n}\n");
-    } else {
-        out.push_str("\n  ]\n}\n");
-    }
-    out
 }
 
 /// Renders the human table: one aligned `path:line  rule  message` row per

@@ -396,7 +396,7 @@ fn det_clock(path: &str, f: &LexFile<'_>, tests: &[(usize, usize)], out: &mut Ve
                 path: path.to_string(),
                 line: f.line(i),
                 rule: RuleId::DetClock,
-                message: "`Instant::now()` outside the bench/timing allowlist: wall-clock reads make runs irreproducible — route timing through `gfs_bench::harness` or `gfs_forecast`'s `timing` helper".to_string(),
+                message: "`Instant::now()` outside the bench/timing allowlist: wall-clock reads make runs irreproducible — time in the experiment bins (`crates/bench`) or through `gfs_forecast`'s `timing` helper".to_string(),
             });
         }
         if f.is_ident(i, "SystemTime") && f.is_punct(i + 1, ':') && f.is_punct(i + 2, ':') {
@@ -808,7 +808,7 @@ mod tests {
     fn det_clock_scopes_and_allowlists() {
         let src = "fn f() { let t = Instant::now(); }";
         assert_eq!(scan_source("crates/market/src/price.rs", src).len(), 1);
-        assert!(scan_source("crates/bench/src/harness.rs", src).is_empty());
+        assert!(scan_source("crates/bench/src/lib.rs", src).is_empty());
         assert!(scan_source("crates/forecast/src/timing.rs", src).is_empty());
         let import_only = "use std::time::Instant;\nuse std::time::SystemTime;";
         assert!(scan_source("crates/market/src/price.rs", import_only).is_empty());

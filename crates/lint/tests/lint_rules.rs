@@ -1,10 +1,11 @@
-//! Fixture-driven rule tests, the report-encoding pin, and the workspace
+//! Fixture-driven rule tests, the report-encoding pin, the workspace
 //! self-scan gate (so `cargo test` enforces the same zero-finding bar CI
-//! does).
+//! does) and the pin of the workspace's environment knobs.
 
-use std::path::Path;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
-use gfs_lint::{render_json, render_table, scan_source, scan_workspace, Finding, RuleId};
+use gfs_lint::{collect_files, render_table, scan_source, scan_workspace, Finding, RuleId};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -145,35 +146,63 @@ fn report_encoding_is_pinned() {
             path: "crates/core/src/sqa.rs".to_string(),
             line: 7,
             rule: RuleId::DetClock,
-            message: "quote \" and backslash \\".to_string(),
+            message: "wall clock".to_string(),
         },
     ];
-    let json = render_json(&findings);
-    // byte-for-byte pin of the machine-readable encoding (sorted by path)
-    let expected = "{\n  \"version\": 1,\n  \"findings\": [\n    {\"path\": \"crates/core/src/sqa.rs\", \"line\": 7, \"rule\": \"det-clock\", \"message\": \"quote \\\" and backslash \\\\\"},\n    {\"path\": \"crates/sim/src/engine.rs\", \"line\": 42, \"rule\": \"det-iter\", \"message\": \"iteration over `m`\"}\n  ]\n}\n";
-    assert_eq!(json, expected);
-    // empty report is also pinned
+    // byte-for-byte pin of the table: sorted by path, columns aligned
     assert_eq!(
-        render_json(&[]),
-        "{\n  \"version\": 1,\n  \"findings\": []\n}\n"
+        render_table(&findings),
+        "crates/core/src/sqa.rs:7     det-clock  wall clock\n\
+         crates/sim/src/engine.rs:42  det-iter   iteration over `m`\n"
     );
-    // the human table lists both rows in the same order
-    let table = render_table(&findings);
-    let lines: Vec<&str> = table.lines().collect();
-    assert_eq!(lines.len(), 2);
-    assert!(lines[0].starts_with("crates/core/src/sqa.rs:7"));
-    assert!(lines[1].starts_with("crates/sim/src/engine.rs:42"));
+    assert_eq!(render_table(&[]), "no findings\n");
+}
+
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// The `lint_self` gate, as a test: the workspace has no findings. This
 /// is the same check `just lint` / CI runs.
 #[test]
 fn workspace_self_scan_is_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let findings = scan_workspace(&root).expect("workspace scan");
+    let findings = scan_workspace(&workspace_root()).expect("workspace scan");
     assert!(
         findings.is_empty(),
         "lint findings:\n{}",
         render_table(&findings)
+    );
+}
+
+/// The workspace's environment knobs: every `GFS_*` name a scanned
+/// source passes literally to `env::var` or `env_flag`. A new knob has
+/// to be added here on purpose.
+#[test]
+fn env_knobs_are_pinned() {
+    let root = workspace_root();
+    let mut knobs = BTreeSet::new();
+    for rel in collect_files(&root).expect("workspace walk") {
+        let src = std::fs::read_to_string(root.join(&rel)).expect("read source");
+        for call in ["env::var(\"", "env_flag(\""] {
+            for (at, _) in src.match_indices(call) {
+                let arg = &src[at + call.len()..];
+                if arg.starts_with("GFS_") {
+                    let end = arg.find('"').expect("closed string literal");
+                    knobs.insert(arg[..end].to_string());
+                }
+            }
+        }
+    }
+    assert_eq!(
+        knobs,
+        BTreeSet::from(
+            [
+                "GFS_BENCH_SCALE",
+                "GFS_LAB_JSON",
+                "GFS_LAB_THREADS",
+                "GFS_PRINT_GOLDEN",
+            ]
+            .map(String::from)
+        )
     );
 }

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! cargo run --release --example quota_sweep
-//! GFS_QUOTA_JSON=1  …    # dump the aggregated GridReport JSON to stdout
+//! GFS_LAB_JSON=1  …      # dump the aggregated GridReport JSON to stdout
 //! ```
 
 use gfs::lab::{ClusterShape, Grid, ParamsAxis, Threads, WorkloadAxis};
@@ -93,7 +93,7 @@ fn main() {
         result.report.cells.len(),
         result.report.cells.first().map_or(0, |c| c.seeds.len()),
     );
-    if std::env::var("GFS_QUOTA_JSON").is_ok_and(|v| v != "0" && !v.is_empty()) {
+    if std::env::var("GFS_LAB_JSON").is_ok_and(|v| v != "0" && !v.is_empty()) {
         println!("{}", result.report.to_json());
     }
 }

@@ -2,7 +2,7 @@
 //! pre-rebuild per-epoch loss trajectories bit-identically on a fixed seed.
 //!
 //! The pinned constants below were captured from the pre-rebuild graph
-//! (per-node allocated `Vec<Node>`) by running with `GFS_GOLDEN_RECORD=1`.
+//! (per-node allocated `Vec<Node>`) by running with `GFS_PRINT_GOLDEN=1`.
 //! Because `minibatches` derives each epoch's shuffle from `seed ^ f(epoch)`,
 //! a k-epoch fit's losses are a prefix of a (k+1)-epoch fit's losses, so
 //! pinning the `final_loss` of fresh fits at k = 1..=4 pins the whole
@@ -39,7 +39,7 @@ fn trajectory(data: &OrgDataset, make: &dyn Fn() -> Box<dyn Forecaster>) -> Vec<
 }
 
 fn check(name: &str, got: &[u64], want: &[u64]) {
-    if std::env::var("GFS_GOLDEN_RECORD").is_ok() {
+    if std::env::var("GFS_PRINT_GOLDEN").is_ok() {
         println!("const {name}: [u64; {}] = {got:?};", got.len());
         return;
     }
@@ -103,7 +103,7 @@ fn orglinear_horizon4_trajectory_and_forecasts_pinned() {
         }
     }
     let hash = gfs::sim::fnv1a(&bytes);
-    if std::env::var("GFS_GOLDEN_RECORD").is_ok() {
+    if std::env::var("GFS_PRINT_GOLDEN").is_ok() {
         println!("const ORGLINEAR_H4_PREDICT_GOLDEN: u64 = {hash:#018x};");
         return;
     }
