@@ -48,6 +48,12 @@ benchmark-smoke:
 benchmark *args:
     cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- {{args}}
 
+# Re-record every golden pin: prints the new non-comment lines of `PINS`,
+# sorted. Paste them over the old ones, keeping the `#` provenance
+# comments, and commit the re-record on its own with its reason.
+repin:
+    { GFS_PRINT_GOLDEN=1 cargo test --workspace -q -- --nocapture; GFS_PRINT_GOLDEN=1 cargo run --release -q -p gfs-bench --bin lab_fleet; } | grep -E '^[a-z0-9_.]+ = ' | LC_ALL=C sort
+
 # Every paper and lab bin (fig*, table*, lab_*) at its default size,
 # discovered from the bin list — a new bin is picked up automatically, so
 # it cannot silently miss CI wiring. Each grid bin reruns its grid
