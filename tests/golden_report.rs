@@ -1,18 +1,14 @@
 //! Golden-report regression tests: the hot-path refactors (capacity index,
 //! dense engine state, blocked matmul) must not change a single scheduling
-//! outcome. These hashes were captured on the pre-refactor engine; any
-//! change to them means scheduling behaviour drifted.
+//! outcome. The `golden_report.*` pins were captured on the pre-refactor
+//! engine; any change to them means scheduling behaviour drifted.
 
 use gfs::prelude::*;
+use gfs::sim::report_hash;
+use gfs_testkit::pin;
 use gfs_types::CheckpointPlan;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-/// FNV-1a over the canonical JSON encoding of the report.
-fn report_hash(report: &SimReport) -> u64 {
-    let json = serde_json::to_string(report).expect("report serializes");
-    gfs::sim::fnv1a(json.as_bytes())
-}
 
 /// A 1 000-task random trace exercising gangs, fractions, evictions and
 /// checkpoints.
@@ -70,22 +66,14 @@ fn run_trace(scheduler: &mut dyn Scheduler) -> SimReport {
 fn golden_1k_yarn_cs() {
     let report = run_trace(&mut YarnCs::new());
     assert_eq!(report.tasks.len(), 1_000);
-    assert_eq!(
-        report_hash(&report),
-        GOLDEN_YARN,
-        "YARN-CS scheduling outcome drifted from the pre-refactor engine"
-    );
+    pin("golden_report.yarn", &[report_hash(&report)]);
 }
 
 #[test]
 fn golden_1k_gfs() {
     let report = run_trace(&mut GfsScheduler::with_defaults());
     assert_eq!(report.tasks.len(), 1_000);
-    assert_eq!(
-        report_hash(&report),
-        GOLDEN_GFS,
-        "GFS scheduling outcome drifted from the pre-refactor engine"
-    );
+    pin("golden_report.gfs", &[report_hash(&report)]);
 }
 
 #[test]
@@ -96,23 +84,4 @@ fn golden_runs_are_reproducible() {
         a, b,
         "same trace + scheduler must reproduce bit-identically"
     );
-}
-
-// Captured from the pre-refactor (seed) engine; see the module docs.
-// To regenerate intentionally: GFS_PRINT_GOLDEN=1 cargo test golden -- --nocapture
-const GOLDEN_YARN: u64 = 0x7e14_86f2_e771_586d;
-const GOLDEN_GFS: u64 = 0xd4ab_f0d5_9602_bc49;
-
-#[test]
-fn print_golden_hashes() {
-    if std::env::var("GFS_PRINT_GOLDEN").is_ok() {
-        println!(
-            "GOLDEN_YARN = {:#x}",
-            report_hash(&run_trace(&mut YarnCs::new()))
-        );
-        println!(
-            "GOLDEN_GFS = {:#x}",
-            report_hash(&run_trace(&mut GfsScheduler::with_defaults()))
-        );
-    }
 }
