@@ -35,7 +35,8 @@ pub fn pin(name: &str, values: &[u64]) {
         println!("{got}");
         return;
     }
-    let want = lookup(name).unwrap_or_else(|| panic!("no pin `{name}` in PINS; this run gives `{got}`"));
+    let want =
+        lookup(name).unwrap_or_else(|| panic!("no pin `{name}` in PINS; this run gives `{got}`"));
     assert!(
         want == values,
         "pin drifted: PINS has `{}`, this run gives `{got}` \
