@@ -8,6 +8,7 @@
 use gfs::lab::{ClusterShape, DynamicsAxis, Grid, NodeGroup, SchedulerSpec, Threads, WorkloadAxis};
 use gfs::prelude::*;
 use gfs::sim::fnv1a;
+use gfs_testkit::pin;
 
 /// 2 schedulers × 1 heterogeneous shape × 3 fault axes × 4 seeds = 6
 /// cells / 24 runs, with both pools exercised by a mixed-model workload.
@@ -88,19 +89,5 @@ fn churn_metrics_reported_and_scale_with_failure_rate() {
 #[test]
 fn golden_churn_grid_pinned() {
     let result = churn_grid().run(Threads::Auto);
-    let json = result.report.to_json();
-    if std::env::var("GFS_PRINT_GOLDEN").is_ok() {
-        println!("GOLDEN_CHURN = {}", fnv1a(json.as_bytes()));
-    }
-    assert_eq!(
-        fnv1a(json.as_bytes()),
-        GOLDEN_CHURN,
-        "faulted heterogeneous grid output drifted — displacement handling, \
-         fault-schedule generation or aggregation changed (update the pin \
-         only if intentional)"
-    );
+    pin("grid.churn", &[fnv1a(result.report.to_json().as_bytes())]);
 }
-
-/// Captured at PR 3 (cluster-dynamics subsystem); regenerate with
-/// `GFS_PRINT_GOLDEN=1 cargo test golden_churn -- --nocapture`.
-const GOLDEN_CHURN: u64 = 9_301_490_688_903_361_234;

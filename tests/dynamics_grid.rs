@@ -9,6 +9,7 @@
 use gfs::lab::{ClusterShape, DynamicsAxis, Grid, SchedulerSpec, Threads, WorkloadAxis};
 use gfs::prelude::*;
 use gfs::sim::fnv1a;
+use gfs_testkit::pin;
 
 /// 2 schedulers × 1 shape × 4 dynamics axes × 4 seeds = 8 cells / 32
 /// runs: none / correlated racks / rolling drain / drain+autoscale merge.
@@ -111,19 +112,8 @@ fn dynamics_metrics_scale_with_their_axes() {
 #[test]
 fn golden_dynamics_grid_pinned() {
     let result = dynamics_grid().run(Threads::Auto);
-    let json = result.report.to_json();
-    if std::env::var("GFS_PRINT_GOLDEN").is_ok() {
-        println!("GOLDEN_DYNAMICS = {}", fnv1a(json.as_bytes()));
-    }
-    assert_eq!(
-        fnv1a(json.as_bytes()),
-        GOLDEN_DYNAMICS,
-        "dynamic grid output drifted — drain/migration/scale-out handling, \
-         timeline generation or aggregation changed (update the pin only if \
-         intentional)"
+    pin(
+        "grid.dynamics",
+        &[fnv1a(result.report.to_json().as_bytes())],
     );
 }
-
-/// Captured at PR 4 (cluster-timeline API redesign); regenerate with
-/// `GFS_PRINT_GOLDEN=1 cargo test golden_dynamics -- --nocapture`.
-const GOLDEN_DYNAMICS: u64 = 15_270_961_167_713_283_595;

@@ -8,6 +8,7 @@ use gfs::lab::{ClusterShape, Grid, ParamsAxis, SchedulerSpec, Threads, WorkloadA
 use gfs::prelude::*;
 use gfs::scenario;
 use gfs::sim::{fnv1a, report_hash};
+use gfs_testkit::pin;
 
 /// A 2 (schedulers) × 3 (workloads) grid, 4 seeds per cell: 24 runs.
 fn grid_2x3x4() -> Grid {
@@ -54,24 +55,8 @@ fn grid_json_identical_across_thread_counts() {
 #[test]
 fn golden_grid_summary_pinned() {
     let result = grid_2x3x4().run(Threads::Auto);
-    let json = result.report.to_json();
-    if std::env::var("GFS_PRINT_GOLDEN").is_ok() {
-        println!("GOLDEN_GRID = {}", fnv1a(json.as_bytes()));
-    }
-    assert_eq!(
-        fnv1a(json.as_bytes()),
-        GOLDEN_GRID,
-        "aggregated grid output drifted — scheduling, summary metrics or \
-         aggregation semantics changed (update the pin only if intentional)"
-    );
+    pin("grid.lab", &[fnv1a(result.report.to_json().as_bytes())]);
 }
-
-/// Captured at PR 3 after the grid schema grew the fault axis label and
-/// the availability/displacement metrics (the underlying *scheduling*
-/// outcomes are separately pinned unchanged by `tests/golden_report.rs`);
-/// any drift from here means a behaviour change. To regenerate
-/// intentionally: `GFS_PRINT_GOLDEN=1 cargo test golden_grid -- --nocapture`.
-const GOLDEN_GRID: u64 = 471_617_017_682_756_731;
 
 #[test]
 fn replicated_cells_have_spread_statistics() {

@@ -14,6 +14,7 @@ use gfs::lab::{
 use gfs::market::{spike, ForecastParams, MarketDriver, MarketSpec};
 use gfs::prelude::*;
 use gfs::sim::{fnv1a, report_hash, ClusterService, ServiceSnapshot};
+use gfs_testkit::pin;
 
 const SIM_HORIZON: u64 = 64 * HOUR;
 
@@ -358,29 +359,5 @@ fn recovered_market_run_reproduces_spend_bit_for_bit() {
 #[test]
 fn golden_market_grid_pinned() {
     let result = market_grid().run(Threads::Auto);
-    let json = result.report.to_json();
-    if std::env::var("GFS_PRINT_GOLDEN").is_ok() {
-        println!("GOLDEN_MARKET = {}", fnv1a(json.as_bytes()));
-        println!(
-            "{}",
-            result.report.render_table(&[
-                "hp_mean_jct_s",
-                "market_spend_usd",
-                "gpu_hours_bought",
-                "cost_per_completed_usd",
-                "stranded_gpu_hours",
-            ])
-        );
-    }
-    assert_eq!(
-        fnv1a(json.as_bytes()),
-        GOLDEN_MARKET,
-        "market grid output drifted — the price walk, controller \
-         decisions, cost metering or aggregation changed (update the pin \
-         only if intentional)"
-    );
+    pin("grid.market", &[fnv1a(result.report.to_json().as_bytes())]);
 }
-
-/// Captured at PR 7 (closed-loop capacity market); regenerate with
-/// `GFS_PRINT_GOLDEN=1 cargo test golden_market -- --nocapture`.
-const GOLDEN_MARKET: u64 = 966_714_937_824_539_861;

@@ -11,6 +11,7 @@ use gfs::lab::{ClusterShape, DynamicsAxis, Grid, PolicyAxis, Threads, WorkloadAx
 use gfs::prelude::*;
 use gfs::scenario;
 use gfs::sim::fnv1a;
+use gfs_testkit::pin;
 
 const RACK: u32 = 4;
 const SIM_HORIZON: u64 = 72 * HOUR;
@@ -125,29 +126,5 @@ fn churn_aware_placement_beats_naive_under_correlated_failures() {
 #[test]
 fn golden_policy_grid_pinned() {
     let result = policy_grid().run(Threads::Auto);
-    let json = result.report.to_json();
-    if std::env::var("GFS_PRINT_GOLDEN").is_ok() {
-        println!("GOLDEN_POLICY = {}", fnv1a(json.as_bytes()));
-        println!(
-            "{}",
-            result.report.render_table(&[
-                "displacement_count",
-                "displaced_mean_jct_s",
-                "hp_completion",
-                "hp_p99_jct_s",
-                "spot_mean_jqt_s",
-            ])
-        );
-    }
-    assert_eq!(
-        fnv1a(json.as_bytes()),
-        GOLDEN_POLICY,
-        "policy grid output drifted — placement-policy scoring, domain \
-         bookkeeping or aggregation changed (update the pin only if \
-         intentional)"
-    );
+    pin("grid.policy", &[fnv1a(result.report.to_json().as_bytes())]);
 }
-
-/// Captured at PR 5 (churn-aware placement); regenerate with
-/// `GFS_PRINT_GOLDEN=1 cargo test golden_policy -- --nocapture`.
-const GOLDEN_POLICY: u64 = 9_377_287_759_420_715_552;
