@@ -1,6 +1,6 @@
 //! The `forecast-alloc-gate` lane: proves the tape-arena training step
 //! allocates **nothing** once warm, and pins the exact per-epoch
-//! allocation count in `ALLOC_BASELINE.json`.
+//! allocation counts as the `alloc.*` entries of `PINS`.
 //!
 //! Method: a counting [`GlobalAlloc`] wrapper around [`System`] increments
 //! a thread-local counter on every `alloc`/`realloc`/`alloc_zeroed` (the
@@ -13,21 +13,15 @@
 //! epoch allocates on its own: the training step itself — forward, loss,
 //! backward, Adam — contributes zero.
 //!
-//! The counts are additionally pinned byte-exact against the committed
-//! `ALLOC_BASELINE.json` so a regression in the batching plumbing is
-//! caught too. To re-record intentionally, print the file's new text and
-//! commit it:
-//!
-//! ```text
-//! GFS_PRINT_GOLDEN=1 cargo test -p gfs-forecast --test alloc_gate -- --nocapture
-//! ```
+//! The counts are additionally pinned, `(warm epoch, minibatch)` per
+//! model, so a regression in the batching plumbing is caught too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::path::Path;
 
 use gfs_forecast::dataset::{OrgDataset, OrgInfo};
 use gfs_forecast::{minibatches, DLinear, DeepAr, Forecaster, OrgLinear, TrainConfig};
+use gfs_testkit::pin;
 
 struct CountingAlloc;
 
@@ -135,42 +129,10 @@ fn measure<M: Forecaster>(
     }
 }
 
-fn baseline_path() -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ALLOC_BASELINE.json")
-}
-
-fn render(measurements: &[Measurement]) -> String {
-    let mut out = String::from("{\n  \"version\": 1,\n  \"models\": {\n");
-    for (i, m) in measurements.iter().enumerate() {
-        let sep = if i + 1 == measurements.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    \"{}\": {{\"warm_epoch_allocs\": {}, \"minibatch_allocs\": {}}}{}\n",
-            m.model, m.warm_epoch_allocs, m.minibatch_allocs, sep
-        ));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Pulls `"<model>": {"warm_epoch_allocs": N, "minibatch_allocs": M}` out
-/// of the committed baseline.
-fn parse_entry(text: &str, model: &str) -> Option<(u64, u64)> {
-    let key = format!("\"{model}\": {{\"warm_epoch_allocs\": ");
-    let start = text.find(&key)? + key.len();
-    let rest = &text[start..];
-    let warm: u64 = rest[..rest.find(',')?].trim().parse().ok()?;
-    let key2 = "\"minibatch_allocs\": ";
-    let s2 = rest.find(key2)? + key2.len();
-    let rest2 = &rest[s2..];
-    let end = rest2.find('}')?;
-    let mb: u64 = rest2[..end].trim().parse().ok()?;
-    Some((warm, mb))
-}
-
 #[test]
 fn warm_training_step_allocates_nothing() {
     let data = dataset();
-    let measurements = vec![
+    let [dlinear, deepar, orglinear] = [
         measure("DLinear", &data, || DLinear::new(&data, 1)),
         measure("DeepAR", &data, || DeepAr::new(&data, 5)),
         measure("OrgLinear", &data, || OrgLinear::new(&data, 3)),
@@ -179,7 +141,7 @@ fn warm_training_step_allocates_nothing() {
     // The core contract: a warm epoch allocates exactly what its
     // minibatch assembly allocates — the training step itself (forward,
     // loss, backward, optimizer) is allocation-free on the tape arena.
-    for m in &measurements {
+    for m in [&dlinear, &deepar, &orglinear] {
         assert_eq!(
             m.warm_epoch_allocs,
             m.minibatch_allocs,
@@ -192,31 +154,18 @@ fn warm_training_step_allocates_nothing() {
         );
     }
 
-    if std::env::var("GFS_PRINT_GOLDEN").is_ok() {
-        print!("{}", render(&measurements));
-        return;
-    }
-
-    // The ratchet: byte-exact pin of the counts, so regressions in the
+    // The ratchet: exact pin of the counts, so regressions in the
     // batching plumbing (or silent growth anywhere in fit) fail CI.
-    let path = baseline_path();
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "read {} ({e}); print its text with GFS_PRINT_GOLDEN=1",
-            path.display()
-        )
-    });
-    for m in &measurements {
-        let (warm, mb) = parse_entry(&text, m.model)
-            .unwrap_or_else(|| panic!("{} missing from ALLOC_BASELINE.json", m.model));
-        assert_eq!(
-            (m.warm_epoch_allocs, m.minibatch_allocs),
-            (warm, mb),
-            "{}: allocation profile drifted from ALLOC_BASELINE.json \
-             (got warm={} minibatch={}); re-record intentionally with GFS_PRINT_GOLDEN=1",
-            m.model,
-            m.warm_epoch_allocs,
-            m.minibatch_allocs
-        );
-    }
+    pin(
+        "alloc.dlinear",
+        &[dlinear.warm_epoch_allocs, dlinear.minibatch_allocs],
+    );
+    pin(
+        "alloc.deepar",
+        &[deepar.warm_epoch_allocs, deepar.minibatch_allocs],
+    );
+    pin(
+        "alloc.orglinear",
+        &[orglinear.warm_epoch_allocs, orglinear.minibatch_allocs],
+    );
 }
