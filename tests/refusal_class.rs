@@ -9,6 +9,7 @@ use gfs::cluster::{DrainDecision, RunningTask};
 use gfs::prelude::*;
 use gfs::sched::placement::PlacementPolicy;
 use gfs::sim::{report_hash, ClusterService, PassStats, ServiceSnapshot};
+use gfs_testkit::pin;
 use gfs_types::{CheckpointPlan, SimDuration};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -322,7 +323,7 @@ fn pass_stats_pin_the_offers_a_backlog_costs() {
     assert_eq!(stats.max_pending, exhaustive.max_pending);
     assert_eq!((exhaustive.class_parks, exhaustive.wakes), (0, 0));
     assert_eq!(stats.offers, stats.placed + stats.class_parks);
-    assert_eq!(stats.offers, 27_419, "exact and repeatable: {stats:?}");
+    pin("sim.pass.backlog_offers", &[stats.offers]);
     assert!(
         stats.offers * 20 <= exhaustive.offers,
         "{} offers against {} exhaustive",
