@@ -1,8 +1,8 @@
 //! Fleet-scale engine check: a sharded, churned, heavy-tailed fleet run
 //! through `gfs::sim::fleet::run_fleet`, verifying the sharded engine's
 //! determinism contract end to end — a serial rerun reproduces the
-//! parallel run bit for bit, and the `fleet_hash` is pinned so a
-//! behavioral drift in the engine, the trace generator or the merge
+//! parallel run bit for bit, and the `fleet_hash` is pinned in `PINS` so
+//! a behavioral drift in the engine, the trace generator or the merge
 //! rules cannot land silently.
 //!
 //! ```text
@@ -14,11 +14,7 @@ use std::time::Instant;
 use gfs::prelude::*;
 use gfs::sim::fleet::{domain_shards, run_fleet, FleetShard};
 use gfs::trace::fleet::{FleetTraceConfig, FleetTraceGenerator};
-
-/// `fleet_hash` of the fleet below. Recompute with
-/// `cargo run --release -p gfs-bench --bin lab_fleet` after an
-/// *intentional* behavior change.
-const FLEET_HASH: u64 = 0xb2d6_1ae9_adb9_64e4;
+use gfs_testkit::pin;
 
 fn build_fleet(shards: u32, nodes_per_shard: u32, tasks: u64) -> Vec<FleetShard> {
     let clusters = domain_shards(shards as usize, nodes_per_shard, GpuModel::A100, 8);
@@ -90,10 +86,7 @@ fn main() {
         wall.as_secs_f64()
     );
 
-    assert_eq!(
-        fleet.fleet_hash, FLEET_HASH,
-        "fleet hash drifted — if the change is intentional, update FLEET_HASH"
-    );
+    pin("lab_fleet.fleet_hash", &[fleet.fleet_hash]);
     let start = Instant::now();
     let serial = run_fleet(
         build_fleet(shards, nodes_per_shard, tasks),
