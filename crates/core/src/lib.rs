@@ -14,8 +14,7 @@
 //!   fallback (Alg. 2, Eq. 17–19).
 //!
 //! [`GfsScheduler`] assembles them behind the `gfs_cluster::Scheduler`
-//! trait (Alg. 3); [`PtsVariant`] selects the Table 10 ablation variants;
-//! [`milp`] holds the exhaustive reference solver for the Eq. 12 program.
+//! trait (Alg. 3); [`PtsVariant`] selects the Table 10 ablation variants.
 //!
 //! [`PtsScheduler`] exposes the bare placement engine (no quota, no
 //! estimator) as a scheduler of its own — the placement-policy ablation
@@ -49,7 +48,6 @@
 
 mod gde;
 mod gfs;
-pub mod milp;
 mod pts;
 mod pts_sched;
 mod score_index;
