@@ -1,8 +1,9 @@
 //! Fixture-driven rule tests, the report-encoding pin, the workspace
 //! self-scan gate (so `cargo test` enforces the same zero-finding bar CI
-//! does) and the pin of the workspace's environment knobs.
+//! does), the pin of the workspace's environment knobs and the check that
+//! ties the `PINS` registry to the `pin` calls naming it.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use gfs_lint::{collect_files, render_table, scan_source, scan_workspace, Finding, RuleId};
@@ -205,4 +206,75 @@ fn env_knobs_are_pinned() {
             .map(String::from)
         )
     );
+}
+
+/// The pin registry is on the books: `PINS` parses and its keys are
+/// sorted and unique, every key is named by exactly one `pin` call with a
+/// literal name, every such call names a key, and only the testkit reads
+/// `GFS_PRINT_GOLDEN`.
+#[test]
+fn pins_are_named_once() {
+    let root = workspace_root();
+    let registry = std::fs::read_to_string(root.join("PINS")).expect("read PINS");
+    let mut keys = Vec::new();
+    for line in registry.lines() {
+        let line = line.split('#').next().unwrap_or_default().trim();
+        if line.is_empty() {
+            continue;
+        }
+        let (key, values) = line
+            .split_once(" = ")
+            .unwrap_or_else(|| panic!("PINS line `{line}` is not `name = values`"));
+        assert!(
+            !key.is_empty()
+                && key
+                    .bytes()
+                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b"_.".contains(&b)),
+            "PINS key `{key}`"
+        );
+        assert!(
+            values.split(' ').all(|v| match v.strip_prefix("0x") {
+                Some(hex) => u64::from_str_radix(hex, 16).is_ok(),
+                None => v.parse::<u64>().is_ok(),
+            }),
+            "PINS `{key}`: `{values}` is not a list of unsigned integers"
+        );
+        keys.push(key);
+    }
+    assert!(
+        keys.windows(2).all(|w| w[0] < w[1]),
+        "PINS keys must be sorted and unique: {keys:?}"
+    );
+
+    let mut named: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    let mut readers = Vec::new();
+    for rel in collect_files(&root).expect("workspace walk") {
+        let src = std::fs::read_to_string(root.join(&rel)).expect("read source");
+        for (at, call) in src.match_indices("pin(") {
+            // a call, not a longer name or this needle; rustfmt may break
+            // the line after the parenthesis
+            let before = src[..at].chars().next_back();
+            if before.is_some_and(|c| c.is_alphanumeric() || "_\"".contains(c)) {
+                continue;
+            }
+            if let Some(arg) = src[at + call.len()..].trim_start().strip_prefix('"') {
+                let end = arg.find('"').expect("closed string literal");
+                named
+                    .entry(arg[..end].to_string())
+                    .or_default()
+                    .push(rel.clone());
+            }
+        }
+        if src.contains("env::var(\"GFS_PRINT_GOLDEN\")") {
+            readers.push(rel);
+        }
+    }
+    let callers: BTreeMap<&str, usize> =
+        named.iter().map(|(k, at)| (k.as_str(), at.len())).collect();
+    assert_eq!(
+        callers,
+        keys.iter().map(|&k| (k, 1)).collect::<BTreeMap<_, _>>(),
+        "each PINS key needs exactly one pin call naming it, and each call a key: {named:?}"
+    );
+    assert_eq!(readers, ["crates/testkit/src/lib.rs"]);
 }
