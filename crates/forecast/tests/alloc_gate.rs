@@ -2,9 +2,8 @@
 //! allocates **nothing** once warm, and pins the exact per-epoch
 //! allocation counts as the `alloc.*` entries of `PINS`.
 //!
-//! Method: a counting [`GlobalAlloc`] wrapper around [`System`] increments
-//! a thread-local counter on every `alloc`/`realloc`/`alloc_zeroed` (the
-//! thread-local keeps other test threads from polluting the measurement).
+//! Method: the shared counting allocator
+//! (`crates/testkit/counting_alloc.rs`) counts this thread's allocations.
 //! For each tape-arena model we train twice from identical seeds — once
 //! for 2 epochs, once for 3 — and take the difference: everything the two
 //! runs share (dataset split, optimizer setup, first-epoch arena growth)
@@ -16,55 +15,14 @@
 //! The counts are additionally pinned, `(warm epoch, minibatch)` per
 //! model, so a regression in the batching plumbing is caught too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use gfs_forecast::dataset::{OrgDataset, OrgInfo};
 use gfs_forecast::{minibatches, DLinear, DeepAr, Forecaster, OrgLinear, TrainConfig};
 use gfs_testkit::pin;
 
-struct CountingAlloc;
+#[path = "../../testkit/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    ALLOCS.with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: delegates every operation to `System` unchanged; the counter
-// update is a plain thread-local store and never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocation count of `f` on this thread.
-fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (ALLOCS.with(Cell::get) - before, out)
-}
+use counting_alloc::count_allocs;
 
 /// Two-org dataset with business attrs so OrgLinear exercises the full
 /// embedding + attention path.

@@ -4,60 +4,19 @@
 //! where every fast-path number is also checked against the std
 //! formatter.
 //!
-//! Method: a counting [`GlobalAlloc`] wrapper around [`System`] bumps a
-//! thread-local counter on every `alloc`/`realloc`/`alloc_zeroed`, so
-//! other test threads cannot pollute the count.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! Method: the shared counting allocator
+//! (`crates/testkit/counting_alloc.rs`) counts this thread's allocations,
+//! so other test threads cannot pollute the count.
 
 use gfs_sim::TaskRecord;
 use gfs_types::{CheckpointPlan, GpuDemand, GpuModel, OrgId, Priority, SimTime, TaskSpec};
 use serde::de::Parser;
 use serde::{Deserialize, Serialize};
 
-struct CountingAlloc;
+#[path = "../../testkit/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    ALLOCS.with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: delegates every operation to `System` unchanged; the counter
-// update is a plain thread-local store and never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocation count of `f` on this thread.
-fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (ALLOCS.with(Cell::get) - before, out)
-}
+use counting_alloc::count_allocs;
 
 /// Every field set, and every number kind: integers, an integral `f64`
 /// (fast path), a fractional one (std formatter), `Some`/`None`, unit and
