@@ -9,19 +9,6 @@ pub fn mse(g: &mut Graph, pred: Var, target: Var) -> Var {
     g.mean_all(sq)
 }
 
-/// Mean absolute-error surrogate: smooth L1 with quadratic region `|x| < 1`.
-pub fn huber(g: &mut Graph, pred: Var, target: Var) -> Var {
-    // 0.5 d² for |d| <= 1, |d| - 0.5 otherwise — implemented with a smooth
-    // approximation sqrt(d² + eps) - eps to stay in the primitive set.
-    let d = g.sub(pred, target);
-    let sq = g.mul(d, d);
-    let shifted = g.add_const(sq, 1e-8);
-    let ln = g.ln(shifted);
-    let half = g.scale(ln, 0.5);
-    let abs = g.exp(half); // sqrt(d² + eps)
-    g.mean_all(abs)
-}
-
 /// Gaussian negative log-likelihood of `target` under `N(mu, sigma²)`,
 /// averaged over all elements — the distributional objective of Eq. 8:
 ///
@@ -98,14 +85,5 @@ mod tests {
             mu.grad().item() < 0.0,
             "gradient must push mu upward via -grad"
         );
-    }
-
-    #[test]
-    fn huber_is_small_near_zero() {
-        let mut g = Graph::new();
-        let a = g.constant(Tensor::row(&[1.0]));
-        let b = g.constant(Tensor::row(&[1.0]));
-        let l = huber(&mut g, a, b);
-        assert!(g.value(l).item() < 1e-3);
     }
 }

@@ -26,19 +26,6 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Empirical CDF: returns `(value, P(X ≤ value))` points in ascending order.
-#[must_use]
-pub fn empirical_cdf(values: &[f64]) -> Vec<(f64, f64)> {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("values must not contain NaN"));
-    let n = sorted.len() as f64;
-    sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, (i + 1) as f64 / n))
-        .collect()
-}
-
 /// Evaluates an empirical CDF at a probe value.
 #[must_use]
 pub fn cdf_at(values: &[f64], probe: f64) -> f64 {
@@ -80,17 +67,6 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn percentile_empty_panics() {
         let _ = percentile(&[], 50.0);
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_ends_at_one() {
-        let v = [5.0, 1.0, 3.0, 3.0];
-        let cdf = empirical_cdf(&v);
-        assert_eq!(cdf.last().unwrap().1, 1.0);
-        for w in cdf.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
     }
 
     #[test]

@@ -55,18 +55,6 @@ impl GpuModel {
         }
     }
 
-    /// Relative compute capability used by the workload generator to scale
-    /// task durations across heterogeneous pools (A100 ≡ 1.0).
-    #[must_use]
-    pub fn relative_flops(self) -> f64 {
-        match self {
-            GpuModel::A10 => 0.4,
-            GpuModel::A100 => 1.0,
-            GpuModel::A800 => 0.95,
-            GpuModel::H800 => 2.2,
-        }
-    }
-
     /// Node count of this model in the production cluster of Table 1
     /// (lower bounds reported by the paper).
     #[must_use]
@@ -122,10 +110,7 @@ mod tests {
     fn prices_are_positive_and_ordered_reasonably() {
         for m in GpuModel::ALL {
             assert!(m.hourly_price_usd() > 0.0);
-            assert!(m.relative_flops() > 0.0);
         }
-        assert!(GpuModel::H800.relative_flops() > GpuModel::A100.relative_flops());
-        assert!(GpuModel::A10.relative_flops() < GpuModel::A100.relative_flops());
     }
 
     #[test]

@@ -67,12 +67,6 @@ impl Weekday {
             Weekday::Sunday => 6,
         }
     }
-
-    /// Whether the day falls on a weekend.
-    #[must_use]
-    pub fn is_weekend(self) -> bool {
-        matches!(self, Weekday::Saturday | Weekday::Sunday)
-    }
 }
 
 /// An instant of simulated time, in whole seconds since the epoch
@@ -250,13 +244,6 @@ mod tests {
         assert_eq!(SimTime::from_days(5).weekday(), Weekday::Saturday);
         assert_eq!(SimTime::from_days(6).weekday(), Weekday::Sunday);
         assert_eq!(SimTime::from_days(7).weekday(), Weekday::Monday);
-    }
-
-    #[test]
-    fn weekend_detection() {
-        assert!(Weekday::Saturday.is_weekend());
-        assert!(Weekday::Sunday.is_weekend());
-        assert!(!Weekday::Wednesday.is_weekend());
     }
 
     #[test]
