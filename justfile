@@ -50,9 +50,10 @@ benchmark *args:
 
 # Re-record every golden pin: prints the new non-comment lines of `PINS`,
 # sorted. Paste them over the old ones, keeping the `#` provenance
-# comments, and commit the re-record on its own with its reason.
+# comments, and commit the re-record on its own with its reason. (`sed`
+# drops the progress dots `cargo test -q` leaves before a printed line.)
 repin:
-    { GFS_PRINT_GOLDEN=1 cargo test --workspace -q -- --nocapture; GFS_PRINT_GOLDEN=1 cargo run --release -q -p gfs-bench --bin lab_fleet; } | grep -E '^[a-z0-9_.]+ = ' | LC_ALL=C sort
+    { GFS_PRINT_GOLDEN=1 cargo test --workspace -q -- --nocapture; GFS_PRINT_GOLDEN=1 cargo run --release -q -p gfs-bench --bin lab_fleet; } | sed -E 's/^\.+//' | grep -E '^[a-z0-9_.]+ = ' | LC_ALL=C sort
 
 # Every paper and lab bin (fig*, table*, lab_*) at its default size,
 # discovered from the bin list — a new bin is picked up automatically, so
