@@ -29,14 +29,16 @@ const PINS: &str = include_str!("../../../PINS");
 ///
 /// When `PINS` has no entry `name`, when the entry does not parse, or
 /// when its values differ from `values`.
+#[track_caller]
 pub fn pin(name: &str, values: &[u64]) {
     let got = line(name, values);
     if std::env::var("GFS_PRINT_GOLDEN").is_ok() {
         println!("{got}");
         return;
     }
-    let want =
-        lookup(name).unwrap_or_else(|| panic!("no pin `{name}` in PINS; this run gives `{got}`"));
+    let Some(want) = lookup(name) else {
+        panic!("no pin `{name}` in PINS; this run gives `{got}`");
+    };
     assert!(
         want == values,
         "pin drifted: PINS has `{}`, this run gives `{got}` \
