@@ -17,8 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fmt::Write;
-
 /// The registry, compiled in: a change to `PINS` rebuilds its users.
 const PINS: &str = include_str!("../../../PINS");
 
@@ -49,16 +47,17 @@ pub fn pin(name: &str, values: &[u64]) {
 
 /// `name`'s registry line for `values`.
 fn line(name: &str, values: &[u64]) -> String {
-    let mut out = format!("{name} =");
-    for &v in values {
-        if v > u64::from(u32::MAX) {
-            write!(out, " {v:#018x}")
-        } else {
-            write!(out, " {v}")
-        }
-        .expect("writing to a String cannot fail");
-    }
-    out
+    let values: Vec<String> = values
+        .iter()
+        .map(|&v| {
+            if v > u64::from(u32::MAX) {
+                format!("{v:#018x}")
+            } else {
+                v.to_string()
+            }
+        })
+        .collect();
+    format!("{name} = {}", values.join(" "))
 }
 
 /// The values of `PINS` entry `name`, if it has one.
