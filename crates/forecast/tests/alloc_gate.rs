@@ -114,16 +114,8 @@ fn warm_training_step_allocates_nothing() {
 
     // The ratchet: exact pin of the counts, so regressions in the
     // batching plumbing (or silent growth anywhere in fit) fail CI.
-    pin(
-        "alloc.dlinear",
-        &[dlinear.warm_epoch_allocs, dlinear.minibatch_allocs],
-    );
-    pin(
-        "alloc.deepar",
-        &[deepar.warm_epoch_allocs, deepar.minibatch_allocs],
-    );
-    pin(
-        "alloc.orglinear",
-        &[orglinear.warm_epoch_allocs, orglinear.minibatch_allocs],
-    );
+    let counts = |m: &Measurement| [m.warm_epoch_allocs, m.minibatch_allocs];
+    pin("alloc.dlinear", &counts(&dlinear));
+    pin("alloc.deepar", &counts(&deepar));
+    pin("alloc.orglinear", &counts(&orglinear));
 }

@@ -2,12 +2,13 @@
 //!
 //! Every golden pin in this repo (the `PINS` registry at the workspace
 //! root, checked by `gfs_testkit::pin`, and the threads=1 == threads=8
-//! fleet determinism contract, see `gfs_sim::fleet`) rests on invariants that `rustc` cannot check:
-//! iteration order, clock sources, serde attribute pairing, and the
-//! ChangeLog epoch protocol. This crate is a std-only static-analysis pass
-//! that checks them. It has **zero dependencies** — a hand-written lossy
-//! lexer ([`lexer`]), not `syn` — so it builds offline and keeps working
-//! even when the code it scans does not compile.
+//! fleet determinism contract, see `gfs_sim::fleet`) rests on invariants
+//! that `rustc` cannot check: iteration order, clock sources, serde
+//! attribute pairing, and the ChangeLog epoch protocol. This crate is a
+//! std-only static-analysis pass that checks them. It has **zero
+//! dependencies** — a hand-written lossy lexer ([`lexer`]), not `syn` — so
+//! it builds offline and keeps working even when the code it scans does
+//! not compile.
 //!
 //! # Rules
 //!
