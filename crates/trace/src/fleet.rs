@@ -1,13 +1,12 @@
 //! Fleet-scale trace generation: million-task, heavy-tailed, sharded —
 //! and fast enough to sit inside a benchmark loop.
 //!
-//! [`WorkloadGenerator`](crate::workload::WorkloadGenerator) rebuilds its
-//! hourly diurnal weight table for *every* submission sample, which is
-//! fine at thousands of tasks and ruinous at a million (O(tasks × hours)
-//! allocations). [`FleetTraceGenerator`] precomputes the cumulative
-//! diurnal intensity over the horizon once and samples each submission
-//! with one uniform draw plus a binary search — O(tasks · log hours)
-//! total, no per-task allocation.
+//! Like [`WorkloadGenerator`](crate::workload::WorkloadGenerator),
+//! [`FleetTraceGenerator`] builds the cumulative diurnal intensity over
+//! the horizon once and samples each submission with one uniform draw
+//! plus a binary search — O(tasks · log hours) total, no per-task
+//! allocation. The two differ only in how a draw maps to an hour: the
+//! fleet takes the first hour whose prefix sum exceeds it.
 //!
 //! Tasks are drawn from a single seeded stream in global id order and
 //! routed to shards by organization (`org % shards`), matching
@@ -20,10 +19,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use gfs_types::{
-    CheckpointPlan, GpuDemand, GpuModel, OrgId, Priority, SimDuration, SimTime, TaskSpec, HOUR,
+    CheckpointPlan, GpuDemand, GpuModel, OrgId, Priority, SimDuration, TaskSpec, HOUR,
 };
 
-use crate::orgdemand::OrgArchetype;
+use crate::diurnal::DiurnalTable;
 use crate::rand_util::{lognormal, pareto, weighted_index};
 
 /// Configuration of the fleet trace generator.
@@ -85,23 +84,17 @@ impl Default for FleetTraceConfig {
 #[derive(Debug, Clone)]
 pub struct FleetTraceGenerator {
     cfg: FleetTraceConfig,
-    /// Cumulative hourly submission intensity over the horizon; the
-    /// one-time table the per-task hot path binary-searches.
-    cumulative: Vec<f64>,
+    /// Diurnal submission intensity over the horizon, sampled by the
+    /// partition rule.
+    diurnal: DiurnalTable,
 }
 
 impl FleetTraceGenerator {
     /// Creates a generator, building the diurnal CDF once.
     #[must_use]
     pub fn new(cfg: FleetTraceConfig) -> Self {
-        let hours = (cfg.horizon_secs / HOUR).max(1);
-        let mut cumulative = Vec::with_capacity(hours as usize);
-        let mut total = 0.0;
-        for h in 0..hours {
-            total += 0.2 + OrgArchetype::diurnal_profile(h % 24);
-            cumulative.push(total);
-        }
-        FleetTraceGenerator { cfg, cumulative }
+        let diurnal = DiurnalTable::new(cfg.horizon_secs);
+        FleetTraceGenerator { cfg, diurnal }
     }
 
     /// The configuration in use.
@@ -165,7 +158,7 @@ impl FleetTraceGenerator {
         };
         let duration = (raw as u64).clamp(60, self.cfg.max_duration_secs);
 
-        let submit = self.sample_submit_time(rng);
+        let submit = self.diurnal.sample_partition(rng);
         let org = OrgId::new(rng.gen_range(0..self.cfg.num_orgs.max(1)));
 
         let mut b = TaskSpec::builder(id)
@@ -184,17 +177,6 @@ impl FleetTraceGenerator {
         }
         b.build()
             .expect("generated tasks satisfy the spec invariants")
-    }
-
-    /// One uniform draw against the precomputed CDF: binary search finds
-    /// the hour, a second draw places the second within it.
-    fn sample_submit_time(&self, rng: &mut ChaCha8Rng) -> SimTime {
-        let total = *self.cumulative.last().expect("at least one hour");
-        let u = rng.gen_range(0.0..total);
-        let hour = self.cumulative.partition_point(|&c| c <= u) as u64;
-        let hour = hour.min(self.cumulative.len() as u64 - 1);
-        let sec = rng.gen_range(0..HOUR);
-        SimTime::from_secs(hour * HOUR + sec)
     }
 }
 

@@ -7,12 +7,15 @@
 //! * [`workload`] — task streams matching the Table 3 size/gang mix, the
 //!   Fig. 2 era CDFs, the Fig. 3 duration scales and the diurnal
 //!   submission peaks behind Fig. 5;
-//! * [`fleet`] — million-task sharded traces for the fleet-scale engine,
-//!   with a precomputed diurnal CDF so generation stays O(tasks · log h);
+//! * [`fleet`] — million-task sharded traces for the fleet-scale engine;
 //! * [`orgdemand`] — per-organization hourly demand series matching Fig. 4
 //!   (including Organization C's 35.7 % weekend drop);
 //! * [`record`] — JSON trace persistence;
 //! * [`stats`] — percentile/CDF helpers used by the figure benches.
+//!
+//! Both task generators, [`workload`] and [`fleet`], build their hourly
+//! diurnal submission CDF once per generator, so a trace of `tasks` over
+//! `h` hours costs O(tasks · log h).
 //!
 //! # Examples
 //!
@@ -31,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub(crate) mod diurnal;
 pub mod fleet;
 pub mod orgdemand;
 pub(crate) mod rand_util;

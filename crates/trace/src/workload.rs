@@ -8,10 +8,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use gfs_types::{
-    CheckpointPlan, GpuDemand, GpuModel, OrgId, Priority, SimDuration, SimTime, TaskSpec, HOUR,
+    CheckpointPlan, GpuDemand, GpuModel, OrgId, Priority, SimDuration, TaskSpec, HOUR,
 };
 
-use crate::orgdemand::OrgArchetype;
+use crate::diurnal::DiurnalTable;
 use crate::rand_util::{lognormal, pareto, weighted_index};
 
 /// Which era's request-size distribution to draw from (Fig. 2).
@@ -124,13 +124,17 @@ impl WorkloadConfig {
 #[derive(Debug, Clone)]
 pub struct WorkloadGenerator {
     cfg: WorkloadConfig,
+    /// Diurnal submission intensity over the horizon (10:00–24:00 peak),
+    /// sampled by `weighted_index`'s subtraction-scan rule.
+    diurnal: DiurnalTable,
 }
 
 impl WorkloadGenerator {
-    /// Creates a generator.
+    /// Creates a generator, building the diurnal table once.
     #[must_use]
     pub fn new(cfg: WorkloadConfig) -> Self {
-        WorkloadGenerator { cfg }
+        let diurnal = DiurnalTable::new(cfg.horizon_secs);
+        WorkloadGenerator { cfg, diurnal }
     }
 
     /// The configuration in use.
@@ -205,7 +209,7 @@ impl WorkloadGenerator {
         };
         let duration = (raw as u64).clamp(60, self.cfg.max_duration_secs);
 
-        let submit = self.sample_submit_time(rng);
+        let submit = self.diurnal.sample_scan(rng);
         let org = OrgId::new(rng.gen_range(0..self.cfg.num_orgs.max(1)));
 
         let mut b = TaskSpec::builder(id)
@@ -224,18 +228,6 @@ impl WorkloadGenerator {
         }
         b.build()
             .expect("generated tasks satisfy the spec invariants")
-    }
-
-    /// Samples a submission instant with the diurnal intensity profile
-    /// (10:00–24:00 peak).
-    fn sample_submit_time(&self, rng: &mut ChaCha8Rng) -> SimTime {
-        let hours = (self.cfg.horizon_secs / HOUR).max(1);
-        let weights: Vec<f64> = (0..hours)
-            .map(|h| 0.2 + OrgArchetype::diurnal_profile(h % 24))
-            .collect();
-        let hour = weighted_index(&weights, rng) as u64;
-        let sec = rng.gen_range(0..HOUR);
-        SimTime::from_secs(hour * HOUR + sec)
     }
 }
 
