@@ -289,16 +289,6 @@ impl Cluster {
         self.nodes.len() - self.down_nodes - self.draining_nodes
     }
 
-    /// Sum of free card fractions (optionally per model).
-    #[must_use]
-    pub fn free_capacity(&self, model: Option<GpuModel>) -> f64 {
-        self.nodes
-            .iter()
-            .filter(|n| model.is_none_or(|m| n.model() == m))
-            .map(Node::free_capacity)
-            .sum()
-    }
-
     /// Count of completely idle cards (optionally per model) — the `S₀`
     /// of Eq. 10. O(1), down nodes excluded.
     #[must_use]

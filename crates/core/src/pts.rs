@@ -24,10 +24,10 @@ use std::cmp::Reverse;
 use gfs_cluster::{Cluster, Decision, Node, RunningTask};
 use gfs_sched::placement::{gang_nodes_by, plan_preemption_by, DomainUse, PlacementPolicy};
 use gfs_types::{
-    GfsParams, GpuDemand, GpuModel, NodeId, Priority, SimDuration, SimTime, TaskId, TaskSpec, HOUR,
+    GfsParams, GpuDemand, GpuModel, NodeId, Priority, SimTime, TaskId, TaskSpec, HOUR,
 };
 
-use crate::score_index::{Flavor, ScoreIndex};
+use crate::score_index::{Flavor, Key, ScoreIndex};
 
 /// Which degradation (if any) to apply — the Table 10 ablation variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -148,20 +148,45 @@ impl Pts {
         Some((s1, s2, s3))
     }
 
-    /// Whether cached node scores can only change through a cluster
-    /// mutation: the degraded variants score packing alone, so nothing
-    /// in the key decays with simulated time.
-    pub(crate) fn scoring_time_invariant(&self) -> bool {
-        self.variant.scoring_degraded()
+    /// Both flavors' index keys of `node`, HP then spot: the scan's key
+    /// without its gang-spread term, packed as order-preserving integers
+    /// (module doc of `score_index`); `None` where [`Pts::node_scores`]
+    /// excludes the node.
+    pub(crate) fn node_keys(
+        &self,
+        cluster: &Cluster,
+        node: &Node,
+        now: SimTime,
+    ) -> [Option<Key>; 2] {
+        let hazard = self.policy.hazard_component(cluster, node, now).to_bits();
+        let draining = -self.policy.drain_component(cluster, node.id());
+        let drain = u64::MAX - draining as u64;
+        [Priority::Hp, Priority::Spot].map(|priority| {
+            let (s1, s2, s3) = self.node_scores(node, priority, now)?;
+            Some([hazard, drain, s1.to_bits(), s2.to_bits(), s3.to_bits()])
+        })
     }
 
-    /// The eviction-count windows `Score3` is computed over, for
-    /// deadline-based cache invalidation.
-    pub(crate) fn eviction_windows(&self) -> [SimDuration; 2] {
-        [
-            self.params.eviction_window_short_secs,
-            self.params.eviction_window_long_secs,
-        ]
+    /// The last instant [`Pts::node_keys`] stays current for `node`
+    /// without a cluster mutation: the earliest moment a windowed
+    /// eviction or failure count behind the key ages out (`None`: stable
+    /// until the next mutation). The degraded variants score packing
+    /// alone, so only the reliability window can bound their keys.
+    pub(crate) fn keys_valid_until(&self, node: &Node, now: SimTime) -> Option<SimTime> {
+        let p = &self.params;
+        let windows = [p.eviction_window_short_secs, p.eviction_window_long_secs];
+        let evictions = if self.variant.scoring_degraded() {
+            None
+        } else {
+            node.eviction_score_valid_until(now, &windows)
+        };
+        let failures = if self.policy.reliability {
+            node.failure_score_valid_until(now, self.policy.failure_window_secs)
+        } else {
+            None
+        };
+        // whichever count changes first
+        evictions.into_iter().chain(failures).min()
     }
 
     /// Non-preemptive scheduling (Alg. 1): one node per pod, or `None`.

@@ -7,14 +7,20 @@
 //! difference between a simulator and a schedulable control plane at
 //! 100k nodes (ROADMAP item 1). This module caches the scores instead:
 //!
-//! * **Bucket trees** — one tournament (segment) tree per capacity-index
-//!   bucket `(GpuModel, idle cards)`, whose internal nodes hold the
-//!   winning node id under the exact scan order: packed `<hazard, drain,
-//!   Score1, Score2, Score3>` descending, then lower node id. A
-//!   whole-card query for `g` cards reads the root of every bucket `g..`
-//!   (at most `gpus_per_node + 1` roots) and picks the best — O(log n)
-//!   total.
-//! * **Epoch invalidation** — the cluster's [`ChangeLog`] records every
+//! * **Per-flavor ordered sets** — each capacity-index bucket
+//!   `(GpuModel, idle cards)` holds two `BTreeSet`s, one per [`Flavor`],
+//!   of `(Reverse(key), node id)` where the key is the packed `<hazard,
+//!   drain, Score1, Score2, Score3>`. A set's first element is the exact
+//!   scan winner of its bucket: the greatest key, ties to the lower id. A
+//!   whole-card query for `g` cards takes the least first element over
+//!   the buckets `g..` (at most `gpus_per_node + 1` of them) — O(log n)
+//!   total. A circuit-broken spot node has no spot key, so it sits in no
+//!   spot set.
+//! * **One owner of the key** — [`Pts::node_keys`](crate::Pts::node_keys)
+//!   builds both flavors' keys and
+//!   [`Pts::keys_valid_until`](crate::Pts::keys_valid_until) says how long
+//!   they hold; this module only stores and orders them.
+//! * **Epoch invalidation** — the cluster's `ChangeLog` records every
 //!   score-relevant node mutation; [`ScoreIndex::prepare`] replays only
 //!   the ids touched since its last cursor and recomputes those keys. A
 //!   cursor that falls off the bounded log (or a different cluster
@@ -22,10 +28,10 @@
 //! * **Eviction-window-aware invalidation** — `Score3` depends on
 //!   windowed eviction *counts*, which also change by pure aging. Each
 //!   cached key carries the last instant its counts stay valid
-//!   ([`Node::eviction_score_valid_until`]); a min-heap of those
+//!   (`Node::eviction_score_valid_until`); a min-heap of those
 //!   deadlines recomputes exactly the nodes whose windows just aged out.
 //!   The hard-window failure count behind the reliability component ages
-//!   the same way ([`Node::failure_score_valid_until`]) and shares the
+//!   the same way (`Node::failure_score_valid_until`) and shares the
 //!   heap.
 //! * **Domain re-keying** — the drain component is a property of a node's
 //!   failure *domain*. The index remembers each domain's members and the
@@ -65,7 +71,7 @@
 //!
 //! Gang budgets: a pod's predecessors only *gate* a node (virtual budget
 //! < demand), they never change its score, so the caller masks
-//! budget-exhausted leaves for the duration of one gang and reinserts
+//! budget-exhausted nodes for the duration of one gang and reinserts
 //! them afterwards.
 //!
 //! Gang spread: the scan ranks `−(gang pods already in the node's
@@ -81,17 +87,15 @@
 //! bounded by the sizes of the domains the gang occupies.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
-use gfs_cluster::{Cluster, Node};
+use gfs_cluster::Cluster;
 use gfs_types::{GpuModel, NodeId, Priority, SimTime};
 
 use crate::pts::Pts;
 
-/// Sentinel for "no node" in leaves and winner slots.
-const EMPTY: u32 = u32::MAX;
-
-/// Which cached score flavor a query reads.
+/// Which cached score flavor a query reads; `flavor as usize` indexes a
+/// slot's keys and a bucket's sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Flavor {
     /// HP scoring (eviction-seeking `Score3`).
@@ -114,177 +118,22 @@ impl Flavor {
 /// integers (see the module docs).
 pub(crate) type Key = [u64; 5];
 
-/// The cacheable policy prefix `<hazard, drain>` of `node`.
-fn policy_prefix(pts: &Pts, cluster: &Cluster, node: &Node, now: SimTime) -> [u64; 2] {
-    let policy = pts.policy();
-    let draining = -policy.drain_component(cluster, node.id());
-    [
-        policy.hazard_component(cluster, node, now).to_bits(),
-        u64::MAX - draining as u64,
-    ]
-}
-
-fn pack(prefix: [u64; 2], scores: (f64, f64, f64)) -> Key {
-    let [hazard, drain] = prefix;
-    let (s1, s2, s3) = scores;
-    [hazard, drain, s1.to_bits(), s2.to_bits(), s3.to_bits()]
-}
+/// One bucket's members per flavor, first element = the scan's winner.
+type Bucket = [BTreeSet<(Reverse<Key>, u32)>; 2];
 
 /// Per-node cache slot.
 #[derive(Debug, Clone, Default)]
 struct Slot {
-    /// Where the node's leaf lives: `(model, idle bucket, leaf pos)`;
-    /// `None` while out of the placement structures (down, draining, or
-    /// temporarily masked by a gang budget).
-    bucket: Option<(GpuModel, u32, u32)>,
-    hp: Option<Key>,
-    spot: Option<Key>,
+    /// The `(model, idle)` bucket the node sits in; `None` while out of
+    /// the placement structures (down, draining, or temporarily masked by
+    /// a gang budget).
+    bucket: Option<(GpuModel, u32)>,
+    /// HP, then spot key (`None`: excluded from that flavor).
+    keys: [Option<Key>; 2],
     /// Last second at which the windowed eviction and failure counts
     /// behind these keys are still current (`None` = stable until the next
     /// mutation).
     valid_until: Option<u64>,
-}
-
-impl Slot {
-    fn key(&self, flavor: Flavor) -> Option<Key> {
-        match flavor {
-            Flavor::Hp => self.hp,
-            Flavor::Spot => self.spot,
-        }
-    }
-}
-
-fn key_of(slots: &[Slot], flavor: Flavor, id: u32) -> Option<Key> {
-    if id == EMPTY {
-        return None;
-    }
-    slots[id as usize].key(flavor)
-}
-
-/// The scan's total order: higher packed scores win, ties prefer the
-/// *lower* node id (in [`gang_nodes_by`](gfs_sched::placement::gang_nodes_by)
-/// a candidate must be strictly greater to displace an earlier, lower id).
-fn duel(slots: &[Slot], flavor: Flavor, a: u32, b: u32) -> u32 {
-    match (key_of(slots, flavor, a), key_of(slots, flavor, b)) {
-        (None, None) => EMPTY,
-        (Some(_), None) => a,
-        (None, Some(_)) => b,
-        (Some(ka), Some(kb)) => {
-            if (ka, Reverse(a)) >= (kb, Reverse(b)) {
-                a
-            } else {
-                b
-            }
-        }
-    }
-}
-
-/// Tournament tree over one `(model, idle)` bucket's members. Leaves hold
-/// node ids; internal slots hold the per-flavor duel winner of their
-/// subtree. Positions are an implementation detail — winners depend only
-/// on `(key, id)`, so leaf placement cannot affect decisions.
-#[derive(Debug, Clone, Default)]
-struct BucketTree {
-    /// Leaf capacity; always a power of two (or 0 before first insert).
-    cap: usize,
-    /// `leaves[pos]` = node id or `EMPTY`.
-    leaves: Vec<u32>,
-    /// Internal duel winners, index 1..cap (standard implicit heap
-    /// layout; entry 0 unused). Empty when `cap <= 1`.
-    hp_win: Vec<u32>,
-    spot_win: Vec<u32>,
-    free: Vec<u32>,
-    len: usize,
-}
-
-impl BucketTree {
-    fn child(&self, flavor: Flavor, j: usize) -> u32 {
-        if j >= self.cap {
-            self.leaves[j - self.cap]
-        } else {
-            match flavor {
-                Flavor::Hp => self.hp_win[j],
-                Flavor::Spot => self.spot_win[j],
-            }
-        }
-    }
-
-    fn refresh_internal(&mut self, slots: &[Slot], i: usize) {
-        let hp = duel(
-            slots,
-            Flavor::Hp,
-            self.child(Flavor::Hp, 2 * i),
-            self.child(Flavor::Hp, 2 * i + 1),
-        );
-        let spot = duel(
-            slots,
-            Flavor::Spot,
-            self.child(Flavor::Spot, 2 * i),
-            self.child(Flavor::Spot, 2 * i + 1),
-        );
-        self.hp_win[i] = hp;
-        self.spot_win[i] = spot;
-    }
-
-    /// Recomputes winners on the path from leaf `pos` to the root.
-    fn update_path(&mut self, slots: &[Slot], pos: u32) {
-        let mut i = (self.cap + pos as usize) / 2;
-        while i >= 1 {
-            self.refresh_internal(slots, i);
-            i /= 2;
-        }
-    }
-
-    fn grow(&mut self, slots: &[Slot]) {
-        let new_cap = (self.cap * 2).max(1);
-        self.leaves.resize(new_cap, EMPTY);
-        // hand out fresh positions high-to-low so pops take low first
-        for pos in (self.cap..new_cap).rev() {
-            self.free.push(pos as u32);
-        }
-        self.cap = new_cap;
-        self.hp_win = vec![EMPTY; self.cap.max(1)];
-        self.spot_win = vec![EMPTY; self.cap.max(1)];
-        for i in (1..self.cap).rev() {
-            self.refresh_internal(slots, i);
-        }
-    }
-
-    fn insert(&mut self, slots: &[Slot], id: u32) -> u32 {
-        if self.free.is_empty() {
-            self.grow(slots);
-        }
-        let pos = self.free.pop().expect("grow produced a free leaf");
-        self.leaves[pos as usize] = id;
-        self.len += 1;
-        self.update_path(slots, pos);
-        pos
-    }
-
-    fn remove(&mut self, slots: &[Slot], pos: u32) {
-        debug_assert_ne!(self.leaves[pos as usize], EMPTY);
-        self.leaves[pos as usize] = EMPTY;
-        self.free.push(pos);
-        self.len -= 1;
-        self.update_path(slots, pos);
-    }
-
-    fn winner(&self, slots: &[Slot], flavor: Flavor) -> u32 {
-        if self.len == 0 || self.cap == 0 {
-            return EMPTY;
-        }
-        if self.cap == 1 {
-            let id = self.leaves[0];
-            if key_of(slots, flavor, id).is_some() {
-                return id;
-            }
-            return EMPTY;
-        }
-        match flavor {
-            Flavor::Hp => self.hp_win[1],
-            Flavor::Spot => self.spot_win[1],
-        }
-    }
 }
 
 /// The score index. One per [`Pts`](crate::Pts) instance, bound to one
@@ -297,7 +146,7 @@ pub(crate) struct ScoreIndex {
     cursor: u64,
     last_now: SimTime,
     slots: Vec<Slot>,
-    trees: BTreeMap<(GpuModel, u32), BucketTree>,
+    buckets: BTreeMap<(GpuModel, u32), Bucket>,
     /// Min-heap of `(valid_until, node id)` count-window deadlines.
     expiry: BinaryHeap<Reverse<(u64, u32)>>,
     /// Per failure domain: the `draining_in_domain` its members' keys were
@@ -356,7 +205,7 @@ impl ScoreIndex {
         self.bound = Some(log.instance());
         self.cursor = log.cursor();
         self.last_now = now;
-        self.trees.clear();
+        self.buckets.clear();
         self.expiry.clear();
         self.slots.clear();
         self.slots.resize(cluster.nodes().len(), Slot::default());
@@ -397,71 +246,60 @@ impl ScoreIndex {
         }
     }
 
-    /// Recomputes one node's cached keys and tree membership from real
-    /// cluster state.
+    /// Recomputes one node's cached keys and bucket from real cluster
+    /// state.
     fn recompute(&mut self, pts: &Pts, cluster: &Cluster, id: u32, now: SimTime) {
         if self.slots.len() <= id as usize {
             // scale-out minted a fresh node id
             self.slots.resize(id as usize + 1, Slot::default());
         }
+        let node = &cluster.nodes()[id as usize];
         let placement = cluster.node_placement_key(id);
-        let (hp, spot, valid_until) = match placement {
-            None => (None, None, None),
-            Some(_) => {
-                let node = &cluster.nodes()[id as usize];
-                let prefix = policy_prefix(pts, cluster, node, now);
-                let key = |priority| {
-                    pts.node_scores(node, priority, now)
-                        .map(|s| pack(prefix, s))
-                };
-                let evictions = if pts.scoring_time_invariant() {
-                    None
-                } else {
-                    node.eviction_score_valid_until(now, &pts.eviction_windows())
-                };
-                let failures = if pts.policy().reliability {
-                    node.failure_score_valid_until(now, pts.policy().failure_window_secs)
-                } else {
-                    None
-                };
-                // whichever count changes first
-                let valid = evictions.into_iter().chain(failures).min();
-                (
-                    key(Priority::Hp),
-                    key(Priority::Spot),
-                    valid.map(SimTime::as_secs),
-                )
-            }
+        let (keys, valid_until) = match placement {
+            None => ([None; 2], None),
+            Some(_) => (
+                pts.node_keys(cluster, node, now),
+                pts.keys_valid_until(node, now).map(SimTime::as_secs),
+            ),
         };
+        self.leave(id);
         let slot = &mut self.slots[id as usize];
-        let old_bucket = slot.bucket;
         let deadline_changed = slot.valid_until != valid_until;
-        slot.hp = hp;
-        slot.spot = spot;
+        slot.keys = keys;
         slot.valid_until = valid_until;
-        match (old_bucket, placement) {
-            (Some((m, k, pos)), Some(new)) if (m, k) == new => {
-                // same bucket, keys changed: refresh the winner path
-                let tree = self.trees.get_mut(&(m, k)).expect("occupied bucket");
-                tree.update_path(&self.slots, pos);
-            }
-            (old, new) => {
-                if let Some((m, k, pos)) = old {
-                    let tree = self.trees.get_mut(&(m, k)).expect("occupied bucket");
-                    tree.remove(&self.slots, pos);
-                }
-                if let Some((m, k)) = new {
-                    let tree = self.trees.entry((m, k)).or_default();
-                    let pos = tree.insert(&self.slots, id);
-                    self.slots[id as usize].bucket = Some((m, k, pos));
-                } else {
-                    self.slots[id as usize].bucket = None;
-                }
-            }
+        if let Some(bucket) = placement {
+            self.join(id, bucket);
         }
         if deadline_changed {
             if let Some(t) = valid_until {
                 self.expiry.push(Reverse((t, id)));
+            }
+        }
+    }
+
+    /// Takes node `id` out of its bucket's sets, if it is in one.
+    fn leave(&mut self, id: u32) {
+        let slot = &mut self.slots[id as usize];
+        let Some(bucket) = slot.bucket.take() else {
+            return;
+        };
+        let sets = self.buckets.get_mut(&bucket).expect("occupied bucket");
+        for (set, key) in sets.iter_mut().zip(slot.keys) {
+            if let Some(key) = key {
+                let present = set.remove(&(Reverse(key), id));
+                debug_assert!(present, "node {id} missing from its bucket");
+            }
+        }
+    }
+
+    /// Puts node `id` into `bucket`'s sets under its cached keys.
+    fn join(&mut self, id: u32, bucket: (GpuModel, u32)) {
+        let slot = &mut self.slots[id as usize];
+        slot.bucket = Some(bucket);
+        let sets = self.buckets.entry(bucket).or_default();
+        for (set, key) in sets.iter_mut().zip(slot.keys) {
+            if let Some(key) = key {
+                set.insert((Reverse(key), id));
             }
         }
     }
@@ -471,21 +309,11 @@ impl ScoreIndex {
     /// ties to the lower node id. Requires a preceding
     /// [`ScoreIndex::prepare`] this scheduling round.
     pub(crate) fn query(&self, model: GpuModel, need: u32, flavor: Flavor) -> Option<u32> {
-        let mut best: Option<(Key, Reverse<u32>)> = None;
-        let mut best_id = EMPTY;
-        for (_, tree) in self.trees.range((model, need)..=(model, u32::MAX)) {
-            let w = tree.winner(&self.slots, flavor);
-            if w == EMPTY {
-                continue;
-            }
-            let key = key_of(&self.slots, flavor, w).expect("winner has a key");
-            let cand = (key, Reverse(w));
-            if best.is_none_or(|b| cand > b) {
-                best = Some(cand);
-                best_id = w;
-            }
-        }
-        (best_id != EMPTY).then_some(best_id)
+        self.buckets
+            .range((model, need)..=(model, u32::MAX))
+            .filter_map(|(_, sets)| sets[flavor as usize].first())
+            .min()
+            .map(|&(_, id)| id)
     }
 
     /// Whether a decision has gone through this index yet.
@@ -496,7 +324,7 @@ impl ScoreIndex {
 
     /// The cached key of a node a query just returned.
     pub(crate) fn key(&self, id: u32, flavor: Flavor) -> Key {
-        key_of(&self.slots, flavor, id).expect("query winners are keyed")
+        self.slots[id as usize].keys[flavor as usize].expect("query winners are keyed")
     }
 
     /// Oracle diagnostics: node `id`'s cached key and bucket next to a
@@ -510,14 +338,13 @@ impl ScoreIndex {
         priority: Priority,
         now: SimTime,
     ) -> String {
+        let flavor = Flavor::of(priority) as usize;
         let node = &cluster.nodes()[id.index()];
         let slot = &self.slots[id.index()];
-        let fresh = pts
-            .node_scores(node, priority, now)
-            .map(|s| pack(policy_prefix(pts, cluster, node, now), s));
+        let fresh = pts.node_keys(cluster, node, now)[flavor];
         format!(
             "{id}: cached key {:?} bucket {:?} valid_until {:?} | fresh key {fresh:?} placement {:?}",
-            slot.key(Flavor::of(priority)),
+            slot.keys[flavor],
             slot.bucket,
             slot.valid_until,
             cluster.node_placement_key(id.raw()),
@@ -528,10 +355,7 @@ impl ScoreIndex {
     /// the pods still being placed). Keys stay cached; pair with
     /// [`ScoreIndex::unmask`] before the scheduling call returns.
     pub(crate) fn mask(&mut self, id: u32) {
-        if let Some((m, k, pos)) = self.slots[id as usize].bucket.take() {
-            let tree = self.trees.get_mut(&(m, k)).expect("occupied bucket");
-            tree.remove(&self.slots, pos);
-        }
+        self.leave(id);
     }
 
     /// Re-admits a node hidden by [`ScoreIndex::mask`]. The cluster was
@@ -541,10 +365,8 @@ impl ScoreIndex {
         if self.slots[id as usize].bucket.is_some() {
             return;
         }
-        if let Some((m, k)) = cluster.node_placement_key(id) {
-            let tree = self.trees.entry((m, k)).or_default();
-            let pos = tree.insert(&self.slots, id);
-            self.slots[id as usize].bucket = Some((m, k, pos));
+        if let Some(bucket) = cluster.node_placement_key(id) {
+            self.join(id, bucket);
         }
     }
 }

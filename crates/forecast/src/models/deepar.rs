@@ -14,7 +14,7 @@ use std::cell::RefCell;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use gfs_nn::{Adam, Graph, GruCell, Linear, Optimizer, Param, Var};
+use gfs_nn::{Adam, Graph, GruCell, Linear, Param, Var};
 
 use crate::dataset::{Normalizer, OrgDataset, Sample};
 use crate::models::{minibatches, target_slot, FitReport, Forecast, Forecaster, TrainConfig};

@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use gfs_nn::{loss, Adam, Graph, Linear, Optimizer, Param, Var};
+use gfs_nn::{loss, Adam, Graph, Linear, Param, Var};
 
 use crate::dataset::{Normalizer, OrgDataset, Sample};
 use crate::decompose::DecomposeScratch;

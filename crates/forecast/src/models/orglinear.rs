@@ -27,7 +27,7 @@ use std::cell::RefCell;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use gfs_nn::{Adam, Embedding, Graph, Linear, Optimizer, Param, Var};
+use gfs_nn::{Adam, Embedding, Graph, Linear, Param, Var};
 
 use crate::dataset::{Normalizer, OrgDataset, Sample};
 use crate::decompose::DecomposeScratch;

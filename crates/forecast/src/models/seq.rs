@@ -5,7 +5,7 @@
 //! window length), so the fit loop accumulates per-sample MSE losses inside
 //! a shared graph per mini-batch.
 
-use gfs_nn::{loss, Adam, Graph, Optimizer, Param, Tensor, Var};
+use gfs_nn::{loss, Adam, Graph, Param, Tensor, Var};
 
 use crate::dataset::{Normalizer, OrgDataset, Sample};
 use crate::models::{minibatches, FitReport, Forecast, TrainConfig};

@@ -3,9 +3,9 @@
 //!
 //! This crate is the numerical substrate for the GFS demand forecasters
 //! (`gfs-forecast`). The paper trains OrgLinear and six baselines with
-//! PyTorch; here everything — dense tensors, a flat tape, layers,
-//! optimizers and losses — is implemented from scratch in safe Rust so the
-//! whole reproduction is dependency-light and deterministic.
+//! PyTorch; here everything — dense tensors, a flat tape, layers, the
+//! Adam optimizer and losses — is implemented from scratch in safe Rust so
+//! the whole reproduction is dependency-light and deterministic.
 //!
 //! # Tape architecture
 //!
@@ -95,7 +95,7 @@
 //! Train `y = 2x` with one linear neuron:
 //!
 //! ```
-//! use gfs_nn::{Adam, Graph, Linear, Optimizer, Tensor, loss};
+//! use gfs_nn::{Adam, Graph, Linear, Tensor, loss};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
@@ -129,6 +129,6 @@ mod tensor;
 
 pub use graph::{sigmoid, softplus, Graph, TapeIndex, Var};
 pub use layers::{Attention, Embedding, GruCell, GruCellNodes, Linear};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use param::Param;
 pub use tensor::Tensor;

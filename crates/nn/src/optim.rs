@@ -1,83 +1,7 @@
-//! Gradient-descent optimizers.
+//! The Adam optimizer.
 
 use crate::param::Param;
 use crate::tensor::Tensor;
-
-/// A first-order optimizer over a fixed set of [`Param`]s.
-pub trait Optimizer {
-    /// Applies one update step using the accumulated gradients, then clears
-    /// them.
-    fn step(&mut self);
-
-    /// Clears all accumulated gradients without updating.
-    fn zero_grad(&mut self);
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    params: Vec<Param>,
-    lr: f64,
-    momentum: f64,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer over `params` with learning rate `lr`.
-    #[must_use]
-    pub fn new(params: Vec<Param>, lr: f64) -> Self {
-        Sgd::with_momentum(params, lr, 0.0)
-    }
-
-    /// Creates SGD with momentum `mu` (0 disables momentum).
-    #[must_use]
-    pub fn with_momentum(params: Vec<Param>, lr: f64, mu: f64) -> Self {
-        let velocity = params
-            .iter()
-            .map(|p| {
-                let (r, c) = p.shape();
-                Tensor::zeros(r, c)
-            })
-            .collect();
-        Sgd {
-            params,
-            lr,
-            momentum: mu,
-            velocity,
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self) {
-        for (p, v) in self.params.iter().zip(&mut self.velocity) {
-            let g = p.grad();
-            if self.momentum > 0.0 {
-                for (vi, gi) in v.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                    *vi = self.momentum * *vi + gi;
-                }
-                let lr = self.lr;
-                let mut i = 0;
-                let vv = v.clone();
-                p.update(|val, _| {
-                    let out = val - lr * vv.as_slice()[i];
-                    i += 1;
-                    out
-                });
-            } else {
-                let lr = self.lr;
-                p.update(|val, g| val - lr * g);
-            }
-            p.zero_grad();
-        }
-    }
-
-    fn zero_grad(&mut self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-}
 
 /// Adam (Kingma & Ba) with bias correction — the optimizer used to train
 /// OrgLinear and all forecasting baselines.
@@ -122,10 +46,10 @@ impl Adam {
     pub fn steps(&self) -> u64 {
         self.t
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self) {
+    /// Applies one update step using the accumulated gradients, then
+    /// clears them.
+    pub fn step(&mut self) {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
@@ -159,7 +83,8 @@ impl Optimizer for Adam {
         }
     }
 
-    fn zero_grad(&mut self) {
+    /// Clears all accumulated gradients without updating.
+    pub fn zero_grad(&mut self) {
         for p in &self.params {
             p.zero_grad();
         }
@@ -171,8 +96,8 @@ mod tests {
     use super::*;
     use crate::graph::Graph;
 
-    /// Minimise f(x) = (x - 3)² with the given optimizer; return final x.
-    fn minimise(opt: &mut dyn Optimizer, x: &Param, iters: usize) -> f64 {
+    /// Minimise f(x) = (x - 3)² with `opt`; return final x.
+    fn minimise(opt: &mut Adam, x: &Param, iters: usize) -> f64 {
         for _ in 0..iters {
             let mut g = Graph::new();
             let xv = g.param(x);
@@ -182,22 +107,6 @@ mod tests {
             opt.step();
         }
         x.value().item()
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let x = Param::new(Tensor::scalar(0.0));
-        let mut opt = Sgd::new(vec![x.clone()], 0.1);
-        let final_x = minimise(&mut opt, &x, 100);
-        assert!((final_x - 3.0).abs() < 1e-3, "got {final_x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let x = Param::new(Tensor::scalar(0.0));
-        let mut opt = Sgd::with_momentum(vec![x.clone()], 0.05, 0.9);
-        let final_x = minimise(&mut opt, &x, 200);
-        assert!((final_x - 3.0).abs() < 1e-2, "got {final_x}");
     }
 
     #[test]
@@ -222,7 +131,7 @@ mod tests {
     fn zero_grad_without_step() {
         let x = Param::new(Tensor::scalar(1.0));
         let before = x.value().item();
-        let mut opt = Sgd::new(vec![x.clone()], 0.1);
+        let mut opt = Adam::new(vec![x.clone()], 0.1);
         x.accumulate_grad(&Tensor::scalar(5.0));
         opt.zero_grad();
         assert_eq!(x.grad().item(), 0.0);

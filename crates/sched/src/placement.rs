@@ -55,31 +55,26 @@ pub struct PlacementPolicy {
     pub drain_aware: bool,
     /// Window of the reliability term's failure count.
     pub failure_window_secs: SimDuration,
-    /// Penalty per windowed failure, in percent (mirrors the Eq. 16
-    /// `m`-penalty shape: score `= 1 − 0.01·m·f̄`, floored at 0).
-    pub failure_penalty: f64,
     /// Replace the hard-window failure count with an exponentially
-    /// decayed rate (`2^(−age/half_life)` per failure): a machine that
-    /// failed yesterday scores worse than one that failed last week, with
-    /// no cliff at the window edge. Only meaningful when
+    /// decayed rate (`2^(−age/half_life)` per failure), pooled across the
+    /// node's failure domain: a machine that failed yesterday scores
+    /// worse than one that failed last week, with no cliff at the window
+    /// edge, and a rack whose neighbours keep dying is suspect even when
+    /// this particular machine has not failed yet. Only meaningful when
     /// [`PlacementPolicy::reliability`] is on. Also (and only) under this
     /// flag the preemptive path applies the same discount when ranking
     /// preemption target nodes.
     pub decayed_reliability: bool,
-    /// Pool the decayed failure rate across the node's failure domain:
-    /// domain-mates' rates (mean, weighted by
-    /// [`PlacementPolicy::pool_weight`]) are added to the node's own, so
-    /// a rack whose neighbours keep dying is suspect even when this
-    /// particular machine has not failed yet. Requires
-    /// [`PlacementPolicy::decayed_reliability`]; a node outside any
-    /// declared domain pools nothing.
-    pub pool_domains: bool,
-    /// Half-life of the decayed failure rate.
-    pub failure_half_life_secs: SimDuration,
-    /// Weight of the domain-mates' mean decayed rate relative to the
-    /// node's own rate when pooling.
-    pub pool_weight: f64,
 }
+
+/// Penalty per failure, in percent (mirrors the Eq. 16 `m`-penalty shape:
+/// score `= 1 − 0.01·m·f̄`, floored at 0).
+const FAILURE_PENALTY: f64 = 25.0;
+/// Half-life of the decayed failure rate.
+const FAILURE_HALF_LIFE_SECS: SimDuration = 24 * HOUR;
+/// Weight of the domain-mates' mean decayed rate relative to the node's
+/// own rate when pooling.
+const POOL_WEIGHT: f64 = 0.5;
 
 impl Default for PlacementPolicy {
     fn default() -> Self {
@@ -97,11 +92,7 @@ impl PlacementPolicy {
             reliability: false,
             drain_aware: false,
             failure_window_secs: 48 * HOUR,
-            failure_penalty: 25.0,
             decayed_reliability: false,
-            pool_domains: false,
-            failure_half_life_secs: 24 * HOUR,
-            pool_weight: 0.5,
         }
     }
 
@@ -137,14 +128,13 @@ impl PlacementPolicy {
 
     /// The churn-aware policy with the decayed, domain-pooled reliability
     /// score: [`PlacementPolicy::churn_aware`] plus
-    /// [`PlacementPolicy::decayed_reliability`] and
-    /// [`PlacementPolicy::pool_domains`]. Kept as a separate variant so
-    /// [`PlacementPolicy::churn_aware`] decisions stay bit-for-bit pinned.
+    /// [`PlacementPolicy::decayed_reliability`]. Kept as a separate variant
+    /// so [`PlacementPolicy::churn_aware`] decisions stay bit-for-bit
+    /// pinned.
     #[must_use]
     pub fn hazard_aware() -> Self {
         PlacementPolicy {
             decayed_reliability: true,
-            pool_domains: true,
             ..PlacementPolicy::churn_aware()
         }
     }
@@ -195,20 +185,16 @@ impl PlacementPolicy {
             return 1.0;
         }
         let f = node.failures_within(now, self.failure_window_secs) as f64;
-        (1.0 - 0.01 * self.failure_penalty * f).max(0.0)
+        (1.0 - 0.01 * FAILURE_PENALTY * f).max(0.0)
     }
 
     /// The node's effective failure pressure under the decayed model: its
-    /// own exponentially-decayed rate, plus (with
-    /// [`PlacementPolicy::pool_domains`]) the mean decayed rate of its
-    /// failure-domain mates weighted by [`PlacementPolicy::pool_weight`].
-    /// A node outside any declared domain contributes only its own rate.
+    /// own exponentially-decayed rate (24 h half-life) plus half the mean
+    /// decayed rate of its failure-domain mates. A node outside any
+    /// declared domain contributes only its own rate.
     #[must_use]
-    pub fn pooled_failure_rate(&self, cluster: &Cluster, node: &Node, now: SimTime) -> f64 {
-        let own = node.decayed_failure_rate(now, self.failure_half_life_secs);
-        if !self.pool_domains {
-            return own;
-        }
+    pub fn pooled_failure_rate(cluster: &Cluster, node: &Node, now: SimTime) -> f64 {
+        let own = node.decayed_failure_rate(now, FAILURE_HALF_LIFE_SECS);
         let Some(d) = cluster.domain_of(node.id()) else {
             return own;
         };
@@ -218,14 +204,14 @@ impl PlacementPolicy {
             .filter(|m| m.id() != node.id() && cluster.domain_of(m.id()) == Some(d))
             .fold((0.0, 0u32), |(s, k), m| {
                 (
-                    s + m.decayed_failure_rate(now, self.failure_half_life_secs),
+                    s + m.decayed_failure_rate(now, FAILURE_HALF_LIFE_SECS),
                     k + 1,
                 )
             });
         if mates == 0 {
             own
         } else {
-            own + self.pool_weight * sum / f64::from(mates)
+            own + POOL_WEIGHT * sum / f64::from(mates)
         }
     }
 
@@ -244,8 +230,8 @@ impl PlacementPolicy {
         if !self.decayed_reliability {
             return self.reliability_component(node, now);
         }
-        let rate = self.pooled_failure_rate(cluster, node, now);
-        (1.0 - 0.01 * self.failure_penalty * rate).max(0.0)
+        let rate = PlacementPolicy::pooled_failure_rate(cluster, node, now);
+        (1.0 - 0.01 * FAILURE_PENALTY * rate).max(0.0)
     }
 
     /// The discount the *preemptive* path applies when ranking candidate
@@ -789,20 +775,20 @@ mod tests {
         let p = PlacementPolicy::hazard_aware();
         let now = SimTime::from_hours(3);
         // node 1 never failed, but shares the rack with flaky node 0
-        let mate = p.pooled_failure_rate(&c, &c.nodes()[1], now);
-        let other = p.pooled_failure_rate(&c, &c.nodes()[2], now);
+        let mate = PlacementPolicy::pooled_failure_rate(&c, &c.nodes()[1], now);
+        let other = PlacementPolicy::pooled_failure_rate(&c, &c.nodes()[2], now);
         assert!(mate > 0.0, "rack-mate inherits pooled suspicion");
         assert_eq!(other, 0.0, "other rack untouched");
         assert!(
             p.hazard_component(&c, &c.nodes()[1], now) < p.hazard_component(&c, &c.nodes()[2], now)
         );
         // the failed node itself is worse than its innocent mate
-        assert!(p.pooled_failure_rate(&c, &c.nodes()[0], now) > mate);
+        assert!(PlacementPolicy::pooled_failure_rate(&c, &c.nodes()[0], now) > mate);
         // without a topology pooling is inert
         let flat = Cluster::homogeneous(2, GpuModel::A100, 8);
         assert_eq!(
-            p.pooled_failure_rate(&flat, &flat.nodes()[0], now),
-            flat.nodes()[0].decayed_failure_rate(now, p.failure_half_life_secs)
+            PlacementPolicy::pooled_failure_rate(&flat, &flat.nodes()[0], now),
+            flat.nodes()[0].decayed_failure_rate(now, FAILURE_HALF_LIFE_SECS)
         );
     }
 

@@ -27,9 +27,6 @@ pub enum EtaUpdateRule {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GfsParams {
-    /// Weight `α` balancing eviction count vs cluster usage in the MILP
-    /// objective (Eq. 12).
-    pub alpha: f64,
     /// Weight `β` balancing eviction-rate impact vs usage impact in the node
     /// preemption cost (Eq. 19).
     pub beta: f64,
@@ -45,11 +42,6 @@ pub struct GfsParams {
     /// Guarantee horizon `H` in hours (Eq. 9/10); the spot quota protects
     /// spot tasks for this long.
     pub guarantee_hours: u32,
-    /// Interval between SQA quota recomputations, in seconds.
-    pub quota_update_interval_secs: SimDuration,
-    /// Grace period granted to a spot task between preemption notice and
-    /// kill, in seconds (§1: "e.g., 30 seconds").
-    pub grace_period_secs: SimDuration,
     /// Short eviction-history window for Eq. 15 (default 1 h).
     pub eviction_window_short_secs: SimDuration,
     /// Long eviction-history window for Eq. 15 (default 24 h).
@@ -65,15 +57,12 @@ pub struct GfsParams {
 impl Default for GfsParams {
     fn default() -> Self {
         GfsParams {
-            alpha: 0.5,
             beta: 0.5,
             guarantee_rate: 0.9,
             max_jqt_threshold_secs: HOUR,
             gamma: 0.8,
             penalty_m: 3.0,
             guarantee_hours: 1,
-            quota_update_interval_secs: 300,
-            grace_period_secs: 30,
             eviction_window_short_secs: HOUR,
             eviction_window_long_secs: 24 * HOUR,
             eta_initial: 1.0,
@@ -104,17 +93,12 @@ impl GfsParams {
     ///
     /// Returns [`Error::InvalidConfig`] describing the first violated bound.
     pub fn validate(&self) -> Result<()> {
-        fn unit(name: &str, v: f64) -> Result<()> {
-            if (0.0..=1.0).contains(&v) {
-                Ok(())
-            } else {
-                Err(Error::InvalidConfig(format!(
-                    "{name} must lie in [0, 1], got {v}"
-                )))
-            }
+        if !(0.0..=1.0).contains(&self.gamma) {
+            return Err(Error::InvalidConfig(format!(
+                "gamma must lie in [0, 1], got {}",
+                self.gamma
+            )));
         }
-        unit("alpha", self.alpha)?;
-        unit("gamma", self.gamma)?;
         if !(self.guarantee_rate > 0.0 && self.guarantee_rate < 1.0) {
             return Err(Error::InvalidConfig(format!(
                 "guarantee_rate must lie in (0, 1), got {}",
@@ -132,11 +116,6 @@ impl GfsParams {
         if self.guarantee_hours == 0 {
             return Err(Error::InvalidConfig(
                 "guarantee_hours must be positive".into(),
-            ));
-        }
-        if self.quota_update_interval_secs == 0 {
-            return Err(Error::InvalidConfig(
-                "quota_update_interval_secs must be positive".into(),
             ));
         }
         if self.eta_initial <= 0.0 {
@@ -164,13 +143,6 @@ pub struct GfsParamsBuilder {
 }
 
 impl GfsParamsBuilder {
-    /// Sets `α` (Eq. 12).
-    #[must_use]
-    pub fn alpha(mut self, v: f64) -> Self {
-        self.params.alpha = v;
-        self
-    }
-
     /// Sets `β` (Eq. 19).
     #[must_use]
     pub fn beta(mut self, v: f64) -> Self {
@@ -210,20 +182,6 @@ impl GfsParamsBuilder {
     #[must_use]
     pub fn guarantee_hours(mut self, v: u32) -> Self {
         self.params.guarantee_hours = v;
-        self
-    }
-
-    /// Sets the quota update interval in seconds.
-    #[must_use]
-    pub fn quota_update_interval_secs(mut self, v: SimDuration) -> Self {
-        self.params.quota_update_interval_secs = v;
-        self
-    }
-
-    /// Sets the preemption grace period in seconds.
-    #[must_use]
-    pub fn grace_period_secs(mut self, v: SimDuration) -> Self {
-        self.params.grace_period_secs = v;
         self
     }
 
@@ -267,14 +225,12 @@ mod tests {
     #[test]
     fn defaults_match_table_4() {
         let p = GfsParams::default();
-        assert_eq!(p.alpha, 0.5);
         assert_eq!(p.beta, 0.5);
         assert_eq!(p.guarantee_rate, 0.9);
         assert_eq!(p.max_jqt_threshold_secs, 3_600);
         assert_eq!(p.gamma, 0.8);
         assert_eq!(p.penalty_m, 3.0);
         assert_eq!(p.guarantee_hours, 1);
-        assert_eq!(p.quota_update_interval_secs, 300);
         assert!(p.validate().is_ok());
     }
 
@@ -304,8 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_bad_alpha_gamma() {
-        assert!(GfsParams::builder().alpha(-0.1).build().is_err());
+    fn builder_rejects_bad_gamma() {
         assert!(GfsParams::builder().gamma(1.1).build().is_err());
     }
 

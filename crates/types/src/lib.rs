@@ -50,5 +50,5 @@ pub use config::{EtaUpdateRule, GfsParams, GfsParamsBuilder};
 pub use error::{Error, Result};
 pub use gpu::{GpuModel, GPUS_PER_NODE};
 pub use id::{NodeId, OrgId, TaskId};
-pub use task::{CheckpointPlan, GpuDemand, Priority, RunLog, TaskSpec, TaskSpecBuilder};
+pub use task::{CheckpointPlan, GpuDemand, Priority, TaskSpec, TaskSpecBuilder};
 pub use time::{SimDuration, SimTime, Weekday, HOUR, MINUTE, SECONDS_PER_DAY, SECONDS_PER_WEEK};

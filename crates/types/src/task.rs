@@ -149,20 +149,6 @@ impl CheckpointPlan {
     }
 }
 
-/// One run segment of a task (`ιᵢ` entry): a scheduling of the task that
-/// ended by completion or preemption.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RunLog {
-    /// When the run started executing.
-    pub start: SimTime,
-    /// When the run ended (completion or eviction).
-    pub end: SimTime,
-    /// Whether the run ended in eviction (true) or completion/stop (false).
-    pub evicted: bool,
-    /// Total work progress (seconds) preserved at the end of the run.
-    pub preserved_progress: SimDuration,
-}
-
 /// Immutable description of a task, as submitted by a tenant.
 ///
 /// Built via [`TaskSpec::builder`]. See the crate-level example.

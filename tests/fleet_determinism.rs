@@ -155,16 +155,22 @@ fn score_index_agrees_with_scan_under_random_churn() {
         ("racks of 4", FailureDomain::racks(NODES, 4)),
         ("one domain", FailureDomain::racks(NODES, NODES)),
     ];
-    for (preset, policy) in indexed_presets() {
+    // packing-only scoring leaves the reliability window as the keys'
+    // only deadline: failures alone age the cached keys out
+    let engines = indexed_presets().into_iter().flat_map(|(preset, policy)| {
+        [PtsVariant::Full, PtsVariant::SimpleScoring].map(|v| (preset, policy.clone(), v))
+    });
+    for (preset, policy, variant) in engines {
         for (topology, domains) in &topologies {
             for seed in [3u64, 11, 29] {
-                let case = format!("{preset} / {topology} / seed {seed}");
+                let case = format!("{preset} / {variant:?} / {topology} / seed {seed}");
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
                 let mut cluster = Cluster::homogeneous(NODES, GpuModel::A100, 8);
                 if !domains.is_empty() {
                     cluster.set_failure_domains(domains);
                 }
-                let pts = pts_with(policy.clone());
+                let pts =
+                    gfs::core::Pts::with_policy(GfsParams::default(), variant, policy.clone());
                 let mut live: Vec<(TaskId, Priority)> = Vec::new();
                 let mut deadlines: Vec<(NodeId, SimTime)> = Vec::new();
                 let mut next_id = 1u64;
