@@ -12,7 +12,10 @@ fn pod_requests(era: WorkloadEra) -> Vec<f64> {
         ..WorkloadConfig::default()
     })
     .generate();
-    tasks.iter().map(|t| t.gpus_per_pod.cards()).collect()
+    tasks
+        .iter()
+        .map(|t| t.gpus_per_pod.cards().as_f64())
+        .collect()
 }
 
 fn task_requests(era: WorkloadEra) -> Vec<f64> {

@@ -6,7 +6,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gfs_types::{
-    Error, FailureDomain, GpuModel, NodeId, Result, SimDuration, SimTime, TaskId, TaskSpec,
+    Cards, Error, FailureDomain, GpuDemand, GpuModel, NodeId, Result, SimDuration, SimTime, TaskId,
+    TaskSpec,
 };
 use serde::{Deserialize, Serialize};
 
@@ -91,19 +92,20 @@ pub struct Displaced {
     pub preserved: SimDuration,
 }
 
-/// Per-model capacity totals, maintained incrementally.
+/// Capacity totals of the cluster or of one GPU model, maintained
+/// incrementally.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-struct ModelTotals {
-    /// Cards on nodes of this model, down nodes included.
-    cap_static: f64,
-    /// Cards on *in-service* nodes of this model.
-    cap: f64,
+struct Totals {
+    /// Cards on all nodes, down ones included.
+    cap_static: Cards,
+    /// Cards on *in-service* nodes.
+    cap: Cards,
     /// Fully idle cards.
     idle: u32,
-    /// HP allocation in cards.
-    hp: f64,
-    /// Spot allocation in cards.
-    spot: f64,
+    /// HP allocation.
+    hp: Cards,
+    /// Spot allocation.
+    spot: Cards,
 }
 
 /// The full cluster: nodes plus running-task registry plus spot outcome
@@ -138,18 +140,10 @@ pub struct Cluster {
     down_nodes: usize,
     /// Nodes currently draining (still up, accepting no placements).
     draining_nodes: usize,
-    /// Total cards across in-service nodes.
-    cap_total: f64,
-    /// Total cards across all nodes, down ones included.
-    cap_static: f64,
-    /// Incrementally-maintained count of fully idle cards.
-    idle_total: u32,
-    /// Incrementally-maintained HP allocation in cards.
-    hp_total: f64,
-    /// Incrementally-maintained spot allocation in cards.
-    spot_total: f64,
-    /// Per-model totals (same invariants as the cluster-wide fields).
-    model_totals: BTreeMap<GpuModel, ModelTotals>,
+    /// Cluster-wide totals.
+    totals: Totals,
+    /// Per-model totals (same invariants as the cluster-wide ones).
+    model_totals: BTreeMap<GpuModel, Totals>,
     /// Failure-domain membership per node index (`None` for nodes outside
     /// every declared domain, and for all nodes when no topology was
     /// declared). Grown with `add_node`.
@@ -168,18 +162,16 @@ impl Cluster {
     #[must_use]
     pub fn new(nodes: Vec<Node>) -> Self {
         let index = CapacityIndex::build(&nodes);
-        let cap_total = nodes.iter().map(|n| f64::from(n.total_gpus())).sum();
-        let idle_total = nodes.iter().map(Node::idle_gpus).sum();
-        let hp_total = nodes.iter().map(Node::hp_allocated).sum();
-        let spot_total = nodes.iter().map(Node::spot_allocated).sum();
-        let mut model_totals: BTreeMap<GpuModel, ModelTotals> = BTreeMap::new();
+        let mut totals = Totals::default();
+        let mut model_totals: BTreeMap<GpuModel, Totals> = BTreeMap::new();
         for n in &nodes {
-            let t = model_totals.entry(n.model()).or_default();
-            t.cap_static += f64::from(n.total_gpus());
-            t.cap += f64::from(n.total_gpus());
-            t.idle += n.idle_gpus();
-            t.hp += n.hp_allocated();
-            t.spot += n.spot_allocated();
+            for t in [&mut totals, model_totals.entry(n.model()).or_default()] {
+                t.cap_static += Cards::whole(n.total_gpus());
+                t.cap += Cards::whole(n.total_gpus());
+                t.idle += n.idle_gpus();
+                t.hp += n.hp_allocated();
+                t.spot += n.spot_allocated();
+            }
         }
         Cluster {
             nodes,
@@ -191,11 +183,7 @@ impl Cluster {
             migrated_total: 0,
             down_nodes: 0,
             draining_nodes: 0,
-            cap_total,
-            cap_static: cap_total,
-            idle_total,
-            hp_total,
-            spot_total,
+            totals,
             model_totals,
             node_domain: Vec::new(),
             domain_draining: Vec::new(),
@@ -239,29 +227,34 @@ impl Cluster {
             .ok_or_else(|| Error::NotFound(format!("{id}")))
     }
 
-    /// Nodes hosting the given GPU model.
-    pub fn nodes_with_model(&self, model: GpuModel) -> impl Iterator<Item = &Node> {
-        self.nodes.iter().filter(move |n| n.model() == model)
-    }
-
     /// In-service GPU cards (optionally restricted to one model) — O(1),
     /// down nodes excluded.
     #[must_use]
     pub fn capacity(&self, model: Option<GpuModel>) -> f64 {
-        let Some(m) = model else {
-            return self.cap_total;
-        };
-        self.model_totals.get(&m).map_or(0.0, |t| t.cap)
+        self.total(model, |t| t.cap).as_f64()
     }
 
     /// As-built GPU cards (optionally per model), down nodes included —
     /// the denominator of availability accounting.
     #[must_use]
     pub fn static_capacity(&self, model: Option<GpuModel>) -> f64 {
-        let Some(m) = model else {
-            return self.cap_static;
-        };
-        self.model_totals.get(&m).map_or(0.0, |t| t.cap_static)
+        self.total(model, |t| t.cap_static).as_f64()
+    }
+
+    /// One total, cluster-wide or of one model.
+    fn total<T: Default>(&self, model: Option<GpuModel>, of: impl Fn(&Totals) -> T) -> T {
+        match model {
+            None => of(&self.totals),
+            Some(m) => self.model_totals.get(&m).map_or_else(T::default, of),
+        }
+    }
+
+    /// The cluster-wide totals and `model`'s, to update together.
+    fn totals_mut(&mut self, model: GpuModel) -> [&mut Totals; 2] {
+        [
+            &mut self.totals,
+            self.model_totals.entry(model).or_default(),
+        ]
     }
 
     /// Nodes currently in service.
@@ -293,27 +286,20 @@ impl Cluster {
     /// of Eq. 10. O(1), down nodes excluded.
     #[must_use]
     pub fn idle_gpus(&self, model: Option<GpuModel>) -> u32 {
-        let Some(m) = model else {
-            return self.idle_total;
-        };
-        self.model_totals.get(&m).map_or(0, |t| t.idle)
+        self.total(model, |t| t.idle)
     }
 
     /// Cards allocated to HP tasks (optionally per model) — O(1).
     #[must_use]
     pub fn hp_allocated(&self, model: Option<GpuModel>) -> f64 {
-        let Some(m) = model else { return self.hp_total };
-        self.model_totals.get(&m).map_or(0.0, |t| t.hp)
+        self.total(model, |t| t.hp).as_f64()
     }
 
     /// Cards allocated to spot tasks (optionally per model) — the `Sₐ`
     /// of Eq. 10. O(1).
     #[must_use]
     pub fn spot_allocated(&self, model: Option<GpuModel>) -> f64 {
-        let Some(m) = model else {
-            return self.spot_total;
-        };
-        self.model_totals.get(&m).map_or(0.0, |t| t.spot)
+        self.total(model, |t| t.spot).as_f64()
     }
 
     /// Overall allocation rate in `[0, 1]` (optionally per model).
@@ -378,19 +364,18 @@ impl Cluster {
         out
     }
 
-    /// Ascending node ids of `model` nodes that may fit a `frac` share of
-    /// one card. The quantized index makes this a conservative superset;
-    /// every returned node is re-checked here against exact card state, so
-    /// the result equals a brute-force [`Node::can_fit`] scan.
+    /// Ascending node ids of `model` nodes that fit a `frac` share of one
+    /// card — exactly the nodes a brute-force [`Node::can_fit`] scan
+    /// accepts.
     #[must_use]
-    pub fn fraction_fit_candidates(&self, model: GpuModel, frac: f64) -> Vec<u32> {
+    pub fn fraction_fit_candidates(&self, model: GpuModel, frac: Cards) -> Vec<u32> {
         let mut out = Vec::new();
         self.index.fraction_fit_candidates(model, frac, &mut out);
-        out.retain(|&id| {
-            self.nodes
-                .get(id as usize)
-                .is_some_and(|n| n.can_fit(gfs_types::GpuDemand::Fraction(frac)))
-        });
+        debug_assert!(
+            out.iter()
+                .all(|&id| self.nodes[id as usize].can_fit(GpuDemand::Fraction(frac))),
+            "fraction-fit candidate that does not fit"
+        );
         out
     }
 
@@ -695,21 +680,17 @@ impl Cluster {
 
     /// Folds one node's state change into the cluster-wide and per-model
     /// totals, given a `(idle, hp, spot)` snapshot taken before the
-    /// mutation. The deltas mirror the node's own `+=`/`-=` updates, so
-    /// the totals are deterministic; with the dyadic card fractions used
-    /// throughout the workloads (whole cards, 0.25, 0.5) every delta is
-    /// exact and the totals equal a fresh scan bit-for-bit.
-    fn apply_node_delta(&mut self, id: NodeId, before: (u32, f64, f64)) {
+    /// mutation. Card amounts are integers, so the totals are exact by
+    /// construction and always equal a fresh scan.
+    fn apply_node_delta(&mut self, id: NodeId, before: (u32, Cards, Cards)) {
         let n = &self.nodes[id.index()];
         let (idle, hp, spot) = (n.idle_gpus(), n.hp_allocated(), n.spot_allocated());
         let model = n.model();
-        self.idle_total = self.idle_total + idle - before.0;
-        self.hp_total += hp - before.1;
-        self.spot_total += spot - before.2;
-        let t = self.model_totals.entry(model).or_default();
-        t.idle = t.idle + idle - before.0;
-        t.hp += hp - before.1;
-        t.spot += spot - before.2;
+        for t in self.totals_mut(model) {
+            t.idle = t.idle + idle - before.0;
+            t.hp = t.hp + hp - before.1;
+            t.spot = t.spot + spot - before.2;
+        }
     }
 
     /// Returns `id`'s cards and capacity-index keys to the placement
@@ -722,15 +703,28 @@ impl Cluster {
     fn bring_into_service(&mut self, id: NodeId) {
         let node = &self.nodes[id.index()];
         debug_assert!(node.is_schedulable(), "re-index of an out-of-service node");
-        let cards = f64::from(node.total_gpus());
+        let cards = Cards::whole(node.total_gpus());
         let idle = node.idle_gpus();
         let model = node.model();
-        self.idle_total += idle;
-        self.cap_total += cards;
-        let t = self.model_totals.entry(model).or_default();
-        t.idle += idle;
-        t.cap += cards;
+        for t in self.totals_mut(model) {
+            t.idle += idle;
+            t.cap += cards;
+        }
         self.index.restore_node(&self.nodes[id.index()]);
+        self.changes.note(id.raw());
+    }
+
+    /// The inverse of `bring_into_service`, for a node that is still
+    /// schedulable: its cards and capacity-index keys leave.
+    fn take_out_of_service(&mut self, id: NodeId) {
+        let node = &self.nodes[id.index()];
+        debug_assert!(node.is_schedulable(), "removal of an out-of-service node");
+        let (idle, cards, model) = (node.idle_gpus(), node.total_gpus(), node.model());
+        for t in self.totals_mut(model) {
+            t.idle -= idle;
+            t.cap -= Cards::whole(cards);
+        }
+        self.index.remove_node(&self.nodes[id.index()]);
         self.changes.note(id.raw());
     }
 
@@ -759,23 +753,14 @@ impl Cluster {
         if node.is_draining() {
             return Err(Error::InvalidTask(format!("{id} is already draining")));
         }
+        // placement keys vanish; the spot locality list stays (the node
+        // still hosts its pods until they finish or the deadline hits)
+        self.take_out_of_service(id);
         let node = &mut self.nodes[id.index()];
-        let idle = node.idle_gpus();
-        let cards = f64::from(node.total_gpus());
-        let model = node.model();
         node.set_draining(Some(deadline));
         node.record_drain();
         self.draining_nodes += 1;
         self.change_domain_draining(id, 1);
-        self.idle_total -= idle;
-        self.cap_total -= cards;
-        let t = self.model_totals.entry(model).or_default();
-        t.idle -= idle;
-        t.cap -= cards;
-        // placement keys vanish; the spot locality list stays (the node
-        // still hosts its pods until they finish or the deadline hits)
-        self.index.remove_node(&self.nodes[id.index()]);
-        self.changes.note(id.raw());
         Ok(())
     }
 
@@ -789,9 +774,10 @@ impl Cluster {
             // a minted node belongs to no declared blast radius
             self.node_domain.push(None);
         }
-        let cards = f64::from(gpus_per_node);
-        self.cap_static += cards;
-        self.model_totals.entry(model).or_default().cap_static += cards;
+        let cards = Cards::whole(gpus_per_node);
+        for t in self.totals_mut(model) {
+            t.cap_static += cards;
+        }
         self.bring_into_service(id);
         id
     }
@@ -865,27 +851,20 @@ impl Cluster {
                 preserved,
             });
         }
-        // the node is now empty: remove it from the index (all its buckets
-        // vanish in one idempotent call) and from the capacity totals
-        self.index.remove_node(&self.nodes[id.index()]);
-        self.changes.note(id.raw());
+        // the node is now empty: its index keys and cards leave with it,
+        // unless they already did when its drain started
+        if was_draining {
+            self.draining_nodes -= 1;
+            self.change_domain_draining(id, -1);
+            self.changes.note(id.raw());
+        } else {
+            self.take_out_of_service(id);
+        }
         let node = &mut self.nodes[id.index()];
-        let cards = node.total_gpus();
         node.set_up(false);
         node.set_draining(None);
         node.record_failure(now);
         self.down_nodes += 1;
-        if was_draining {
-            self.draining_nodes -= 1;
-            self.change_domain_draining(id, -1);
-        } else {
-            self.idle_total -= cards;
-            self.cap_total -= f64::from(cards);
-            let model = self.nodes[id.index()].model();
-            let t = self.model_totals.entry(model).or_default();
-            t.idle -= cards;
-            t.cap -= f64::from(cards);
-        }
         Ok(displaced)
     }
 
@@ -925,8 +904,8 @@ impl Cluster {
     /// one cluster snapshot encoder: every node (card occupancy,
     /// failure/drain history, up/draining flags), the running-task
     /// registry, the spot/displacement/migration counters and every
-    /// incrementally-accumulated capacity total, the floats verbatim,
-    /// never recomputed, so restore is bit-identical. It streams off the
+    /// incrementally-accumulated capacity total, verbatim, never
+    /// recomputed, so restore is bit-identical. It streams off the
     /// live state (no node-array clone, no per-task spec deep copies), so
     /// checkpoint cost is linear in the bytes written. Fields appear in
     /// [`ClusterSnapshot`]'s declaration order, which is what the decoder
@@ -939,7 +918,7 @@ impl Cluster {
             if i > 0 {
                 out.push(',');
             }
-            n.snapshot().serialize_json(out);
+            n.serialize_json(out);
         }
         out.push_str("],\"running\":[");
         for (i, rt) in self.running.values().enumerate() {
@@ -968,16 +947,17 @@ impl Cluster {
         self.down_nodes.serialize_json(out);
         out.push_str(",\"draining_nodes\":");
         self.draining_nodes.serialize_json(out);
+        let t = &self.totals;
         out.push_str(",\"cap_total\":");
-        self.cap_total.serialize_json(out);
+        t.cap.serialize_json(out);
         out.push_str(",\"cap_static\":");
-        self.cap_static.serialize_json(out);
+        t.cap_static.serialize_json(out);
         out.push_str(",\"idle_total\":");
-        self.idle_total.serialize_json(out);
+        t.idle.serialize_json(out);
         out.push_str(",\"hp_total\":");
-        self.hp_total.serialize_json(out);
+        t.hp.serialize_json(out);
         out.push_str(",\"spot_total\":");
-        self.spot_total.serialize_json(out);
+        t.spot.serialize_json(out);
         out.push_str(",\"model_totals\":[");
         for (i, (m, t)) in self.model_totals.iter().enumerate() {
             if i > 0 {
@@ -1039,11 +1019,13 @@ impl Cluster {
             migrated_total: s.migrated_total,
             down_nodes: s.down_nodes,
             draining_nodes: s.draining_nodes,
-            cap_total: s.cap_total,
-            cap_static: s.cap_static,
-            idle_total: s.idle_total,
-            hp_total: s.hp_total,
-            spot_total: s.spot_total,
+            totals: Totals {
+                cap_static: s.cap_static,
+                cap: s.cap_total,
+                idle: s.idle_total,
+                hp: s.hp_total,
+                spot: s.spot_total,
+            },
             model_totals: s.model_totals.into_iter().collect(),
             node_domain: s.node_domain,
             domain_draining: s.domain_draining,
@@ -1065,12 +1047,12 @@ pub struct ClusterSnapshot {
     migrated_total: u64,
     down_nodes: usize,
     draining_nodes: usize,
-    cap_total: f64,
-    cap_static: f64,
+    cap_total: Cards,
+    cap_static: Cards,
     idle_total: u32,
-    hp_total: f64,
-    spot_total: f64,
-    model_totals: Vec<(GpuModel, ModelTotals)>,
+    hp_total: Cards,
+    spot_total: Cards,
+    model_totals: Vec<(GpuModel, Totals)>,
     node_domain: Vec<Option<u32>>,
     domain_draining: Vec<u32>,
 }
@@ -1263,12 +1245,12 @@ mod tests {
     fn cached_totals_match_scans() {
         let assert_consistent = |c: &Cluster| {
             let idle: u32 = c.nodes().iter().map(Node::idle_gpus).sum();
-            let hp: f64 = c.nodes().iter().map(Node::hp_allocated).sum();
-            let spot: f64 = c.nodes().iter().map(Node::spot_allocated).sum();
+            let hp: Cards = c.nodes().iter().map(Node::hp_allocated).sum();
+            let spot: Cards = c.nodes().iter().map(Node::spot_allocated).sum();
             let cap: f64 = c.nodes().iter().map(|n| f64::from(n.total_gpus())).sum();
             assert_eq!(c.idle_gpus(None), idle);
-            assert_eq!(c.hp_allocated(None), hp);
-            assert_eq!(c.spot_allocated(None), spot);
+            assert_eq!(c.hp_allocated(None), hp.as_f64());
+            assert_eq!(c.spot_allocated(None), spot.as_f64());
             assert_eq!(c.capacity(None), cap);
         };
         let mut c = cluster();
@@ -1822,8 +1804,8 @@ mod tests {
             c.whole_fit_candidates(GpuModel::A100, 1)
         );
         assert_eq!(
-            r.fraction_fit_candidates(GpuModel::A100, 0.5),
-            c.fraction_fit_candidates(GpuModel::A100, 0.5)
+            r.fraction_fit_candidates(GpuModel::A100, Cards(500)),
+            c.fraction_fit_candidates(GpuModel::A100, Cards(500))
         );
         assert_eq!(
             r.preemption_candidates(GpuModel::A100, 1),

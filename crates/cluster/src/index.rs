@@ -13,42 +13,32 @@
 //!   ≥ k idle cards" is a walk over buckets `k..`, touching only feasible
 //!   nodes.
 //! * **Partial-card best-fit keys** — per GPU model, an ordered set of
-//!   `(quantized max free fraction, node id)` for nodes that have at least
-//!   one *partially* occupied card. Fractional-demand feasibility checks
-//!   walk only nodes whose best partial card could fit (fully idle cards
-//!   are covered by the idle buckets).
+//!   `(most free milli-cards on a partially occupied card, node id)` for
+//!   nodes that have at least one such card. The keys are exact
+//!   [`Cards`], so a fractional demand's candidates are a range of the
+//!   set (fully idle cards are covered by the idle buckets).
 //! * **Spot locality** — per node, the ids of running spot tasks with at
 //!   least one pod on it, kept sorted so victim enumeration is
 //!   deterministic. This turns `spot_tasks_on` from a scan over the whole
 //!   running registry into a per-node lookup.
 //!
-//! Quantized fraction keys are a conservative filter: a candidate
-//! surfaced by the index is always re-verified against the node's exact
-//! card state, so the index can never change scheduling outcomes — only
-//! skip work (see `tests/property_based.rs` for the brute-force
-//! equivalence property).
+//! Every answer is exact: the candidates *are* the nodes that fit, equal
+//! to a brute-force [`Node::can_fit`] scan (`tests/property_based.rs`
+//! checks the equivalence), so the index only skips work.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use gfs_types::{GpuModel, NodeId, TaskId};
+use gfs_types::{Cards, GpuModel, NodeId, TaskId};
 
-use crate::node::Node;
-
-/// Fraction keys are quantized to micro-cards for ordering.
-const FRAC_SCALE: f64 = 1e6;
-
-/// Quantizes a free fraction for use as an index key.
-fn quantize(frac: f64) -> u32 {
-    (frac * FRAC_SCALE).round() as u32
-}
+use crate::node::{Gpu, Node};
 
 /// Per-node snapshot of the keys currently stored in the index.
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeKey {
     idle: u32,
-    /// Quantized best free fraction among partially-occupied cards;
-    /// `None` when every card is fully idle or fully occupied.
-    partial: Option<u32>,
+    /// Most free capacity among partially-occupied cards, or zero when
+    /// there is none (a partial card always has some capacity free).
+    partial: Cards,
     fully_idle: bool,
     /// Whether the node currently owns entries in the placement
     /// structures (idle buckets / partial keys / fully-idle count). Down
@@ -65,8 +55,8 @@ pub struct CapacityIndex {
     models: Vec<GpuModel>,
     /// Per model: `buckets[idle] = ascending node ids with that idle count`.
     idle_buckets: BTreeMap<GpuModel, Vec<Vec<u32>>>,
-    /// Per model: ordered `(quantized partial free, node id)` pairs.
-    partial: BTreeMap<GpuModel, std::collections::BTreeSet<(u32, u32)>>,
+    /// Per model: ordered `(best partial free, node id)` pairs.
+    partial: BTreeMap<GpuModel, BTreeSet<(Cards, u32)>>,
     /// Per node: running spot tasks with at least one pod here (sorted).
     spot_on_node: Vec<Vec<TaskId>>,
     /// Per model: ascending node ids currently hosting ≥ 1 spot pod —
@@ -96,24 +86,16 @@ impl CapacityIndex {
     }
 
     fn compute_key(node: &Node) -> NodeKey {
-        let mut idle = 0u32;
-        let mut best_partial: Option<u32> = None;
-        for gpu in node.gpus() {
-            if gpu.is_idle() {
-                idle += 1;
-            } else {
-                let free = gpu.free_fraction();
-                if free > 1e-12 {
-                    let q = quantize(free);
-                    if best_partial.is_none_or(|b| q > b) {
-                        best_partial = Some(q);
-                    }
-                }
-            }
-        }
+        let idle = node.physical_idle_gpus();
+        let partial = node
+            .gpus()
+            .iter()
+            .map(Gpu::free)
+            .filter(|&free| free > Cards(0) && free < Cards::ONE)
+            .fold(Cards(0), Ord::max);
         NodeKey {
             idle,
-            partial: best_partial,
+            partial,
             fully_idle: idle == node.total_gpus(),
             present: false,
         }
@@ -140,11 +122,11 @@ impl CapacityIndex {
         let bucket = &mut buckets[key.idle as usize];
         let pos = bucket.partition_point(|&n| n < raw);
         bucket.insert(pos, raw);
-        if let Some(q) = key.partial {
+        if key.partial > Cards(0) {
             self.partial
                 .entry(node.model())
                 .or_default()
-                .insert((q, raw));
+                .insert((key.partial, raw));
         }
         if key.fully_idle {
             self.fully_idle_count += 1;
@@ -184,11 +166,9 @@ impl CapacityIndex {
         }
         if old.partial != new.partial {
             let set = self.partial.entry(node.model()).or_default();
-            if let Some(q) = old.partial {
-                set.remove(&(q, raw));
-            }
-            if let Some(q) = new.partial {
-                set.insert((q, raw));
+            set.remove(&(old.partial, raw));
+            if new.partial > Cards(0) {
+                set.insert((new.partial, raw));
             }
         }
         match (old.fully_idle, new.fully_idle) {
@@ -220,10 +200,8 @@ impl CapacityIndex {
                 }
             }
         }
-        if let Some(q) = key.partial {
-            if let Some(set) = self.partial.get_mut(&node.model()) {
-                set.remove(&(q, raw));
-            }
+        if let Some(set) = self.partial.get_mut(&node.model()) {
+            set.remove(&(key.partial, raw));
         }
         if key.fully_idle {
             self.fully_idle_count -= 1;
@@ -303,21 +281,13 @@ impl CapacityIndex {
         out.sort_unstable();
     }
 
-    /// Node ids (ascending) of `model` nodes that *may* fit a fraction `f`
-    /// of one card: any node with an idle card, plus nodes whose best
-    /// partial card has at least `f` free (conservatively widened by the
-    /// quantization step; callers must re-verify with
-    /// [`Node::can_fit`](crate::Node::can_fit)).
-    pub fn fraction_fit_candidates(&self, model: GpuModel, f: f64, out: &mut Vec<u32>) {
-        out.clear();
-        if let Some(buckets) = self.idle_buckets.get(&model) {
-            for bucket in buckets.iter().skip(1) {
-                out.extend_from_slice(bucket);
-            }
-        }
+    /// Node ids (ascending) of `model` nodes that fit a fraction `f` of
+    /// one card: any node with an idle card, plus nodes whose best partial
+    /// card has at least `f` free.
+    pub fn fraction_fit_candidates(&self, model: GpuModel, f: Cards, out: &mut Vec<u32>) {
+        self.whole_fit_candidates(model, 1, out);
         if let Some(set) = self.partial.get(&model) {
-            let min_q = quantize((f - 1e-9).max(0.0)).saturating_sub(1);
-            for &(_, id) in set.range((min_q, 0)..) {
+            for &(_, id) in set.range((f, 0)..) {
                 out.push(id);
             }
         }

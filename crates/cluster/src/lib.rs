@@ -16,10 +16,10 @@
 //! * per-GPU-model **idle buckets** (nodes keyed by whole idle cards) make
 //!   "nodes with ≥ k idle GPUs" an O(answer) walk instead of an
 //!   O(nodes × gpus) scan,
-//! * a quantized **best-fit order** over partially-occupied cards serves
-//!   fractional demands (candidates are re-verified against exact card
-//!   state, so results equal a brute-force [`Node::can_fit`] scan — see
-//!   the property test in `tests/property_based.rs`),
+//! * an exact **best-fit order** over partially-occupied cards, keyed by
+//!   integer milli-cards, serves fractional demands (the candidates equal
+//!   a brute-force [`Node::can_fit`] scan — see the property test in
+//!   `tests/property_based.rs`),
 //! * per-node **spot locality lists** (sorted by task id, which also makes
 //!   victim enumeration deterministic) turn preemption planning from
 //!   O(nodes × running tasks) into O(candidate nodes × local spots).

@@ -8,41 +8,35 @@
 use std::collections::VecDeque;
 
 use gfs_types::{
-    Error, GpuDemand, GpuModel, NodeId, Priority, Result, SimDuration, SimTime, TaskId,
+    Cards, Error, GpuDemand, GpuModel, NodeId, Priority, Result, SimDuration, SimTime, TaskId,
 };
 use serde::{Deserialize, Serialize};
 
 /// Occupancy of one GPU card.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Gpu {
-    free: f64,
-    shares: Vec<(TaskId, f64)>,
+    free: Cards,
+    shares: Vec<(TaskId, Cards)>,
 }
 
 impl Gpu {
     fn new() -> Self {
         Gpu {
-            free: 1.0,
+            free: Cards::ONE,
             shares: Vec::new(),
         }
     }
 
-    /// Unallocated fraction of the card in `[0, 1]`.
+    /// Unallocated share of the card, at most [`Cards::ONE`].
     #[must_use]
-    pub fn free_fraction(&self) -> f64 {
+    pub fn free(&self) -> Cards {
         self.free
     }
 
     /// Whether the card is completely unallocated.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.free >= 1.0 - 1e-9
-    }
-
-    /// Tasks holding a share of this card.
-    #[must_use]
-    pub fn shares(&self) -> &[(TaskId, f64)] {
-        &self.shares
+        self.free == Cards::ONE
     }
 }
 
@@ -55,30 +49,32 @@ pub enum PodAlloc {
     Fraction {
         /// Card index on the node.
         gpu: usize,
-        /// Fraction in `(0, 1)`.
-        amount: f64,
+        /// Share of the card.
+        amount: Cards,
     },
 }
 
 impl PodAlloc {
-    /// Number of GPU cards represented by the allocation.
+    /// GPU capacity represented by the allocation.
     #[must_use]
-    pub fn cards(&self) -> f64 {
+    pub fn cards(&self) -> Cards {
         match self {
-            PodAlloc::Whole(v) => v.len() as f64,
+            PodAlloc::Whole(v) => Cards::whole(v.len() as u32),
             PodAlloc::Fraction { amount, .. } => *amount,
         }
     }
 }
 
-/// A cluster node.
-#[derive(Debug, Clone)]
+/// A cluster node. Its JSON form is the node's full state — card
+/// occupancy, allocation totals, the timestamped eviction/failure
+/// histories and the up/draining flags — decoded as a [`NodeSnapshot`].
+#[derive(Debug, Clone, Serialize)]
 pub struct Node {
     id: NodeId,
     model: GpuModel,
     gpus: Vec<Gpu>,
-    hp_alloc: f64,
-    spot_alloc: f64,
+    hp_alloc: Cards,
+    spot_alloc: Cards,
     evictions: VecDeque<SimTime>,
     /// Timestamps of up→down transitions (abrupt failures and forced
     /// drain shutdowns), powering the reliability score of churn-aware
@@ -113,8 +109,8 @@ impl Node {
             id,
             model,
             gpus: (0..num_gpus).map(|_| Gpu::new()).collect(),
-            hp_alloc: 0.0,
-            spot_alloc: 0.0,
+            hp_alloc: Cards(0),
+            spot_alloc: Cards(0),
             evictions: VecDeque::new(),
             failures: VecDeque::new(),
             failure_total: 0,
@@ -207,31 +203,21 @@ impl Node {
         self.physical_idle_gpus()
     }
 
-    /// Sum of free fractions across all cards (0 while the node is down
-    /// or draining).
+    /// GPU capacity allocated to HP tasks.
     #[must_use]
-    pub fn free_capacity(&self) -> f64 {
-        if !self.is_schedulable() {
-            return 0.0;
-        }
-        self.gpus.iter().map(Gpu::free_fraction).sum()
-    }
-
-    /// GPUs (in cards) allocated to HP tasks.
-    #[must_use]
-    pub fn hp_allocated(&self) -> f64 {
+    pub fn hp_allocated(&self) -> Cards {
         self.hp_alloc
     }
 
-    /// GPUs (in cards) allocated to spot tasks.
+    /// GPU capacity allocated to spot tasks.
     #[must_use]
-    pub fn spot_allocated(&self) -> f64 {
+    pub fn spot_allocated(&self) -> Cards {
         self.spot_alloc
     }
 
-    /// GPUs (in cards) allocated in total.
+    /// GPU capacity allocated in total.
     #[must_use]
-    pub fn allocated(&self) -> f64 {
+    pub fn allocated(&self) -> Cards {
         self.hp_alloc + self.spot_alloc
     }
 
@@ -250,7 +236,7 @@ impl Node {
         }
         match demand {
             GpuDemand::Whole(n) => self.idle_gpus() >= n,
-            GpuDemand::Fraction(f) => self.gpus.iter().any(|g| g.free_fraction() >= f - 1e-12),
+            GpuDemand::Fraction(f) => self.gpus.iter().any(|g| g.free >= f),
         }
     }
 
@@ -292,8 +278,8 @@ impl Node {
                     )));
                 }
                 for &i in &idle {
-                    self.gpus[i].free = 0.0;
-                    self.gpus[i].shares.push((task, 1.0));
+                    self.gpus[i].free = Cards(0);
+                    self.gpus[i].shares.push((task, Cards::ONE));
                 }
                 PodAlloc::Whole(idle)
             }
@@ -302,20 +288,16 @@ impl Node {
                     .gpus
                     .iter()
                     .enumerate()
-                    .filter(|(_, g)| g.free_fraction() >= f - 1e-12)
-                    .min_by(|(_, a), (_, b)| {
-                        a.free_fraction()
-                            .partial_cmp(&b.free_fraction())
-                            .expect("free fractions are finite")
-                    })
+                    .filter(|(_, g)| g.free >= f)
+                    .min_by_key(|(_, g)| g.free)
                     .map(|(i, _)| i);
                 let Some(i) = best else {
                     return Err(Error::Capacity(format!(
-                        "{}: no card has a free fraction of {f}",
+                        "{}: no card has {f:?} free",
                         self.id
                     )));
                 };
-                self.gpus[i].free = (self.gpus[i].free - f).max(0.0);
+                self.gpus[i].free -= f;
                 self.gpus[i].shares.push((task, f));
                 PodAlloc::Fraction { gpu: i, amount: f }
             }
@@ -352,7 +334,7 @@ impl Node {
                         .position(|(t, _)| *t == task)
                         .ok_or_else(|| Error::NotFound(format!("{task} share on gpu {i}")))?;
                     gpu.shares.remove(pos);
-                    gpu.free = 1.0;
+                    gpu.free = Cards::ONE;
                 }
             }
             PodAlloc::Fraction { gpu, amount } => {
@@ -363,16 +345,16 @@ impl Node {
                 let pos = g
                     .shares
                     .iter()
-                    .position(|(t, a)| *t == task && (a - amount).abs() < 1e-12)
+                    .position(|&share| share == (task, *amount))
                     .ok_or_else(|| Error::NotFound(format!("{task} share on gpu {gpu}")))?;
                 g.shares.remove(pos);
-                g.free = (g.free + amount).min(1.0);
+                g.free += *amount;
             }
         }
         let cards = alloc.cards();
         match priority {
-            Priority::Hp => self.hp_alloc = (self.hp_alloc - cards).max(0.0),
-            Priority::Spot => self.spot_alloc = (self.spot_alloc - cards).max(0.0),
+            Priority::Hp => self.hp_alloc -= cards,
+            Priority::Spot => self.spot_alloc -= cards,
         }
         Ok(())
     }
@@ -496,32 +478,10 @@ impl Node {
             .sum()
     }
 
-    /// Captures the node's full state — card occupancy, allocation
-    /// totals, the timestamped eviction/failure histories and the
-    /// up/draining flags — as a serializable image.
-    #[must_use]
-    pub fn snapshot(&self) -> NodeSnapshot {
-        NodeSnapshot {
-            id: self.id,
-            model: self.model,
-            gpus: self.gpus.clone(),
-            hp_alloc: self.hp_alloc,
-            spot_alloc: self.spot_alloc,
-            evictions: self.evictions.iter().copied().collect(),
-            failures: self.failures.iter().copied().collect(),
-            failure_total: self.failure_total,
-            last_failure: self.last_failure,
-            drain_total: self.drain_total,
-            up: self.up,
-            drain_deadline: self.drain_deadline,
-        }
-    }
-
-    /// Rebuilds a node from a [`NodeSnapshot`] — the exact inverse of
-    /// [`Node::snapshot`]: every field, including the incrementally
-    /// accumulated allocation totals, is restored verbatim rather than
-    /// recomputed, so a restored node is bit-identical to the captured
-    /// one.
+    /// Rebuilds a node from its decoded JSON form: every field, including
+    /// the incrementally accumulated allocation totals, is restored
+    /// verbatim rather than recomputed, so a restored node is
+    /// bit-identical to the captured one.
     #[must_use]
     pub fn from_snapshot(s: NodeSnapshot) -> Node {
         Node {
@@ -541,14 +501,15 @@ impl Node {
     }
 }
 
-/// Serializable image of one [`Node`] (see [`Node::snapshot`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A decoded [`Node`], ready for [`Node::from_snapshot`]. Decode-only:
+/// the encoder writes the live node.
+#[derive(Debug, Deserialize)]
 pub struct NodeSnapshot {
     id: NodeId,
     model: GpuModel,
     gpus: Vec<Gpu>,
-    hp_alloc: f64,
-    spot_alloc: f64,
+    hp_alloc: Cards,
+    spot_alloc: Cards,
     evictions: Vec<SimTime>,
     failures: Vec<SimTime>,
     failure_total: u32,
@@ -593,10 +554,10 @@ mod tests {
         let t = TaskId::new(1);
         let a = n.place_pod(t, GpuDemand::whole(3), Priority::Hp).unwrap();
         assert_eq!(n.idle_gpus(), 5);
-        assert_eq!(n.hp_allocated(), 3.0);
+        assert_eq!(n.hp_allocated(), Cards::whole(3));
         n.release_pod(t, &a, Priority::Hp).unwrap();
         assert_eq!(n.idle_gpus(), 8);
-        assert_eq!(n.hp_allocated(), 0.0);
+        assert_eq!(n.hp_allocated(), Cards(0));
     }
 
     #[test]
@@ -635,7 +596,7 @@ mod tests {
             other => panic!("unexpected allocs {other:?}"),
         }
         assert_eq!(n.idle_gpus(), 7);
-        assert!((n.spot_allocated() - 0.8).abs() < 1e-9);
+        assert_eq!(n.spot_allocated(), Cards(800));
     }
 
     #[test]
@@ -645,7 +606,8 @@ mod tests {
         let a = n.place_pod(TaskId::new(9), f, Priority::Spot).unwrap();
         n.release_pod(TaskId::new(9), &a, Priority::Spot).unwrap();
         assert_eq!(n.idle_gpus(), 8);
-        assert!((n.free_capacity() - 8.0).abs() < 1e-9);
+        assert!(n.gpus().iter().all(|g| g.free() == Cards::ONE));
+        assert_eq!(n.allocated(), Cards(0));
     }
 
     #[test]
@@ -738,7 +700,7 @@ mod tests {
     }
 
     #[test]
-    fn free_capacity_mixes_whole_and_fraction() {
+    fn allocation_mixes_whole_and_fraction() {
         let mut n = node();
         n.place_pod(TaskId::new(1), GpuDemand::whole(2), Priority::Hp)
             .unwrap();
@@ -748,7 +710,8 @@ mod tests {
             Priority::Spot,
         )
         .unwrap();
-        assert!((n.free_capacity() - 5.5).abs() < 1e-9);
-        assert_eq!(n.allocated(), 2.5);
+        let free: Cards = n.gpus().iter().map(Gpu::free).sum();
+        assert_eq!(free, Cards(5_500));
+        assert_eq!(n.allocated(), Cards(2_500));
     }
 }

@@ -4,7 +4,8 @@
 //! subset of serde's surface the workspace uses: `#[derive(Serialize,
 //! Deserialize)]` (including `#[serde(transparent)]` newtypes, named-field
 //! structs, unit enums and externally-tagged data enums) plus trait impls
-//! for the primitives, `String`, `Option`, `Vec` and small tuples.
+//! for the primitives, `String`, `Option`, `Vec` and small tuples (and
+//! `Serialize` for `VecDeque`).
 //!
 //! Unlike real serde there is no data-model indirection: [`Serialize`]
 //! writes JSON text directly and [`Deserialize`] reads it from a
@@ -42,6 +43,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -586,16 +588,27 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
+/// Writes `items` as a JSON array.
+fn write_seq<'a, T: Serialize + 'a>(items: impl Iterator<Item = &'a T>, out: &mut String) {
+    out.push('[');
+    for (i, v) in items.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        v.serialize_json(out);
+    }
+    out.push(']');
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
     fn serialize_json(&self, out: &mut String) {
-        out.push('[');
-        for (i, v) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            v.serialize_json(out);
-        }
-        out.push(']');
+        write_seq(self.iter(), out);
+    }
+}
+
+impl<T: Serialize> Serialize for VecDeque<T> {
+    fn serialize_json(&self, out: &mut String) {
+        write_seq(self.iter(), out);
     }
 }
 

@@ -24,7 +24,7 @@ use std::cmp::Reverse;
 use gfs_cluster::{Cluster, Decision, Node, RunningTask};
 use gfs_sched::placement::{gang_nodes_by, plan_preemption_by, DomainUse, PlacementPolicy};
 use gfs_types::{
-    GfsParams, GpuDemand, GpuModel, NodeId, Priority, SimTime, TaskId, TaskSpec, HOUR,
+    Cards, GfsParams, GpuDemand, GpuModel, NodeId, Priority, SimTime, TaskId, TaskSpec, HOUR,
 };
 
 use crate::score_index::{Flavor, Key, ScoreIndex};
@@ -138,8 +138,8 @@ impl Pts {
             return Some((s1, 0.0, 0.0));
         }
         let s2 = match priority {
-            Priority::Hp => node.hp_allocated() / total,
-            Priority::Spot => node.spot_allocated() / total,
+            Priority::Hp => node.hp_allocated().as_f64() / total,
+            Priority::Spot => node.spot_allocated().as_f64() / total,
         };
         let s3 = self.score3(node, priority, now);
         if priority.is_spot() && s3 <= 0.0 {
@@ -399,18 +399,18 @@ impl Pts {
         debug_assert!(task.priority.is_hp(), "only HP tasks may preempt");
         let need = task.gpus_per_pod.cards();
         // idle plus every evictable card, when that can host the pod
-        let reclaimable = |idle: f64, spots: &[(&RunningTask, f64)]| {
-            let total = idle + spots.iter().map(|(_, local)| local).sum::<f64>();
-            (total + 1e-9 >= need).then_some(total)
+        let reclaimable = |idle: Cards, spots: &[(&RunningTask, Cards)]| {
+            let total = idle + spots.iter().map(|&(_, local)| local).sum();
+            (total >= need).then_some(total)
         };
         if self.variant.preemption_degraded() {
             let hash = |x: u64| x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let plan = |n: &Node, pod: u32, mut idle: f64, mut spots: Vec<(&RunningTask, f64)>| {
+            let plan = |n: &Node, pod: u32, mut idle, mut spots: Vec<(&RunningTask, Cards)>| {
                 reclaimable(idle, &spots)?;
                 spots.sort_by_key(|(rt, _)| hash(rt.spec.id.raw()) ^ u64::from(pod));
                 let mut victims = Vec::new();
                 for (rt, local) in spots {
-                    if idle + 1e-9 >= need {
+                    if idle >= need {
                         break;
                     }
                     idle += local;
@@ -421,7 +421,7 @@ impl Pts {
             };
             return plan_preemption_by(cluster, task, plan, |_, _| false);
         }
-        let plan = |n: &Node, _, idle: f64, mut spots: Vec<(&RunningTask, f64)>| {
+        let plan = |n: &Node, _, idle, mut spots: Vec<(&RunningTask, Cards)>| {
             // Alg. 2 lines 8–12: start from "evict everyone", then spare
             // the highest-waste tasks while the pod still fits
             let mut r = reclaimable(idle, &spots)?;
@@ -433,8 +433,8 @@ impl Pts {
             });
             let mut victims: Vec<TaskId> = spots.iter().map(|(rt, _)| rt.spec.id).collect();
             let mut waste: f64 = spots.iter().map(|(rt, _)| rt.waste(now)).sum();
-            for (rt, local) in &spots {
-                if r - local + 1e-9 >= need {
+            for &(rt, local) in &spots {
+                if r >= need + local {
                     r -= local;
                     waste -= rt.waste(now);
                     victims.retain(|v| *v != rt.spec.id);
@@ -478,7 +478,7 @@ impl Pts {
     /// one under every policy.
     ///
     /// `None` for the shapes the packing has no room for: whole demands
-    /// of 2²⁸ cards or more, fractional gangs, fractions below 2⁻²⁵⁵.
+    /// of 2²⁸ cards or more, fractional gangs.
     #[must_use]
     pub fn refusal_class(&self, task: &TaskSpec) -> Option<u64> {
         // bit 63 priority | 62–61 model | 60 fractional | 59–0 shape
@@ -488,12 +488,7 @@ impl Pts {
             GpuDemand::Whole(g) if g < 1 << 28 => {
                 Some(head | u64::from(g) << 32 | u64::from(task.pods))
             }
-            GpuDemand::Fraction(f) if task.pods == 1 => {
-                // f in [2^-255, 1): sign and top exponent bit clear, the
-                // next two exponent bits set — the low 60 bits identify f
-                let bits = f.to_bits();
-                (bits >> 60 == 0b0011).then_some(head | 1 << 60 | (bits & ((1 << 60) - 1)))
-            }
+            GpuDemand::Fraction(f) if task.pods == 1 && f.0 < 1 << 60 => Some(head | 1 << 60 | f.0),
             _ => None,
         }
     }
@@ -502,9 +497,9 @@ impl Pts {
     /// first, then more pods, then earlier submissions.
     #[must_use]
     pub fn task_order(a: &TaskSpec, b: &TaskSpec) -> std::cmp::Ordering {
-        b.total_gpus()
-            .partial_cmp(&a.total_gpus())
-            .expect("GPU counts are finite")
+        let total = |t: &TaskSpec| t.gpus_per_pod.cards() * t.pods;
+        total(b)
+            .cmp(&total(a))
             .then(b.pods.cmp(&a.pods))
             .then(a.submit_at.cmp(&b.submit_at))
             .then(a.id.cmp(&b.id))
@@ -554,6 +549,8 @@ mod tests {
         half.gpus_per_pod = GpuDemand::fraction(0.5).unwrap();
         let mut quarter = half.clone();
         quarter.gpus_per_pod = GpuDemand::fraction(0.25).unwrap();
+        let mut tiny = half.clone();
+        tiny.gpus_per_pod = GpuDemand::Fraction(Cards(1));
         let distinct = [
             base.clone(),
             task(1, Priority::Spot, 2, 4),
@@ -564,6 +561,7 @@ mod tests {
             other_model,
             half.clone(),
             quarter,
+            tiny,
         ];
         for (i, a) in distinct.iter().enumerate() {
             for b in &distinct[i + 1..] {
@@ -574,9 +572,6 @@ mod tests {
         let mut fractional_gang = half.clone();
         fractional_gang.pods = 2;
         assert_eq!(class(&fractional_gang), None);
-        let mut tiny = half;
-        tiny.gpus_per_pod = GpuDemand::Fraction(f64::MIN_POSITIVE);
-        assert_eq!(class(&tiny), None);
         assert_eq!(class(&task(1, Priority::Hp, 1, 1 << 28)), None);
         // a churn policy only ranks nodes: same feasibility, same class
         let churn = Pts::with_policy(

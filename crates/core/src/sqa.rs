@@ -254,10 +254,10 @@ impl SpotQuotaAllocator {
     }
 
     /// Quota check of Alg. 3: whether admitting `demand_gpus` more spot
-    /// GPUs keeps the allocation within `Q_H`.
+    /// GPUs keeps the (exact) allocation within `Q_H`.
     #[must_use]
     pub fn admits(&self, cluster: &Cluster, demand_gpus: f64) -> bool {
-        cluster.spot_allocated(None) + demand_gpus <= self.quota + 1e-9
+        cluster.spot_allocated(None) + demand_gpus <= self.quota
     }
 }
 

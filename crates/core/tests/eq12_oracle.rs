@@ -11,8 +11,8 @@ use gfs_cluster::Cluster;
 use gfs_core::{Pts, PtsVariant};
 use gfs_testkit::pin;
 use gfs_types::{
-    CheckpointPlan, GfsParams, GpuDemand, GpuModel, NodeId, Priority, SimTime, SplitMix64, TaskId,
-    TaskSpec,
+    Cards, CheckpointPlan, GfsParams, GpuDemand, GpuModel, NodeId, Priority, SimTime, SplitMix64,
+    TaskId, TaskSpec,
 };
 
 /// An optimal preemption plan for one incoming HP task.
@@ -45,10 +45,7 @@ fn optimal_preemption(cluster: &Cluster, task: &TaskSpec, now: SimTime) -> Optio
         "exhaustive solver limited to 20 spot tasks, got {}",
         spots.len()
     );
-    let need = match task.gpus_per_pod {
-        GpuDemand::Whole(g) => f64::from(g),
-        GpuDemand::Fraction(f) => f,
-    };
+    let need = task.gpus_per_pod.cards();
 
     let mut best: Option<OptimalPlan> = None;
     for mask in 0u32..(1 << spots.len()) {
@@ -74,11 +71,11 @@ fn optimal_preemption(cluster: &Cluster, task: &TaskSpec, now: SimTime) -> Optio
             }
         }
         // virtual idle capacity after evicting the subset
-        let mut idle: Vec<(NodeId, f64)> = cluster
+        let mut idle: Vec<(NodeId, Cards)> = cluster
             .nodes()
             .iter()
             .filter(|n| n.model() == task.gpu_model)
-            .map(|n| (n.id(), f64::from(n.idle_gpus())))
+            .map(|n| (n.id(), Cards::whole(n.idle_gpus())))
             .collect();
         for v in &victims {
             if let Some(rt) = cluster.running_task(*v) {
@@ -91,10 +88,10 @@ fn optimal_preemption(cluster: &Cluster, task: &TaskSpec, now: SimTime) -> Optio
         }
         // greedy feasibility: place pods on the emptiest nodes first
         // (optimal for identical pod sizes)
-        idle.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("idle counts are finite"));
+        idle.sort_by_key(|&(_, cap)| std::cmp::Reverse(cap));
         let mut pod_nodes = Vec::with_capacity(task.pods as usize);
         for _ in 0..task.pods {
-            match idle.iter_mut().find(|(_, cap)| *cap + 1e-9 >= need) {
+            match idle.iter_mut().find(|(_, cap)| *cap >= need) {
                 Some(slot) => {
                     slot.1 -= need;
                     pod_nodes.push(slot.0);

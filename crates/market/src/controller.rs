@@ -216,12 +216,7 @@ impl CapacityController for ForecastController {
             .filter(|n| n.is_up() && !n.is_draining())
             .filter(|n| release_is_safe(view.cluster, n.id(), view.now, p.release_notice_secs))
             .collect();
-        candidates.sort_by(|a, b| {
-            a.allocated()
-                .partial_cmp(&b.allocated())
-                .expect("allocations are finite")
-                .then(a.id().raw().cmp(&b.id().raw()))
-        });
+        candidates.sort_by_key(|n| (n.allocated(), n.id().raw()));
         let mut actions = Vec::new();
         for n in candidates {
             let gpus = f64::from(n.total_gpus());

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use gfs_cluster::{Cluster, Decision, DrainDecision, Node, RunningTask};
-use gfs_types::{GpuDemand, NodeId, SimDuration, SimTime, TaskId, TaskSpec, HOUR};
+use gfs_types::{Cards, GpuDemand, NodeId, SimDuration, SimTime, TaskId, TaskSpec, HOUR};
 
 /// A placement-time churn policy: how a scheduler anticipates failures,
 /// drains and blast radii when choosing nodes, on top of (not instead of)
@@ -279,11 +279,11 @@ impl PlacementPolicy {
         }
         if self.drain_aware {
             let spec = &task.spec;
-            let idle = f64::from(cluster.idle_gpus(Some(spec.gpu_model)));
+            let idle = Cards::whole(cluster.idle_gpus(Some(spec.gpu_model)));
             // cards this gang holds on *schedulable* nodes come back the
             // moment it migrates; cards on the draining (or any down)
             // node do not
-            let freed: f64 = task
+            let freed: Cards = task
                 .placements
                 .iter()
                 .filter(|p| {
@@ -293,7 +293,7 @@ impl PlacementPolicy {
                 })
                 .map(|p| p.alloc.cards())
                 .sum();
-            if idle + freed < spec.total_gpus() {
+            if idle + freed < spec.gpus_per_pod.cards() * spec.pods {
                 return DrainDecision::Stay; // nowhere to go: harvest checkpoints instead
             }
         }
@@ -363,7 +363,7 @@ where
                         .unwrap_or_else(|| n.idle_gpus())
                         >= need
                 }
-                GpuDemand::Fraction(f) => n.gpus().iter().any(|g| g.free_fraction() >= f - 1e-12),
+                GpuDemand::Fraction(_) => n.can_fit(task.gpus_per_pod),
             };
             if !fits {
                 continue;
@@ -447,18 +447,18 @@ pub fn plan_preemption_by<R, P, D>(
 ) -> Option<Decision>
 where
     R: PartialOrd,
-    P: Fn(&Node, u32, f64, Vec<(&RunningTask, f64)>) -> Option<(Vec<TaskId>, R)>,
+    P: Fn(&Node, u32, Cards, Vec<(&RunningTask, Cards)>) -> Option<(Vec<TaskId>, R)>,
     D: Fn(&[TaskId], &R) -> bool,
 {
     let need = task.gpus_per_pod.cards();
     // Only nodes that already fit or host an evictable spot pod can ever
     // satisfy a pod; the index enumerates exactly those, ascending by id.
-    let candidates = cluster.preemption_candidates(task.gpu_model, need.ceil() as u32);
+    let candidates = cluster.preemption_candidates(task.gpu_model, need.ceil_cards());
     // virtual idle capacity per node, updated as we plan evictions; an
     // absent entry means the node's actual idle count. Keyed lookups only
     // (`get`/`entry`), never iterated, so hash order never decides.
-    let mut virt_idle: HashMap<NodeId, f64> = HashMap::new();
-    let actual_idle = |id: NodeId| f64::from(cluster.nodes()[id.index()].idle_gpus());
+    let mut virt_idle: HashMap<NodeId, Cards> = HashMap::new();
+    let actual_idle = |id: NodeId| Cards::whole(cluster.nodes()[id.index()].idle_gpus());
     let mut evicted: Vec<TaskId> = Vec::new();
     let mut pod_nodes = Vec::with_capacity(task.pods as usize);
     for pod in 0..task.pods {
@@ -474,7 +474,7 @@ where
                 .filter(|rt| !evicted.contains(&rt.spec.id))
                 .map(|rt| {
                     let local = rt.placements.iter().filter(|p| p.node == n.id());
-                    (rt, local.map(|p| p.alloc.cards()).sum::<f64>())
+                    (rt, local.map(|p| p.alloc.cards()).sum())
                 })
                 .collect();
             let Some((victims, rank)) = plan(n, pod, idle, spots) else {

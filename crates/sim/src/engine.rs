@@ -227,7 +227,7 @@ mod tests {
             cluster: &Cluster,
             _now: SimTime,
         ) -> Option<Decision> {
-            let need = task.gpus_per_pod.whole_cards().unwrap_or(1);
+            let need = task.gpus_per_pod.cards().ceil_cards();
             let node = cluster.nodes().first()?.id();
             let idle = cluster.node(node).ok()?.idle_gpus();
             if idle >= need {

@@ -533,7 +533,7 @@ impl Live {
             }
         }
         for (i, n) in self.cluster.nodes().iter().enumerate() {
-            self.report.node_alloc_samples[i].push(n.allocated());
+            self.report.node_alloc_samples[i].push(n.allocated().as_f64());
         }
     }
 }
@@ -830,7 +830,7 @@ pub(crate) mod tests {
             cluster: &Cluster,
             _now: SimTime,
         ) -> Option<Decision> {
-            let need = task.gpus_per_pod.whole_cards().unwrap_or(1);
+            let need = task.gpus_per_pod.cards().ceil_cards();
             let candidates = cluster.whole_fit_candidates(task.gpu_model, need);
             let mut budget: HashMap<NodeId, u32> = HashMap::new();
             let mut nodes = Vec::with_capacity(task.pods as usize);

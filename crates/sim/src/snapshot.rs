@@ -471,6 +471,17 @@ mod tests {
             "{\"Finish\":{\"task\":7,\"epoch\":0}}",
         );
         assert_damaged(&json, "\"states\":[", &format!("\"states\":[{state},"));
+        // a card amount that is not an exact count of milli-cards does not
+        // decode: not as a task's fractional demand, not as a card's free
+        for bad in ["null", "-0.25", "0.0004", "1e300"] {
+            let demand = format!("{{\"Fraction\":{bad}}}");
+            let damaged = json.replacen("{\"Whole\":1}", &demand, 1);
+            assert_ne!(damaged, json);
+            assert!(ServiceSnapshot::from_json(&damaged).is_err(), "{demand}");
+        }
+        let damaged = json.replacen("\"free\":1.0", "\"free\":null", 1);
+        assert_ne!(damaged, json);
+        assert!(ServiceSnapshot::from_json(&damaged).is_err());
 
         // once the task runs: a state whose record is past the report (the
         // next Finish would index it), and a running task the task table

@@ -199,7 +199,7 @@ impl WorkloadGenerator {
             GpuDemand::whole(SIZE_BUCKETS[bucket.max(1)] as u32)
         };
 
-        let total_gpus = f64::from(pods) * gpus.cards();
+        let total_gpus = f64::from(pods) * gpus.cards().as_f64();
         // larger tasks run longer (Fig. 3): scale the median by G^0.3
         let median = self.cfg.duration_median_secs * total_gpus.max(0.25).powf(0.3);
         let raw = if rng.gen_bool(self.cfg.heavy_tail_frac.clamp(0.0, 1.0)) {

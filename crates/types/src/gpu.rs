@@ -102,6 +102,107 @@ impl fmt::Display for GpuModel {
     }
 }
 
+/// An exact amount of GPU capacity, in milli-cards (1 card = 1,000).
+///
+/// The fits, budgets and totals of Alg. 1–3 compare card amounts; as
+/// integers they compare exactly, with no tolerance. `f64` is only the
+/// boundary view ([`Cards::as_f64`]) and the JSON form: the card count
+/// (`0.25`, `8.0`), which decodes only as an exact count of milli-cards
+/// in `[0, 2⁵³)`.
+///
+/// ```
+/// use gfs_types::Cards;
+///
+/// assert_eq!(Cards::ONE - Cards(250), Cards(750));
+/// assert_eq!(serde_json::from_str::<Cards>("0.25").unwrap(), Cards(250));
+/// assert!(serde_json::from_str::<Cards>("0.0004").is_err());
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Cards(pub u64);
+
+impl Cards {
+    /// One whole card.
+    pub const ONE: Cards = Cards(1_000);
+
+    /// `n` whole cards.
+    #[must_use]
+    pub const fn whole(n: u32) -> Cards {
+        Cards(n as u64 * Cards::ONE.0)
+    }
+
+    /// The amount in cards.
+    #[must_use]
+    pub fn as_f64(self) -> f64 {
+        self.0 as f64 / 1_000.0
+    }
+
+    /// Whole cards needed to hold this amount (rounded up, saturating).
+    #[must_use]
+    pub fn ceil_cards(self) -> u32 {
+        u32::try_from(self.0.div_ceil(Cards::ONE.0)).unwrap_or(u32::MAX)
+    }
+}
+
+impl std::ops::Add for Cards {
+    type Output = Cards;
+    fn add(self, rhs: Cards) -> Cards {
+        Cards(self.0 + rhs.0)
+    }
+}
+
+impl std::ops::Sub for Cards {
+    type Output = Cards;
+    fn sub(self, rhs: Cards) -> Cards {
+        Cards(self.0 - rhs.0)
+    }
+}
+
+impl std::ops::AddAssign for Cards {
+    fn add_assign(&mut self, rhs: Cards) {
+        self.0 += rhs.0;
+    }
+}
+
+impl std::ops::SubAssign for Cards {
+    fn sub_assign(&mut self, rhs: Cards) {
+        self.0 -= rhs.0;
+    }
+}
+
+impl std::ops::Mul<u32> for Cards {
+    type Output = Cards;
+    fn mul(self, n: u32) -> Cards {
+        // saturating: no pod count can overflow a task total
+        Cards(self.0.saturating_mul(u64::from(n)))
+    }
+}
+
+impl std::iter::Sum for Cards {
+    fn sum<I: Iterator<Item = Cards>>(iter: I) -> Cards {
+        Cards(iter.map(|c| c.0).sum())
+    }
+}
+
+impl Serialize for Cards {
+    fn serialize_json(&self, out: &mut String) {
+        self.as_f64().serialize_json(out);
+    }
+}
+
+impl Deserialize for Cards {
+    fn deserialize_json(p: &mut serde::de::Parser<'_>) -> Result<Self, serde::de::DeError> {
+        let v = f64::deserialize_json(p)?;
+        let m = (v * 1_000.0).round();
+        if (0.0..9_007_199_254_740_992.0).contains(&m) && m / 1_000.0 == v {
+            Ok(Cards(m as u64))
+        } else {
+            Err(serde::de::DeError::msg(format!(
+                "{v} is not an exact count of milli-cards"
+            )))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,7 @@
 //!
 //! * strongly-typed identifiers ([`TaskId`], [`NodeId`], [`OrgId`]),
 //! * the simulated clock ([`SimTime`], [`SimDuration`]),
-//! * GPU hardware descriptions ([`GpuModel`]),
+//! * GPU hardware descriptions ([`GpuModel`], exact [`Cards`] amounts),
 //! * task descriptions ([`TaskSpec`], [`Priority`], [`GpuDemand`]),
 //! * the cluster timeline ([`ClusterEvent`], [`DynamicsPlan`]: seeded
 //!   failures, correlated [`FailureDomain`] outages, maintenance drains
@@ -48,7 +48,7 @@ pub use cluster_event::{
 };
 pub use config::{EtaUpdateRule, GfsParams, GfsParamsBuilder};
 pub use error::{Error, Result};
-pub use gpu::{GpuModel, GPUS_PER_NODE};
+pub use gpu::{Cards, GpuModel, GPUS_PER_NODE};
 pub use id::{NodeId, OrgId, TaskId};
 pub use task::{CheckpointPlan, GpuDemand, Priority, TaskSpec, TaskSpecBuilder};
 pub use time::{SimDuration, SimTime, Weekday, HOUR, MINUTE, SECONDS_PER_DAY, SECONDS_PER_WEEK};

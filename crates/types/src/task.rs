@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Error, GpuModel, OrgId, Result, SimDuration, SimTime, TaskId};
+use crate::{Cards, Error, GpuModel, OrgId, Result, SimDuration, SimTime, TaskId};
 
 /// Priority class of a task (`ζᵢ` in the paper).
 ///
@@ -44,32 +44,35 @@ impl Priority {
 /// # Examples
 ///
 /// ```
-/// use gfs_types::GpuDemand;
+/// use gfs_types::{Cards, GpuDemand};
 ///
-/// let d = GpuDemand::fraction(0.25).unwrap();
-/// assert!(d.is_fractional());
-/// assert_eq!(GpuDemand::whole(8).cards(), 8.0);
+/// assert_eq!(GpuDemand::fraction(0.25), Ok(GpuDemand::Fraction(Cards(250))));
+/// assert_eq!(GpuDemand::whole(8).cards(), Cards::whole(8));
+/// assert!(GpuDemand::fraction(0.0004).is_err(), "rounds to 0 milli-cards");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum GpuDemand {
-    /// A fraction of a single GPU card, strictly inside `(0, 1)`.
-    Fraction(f64),
+    /// An exact fraction of a single GPU card: 1–999 milli-cards.
+    Fraction(Cards),
     /// One or more whole GPU cards.
     Whole(u32),
 }
 
 impl GpuDemand {
-    /// Creates a fractional demand.
+    /// Creates a fractional demand of `f` cards, rounded to the nearest
+    /// milli-card.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidTask`] unless `0 < f < 1`.
+    /// Returns [`Error::InvalidTask`] unless `f` is finite and rounds to
+    /// 1–999 milli-cards.
     pub fn fraction(f: f64) -> Result<Self> {
-        if f > 0.0 && f < 1.0 && f.is_finite() {
-            Ok(GpuDemand::Fraction(f))
+        let m = (f * 1_000.0).round();
+        if (1.0..1_000.0).contains(&m) {
+            Ok(GpuDemand::Fraction(Cards(m as u64)))
         } else {
             Err(Error::InvalidTask(format!(
-                "fractional GPU demand must be in (0, 1), got {f}"
+                "fractional GPU demand must round to 1–999 milli-cards, got {f}"
             )))
         }
     }
@@ -80,21 +83,12 @@ impl GpuDemand {
         GpuDemand::Whole(n.max(1))
     }
 
-    /// Demand expressed in (possibly fractional) cards.
+    /// Demand per pod, exactly.
     #[must_use]
-    pub fn cards(self) -> f64 {
+    pub fn cards(self) -> Cards {
         match self {
             GpuDemand::Fraction(f) => f,
-            GpuDemand::Whole(n) => f64::from(n),
-        }
-    }
-
-    /// Whole cards requested, or `None` when the demand is fractional.
-    #[must_use]
-    pub fn whole_cards(self) -> Option<u32> {
-        match self {
-            GpuDemand::Fraction(_) => None,
-            GpuDemand::Whole(n) => Some(n),
+            GpuDemand::Whole(n) => Cards::whole(n),
         }
     }
 
@@ -188,7 +182,7 @@ impl TaskSpec {
     /// Total GPUs requested across all pods, in (possibly fractional) cards.
     #[must_use]
     pub fn total_gpus(&self) -> f64 {
-        f64::from(self.pods) * self.gpus_per_pod.cards()
+        f64::from(self.pods) * self.gpus_per_pod.cards().as_f64()
     }
 
     /// Whether the task requires gang scheduling (all pods placed
@@ -369,13 +363,19 @@ mod tests {
         assert!(GpuDemand::fraction(1.0).is_err());
         assert!(GpuDemand::fraction(-0.1).is_err());
         assert!(GpuDemand::fraction(f64::NAN).is_err());
+        assert!(GpuDemand::fraction(0.0004).is_err());
+        assert!(GpuDemand::fraction(0.9996).is_err());
+        assert_eq!(
+            GpuDemand::fraction(0.3).unwrap(),
+            GpuDemand::Fraction(Cards(300))
+        );
     }
 
     #[test]
     fn whole_clamps_to_one() {
-        assert_eq!(GpuDemand::whole(0).cards(), 1.0);
-        assert_eq!(GpuDemand::whole(3).whole_cards(), Some(3));
-        assert_eq!(GpuDemand::fraction(0.5).unwrap().whole_cards(), None);
+        assert_eq!(GpuDemand::whole(0).cards(), Cards::ONE);
+        assert_eq!(GpuDemand::whole(3).cards().ceil_cards(), 3);
+        assert_eq!(GpuDemand::fraction(0.5).unwrap().cards().ceil_cards(), 1);
     }
 
     #[test]

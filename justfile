@@ -2,7 +2,7 @@
 # recipes by hand — each is a single cargo invocation (or a small loop).
 
 # Build, test, lint, smoke — the full CI pipeline.
-ci: fmt build test clippy doc lint benchmark-smoke bins examples-smoke
+ci: fmt build test clippy doc lint benchmark-smoke bins examples-smoke portable
 
 # Formatting gate (no diffs tolerated).
 fmt:
@@ -31,6 +31,20 @@ doc:
 # offline, sub-second.
 lint:
     cargo run --release -q -p gfs-lint --bin gfs_lint -- check
+
+# The pins on any x86-64, not only the x86-64-v3 of `.cargo/config.toml`:
+# baseline x86-64 codegen (no AVX2/FMA) in its own target dir. The tests
+# run twice, plainly and with glibc hiding AVX/FMA (libm takes its
+# software paths), then `paper_light` runs under the same restriction;
+# every pin and the benchmark fingerprint must hold.
+portable:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    export RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable
+    cargo test --workspace -q
+    export GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA,-FMA4,-AVX
+    cargo test --workspace -q
+    cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --workload paper_light
 
 # 1/20-scale smoke of the four `benchmark/` sessions (≈ 5 s): checks the
 # output schema against BENCHMARK.json and — the dev profile keeps debug

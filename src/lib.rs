@@ -67,7 +67,7 @@ pub mod prelude {
     pub use gfs_sim::{run, SimConfig, SimReport};
     pub use gfs_trace::{WorkloadConfig, WorkloadEra, WorkloadGenerator};
     pub use gfs_types::{
-        ClusterEvent, DynamicsPlan, FailureDomain, GfsParams, GpuDemand, GpuModel, NodeId,
+        Cards, ClusterEvent, DynamicsPlan, FailureDomain, GfsParams, GpuDemand, GpuModel, NodeId,
         NodeTemplate, OrgId, Priority, SimTime, TaskId, TaskSpec, HOUR,
     };
 }

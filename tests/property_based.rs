@@ -53,7 +53,7 @@ fn allocation_never_exceeds_capacity() {
                     .start_task(spec, &[node], SimTime::from_secs(at), 0)
                     .expect("fits");
             }
-            assert!(cluster.hp_allocated(None) + cluster.spot_allocated(None) <= capacity + 1e-9);
+            assert!(cluster.hp_allocated(None) + cluster.spot_allocated(None) <= capacity);
             assert!(f64::from(cluster.idle_gpus(None)) <= capacity);
         }
     });
@@ -164,12 +164,12 @@ mod brute {
             .collect()
     }
 
-    pub fn fraction_fit(cluster: &Cluster, model: GpuModel, f: f64) -> Vec<u32> {
+    pub fn fraction_fit(cluster: &Cluster, model: GpuModel, f: Cards) -> Vec<u32> {
         cluster
             .nodes()
             .iter()
             .filter(|n| n.is_schedulable() && n.model() == model)
-            .filter(|n| n.gpus().iter().any(|g| g.free_fraction() >= f - 1e-12))
+            .filter(|n| n.gpus().iter().any(|g| g.free() >= f))
             .map(|n| n.id().raw())
             .collect()
     }
@@ -204,8 +204,8 @@ mod brute {
     /// O(1) totals vs a fresh scan over in-service nodes.
     pub fn totals_consistent(cluster: &Cluster) {
         let idle: u32 = cluster.nodes().iter().map(Node::idle_gpus).sum();
-        let hp: f64 = cluster.nodes().iter().map(Node::hp_allocated).sum();
-        let spot: f64 = cluster.nodes().iter().map(Node::spot_allocated).sum();
+        let hp: Cards = cluster.nodes().iter().map(Node::hp_allocated).sum();
+        let spot: Cards = cluster.nodes().iter().map(Node::spot_allocated).sum();
         let cap: f64 = cluster
             .nodes()
             .iter()
@@ -218,10 +218,9 @@ mod brute {
             .map(|n| f64::from(n.total_gpus()))
             .sum();
         assert_eq!(cluster.idle_gpus(None), idle);
-        // float totals: non-dyadic fractions (0.3, 0.75…) accumulate with
-        // ulp-scale drift relative to a fresh sum
-        assert!((cluster.hp_allocated(None) - hp).abs() < 1e-9);
-        assert!((cluster.spot_allocated(None) - spot).abs() < 1e-9);
+        // exact: the totals are integer milli-cards, whatever the fractions
+        assert_eq!(cluster.hp_allocated(None), hp.as_f64());
+        assert_eq!(cluster.spot_allocated(None), spot.as_f64());
         assert_eq!(cluster.capacity(None), cap);
         assert_eq!(cluster.static_capacity(None), cap_static);
         for model in [GpuModel::A100, GpuModel::H800] {
@@ -344,11 +343,11 @@ fn capacity_index_matches_brute_force_scan() {
                     "whole-fit({need}) diverged at step {step}"
                 );
             }
-            for f in [0.2f64, 0.25, 0.5, 0.75, 0.9] {
+            for f in [200, 250, 500, 750, 900].map(Cards) {
                 assert_eq!(
                     cluster.fraction_fit_candidates(GpuModel::A100, f),
                     brute::fraction_fit(&cluster, GpuModel::A100, f),
-                    "fraction-fit({f}) diverged at step {step}"
+                    "fraction-fit({f:?}) diverged at step {step}"
                 );
             }
             for node in 0..cluster.nodes().len() as u32 {
