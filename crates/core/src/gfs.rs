@@ -196,13 +196,7 @@ impl Scheduler for GfsScheduler {
         if task.priority.is_spot() && !self.sqa.admits(cluster, task.total_gpus()) {
             return None;
         }
-        if let Some(nodes) = self.pts.schedule_nonpreemptive(task, cluster, now) {
-            return Some(Decision::place(nodes));
-        }
-        if task.priority.is_hp() {
-            return self.pts.schedule_preemptive(task, cluster, now);
-        }
-        None
+        self.pts.schedule(task, cluster, now)
     }
 
     fn queue_cmp(&self, a: &TaskSpec, b: &TaskSpec) -> std::cmp::Ordering {

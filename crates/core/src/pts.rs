@@ -12,11 +12,15 @@
 //! spares the highest-waste victims (Eq. 17), and places each HP pod on
 //! the node with the lowest preemption cost (Eq. 18–19).
 //!
-//! Both algorithms run on the placement engine every scheduler shares:
-//! the reference scan of Alg. 1 is one
-//! [`gang_nodes_by`] walk with the PTS key (the `ScoreIndex` answers the
-//! same order in O(log n)), and Alg. 2 is one plan on
-//! [`plan_preemption_by`], which owns the gang's virtual-idle ledger.
+//! Both algorithms run on the placement engine every scheduler shares,
+//! and [`Pts::schedule`] is the one decision GFS and bare PTS make: Alg. 1,
+//! then Alg. 2 for an HP task Alg. 1 cannot place. Alg. 1's order is
+//! written once, as packed words: `Pts::node_key` leads the scores with
+//! the [`PlacementPolicy`]'s `<hazard, drain>` and one helper splices in
+//! the gang-spread count. The reference scan is one [`gang_nodes_by`] walk
+//! on that key, and the `ScoreIndex` caches the same words to answer the
+//! same order in O(log n). Alg. 2 is one plan on [`plan_preemption_by`],
+//! which owns the gang's virtual-idle ledger.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -148,26 +152,29 @@ impl Pts {
         Some((s1, s2, s3))
     }
 
-    /// Both flavors' index keys of `node`, HP then spot: the scan's key
-    /// without its gang-spread term, packed as order-preserving integers
-    /// (module doc of `score_index`); `None` where [`Pts::node_scores`]
-    /// excludes the node.
-    pub(crate) fn node_keys(
+    /// Alg. 1's key of `node` for a `priority` task without its
+    /// gang-spread term: `<hazard, drain, Score1, Score2, Score3>` as
+    /// words that order like the scores (module doc of `score_index`);
+    /// `None` where [`Pts::node_scores`] excludes the node. The scan and
+    /// the score index both rank by this key.
+    pub(crate) fn node_key(
         &self,
         cluster: &Cluster,
         node: &Node,
+        priority: Priority,
         now: SimTime,
-    ) -> [Option<Key>; 2] {
-        let hazard = self.policy.hazard_component(cluster, node, now).to_bits();
+    ) -> Option<Key> {
+        let (s1, s2, s3) = self.node_scores(node, priority, now)?;
+        let hazard = self.policy.hazard_component(cluster, node, now);
         let draining = -self.policy.drain_component(cluster, node.id());
-        let drain = u64::MAX - draining as u64;
-        [Priority::Hp, Priority::Spot].map(|priority| {
-            let (s1, s2, s3) = self.node_scores(node, priority, now)?;
-            Some([hazard, drain, s1.to_bits(), s2.to_bits(), s3.to_bits()])
-        })
+        let [hazard, s1, s2, s3] = [hazard, s1, s2, s3].map(|v| {
+            debug_assert!(v.is_finite() && v.is_sign_positive(), "key word {v}");
+            v.to_bits()
+        });
+        Some([hazard, u64::MAX - draining as u64, s1, s2, s3])
     }
 
-    /// The last instant [`Pts::node_keys`] stays current for `node`
+    /// The last instant [`Pts::node_key`] stays current for `node`
     /// without a cluster mutation: the earliest moment a windowed
     /// eviction or failure count behind the key ages out (`None`: stable
     /// until the next mutation). The degraded variants score packing
@@ -180,35 +187,40 @@ impl Pts {
         } else {
             node.eviction_score_valid_until(now, &windows)
         };
-        let failures = if self.policy.reliability {
-            node.failure_score_valid_until(now, self.policy.failure_window_secs)
-        } else {
-            None
-        };
         // whichever count changes first
+        let failures = self.policy.hazard_valid_until(node, now);
         evictions.into_iter().chain(failures).min()
+    }
+
+    /// One decision as GFS and bare PTS make it: Alg. 1, then Alg. 2 for
+    /// an HP task Alg. 1 cannot place.
+    #[must_use]
+    pub fn schedule(&self, task: &TaskSpec, cluster: &Cluster, now: SimTime) -> Option<Decision> {
+        match self.schedule_nonpreemptive(task, cluster, now) {
+            Some(nodes) => Some(Decision::place(nodes)),
+            None if task.priority.is_hp() => self.schedule_preemptive(task, cluster, now),
+            None => None,
+        }
     }
 
     /// Non-preemptive scheduling (Alg. 1): one node per pod, or `None`.
     ///
-    /// With a non-naive [`PlacementPolicy`] the policy's components lead
-    /// the per-candidate key lexicographically — reliability, then drain
-    /// avoidance, then gang spread, then the paper's
-    /// `<Score1, Score2, Score3>`; disabled components are constant, so
-    /// the comparison falls through to the native scores.
+    /// The [`PlacementPolicy`]'s components lead the per-candidate key
+    /// lexicographically — reliability, then drain avoidance, then gang
+    /// spread, then the paper's `<Score1, Score2, Score3>`; a component the
+    /// preset leaves off is constant, so the comparison falls through to
+    /// the native scores.
     ///
     /// Whole-card demand is answered from the `ScoreIndex` in O(log n)
-    /// instead of scoring every feasible node, for every policy that is
-    /// piecewise constant in time — `naive` (the paper's configuration),
-    /// `domain_spread`, `reliability_scored`, `churn_aware`: reliability
-    /// and drain avoidance extend the cached key, gang spread is resolved
-    /// at query time (module doc of `score_index`). The index
-    /// reproduces the scan's total order exactly, and debug builds check
-    /// every indexed decision against the scan. Two cases keep the scan:
-    /// fractional demand, and `decayed_reliability` (`hazard_aware`),
-    /// whose score is continuous in `now` — no deadline bounds a cached
-    /// key, and the time-free factoring of the decayed sum is not
-    /// bit-equal to the `Σ exp2` the scan computes.
+    /// instead of scoring every feasible node, for every
+    /// [`indexable`](PlacementPolicy::indexable) policy: the cached key is
+    /// `Pts::node_key`, gang spread is resolved at query time (module
+    /// doc of `score_index`), and debug builds check every indexed
+    /// decision against the scan. Two cases keep the scan: fractional
+    /// demand, and `hazard_aware`, whose decayed score is continuous in
+    /// `now` — no deadline bounds a cached key, and the time-free
+    /// factoring of the decayed sum is not bit-equal to the `Σ exp2` the
+    /// scan computes.
     #[must_use]
     pub fn schedule_nonpreemptive(
         &self,
@@ -217,7 +229,7 @@ impl Pts {
         now: SimTime,
     ) -> Option<Vec<NodeId>> {
         let g = match task.gpus_per_pod {
-            GpuDemand::Whole(g) if !self.policy.decayed_reliability => g,
+            GpuDemand::Whole(g) if self.policy.indexable() => g,
             _ => return self.schedule_nonpreemptive_scan(task, cluster, now),
         };
         let fast = self.schedule_whole_indexed(task, g, cluster, now);
@@ -261,11 +273,11 @@ impl Pts {
     }
 
     /// The reference implementation of Alg. 1: one
-    /// [`gang_nodes_by`] walk that scores every feasible candidate per pod
-    /// with the key `<hazard, drain, spread, S1, S2, S3>` and takes the
+    /// [`gang_nodes_by`] walk that keys every feasible candidate per pod
+    /// with `Pts::node_key` and its gang-spread count and takes the
     /// lexicographic max. O(n) per decision — kept for fractional demand,
-    /// for `decayed_reliability` policies, and as the oracle every indexed
-    /// decision is checked against in debug builds.
+    /// for `hazard_aware`, and as the oracle every indexed decision is
+    /// checked against in debug builds.
     #[must_use]
     pub fn schedule_nonpreemptive_scan(
         &self,
@@ -274,19 +286,9 @@ impl Pts {
         now: SimTime,
     ) -> Option<Vec<NodeId>> {
         gang_nodes_by(cluster, task, |n, used| {
-            let (s1, s2, s3) = self.node_scores(n, task.priority, now)?;
-            // reliability outranks spread: avoiding flaky hardware beats
-            // separating pods — anti-affinity then chooses *among* the
-            // reliable candidates, never overrides them into a
-            // failure-prone rack
-            Some((
-                self.policy.hazard_component(cluster, n, now),
-                self.policy.drain_component(cluster, n.id()),
-                self.policy.spread_component(cluster, n.id(), used),
-                s1,
-                s2,
-                s3,
-            ))
+            let key = self.node_key(cluster, n, task.priority, now)?;
+            let in_domain = self.policy.spread_count(cluster, n.id(), used);
+            Some(gang_key(key, in_domain))
         })
     }
 
@@ -316,20 +318,11 @@ impl Pts {
         let mut used_domains = DomainUse::new();
         let mut out = Vec::with_capacity(task.pods as usize);
         for _ in 0..task.pods {
-            // the scan's full key: the gang-spread term sits between the
-            // cached <hazard, drain> prefix and <S1, S2, S3>
             let mut best = None;
             while let Some(id) = index.query(task.gpu_model, g, flavor) {
-                // stays 0 unless the policy spreads: nothing is noted below
-                let in_domain =
-                    used_domains.count(PlacementPolicy::domain_key(cluster, NodeId::new(id)));
-                let [hazard, drain, s1, s2, s3] = index.key(id, flavor);
-                let cand = (
-                    [hazard, drain],
-                    Reverse(in_domain),
-                    [s1, s2, s3],
-                    Reverse(id),
-                );
+                let node = NodeId::new(id);
+                let in_domain = self.policy.spread_count(cluster, node, &used_domains);
+                let cand = (gang_key(index.key(id, flavor), in_domain), Reverse(id));
                 if best.is_none_or(|b| cand > b) {
                     best = Some(cand);
                 }
@@ -342,7 +335,7 @@ impl Pts {
             for id in aside.drain(..) {
                 index.unmask(cluster, id);
             }
-            let Some((.., Reverse(id))) = best else {
+            let Some((_, Reverse(id))) = best else {
                 break;
             };
             out.push(NodeId::new(id));
@@ -351,9 +344,7 @@ impl Pts {
                 index.mask(id);
                 exhausted.push(id);
             }
-            if self.policy.spread_domains {
-                used_domains.note(PlacementPolicy::domain_key(cluster, NodeId::new(id)));
-            }
+            used_domains.note(PlacementPolicy::domain_key(cluster, NodeId::new(id)));
         }
         for id in exhausted {
             index.unmask(cluster, id);
@@ -448,11 +439,11 @@ impl Pts {
             Some((victims, (rel, -cost)))
         };
         // a zero-victim plan carries the global minimum cost (Eq. 19 is
-        // monotone in victim count and waste) and later zero-victim ties
-        // lose to its lower id, so — when cost alone decides — nothing
-        // later can strictly win
-        plan_preemption_by(cluster, task, plan, |victims, _| {
-            victims.is_empty() && !self.policy.decayed_reliability
+        // monotone in victim count and waste) and later ties lose to its
+        // lower id, so when its node also has the greatest reliability,
+        // 1.0, nothing later can strictly win
+        plan_preemption_by(cluster, task, plan, |victims, &(rel, _)| {
+            victims.is_empty() && rel == 1.0
         })
     }
 
@@ -504,11 +495,18 @@ impl Pts {
             .then(a.submit_at.cmp(&b.submit_at))
             .then(a.id.cmp(&b.id))
     }
+}
 
-    /// Sorts a queue by [`Pts::task_order`].
-    pub fn sort_queue(queue: &mut [TaskSpec]) {
-        queue.sort_by(Pts::task_order);
-    }
+/// Alg. 1's full candidate order, written once for the scan and the
+/// indexed gang loop: the gang-spread count (`in_domain`, fewer is better)
+/// sits between the `<hazard, drain>` prefix of a [`Pts::node_key`] and
+/// its `<Score1, Score2, Score3>`. Reliability outranks spread: avoiding
+/// flaky hardware beats separating pods, so anti-affinity chooses *among*
+/// the reliable candidates and never overrides them into a failure-prone
+/// rack.
+fn gang_key(key: Key, in_domain: u32) -> ([u64; 2], Reverse<u32>, [u64; 3]) {
+    let [hazard, drain, s1, s2, s3] = key;
+    ([hazard, drain], Reverse(in_domain), [s1, s2, s3])
 }
 
 #[cfg(test)]
@@ -881,7 +879,7 @@ mod tests {
 
     #[test]
     fn queue_sorted_by_size_pods_submit() {
-        let mut q = vec![
+        let mut q = [
             task(1, Priority::Hp, 1, 1),
             task(2, Priority::Hp, 1, 8),
             task(3, Priority::Hp, 2, 4),
@@ -891,7 +889,7 @@ mod tests {
                 t
             },
         ];
-        Pts::sort_queue(&mut q);
+        q.sort_by(Pts::task_order);
         let ids: Vec<u64> = q.iter().map(|t| t.id.raw()).collect();
         // 3: 8 GPUs 2 pods; 2 & 4: 8 GPUs 1 pod (2 submitted earlier); 1: 1 GPU
         assert_eq!(ids, vec![3, 2, 4, 1]);

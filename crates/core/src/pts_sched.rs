@@ -35,12 +35,6 @@ impl PtsScheduler {
             pts: Pts::with_policy(params, PtsVariant::Full, policy),
         }
     }
-
-    /// The active churn policy.
-    #[must_use]
-    pub fn policy(&self) -> &PlacementPolicy {
-        self.pts.policy()
-    }
 }
 
 impl Scheduler for PtsScheduler {
@@ -49,13 +43,7 @@ impl Scheduler for PtsScheduler {
     }
 
     fn schedule(&mut self, task: &TaskSpec, cluster: &Cluster, now: SimTime) -> Option<Decision> {
-        if let Some(nodes) = self.pts.schedule_nonpreemptive(task, cluster, now) {
-            return Some(Decision::place(nodes));
-        }
-        if task.priority.is_hp() {
-            return self.pts.schedule_preemptive(task, cluster, now);
-        }
-        None
+        self.pts.schedule(task, cluster, now)
     }
 
     fn queue_cmp(&self, a: &TaskSpec, b: &TaskSpec) -> std::cmp::Ordering {

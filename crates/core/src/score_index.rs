@@ -16,10 +16,10 @@
 //!   the buckets `g..` (at most `gpus_per_node + 1` of them) — O(log n)
 //!   total. A circuit-broken spot node has no spot key, so it sits in no
 //!   spot set.
-//! * **One owner of the key** — [`Pts::node_keys`](crate::Pts::node_keys)
-//!   builds both flavors' keys and
-//!   [`Pts::keys_valid_until`](crate::Pts::keys_valid_until) says how long
-//!   they hold; this module only stores and orders them.
+//! * **One owner of the key** — [`Pts::node_key`](crate::Pts::node_key)
+//!   builds each flavor's key, the same key the reference scan ranks by,
+//!   and [`Pts::keys_valid_until`](crate::Pts::keys_valid_until) says how
+//!   long it holds; this module only stores and orders them.
 //! * **Epoch invalidation** — the cluster's `ChangeLog` records every
 //!   score-relevant node mutation; [`ScoreIndex::prepare`] replays only
 //!   the ids touched since its last cursor and recomputes those keys. A
@@ -33,39 +33,35 @@
 //!   The hard-window failure count behind the reliability component ages
 //!   the same way (`Node::failure_score_valid_until`) and shares the
 //!   heap.
-//! * **Domain re-keying** — the drain component is a property of a node's
-//!   failure *domain*. The index remembers each domain's members and the
-//!   `draining_in_domain` its keys were built with; when a replayed node's
-//!   domain reports a different count, every member is recomputed
-//!   (`drain_node`/`fail_node`/`restore_node` all log the node, and
-//!   `set_failure_domains` mints a new log instance, i.e. a rebuild).
+//! * **Domain re-keying** — the drain word is a property of a node's
+//!   failure *domain*. Whenever the cluster declares domains, the index
+//!   remembers each domain's members and the `draining_in_domain` its
+//!   keys were built with; when a replayed node's domain reports a
+//!   different count, every member is recomputed (`drain_node`/
+//!   `fail_node`/`restore_node` all log the node, and
+//!   `set_failure_domains` mints a new log instance, i.e. a rebuild). A
+//!   preset that is not drain-aware keys the constant `u64::MAX`, so its
+//!   re-keyed members keep their keys.
 //!
-//! ## Why the cached order is bit-identical to the scan
+//! ## Why the cached order is the scan's order
 //!
-//! All score components are finite and non-negative (`Score1 ∈ [0, 1]`,
-//! `Score2 ≥ 0`, `Score3 ≥ 0`; the spot circuit breaker excludes a node
-//! *before* a non-positive `Score3` could be stored), and for such
-//! doubles the IEEE-754 bit pattern is monotone in the value — comparing
-//! packed `u64` triples is exactly `partial_cmp` on the float triples,
-//! with no epsilon anywhere. Scores are always recomputed from real node
-//! state through the same [`Pts::node_scores`](crate::Pts::node_scores)
-//! the scan calls, so a synced index cannot disagree with the scan even
-//! in the last bit (property-pinned in `tests/property_based.rs`).
-//!
-//! ## Why the policy prefix is order-preserving
-//!
-//! A churn [`PlacementPolicy`](gfs_sched::placement::PlacementPolicy)
-//! leads the scan key with reliability, then drain avoidance. The hazard
-//! component lies in `[0, 1]`, so its bit pattern orders like the value,
-//! as above. The drain component is `−draining_in_domain`, stored as
-//! `u64::MAX − draining_in_domain`: fewer drains, larger integer, which is
-//! the scan's `partial_cmp` on the negated count. Both are constants under
-//! `naive()` (1.0 and `u64::MAX`), so the paper configuration compares
-//! `<Score1, Score2, Score3>` exactly as before. Only policies that are
-//! piecewise constant in time are cached: `decayed_reliability` weighs
-//! each failure by `2^(−age/half_life)`, continuous in `now`, and the
-//! time-free factoring `2^(−now/hl)·Σ 2^(t_k/hl)` is not bit-equal to the
-//! scan's `Σ exp2`, so that policy keeps the scan.
+//! The cache and the scan compare the same words: the scan ranks every
+//! candidate by [`Pts::node_key`](crate::Pts::node_key) too, so a synced
+//! index — its keys recomputed from real node state whenever they may
+//! have changed — cannot disagree with the scan even in the last bit
+//! (property-pinned in `tests/property_based.rs`). The words order like
+//! the scores because of one invariant: every packed `f64` component
+//! (hazard `∈ [0, 1]`, `Score1 ∈ [0, 1]`, `Score2 ≥ 0`, `Score3 ≥ 0`) is
+//! finite with its sign bit clear, which a `debug_assert` in `node_key`
+//! enforces, and for such doubles the IEEE-754 bit pattern is monotone in
+//! the value, so comparing words is `partial_cmp` on the scores with no
+//! epsilon anywhere (the spot circuit breaker excludes a node *before* a
+//! non-positive `Score3` could be stored). The drain word is
+//! `u64::MAX − draining_in_domain`: fewer drains, larger word. Only
+//! [`indexable`](gfs_sched::placement::PlacementPolicy::indexable)
+//! policies are cached: `hazard_aware` weighs each failure by
+//! `2^(−age/half_life)`, continuous in `now`, and the time-free factoring
+//! `2^(−now/hl)·Σ 2^(t_k/hl)` is not bit-equal to the scan's `Σ exp2`.
 //!
 //! ## What never enters the cache
 //!
@@ -150,9 +146,8 @@ pub(crate) struct ScoreIndex {
     /// Min-heap of `(valid_until, node id)` count-window deadlines.
     expiry: BinaryHeap<Reverse<(u64, u32)>>,
     /// Per failure domain: the `draining_in_domain` its members' keys were
-    /// built with, and those members. Empty unless the policy is
-    /// drain-aware; fixed between rebuilds (a new topology is a new log
-    /// instance, and minted nodes join no domain).
+    /// built with, and those members. Fixed between rebuilds (a new
+    /// topology is a new log instance, and minted nodes join no domain).
     domains: Vec<(u32, Vec<u32>)>,
     scratch: Vec<u32>,
 }
@@ -209,12 +204,7 @@ impl ScoreIndex {
         self.expiry.clear();
         self.slots.clear();
         self.slots.resize(cluster.nodes().len(), Slot::default());
-        let keyed_domains = if pts.policy().drain_aware {
-            cluster.failure_domain_count() as u32
-        } else {
-            0
-        };
-        self.domains = (0..keyed_domains)
+        self.domains = (0..cluster.failure_domain_count() as u32)
             .map(|d| (cluster.draining_in_domain(d), Vec::new()))
             .collect();
         for node in cluster.nodes() {
@@ -232,9 +222,7 @@ impl ScoreIndex {
         let Some(d) = cluster.domain_of(NodeId::new(id)) else {
             return;
         };
-        let Some((cached, members)) = self.domains.get_mut(d as usize) else {
-            return; // not drain-aware: no key reads the count
-        };
+        let (cached, members) = &mut self.domains[d as usize];
         let draining = cluster.draining_in_domain(d);
         if *cached == draining {
             return;
@@ -258,7 +246,7 @@ impl ScoreIndex {
         let (keys, valid_until) = match placement {
             None => ([None; 2], None),
             Some(_) => (
-                pts.node_keys(cluster, node, now),
+                [Priority::Hp, Priority::Spot].map(|p| pts.node_key(cluster, node, p, now)),
                 pts.keys_valid_until(node, now).map(SimTime::as_secs),
             ),
         };
@@ -341,7 +329,7 @@ impl ScoreIndex {
         let flavor = Flavor::of(priority) as usize;
         let node = &cluster.nodes()[id.index()];
         let slot = &self.slots[id.index()];
-        let fresh = pts.node_keys(cluster, node, now)[flavor];
+        let fresh = pts.node_key(cluster, node, priority, now);
         format!(
             "{id}: cached key {:?} bucket {:?} valid_until {:?} | fresh key {fresh:?} placement {:?}",
             slot.keys[flavor],

@@ -346,10 +346,13 @@ pub type WorkloadAxis = Axis<Vec<TaskSpec>>;
 pub type DynamicsAxis = Axis<DynamicsPlan>;
 
 /// A named [`PlacementPolicy`] — one point on the grid's placement-policy
-/// axis. Grids without the axis run every cell with the naive policy
-/// (labelled `"naive"`), which policy-capable schedulers treat as
-/// placement-untouched; comparing axis points isolates what churn-aware
-/// placement contributes under the same workload and cluster timeline.
+/// axis. A policy is one of five presets, and each has a point
+/// constructor below (`naive`, `domain_spread`, `reliability`,
+/// `churn_aware`, `hazard_aware`). Grids without the axis run every cell
+/// with the naive policy (labelled `"naive"`), which policy-capable
+/// schedulers treat as placement-untouched; comparing axis points
+/// isolates what churn-aware placement contributes under the same
+/// workload and cluster timeline.
 pub type PolicyAxis = Axis<PlacementPolicy>;
 
 /// A named [`MarketSpec`] — one point on the grid's capacity-market axis.

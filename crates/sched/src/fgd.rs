@@ -14,11 +14,12 @@ use crate::placement::{gang_nodes_by, plan_preemption};
 /// `(whole cards, probability)` — the Table 3 HP mix.
 const SIZE_MIX: [(u32, f64); 4] = [(1, 0.5511), (2, 0.1337), (4, 0.0753), (8, 0.2369)];
 
-/// Fragmentation of a node: expected idle GPUs unusable for a random
-/// request (idle capacity that cannot host the sampled size).
+/// Fragmentation of a node with `idle` idle cards: expected idle GPUs
+/// unusable for a random request (idle capacity that cannot host the
+/// sampled size).
 #[must_use]
-pub fn node_fragmentation(node: &Node) -> f64 {
-    let idle = f64::from(node.idle_gpus());
+pub fn fragmentation(idle: u32) -> f64 {
+    let idle = f64::from(idle);
     SIZE_MIX
         .iter()
         .map(|&(size, p)| {
@@ -35,20 +36,8 @@ pub fn node_fragmentation(node: &Node) -> f64 {
 
 /// Fragmentation delta if one pod of `demand` whole cards lands on `node`.
 fn frag_delta(node: &Node, demand: u32) -> f64 {
-    let before = node_fragmentation(node);
-    // simulate: idle decreases by the demand
-    let idle_after = f64::from(node.idle_gpus().saturating_sub(demand));
-    let after: f64 = SIZE_MIX
-        .iter()
-        .map(|&(size, p)| {
-            if idle_after >= f64::from(size) {
-                p * (idle_after % f64::from(size))
-            } else {
-                p * idle_after
-            }
-        })
-        .sum();
-    after - before
+    let idle = node.idle_gpus();
+    fragmentation(idle.saturating_sub(demand)) - fragmentation(idle)
 }
 
 /// The FGD policy.
@@ -105,7 +94,7 @@ mod tests {
     fn empty_node_has_zero_fragmentation() {
         let n = Node::new(NodeId::new(0), GpuModel::A100, 8);
         assert_eq!(
-            node_fragmentation(&n),
+            fragmentation(n.idle_gpus()),
             0.0,
             "8 idle GPUs serve every bucket"
         );
@@ -117,7 +106,7 @@ mod tests {
         n.place_pod(gfs_types::TaskId::new(1), GpuDemand::whole(5), Priority::Hp)
             .unwrap();
         // 3 idle: unusable for the 8-bucket, remainder 1 for the 2-bucket
-        let f = node_fragmentation(&n);
+        let f = fragmentation(n.idle_gpus());
         assert!(f > 0.0);
     }
 

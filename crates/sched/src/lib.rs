@@ -22,7 +22,7 @@ pub mod placement;
 mod yarn;
 
 pub use chronus::{Chronus, HP_LEASE_SECS, SPOT_LEASE_SECS};
-pub use fgd::{node_fragmentation, Fgd};
+pub use fgd::{fragmentation, Fgd};
 pub use lyra::Lyra;
 pub use placement::{DomainUse, PlacementPolicy};
 pub use yarn::YarnCs;

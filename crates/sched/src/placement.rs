@@ -1,5 +1,5 @@
 //! The placement engine every scheduler shares, and the churn-aware
-//! [`PlacementPolicy`] layer the PTS/GFS schedulers consult.
+//! [`PlacementPolicy`] the PTS/GFS schedulers consult.
 //!
 //! Two loops serve the four baselines and PTS alike. [`gang_nodes_by`]
 //! places a gang pod by pod under a virtual idle-card budget, taking the
@@ -9,6 +9,12 @@
 //! of evicted victims, asking a per-node plan for victims and a rank;
 //! the baselines' greedy [`plan_preemption`], Alg. 2 and `GFS-p` are
 //! three such plans.
+//!
+//! A [`PlacementPolicy`] is one of five presets and has nothing else to
+//! set. Every question about it — its score components, whether a key
+//! cached from them stays exact and until when, how a drained gang
+//! responds — is answered in this module, so no other module branches on
+//! the preset.
 
 use std::collections::HashMap;
 
@@ -20,23 +26,22 @@ use gfs_types::{Cards, GpuDemand, NodeId, SimDuration, SimTime, TaskId, TaskSpec
 /// its own scoring.
 ///
 /// The policy contributes up to three *lexicographically leading* score
-/// components, in this priority order; a disabled component is constant
-/// across candidates and falls through to the scheduler's native scores,
-/// so [`PlacementPolicy::naive`] reproduces policy-less placement
-/// decision for decision (the golden-report pins rely on this):
+/// components, in this priority order; a component a preset leaves off
+/// is constant across candidates and falls through to the scheduler's
+/// native scores, so [`PlacementPolicy::naive`] reproduces policy-less
+/// placement decision for decision (the golden-report pins rely on this):
 ///
-/// 1. **Reliability** ([`PlacementPolicy::reliability`]) — a node-failure
-///    analogue of the PTS eviction-awareness score (Eq. 15–16): the
-///    windowed failure history discounts failure-prone candidates the way
-///    ē discounts eviction-prone ones. The history survives repair (a
-///    flaky machine stays flaky), in contrast to the eviction history.
-/// 2. **Drain avoidance** ([`PlacementPolicy::drain_aware`]) — discount
-///    nodes whose failure domain currently contains a draining node:
-///    maintenance waves walk through racks, so a rack with one node in
-///    maintenance is where the next notices land. Also switches
-///    [`PlacementPolicy::drain_decision`] to the capacity-aware
-///    variant.
-/// 3. **Domain spread** ([`PlacementPolicy::spread_domains`]) — gang
+/// 1. **Reliability** ([`PlacementPolicy::hazard_component`]) — a
+///    node-failure analogue of the PTS eviction-awareness score
+///    (Eq. 15–16): the failure history discounts failure-prone candidates
+///    the way ē discounts eviction-prone ones. The history survives repair
+///    (a flaky machine stays flaky), in contrast to the eviction history.
+/// 2. **Drain avoidance** ([`PlacementPolicy::drain_component`]) —
+///    discount nodes whose failure domain currently contains a draining
+///    node: maintenance waves walk through racks, so a rack with one node
+///    in maintenance is where the next notices land. The same presets
+///    take the capacity-aware [`PlacementPolicy::drain_decision`].
+/// 3. **Domain spread** ([`PlacementPolicy::spread_count`]) — gang
 ///    anti-affinity over the cluster's declared
 ///    [`FailureDomain`](gfs_types::FailureDomain)s: each pod prefers the
 ///    candidate whose domain hosts the fewest pods of the gang placed so
@@ -45,26 +50,16 @@ use gfs_types::{Cards, GpuDemand, NodeId, SimDuration, SimTime, TaskId, TaskSpec
 ///    candidates — and reliability outranks it, so anti-affinity chooses
 ///    among dependable racks rather than overriding into flaky ones.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PlacementPolicy {
-    /// Spread gang pods across failure domains (anti-affinity).
-    pub spread_domains: bool,
-    /// Discount nodes by their windowed failure history.
-    pub reliability: bool,
-    /// Avoid domains with in-progress drains; harvest checkpoints on a
-    /// draining node when the cluster has no room to migrate into.
-    pub drain_aware: bool,
-    /// Window of the reliability term's failure count.
-    pub failure_window_secs: SimDuration,
-    /// Replace the hard-window failure count with an exponentially
-    /// decayed rate (`2^(−age/half_life)` per failure), pooled across the
-    /// node's failure domain: a machine that failed yesterday scores
-    /// worse than one that failed last week, with no cliff at the window
-    /// edge, and a rack whose neighbours keep dying is suspect even when
-    /// this particular machine has not failed yet. Only meaningful when
-    /// [`PlacementPolicy::reliability`] is on. Also (and only) under this
-    /// flag the preemptive path applies the same discount when ranking
-    /// preemption target nodes.
-    pub decayed_reliability: bool,
+pub struct PlacementPolicy(Preset);
+
+/// The presets, one per constructor of [`PlacementPolicy`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Preset {
+    Naive,
+    DomainSpread,
+    ReliabilityScored,
+    ChurnAware,
+    HazardAware,
 }
 
 /// Penalty per failure, in percent (mirrors the Eq. 16 `m`-penalty shape:
@@ -76,67 +71,58 @@ const FAILURE_HALF_LIFE_SECS: SimDuration = 24 * HOUR;
 /// own rate when pooling.
 const POOL_WEIGHT: f64 = 0.5;
 
-impl Default for PlacementPolicy {
-    fn default() -> Self {
-        PlacementPolicy::naive()
-    }
-}
-
 impl PlacementPolicy {
+    /// Window of the windowed reliability score's failure count.
+    pub const FAILURE_WINDOW_SECS: SimDuration = 48 * HOUR;
+
     /// Policy-less placement: every component off. Schedulers built with
     /// this behave bit-for-bit like their pre-policy versions.
     #[must_use]
     pub fn naive() -> Self {
-        PlacementPolicy {
-            spread_domains: false,
-            reliability: false,
-            drain_aware: false,
-            failure_window_secs: 48 * HOUR,
-            decayed_reliability: false,
-        }
+        PlacementPolicy(Preset::Naive)
     }
 
     /// Gang anti-affinity over failure domains only.
     #[must_use]
     pub fn domain_spread() -> Self {
-        PlacementPolicy {
-            spread_domains: true,
-            ..PlacementPolicy::naive()
-        }
+        PlacementPolicy(Preset::DomainSpread)
     }
 
-    /// Failure-history discounting only.
+    /// Failure-history discounting only: the failure count inside
+    /// [`PlacementPolicy::FAILURE_WINDOW_SECS`].
     #[must_use]
     pub fn reliability_scored() -> Self {
-        PlacementPolicy {
-            reliability: true,
-            ..PlacementPolicy::naive()
-        }
+        PlacementPolicy(Preset::ReliabilityScored)
     }
 
     /// The full churn-aware policy: spread + reliability + drain
     /// awareness.
     #[must_use]
     pub fn churn_aware() -> Self {
-        PlacementPolicy {
-            spread_domains: true,
-            reliability: true,
-            drain_aware: true,
-            ..PlacementPolicy::naive()
-        }
+        PlacementPolicy(Preset::ChurnAware)
     }
 
-    /// The churn-aware policy with the decayed, domain-pooled reliability
-    /// score: [`PlacementPolicy::churn_aware`] plus
-    /// [`PlacementPolicy::decayed_reliability`]. Kept as a separate variant
-    /// so [`PlacementPolicy::churn_aware`] decisions stay bit-for-bit
-    /// pinned.
+    /// [`PlacementPolicy::churn_aware`] with a decayed, domain-pooled
+    /// failure rate in place of the windowed count: each failure weighs
+    /// `2^(−age/24 h)`, and the node's failure domain adds half its mates'
+    /// mean rate, so a machine that failed yesterday scores worse than one
+    /// that failed last week, with no cliff at a window edge, and a rack
+    /// whose neighbours keep dying is suspect before this machine fails.
+    /// Only this preset also discounts preemption targets
+    /// ([`PlacementPolicy::preemption_reliability`]). A preset of its own
+    /// so [`PlacementPolicy::churn_aware`] decisions stay pinned.
     #[must_use]
     pub fn hazard_aware() -> Self {
-        PlacementPolicy {
-            decayed_reliability: true,
-            ..PlacementPolicy::churn_aware()
-        }
+        PlacementPolicy(Preset::HazardAware)
+    }
+
+    /// Whether the policy's components are piecewise constant in time, so
+    /// a cached key stays exact until a cluster mutation or
+    /// [`PlacementPolicy::hazard_valid_until`]. Only the decayed rate of
+    /// [`PlacementPolicy::hazard_aware`] is continuous in `now`.
+    #[must_use]
+    pub fn indexable(&self) -> bool {
+        self.0 != Preset::HazardAware
     }
 
     /// The anti-affinity key of a node: its declared failure domain, or a
@@ -150,97 +136,81 @@ impl PlacementPolicy {
         }
     }
 
-    /// The gang-spread score component: minus the number of already-placed
-    /// pods of this gang in the node's domain (0 when spreading is off, so
-    /// the component is neutral).
+    /// The gang-spread count: the already-placed pods of this gang in the
+    /// node's domain (0 when the preset does not spread). Fewer is better.
+    #[must_use]
+    pub fn spread_count(&self, cluster: &Cluster, node: NodeId, used: &DomainUse) -> u32 {
+        match self.0 {
+            Preset::Naive | Preset::ReliabilityScored => 0,
+            Preset::DomainSpread | Preset::ChurnAware | Preset::HazardAware => {
+                used.count(PlacementPolicy::domain_key(cluster, node))
+            }
+        }
+    }
+
+    /// The gang-spread score component: minus
+    /// [`PlacementPolicy::spread_count`].
     #[must_use]
     pub fn spread_component(&self, cluster: &Cluster, node: NodeId, used: &DomainUse) -> f64 {
-        if !self.spread_domains {
-            return 0.0;
-        }
-        -f64::from(used.count(PlacementPolicy::domain_key(cluster, node)))
+        -f64::from(self.spread_count(cluster, node, used))
     }
 
     /// The drain-avoidance score component: minus the number of nodes
-    /// currently draining in the candidate's domain (0 when off, or when
-    /// the node belongs to no declared domain).
+    /// currently draining in the candidate's domain (0 when the preset is
+    /// not drain-aware, or when the node belongs to no declared domain).
     #[must_use]
     pub fn drain_component(&self, cluster: &Cluster, node: NodeId) -> f64 {
-        if !self.drain_aware {
-            return 0.0;
-        }
         match cluster.domain_of(node) {
-            Some(d) => -f64::from(cluster.draining_in_domain(d)),
-            None => 0.0,
+            Some(d) if self.drain_aware() => -f64::from(cluster.draining_in_domain(d)),
+            _ => 0.0,
         }
     }
 
-    /// The reliability score component in `[0, 1]` (1.0 when the term is
-    /// off): `max(0, 1 − 0.01·m_f·f̄)` with `f̄` the node's failure count
-    /// inside [`PlacementPolicy::failure_window_secs`] — Eq. 15–16
-    /// transplanted from evictions to hardware failures.
-    #[must_use]
-    pub fn reliability_component(&self, node: &Node, now: SimTime) -> f64 {
-        if !self.reliability {
-            return 1.0;
-        }
-        let f = node.failures_within(now, self.failure_window_secs) as f64;
-        (1.0 - 0.01 * FAILURE_PENALTY * f).max(0.0)
+    /// Whether drains shape the key and the drain response.
+    fn drain_aware(&self) -> bool {
+        matches!(self.0, Preset::ChurnAware | Preset::HazardAware)
     }
 
-    /// The node's effective failure pressure under the decayed model: its
-    /// own exponentially-decayed rate (24 h half-life) plus half the mean
-    /// decayed rate of its failure-domain mates. A node outside any
-    /// declared domain contributes only its own rate.
-    #[must_use]
-    pub fn pooled_failure_rate(cluster: &Cluster, node: &Node, now: SimTime) -> f64 {
-        let own = node.decayed_failure_rate(now, FAILURE_HALF_LIFE_SECS);
-        let Some(d) = cluster.domain_of(node.id()) else {
-            return own;
-        };
-        let (sum, mates) = cluster
-            .nodes()
-            .iter()
-            .filter(|m| m.id() != node.id() && cluster.domain_of(m.id()) == Some(d))
-            .fold((0.0, 0u32), |(s, k), m| {
-                (
-                    s + m.decayed_failure_rate(now, FAILURE_HALF_LIFE_SECS),
-                    k + 1,
-                )
-            });
-        if mates == 0 {
-            own
-        } else {
-            own + POOL_WEIGHT * sum / f64::from(mates)
-        }
-    }
-
-    /// The reliability score component with the decayed/pooled extension:
-    /// identical to [`PlacementPolicy::reliability_component`] unless
-    /// [`PlacementPolicy::decayed_reliability`] is set, in which case the
-    /// hard-window failure count is replaced by
-    /// [`PlacementPolicy::pooled_failure_rate`]. This is the one entry
-    /// point placement scoring calls, so legacy variants keep their
-    /// pinned decisions bit for bit.
+    /// The reliability score component in `[0, 1]`: `max(0, 1 − 0.01·m_f·f̄)`
+    /// — Eq. 15–16 transplanted from evictions to hardware failures. `f̄`
+    /// is the node's failure count inside
+    /// [`PlacementPolicy::FAILURE_WINDOW_SECS`], or under
+    /// [`PlacementPolicy::hazard_aware`] its decayed, domain-pooled
+    /// failure rate; 1.0 when the preset scores no reliability.
     #[must_use]
     pub fn hazard_component(&self, cluster: &Cluster, node: &Node, now: SimTime) -> f64 {
-        if !self.reliability {
-            return 1.0;
+        let failures = match self.0 {
+            Preset::Naive | Preset::DomainSpread => return 1.0,
+            Preset::ReliabilityScored | Preset::ChurnAware => {
+                node.failures_within(now, PlacementPolicy::FAILURE_WINDOW_SECS) as f64
+            }
+            Preset::HazardAware => pooled_failure_rate(cluster, node, now),
+        };
+        (1.0 - 0.01 * FAILURE_PENALTY * failures).max(0.0)
+    }
+
+    /// The last instant [`PlacementPolicy::hazard_component`] keeps its
+    /// value for `node` under pure aging, for an
+    /// [`indexable`](PlacementPolicy::indexable) policy: when the oldest
+    /// failure inside the window leaves it. `None` when no windowed count
+    /// is behind the component.
+    #[must_use]
+    pub fn hazard_valid_until(&self, node: &Node, now: SimTime) -> Option<SimTime> {
+        match self.0 {
+            Preset::ReliabilityScored | Preset::ChurnAware => {
+                node.failure_score_valid_until(now, PlacementPolicy::FAILURE_WINDOW_SECS)
+            }
+            _ => None,
         }
-        if !self.decayed_reliability {
-            return self.reliability_component(node, now);
-        }
-        let rate = PlacementPolicy::pooled_failure_rate(cluster, node, now);
-        (1.0 - 0.01 * FAILURE_PENALTY * rate).max(0.0)
     }
 
     /// The discount the *preemptive* path applies when ranking candidate
-    /// target nodes: active only under
-    /// [`PlacementPolicy::decayed_reliability`] (the legacy variants'
-    /// preemptive decisions are pinned), constant 1.0 otherwise.
+    /// target nodes, in `[0, 1]`: the hazard component under
+    /// [`PlacementPolicy::hazard_aware`] (the other presets' preemptive
+    /// decisions are pinned), constant 1.0 otherwise.
     #[must_use]
     pub fn preemption_reliability(&self, cluster: &Cluster, node: &Node, now: SimTime) -> f64 {
-        if !self.decayed_reliability {
+        if self.0 != Preset::HazardAware {
             return 1.0;
         }
         self.hazard_component(cluster, node, now)
@@ -256,8 +226,9 @@ impl PlacementPolicy {
     /// and buys nothing). "Room" counts the idle cards *plus* whatever
     /// the gang itself would free on schedulable nodes by leaving — a
     /// gang half on the draining node and half on an otherwise-busy
-    /// healthy one can still re-place into its own vacated cards. With
-    /// `drain_aware` off this is exactly the engine's historical rule.
+    /// healthy one can still re-place into its own vacated cards. Under a
+    /// preset that is not drain-aware this is exactly the engine's
+    /// historical rule.
     ///
     /// The check is a best-effort heuristic against the pre-migration
     /// cluster snapshot: when several gangs leave one drain notice at the
@@ -277,7 +248,7 @@ impl PlacementPolicy {
         if task.remaining(now) <= notice {
             return DrainDecision::Stay; // finishes in place
         }
-        if self.drain_aware {
+        if self.drain_aware() {
             let spec = &task.spec;
             let idle = Cards::whole(cluster.idle_gpus(Some(spec.gpu_model)));
             // cards this gang holds on *schedulable* nodes come back the
@@ -298,6 +269,32 @@ impl PlacementPolicy {
             }
         }
         DrainDecision::Migrate
+    }
+}
+
+/// The node's effective failure pressure under the decayed model: its
+/// own exponentially-decayed rate (24 h half-life) plus half the mean
+/// decayed rate of its failure-domain mates. A node outside any declared
+/// domain contributes only its own rate.
+fn pooled_failure_rate(cluster: &Cluster, node: &Node, now: SimTime) -> f64 {
+    let own = node.decayed_failure_rate(now, FAILURE_HALF_LIFE_SECS);
+    let Some(d) = cluster.domain_of(node.id()) else {
+        return own;
+    };
+    let (sum, mates) = cluster
+        .nodes()
+        .iter()
+        .filter(|m| m.id() != node.id() && cluster.domain_of(m.id()) == Some(d))
+        .fold((0.0, 0u32), |(s, k), m| {
+            (
+                s + m.decayed_failure_rate(now, FAILURE_HALF_LIFE_SECS),
+                k + 1,
+            )
+        });
+    if mates == 0 {
+        own
+    } else {
+        own + POOL_WEIGHT * sum / f64::from(mates)
     }
 }
 
@@ -678,7 +675,7 @@ mod tests {
         assert_eq!(p.spread_component(&c, NodeId::new(0), &used), 0.0);
         assert_eq!(p.drain_component(&c, NodeId::new(0)), 0.0);
         assert_eq!(
-            p.reliability_component(&c.nodes()[0], SimTime::from_hours(1)),
+            p.hazard_component(&c, &c.nodes()[0], SimTime::from_hours(1)),
             1.0
         );
         assert_ne!(PlacementPolicy::churn_aware(), p);
@@ -718,13 +715,23 @@ mod tests {
             .unwrap();
         let p = PlacementPolicy::reliability_scored();
         let now = SimTime::from_hours(3);
-        let flaky = p.reliability_component(&c.nodes()[0], now);
-        let stable = p.reliability_component(&c.nodes()[1], now);
+        let flaky = p.hazard_component(&c, &c.nodes()[0], now);
+        let stable = p.hazard_component(&c, &c.nodes()[1], now);
         assert!(flaky < stable, "{flaky} vs {stable}");
         assert_eq!(stable, 1.0);
         assert!(
             (flaky - 0.75).abs() < 1e-9,
             "one failure at the default penalty"
+        );
+        // the score holds until that failure leaves the 48 h window
+        let edge = SimTime::from_hours(1) + PlacementPolicy::FAILURE_WINDOW_SECS;
+        assert_eq!(p.hazard_valid_until(&c.nodes()[0], now), Some(edge));
+        assert_eq!(p.hazard_component(&c, &c.nodes()[0], edge), flaky);
+        assert_eq!(p.hazard_component(&c, &c.nodes()[0], edge + 1), 1.0);
+        assert_eq!(p.hazard_valid_until(&c.nodes()[1], now), None);
+        assert_eq!(
+            PlacementPolicy::naive().hazard_valid_until(&c.nodes()[0], now),
+            None
         );
         // enough failures floor the score at 0 (never negative)
         for h in [5u64, 7, 9, 11] {
@@ -733,28 +740,28 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(
-            p.reliability_component(&c.nodes()[0], SimTime::from_hours(12)),
+            p.hazard_component(&c, &c.nodes()[0], SimTime::from_hours(12)),
             0.0
         );
     }
 
     #[test]
-    fn hazard_component_matches_windowed_score_unless_decayed() {
+    fn hazard_component_is_windowed_unless_decayed() {
         let mut c = Cluster::homogeneous(2, GpuModel::A100, 8);
         c.fail_node(NodeId::new(0), SimTime::from_hours(1)).unwrap();
         c.restore_node(NodeId::new(0), SimTime::from_hours(2))
             .unwrap();
         let now = SimTime::from_hours(3);
-        // every legacy variant routes through the windowed component
-        for p in [
-            PlacementPolicy::naive(),
-            PlacementPolicy::reliability_scored(),
-            PlacementPolicy::churn_aware(),
+        // the presets without reliability score nothing, the windowed
+        // ones count the one failure
+        for (p, score) in [
+            (PlacementPolicy::naive(), 1.0),
+            (PlacementPolicy::domain_spread(), 1.0),
+            (PlacementPolicy::reliability_scored(), 0.75),
+            (PlacementPolicy::churn_aware(), 0.75),
         ] {
-            assert_eq!(
-                p.hazard_component(&c, &c.nodes()[0], now),
-                p.reliability_component(&c.nodes()[0], now)
-            );
+            assert_eq!(p.hazard_component(&c, &c.nodes()[0], now), score);
+            assert!(p.indexable());
         }
         // the decayed score is time-graded, not a step function
         let p = PlacementPolicy::hazard_aware();
@@ -763,6 +770,7 @@ mod tests {
         assert!(fresh < stale, "{fresh} vs {stale}: old failures fade");
         assert!(stale < 1.0, "but never vanish abruptly");
         assert_eq!(p.hazard_component(&c, &c.nodes()[1], now), 1.0);
+        assert!(!p.indexable(), "continuous in time: no cached key holds");
     }
 
     #[test]
@@ -775,19 +783,19 @@ mod tests {
         let p = PlacementPolicy::hazard_aware();
         let now = SimTime::from_hours(3);
         // node 1 never failed, but shares the rack with flaky node 0
-        let mate = PlacementPolicy::pooled_failure_rate(&c, &c.nodes()[1], now);
-        let other = PlacementPolicy::pooled_failure_rate(&c, &c.nodes()[2], now);
+        let mate = pooled_failure_rate(&c, &c.nodes()[1], now);
+        let other = pooled_failure_rate(&c, &c.nodes()[2], now);
         assert!(mate > 0.0, "rack-mate inherits pooled suspicion");
         assert_eq!(other, 0.0, "other rack untouched");
         assert!(
             p.hazard_component(&c, &c.nodes()[1], now) < p.hazard_component(&c, &c.nodes()[2], now)
         );
         // the failed node itself is worse than its innocent mate
-        assert!(PlacementPolicy::pooled_failure_rate(&c, &c.nodes()[0], now) > mate);
+        assert!(pooled_failure_rate(&c, &c.nodes()[0], now) > mate);
         // without a topology pooling is inert
         let flat = Cluster::homogeneous(2, GpuModel::A100, 8);
         assert_eq!(
-            PlacementPolicy::pooled_failure_rate(&flat, &flat.nodes()[0], now),
+            pooled_failure_rate(&flat, &flat.nodes()[0], now),
             flat.nodes()[0].decayed_failure_rate(now, FAILURE_HALF_LIFE_SECS)
         );
     }

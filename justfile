@@ -62,11 +62,13 @@ benchmark-smoke:
 benchmark *args:
     cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- {{args}}
 
-# Non-test non-blank Rust lines: every `.rs` file under crates/, src/ and
-# examples/ outside tests/ and benches/ directories, counting the non-blank
-# lines before the file's first column-0 `#[cfg(test)]` (comments count).
-loc:
-    find crates src examples -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' -print0 | xargs -0 awk 'FNR == 1 { on = 1 } /^#\[cfg\(test\)\]/ { on = 0 } on && NF { n++ } END { print n }'
+# Non-test non-blank Rust lines: every `.rs` file under the given paths
+# (files or directories; crates/, src/ and examples/ when none are given)
+# outside tests/ and benches/ directories, counting the non-blank lines
+# before the file's first column-0 `#[cfg(test)]` (comments count).
+# `just loc crates/core/src/pts.rs` counts one file.
+loc +paths="crates src examples":
+    find {{paths}} -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' -print0 | xargs -0 awk 'FNR == 1 { on = 1 } /^#\[cfg\(test\)\]/ { on = 0 } on && NF { n++ } END { print n }'
 
 # Re-record every golden pin: prints the new non-comment lines of `PINS`,
 # sorted. Paste them over the old ones, keeping the `#` provenance

@@ -129,8 +129,7 @@ fn pts_with(policy: PlacementPolicy) -> gfs::core::Pts {
     gfs::core::Pts::with_policy(GfsParams::default(), PtsVariant::Full, policy)
 }
 
-/// Every preset the index serves, with a failure window short enough for
-/// failures to age out of it between two decisions of a 400-minute walk.
+/// Every preset the index serves.
 fn indexed_presets() -> [(&'static str, PlacementPolicy); 4] {
     [
         ("naive", PlacementPolicy::naive()),
@@ -138,13 +137,6 @@ fn indexed_presets() -> [(&'static str, PlacementPolicy); 4] {
         ("reliability_scored", PlacementPolicy::reliability_scored()),
         ("churn_aware", PlacementPolicy::churn_aware()),
     ]
-    .map(|(name, preset)| {
-        let policy = PlacementPolicy {
-            failure_window_secs: 40 * 60,
-            ..preset
-        };
-        (name, policy)
-    })
 }
 
 #[test]
@@ -156,7 +148,11 @@ fn score_index_agrees_with_scan_under_random_churn() {
         ("one domain", FailureDomain::racks(NODES, NODES)),
     ];
     // packing-only scoring leaves the reliability window as the keys'
-    // only deadline: failures alone age the cached keys out
+    // only deadline: failures alone age the cached keys out. The walk's
+    // 400 ten-minute steps outlast the 48 h failure window, so failures
+    // of its first 18 h leave the window between two compared decisions.
+    const STEP_SECS: u64 = 600;
+    let window = PlacementPolicy::FAILURE_WINDOW_SECS;
     let engines = indexed_presets().into_iter().flat_map(|(preset, policy)| {
         [PtsVariant::Full, PtsVariant::SimpleScoring].map(|v| (preset, policy.clone(), v))
     });
@@ -173,15 +169,24 @@ fn score_index_agrees_with_scan_under_random_churn() {
                     gfs::core::Pts::with_policy(GfsParams::default(), variant, policy.clone());
                 let mut live: Vec<(TaskId, Priority)> = Vec::new();
                 let mut deadlines: Vec<(NodeId, SimTime)> = Vec::new();
+                let mut failed_at: Vec<SimTime> = Vec::new();
+                let mut aged_out = 0;
                 let mut next_id = 1u64;
                 for step in 0..400u64 {
-                    let now = SimTime::from_secs(step * 60);
+                    let now = SimTime::from_secs(step * STEP_SECS);
+                    // failures inside the window at the previous step's
+                    // comparison and outside it now
+                    aged_out += failed_at
+                        .iter()
+                        .filter(|&&t| now.since(t) > window && now.since(t) <= window + STEP_SECS)
+                        .count();
                     // drains that reach their deadline force the node down
                     deadlines.retain(|&(node, deadline)| {
                         let due = deadline <= now && cluster.nodes()[node.index()].is_draining();
                         if due {
                             let displaced = cluster.fail_node(node, now).expect("draining is up");
                             live.retain(|(id, _)| !displaced.iter().any(|d| d.task.spec.id == *id));
+                            failed_at.push(now);
                         }
                         deadline > now
                     });
@@ -195,6 +200,7 @@ fn score_index_agrees_with_scan_under_random_churn() {
                                 live.retain(|(id, _)| {
                                     !displaced.iter().any(|d| d.task.spec.id == *id)
                                 });
+                                failed_at.push(now);
                             }
                         }
                         // repairs a down node or cancels a drain in progress
@@ -204,7 +210,7 @@ fn score_index_agrees_with_scan_under_random_churn() {
                         }
                         3 => {
                             let node = any_node(&mut rng, &cluster);
-                            let deadline = now + rng.gen_range(5..40u64) * 60;
+                            let deadline = now + rng.gen_range(5..40u64) * STEP_SECS;
                             if cluster.drain_node(node, deadline).is_ok() {
                                 deadlines.push((node, deadline));
                             }
@@ -245,6 +251,7 @@ fn score_index_agrees_with_scan_under_random_churn() {
                         "post-mutation divergence at step {step}: {case}"
                     );
                 }
+                assert!(aged_out > 0, "no failure left the window: {case}");
             }
         }
     }
