@@ -186,7 +186,7 @@ mod tests {
         let data = OrgDataset::new(series, orgs, vec![], vec![], 48, 6).unwrap();
         let m = DeepAr::new(&data, 5);
         let batch: Vec<Sample> = data.split(12, 0.8).0.into_iter().take(3).collect();
-        crate::models::assert_pruning_exact(&m.params(), |g| {
+        crate::models::tests::assert_pruning_exact(&m.params(), |g| {
             let (mu, pre) = m.forward(g, &data, &batch);
             let t = target_slot(g, &data, &m.norm, &batch);
             g.gaussian_nll_softplus(mu, pre, t, SIGMA_FLOOR)

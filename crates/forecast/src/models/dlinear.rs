@@ -161,7 +161,7 @@ mod tests {
         let d = data();
         let m = DLinear::new(&d, 1);
         let batch: Vec<Sample> = d.split(12, 0.8).0.into_iter().take(5).collect();
-        crate::models::assert_pruning_exact(&m.params(), |g| {
+        crate::models::tests::assert_pruning_exact(&m.params(), |g| {
             let pred = m.forward(g, &d, &batch);
             let t = target_slot(g, &d, &m.norm, &batch);
             loss::mse(g, pred, t)

@@ -183,38 +183,6 @@ pub(crate) fn mean_pool_matrix(len: usize) -> gfs_nn::Tensor {
     gfs_nn::Tensor::full(1, len, 1.0 / len as f64)
 }
 
-/// Builds a training graph with `build` twice — once as recorded, once
-/// with every constant leaf promoted to a throw-away parameter, which
-/// forces the full backward sweep — and asserts every parameter in
-/// `params` receives a bit-identical, non-zero gradient from both.
-#[cfg(test)]
-pub(crate) fn assert_pruning_exact(
-    params: &[gfs_nn::Param],
-    build: impl Fn(&mut gfs_nn::Graph) -> gfs_nn::Var,
-) {
-    let sweep = |promote: bool| {
-        let mut g = gfs_nn::Graph::new();
-        let loss = build(&mut g);
-        if promote {
-            assert!(!g.promote_constants().is_empty(), "no constant leaf");
-        }
-        g.backward(loss);
-        params
-            .iter()
-            .map(|p| {
-                let bits: Vec<u64> = p.grad().as_slice().iter().map(|v| v.to_bits()).collect();
-                p.zero_grad();
-                bits
-            })
-            .collect::<Vec<_>>()
-    };
-    let pruned = sweep(false);
-    for (i, bits) in pruned.iter().enumerate() {
-        assert!(bits.iter().any(|&b| b != 0), "param {i} got no gradient");
-    }
-    assert_eq!(pruned, sweep(true), "pruning moved a parameter gradient");
-}
-
 /// Records a `B × H` constant slot holding the normalised targets of
 /// `batch` — the supervision every trainer feeds its loss.
 pub(crate) fn target_slot(
@@ -237,6 +205,37 @@ pub(crate) fn target_slot(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Builds a training graph with `build` twice — once as recorded, once
+    /// with every constant leaf promoted to a throw-away parameter, which
+    /// forces the full backward sweep — and asserts every parameter in
+    /// `params` receives a bit-identical, non-zero gradient from both.
+    pub(crate) fn assert_pruning_exact(
+        params: &[gfs_nn::Param],
+        build: impl Fn(&mut gfs_nn::Graph) -> gfs_nn::Var,
+    ) {
+        let sweep = |promote: bool| {
+            let mut g = gfs_nn::Graph::new();
+            let loss = build(&mut g);
+            if promote {
+                assert!(!g.promote_constants().is_empty(), "no constant leaf");
+            }
+            g.backward(loss);
+            params
+                .iter()
+                .map(|p| {
+                    let bits: Vec<u64> = p.grad().as_slice().iter().map(|v| v.to_bits()).collect();
+                    p.zero_grad();
+                    bits
+                })
+                .collect::<Vec<_>>()
+        };
+        let pruned = sweep(false);
+        for (i, bits) in pruned.iter().enumerate() {
+            assert!(bits.iter().any(|&b| b != 0), "param {i} got no gradient");
+        }
+        assert_eq!(pruned, sweep(true), "pruning moved a parameter gradient");
+    }
 
     #[test]
     fn forecast_quantile_point_is_mean() {

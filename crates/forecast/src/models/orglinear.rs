@@ -531,7 +531,7 @@ mod tests {
         let data = sine_dataset(2, 400);
         let m = OrgLinear::new(&data, 3);
         let batch: Vec<Sample> = data.split(12, 0.8).0.into_iter().take(6).collect();
-        crate::models::assert_pruning_exact(&m.params(), |g| {
+        crate::models::tests::assert_pruning_exact(&m.params(), |g| {
             let (mu, pre) = m.forward(g, &data, &batch, None);
             let t = target_slot(g, &data, &m.norm, &batch);
             g.gaussian_nll_softplus(mu, pre, t, SIGMA_FLOOR)
