@@ -4,24 +4,24 @@
 //! the final state to `(μ, σ)` sequences, trained by NLL — the strongest
 //! probabilistic baseline of Table 7.
 //!
-//! The whole unrolled encoder is one fused [`GruCell::scan`] tape entry
-//! over a persistent [`Graph`] arena: after the first batch warms the
-//! arena, a training step allocates nothing (see the `forecast-alloc-gate`
-//! test lane).
+//! The whole unrolled encoder is one fused [`GruCell::scan`] tape entry.
+//! DeepAR trains through the shared loop (`models::train`) on the Gaussian
+//! head loss it shares with OrgLinear, and forecasts through the shared
+//! Gaussian output path: after the first batch warms the loop's arena, a
+//! training step allocates nothing (see the `forecast-alloc-gate` test
+//! lane).
 
 use std::cell::RefCell;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use gfs_nn::{Adam, Graph, GruCell, Linear, Param, Var};
+use gfs_nn::{Graph, GruCell, Linear, Param, Var};
 
 use crate::dataset::{Normalizer, OrgDataset, Sample};
-use crate::models::{minibatches, target_slot, FitReport, Forecast, Forecaster, TrainConfig};
-use crate::timing::TrainTimer;
+use crate::models::{forecasts, gaussian_nll, train, FitReport, Forecast, Forecaster, TrainConfig};
 
 const HIDDEN: usize = 24;
-const SIGMA_FLOOR: f64 = 1e-3;
 
 /// DeepAR-style probabilistic RNN forecaster.
 #[derive(Debug)]
@@ -54,11 +54,9 @@ impl DeepAr {
         p
     }
 
-    /// Encodes a batch of windows with one fused GRU scan and emits
-    /// `(mu, pre)`, where `pre` is the *pre-activation* of the variance
-    /// head: apply `softplus(pre) + SIGMA_FLOOR` to obtain σ (training
-    /// fuses that map into the loss; `predict` applies it explicitly)
-    /// in normalized space (`B × H` each).
+    /// Encodes a batch of windows with one fused GRU scan and emits the
+    /// Gaussian head `(mu, pre)` in normalized space (`B × H` each), where
+    /// `pre` is the *pre-activation* of σ (see `models::gaussian_nll`).
     fn forward(&self, g: &mut Graph, data: &OrgDataset, batch: &[Sample]) -> (Var, Var) {
         let b = batch.len();
         let l = data.input_len();
@@ -77,8 +75,6 @@ impl DeepAr {
         }
         let h = self.cell.scan(g, xs, l);
         let mu = self.head_mu.forward(g, h);
-        // pre-activation variance head; σ = softplus(·) + floor is fused
-        // into the NLL during training and applied directly in predict
         let pre = self.head_sigma.forward(g, h);
         (mu, pre)
     }
@@ -94,57 +90,23 @@ impl Forecaster for DeepAr {
     }
 
     fn fit(&mut self, data: &OrgDataset, cfg: &TrainConfig) -> FitReport {
-        let start = TrainTimer::start();
-        self.norm = data.normalizer(cfg.train_frac);
-        let (train, _) = data.split(cfg.stride, cfg.train_frac);
-        let mut opt = Adam::new(self.params(), cfg.lr);
-        let mut final_loss = f64::NAN;
-        for epoch in 0..cfg.epochs {
-            let mut total = 0.0;
-            let mut n = 0usize;
-            for batch in minibatches(&train, cfg.batch_size, cfg.seed, epoch) {
-                let mut g = self.graph.borrow_mut();
-                g.reset();
-                let (mu, sigma_pre) = self.forward(&mut g, data, &batch);
-                let t = target_slot(&mut g, data, &self.norm, &batch);
-                let l = g.gaussian_nll_softplus(mu, sigma_pre, t, SIGMA_FLOOR);
-                total += g.value(l).item();
-                n += 1;
-                g.backward(l);
-                opt.step();
-            }
-            final_loss = total / n.max(1) as f64;
-        }
-        FitReport {
-            train_time_secs: start.elapsed_secs(),
-            final_loss,
-            samples: train.len(),
-        }
+        train(data, cfg, move |norm, _| {
+            self.norm = norm;
+            let m: &Self = self;
+            (m.params(), move |g: &mut Graph, b: &[Sample]| {
+                let head = m.forward(g, data, b);
+                gaussian_nll(g, data, &m.norm, b, head)
+            })
+        })
     }
 
     fn predict(&self, data: &OrgDataset, sample: Sample) -> Forecast {
         let mut g = self.graph.borrow_mut();
         g.reset();
-        let (mu, sigma_pre) = self.forward(&mut g, data, &[sample]);
+        let (mu, pre) = self.forward(&mut g, data, &[sample]);
         g.finish();
-        Forecast {
-            mean: g
-                .value(mu)
-                .as_slice()
-                .iter()
-                .map(|&z| self.norm.denorm(sample.org, z))
-                .collect(),
-            std: Some(
-                g.value(sigma_pre)
-                    .as_slice()
-                    .iter()
-                    .map(|&z| {
-                        self.norm
-                            .denorm_std(sample.org, gfs_nn::softplus(z) + SIGMA_FLOOR)
-                    })
-                    .collect(),
-            ),
-        }
+        let mut f = forecasts(&self.norm, &[sample], g.value(mu), Some(g.value(pre)));
+        f.pop().expect("one sample, one forecast")
     }
 }
 
@@ -187,9 +149,8 @@ mod tests {
         let m = DeepAr::new(&data, 5);
         let batch: Vec<Sample> = data.split(12, 0.8).0.into_iter().take(3).collect();
         crate::models::tests::assert_pruning_exact(&m.params(), |g| {
-            let (mu, pre) = m.forward(g, &data, &batch);
-            let t = target_slot(g, &data, &m.norm, &batch);
-            g.gaussian_nll_softplus(mu, pre, t, SIGMA_FLOOR)
+            let head = m.forward(g, &data, &batch);
+            gaussian_nll(g, &data, &m.norm, &batch, head)
         });
     }
 

@@ -2,8 +2,9 @@
 //! followed by two independent linear projections — no context features, no
 //! uncertainty head.
 //!
-//! Training runs over a persistent [`Graph`] arena: the decomposed batch is
-//! written straight into reusable constant slots, so a warm training step
+//! It trains through the shared loop (`models::train`) on the MSE of its
+//! batched forward. The decomposed batch is written straight into reusable
+//! constant slots of the loop's graph arena, so a warm training step
 //! allocates nothing (see the `forecast-alloc-gate` test lane).
 
 use std::cell::RefCell;
@@ -11,12 +12,11 @@ use std::cell::RefCell;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use gfs_nn::{loss, Adam, Graph, Linear, Param, Var};
+use gfs_nn::{loss, Graph, Linear, Param, Var};
 
 use crate::dataset::{Normalizer, OrgDataset, Sample};
 use crate::decompose::DecomposeScratch;
-use crate::models::{minibatches, target_slot, FitReport, Forecast, Forecaster, TrainConfig};
-use crate::timing::TrainTimer;
+use crate::models::{forecasts, target_slot, train, FitReport, Forecast, Forecaster, TrainConfig};
 
 const MA_WINDOW: usize = 25;
 
@@ -77,6 +77,13 @@ impl DLinear {
         let yc = self.head_cyclical.forward(g, cv);
         g.add(yt, yc)
     }
+
+    /// The MSE of the batch's forecasts against its normalised targets.
+    fn loss(&self, g: &mut Graph, data: &OrgDataset, batch: &[Sample]) -> Var {
+        let pred = self.forward(g, data, batch);
+        let t = target_slot(g, data, &self.norm, batch);
+        loss::mse(g, pred, t)
+    }
 }
 
 impl Forecaster for DLinear {
@@ -85,32 +92,13 @@ impl Forecaster for DLinear {
     }
 
     fn fit(&mut self, data: &OrgDataset, cfg: &TrainConfig) -> FitReport {
-        let start = TrainTimer::start();
-        self.norm = data.normalizer(cfg.train_frac);
-        let (train, _) = data.split(cfg.stride, cfg.train_frac);
-        let mut opt = Adam::new(self.params(), cfg.lr);
-        let mut final_loss = f64::NAN;
-        for epoch in 0..cfg.epochs {
-            let mut total = 0.0;
-            let mut n = 0usize;
-            for batch in minibatches(&train, cfg.batch_size, cfg.seed, epoch) {
-                let mut g = self.graph.borrow_mut();
-                g.reset();
-                let pred = self.forward(&mut g, data, &batch);
-                let t = target_slot(&mut g, data, &self.norm, &batch);
-                let l = loss::mse(&mut g, pred, t);
-                total += g.value(l).item();
-                n += 1;
-                g.backward(l);
-                opt.step();
-            }
-            final_loss = total / n.max(1) as f64;
-        }
-        FitReport {
-            train_time_secs: start.elapsed_secs(),
-            final_loss,
-            samples: train.len(),
-        }
+        train(data, cfg, move |norm, _| {
+            self.norm = norm;
+            let m: &Self = self;
+            (m.params(), move |g: &mut Graph, b: &[Sample]| {
+                m.loss(g, data, b)
+            })
+        })
     }
 
     fn predict(&self, data: &OrgDataset, sample: Sample) -> Forecast {
@@ -118,13 +106,8 @@ impl Forecaster for DLinear {
         g.reset();
         let pred = self.forward(&mut g, data, &[sample]);
         g.finish();
-        Forecast::point(
-            g.value(pred)
-                .as_slice()
-                .iter()
-                .map(|&z| self.norm.denorm(sample.org, z))
-                .collect(),
-        )
+        let mut f = forecasts(&self.norm, &[sample], g.value(pred), None);
+        f.pop().expect("one sample, one forecast")
     }
 }
 
@@ -161,11 +144,7 @@ mod tests {
         let d = data();
         let m = DLinear::new(&d, 1);
         let batch: Vec<Sample> = d.split(12, 0.8).0.into_iter().take(5).collect();
-        crate::models::tests::assert_pruning_exact(&m.params(), |g| {
-            let pred = m.forward(g, &d, &batch);
-            let t = target_slot(g, &d, &m.norm, &batch);
-            loss::mse(g, pred, t)
-        });
+        crate::models::tests::assert_pruning_exact(&m.params(), |g| m.loss(g, &d, &batch));
     }
 
     #[test]

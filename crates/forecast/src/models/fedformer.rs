@@ -11,8 +11,8 @@ use gfs_nn::{Graph, Linear, Param, Tensor, Var};
 
 use crate::dataset::{Normalizer, OrgDataset, Sample};
 use crate::decompose::decompose;
-use crate::models::seq::{fit_seq, predict_seq, SeqModel};
-use crate::models::{FitReport, Forecast, Forecaster, TrainConfig};
+use crate::models::seq::{predict_seq, sample_mse, SeqModel};
+use crate::models::{train, FitReport, Forecast, Forecaster, TrainConfig};
 
 const MA_WINDOW: usize = 25;
 
@@ -104,14 +104,6 @@ impl SeqModel for FedformerForecaster {
         p.extend(self.head_trend.params());
         p
     }
-
-    fn norm(&self) -> &Normalizer {
-        &self.norm
-    }
-
-    fn set_norm(&mut self, norm: Normalizer) {
-        self.norm = norm;
-    }
 }
 
 impl Forecaster for FedformerForecaster {
@@ -120,11 +112,17 @@ impl Forecaster for FedformerForecaster {
     }
 
     fn fit(&mut self, data: &OrgDataset, cfg: &TrainConfig) -> FitReport {
-        fit_seq(self, data, cfg)
+        train(data, cfg, move |norm, _| {
+            self.norm = norm;
+            let m: &Self = self;
+            (m.params(), move |g: &mut Graph, b: &[Sample]| {
+                sample_mse(m, &m.norm, g, data, b)
+            })
+        })
     }
 
     fn predict(&self, data: &OrgDataset, sample: Sample) -> Forecast {
-        predict_seq(self, data, sample)
+        predict_seq(self, &self.norm, data, sample)
     }
 }
 

@@ -9,9 +9,9 @@ use rand_chacha::ChaCha8Rng;
 use gfs_nn::{Attention, Graph, Linear, Param, Var};
 
 use crate::dataset::{Normalizer, OrgDataset, Sample};
-use crate::models::seq::{fit_seq, halving_pool_matrix, predict_seq, window_column, SeqModel};
+use crate::models::seq::{halving_pool_matrix, predict_seq, sample_mse, window_column, SeqModel};
 use crate::models::{
-    mean_pool_matrix, positional_encoding, FitReport, Forecast, Forecaster, TrainConfig,
+    mean_pool_matrix, positional_encoding, train, FitReport, Forecast, Forecaster, TrainConfig,
 };
 
 const MODEL_DIM: usize = 8;
@@ -67,14 +67,6 @@ impl SeqModel for InformerForecaster {
         p.extend(self.head.params());
         p
     }
-
-    fn norm(&self) -> &Normalizer {
-        &self.norm
-    }
-
-    fn set_norm(&mut self, norm: Normalizer) {
-        self.norm = norm;
-    }
 }
 
 impl Forecaster for InformerForecaster {
@@ -83,11 +75,17 @@ impl Forecaster for InformerForecaster {
     }
 
     fn fit(&mut self, data: &OrgDataset, cfg: &TrainConfig) -> FitReport {
-        fit_seq(self, data, cfg)
+        train(data, cfg, move |norm, _| {
+            self.norm = norm;
+            let m: &Self = self;
+            (m.params(), move |g: &mut Graph, b: &[Sample]| {
+                sample_mse(m, &m.norm, g, data, b)
+            })
+        })
     }
 
     fn predict(&self, data: &OrgDataset, sample: Sample) -> Forecast {
-        predict_seq(self, data, sample)
+        predict_seq(self, &self.norm, data, sample)
     }
 }
 

@@ -1,4 +1,12 @@
 //! Forecasting models: OrgLinear (§3.2) and the six baselines of §4.6.1.
+//!
+//! Every trained model — OrgLinear, DLinear, DeepAR and the four sequence
+//! baselines of `seq` — fits through the one loop [`train`]: the model
+//! supplies its parameters and its per-batch loss, the loop owns the
+//! normaliser, the chronological split, Adam, the epoch and minibatch
+//! order and the [`FitReport`]. The two Gaussian heads (OrgLinear and
+//! DeepAR) share their loss, [`gaussian_nll`], and every model turns its
+//! normalised head outputs into [`Forecast`]s through [`forecasts`].
 
 mod autoformer;
 mod deepar;
@@ -19,11 +27,16 @@ pub use naive::{LastWeekPeak, SeasonalNaive};
 pub use orglinear::OrgLinear;
 pub use transformer::TransformerForecaster;
 
+use gfs_nn::{Adam, Graph, Param, Tensor, Var};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::dataset::{OrgDataset, Sample};
+use crate::dataset::{Normalizer, OrgDataset, Sample};
+use crate::timing::TrainTimer;
+
+/// Floor added to a Gaussian head's softplus σ for numerical safety.
+const SIGMA_FLOOR: f64 = 1e-3;
 
 /// A (possibly probabilistic) multi-step forecast in GPU units.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,8 +179,8 @@ pub fn minibatches(
 /// Sinusoidal positional encoding table (`L × d`), shared by the
 /// attention-based baselines.
 #[must_use]
-pub(crate) fn positional_encoding(len: usize, dim: usize) -> gfs_nn::Tensor {
-    let mut t = gfs_nn::Tensor::zeros(len, dim);
+pub(crate) fn positional_encoding(len: usize, dim: usize) -> Tensor {
+    let mut t = Tensor::zeros(len, dim);
     for pos in 0..len {
         for i in 0..dim {
             let angle = pos as f64 / 10_000f64.powf(2.0 * (i / 2) as f64 / dim as f64);
@@ -179,18 +192,63 @@ pub(crate) fn positional_encoding(len: usize, dim: usize) -> gfs_nn::Tensor {
 
 /// `1 × L` averaging matrix for mean-pooling a sequence representation.
 #[must_use]
-pub(crate) fn mean_pool_matrix(len: usize) -> gfs_nn::Tensor {
-    gfs_nn::Tensor::full(1, len, 1.0 / len as f64)
+pub(crate) fn mean_pool_matrix(len: usize) -> Tensor {
+    Tensor::full(1, len, 1.0 / len as f64)
+}
+
+/// The training loop of every trained forecaster.
+///
+/// `setup` receives the normaliser fitted on the first
+/// `cfg.train_frac` of the timeline and the training windows; it installs
+/// the normaliser in the model and returns the parameters Adam updates
+/// together with the model's loss over one minibatch. Each epoch walks
+/// [`minibatches`], recording every batch's loss on one reused graph and
+/// taking one Adam step on its gradient; `final_loss` is the mean batch
+/// loss of the last epoch.
+pub(crate) fn train<L>(
+    data: &OrgDataset,
+    cfg: &TrainConfig,
+    setup: impl FnOnce(Normalizer, &[Sample]) -> (Vec<Param>, L),
+) -> FitReport
+where
+    L: FnMut(&mut Graph, &[Sample]) -> Var,
+{
+    let start = TrainTimer::start();
+    let (train, _) = data.split(cfg.stride, cfg.train_frac);
+    let (params, mut loss) = setup(data.normalizer(cfg.train_frac), &train);
+    let mut opt = Adam::new(params, cfg.lr);
+    let mut final_loss = f64::NAN;
+    // one arena for the whole fit: reset() rewinds the tape per batch and
+    // reuses its buffers instead of reallocating the graph
+    let mut g = Graph::new();
+    for epoch in 0..cfg.epochs {
+        let mut total = 0.0;
+        let mut n = 0usize;
+        for batch in minibatches(&train, cfg.batch_size, cfg.seed, epoch) {
+            g.reset();
+            let l = loss(&mut g, &batch);
+            total += g.value(l).item();
+            n += 1;
+            g.backward(l);
+            opt.step();
+        }
+        final_loss = total / n.max(1) as f64;
+    }
+    FitReport {
+        train_time_secs: start.elapsed_secs(),
+        final_loss,
+        samples: train.len(),
+    }
 }
 
 /// Records a `B × H` constant slot holding the normalised targets of
-/// `batch` — the supervision every trainer feeds its loss.
+/// `batch` — the supervision of the batched trainers.
 pub(crate) fn target_slot(
-    g: &mut gfs_nn::Graph,
+    g: &mut Graph,
     data: &OrgDataset,
-    norm: &crate::dataset::Normalizer,
+    norm: &Normalizer,
     batch: &[Sample],
-) -> gfs_nn::Var {
+) -> Var {
     let h = data.horizon();
     let t = g.constant_slot(batch.len(), h);
     let tgt = g.slot_mut(t);
@@ -202,6 +260,49 @@ pub(crate) fn target_slot(
     t
 }
 
+/// The loss of a Gaussian head (Eq. 7–8, fused into one tape node): the
+/// mean NLL of `batch`'s normalised targets under `N(μ, σ²)` with
+/// `σ = softplus(pre) + SIGMA_FLOOR`, for the head's `(μ, pre)`.
+pub(crate) fn gaussian_nll(
+    g: &mut Graph,
+    data: &OrgDataset,
+    norm: &Normalizer,
+    batch: &[Sample],
+    (mu, pre): (Var, Var),
+) -> Var {
+    let t = target_slot(g, data, norm, batch);
+    g.gaussian_nll_softplus(mu, pre, t, SIGMA_FLOOR)
+}
+
+/// Turns a head's normalised `B × H` outputs into one forecast per
+/// sample (row `r` belongs to `samples[r]`), in GPU units: the mean from
+/// `mu` and, for a Gaussian head, σ = `softplus(pre) + SIGMA_FLOOR` from
+/// `pre`.
+pub(crate) fn forecasts(
+    norm: &Normalizer,
+    samples: &[Sample],
+    mu: &Tensor,
+    pre: Option<&Tensor>,
+) -> Vec<Forecast> {
+    samples
+        .iter()
+        .enumerate()
+        .map(|(r, s)| Forecast {
+            mean: mu
+                .row_slice(r)
+                .iter()
+                .map(|&z| norm.denorm(s.org, z))
+                .collect(),
+            std: pre.map(|pre| {
+                pre.row_slice(r)
+                    .iter()
+                    .map(|&z| norm.denorm_std(s.org, gfs_nn::softplus(z) + SIGMA_FLOOR))
+                    .collect()
+            }),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,12 +311,9 @@ mod tests {
     /// with every constant leaf promoted to a throw-away parameter, which
     /// forces the full backward sweep — and asserts every parameter in
     /// `params` receives a bit-identical, non-zero gradient from both.
-    pub(crate) fn assert_pruning_exact(
-        params: &[gfs_nn::Param],
-        build: impl Fn(&mut gfs_nn::Graph) -> gfs_nn::Var,
-    ) {
+    pub(crate) fn assert_pruning_exact(params: &[Param], build: impl Fn(&mut Graph) -> Var) {
         let sweep = |promote: bool| {
-            let mut g = gfs_nn::Graph::new();
+            let mut g = Graph::new();
             let loss = build(&mut g);
             if promote {
                 assert!(!g.promote_constants().is_empty(), "no constant leaf");

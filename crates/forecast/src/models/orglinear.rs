@@ -11,28 +11,29 @@
 //! * a softplus variance head for heteroscedastic uncertainty (Eq. 7),
 //! * maximum-likelihood training under a Gaussian NLL (Eq. 8).
 //!
-//! Both training and prediction run over persistent [`Graph`] arenas with
-//! pooled index/window scratch, so a warm training step and a warm
-//! [`Forecaster::predict_many`] call allocate nothing (see the
+//! OrgLinear trains through the shared loop (`models::train`) on the
+//! Gaussian head loss it shares with DeepAR, and forecasts through the
+//! shared Gaussian output path. Training and prediction run over [`Graph`]
+//! arenas with pooled index/window scratch, so a warm training step and a
+//! warm [`Forecaster::predict_many`] call allocate nothing (see the
 //! `forecast-alloc-gate` test lane). `predict_many` builds the whole org
 //! batch as one forward pass — the GDE aggregation path (`gfs_core`)
-//! depends on this for its per-tick latency budget. Each head is one
-//! [`Graph::affine_cat`] over `[input, c_o, c_t]`, so no concatenation is
-//! built and the backward sweep differentiates only the context columns.
-//! `fit` stages every training window once (see `Staged`) instead of
-//! once per epoch.
+//! depends on this for its per-tick latency budget — and `predict` is
+//! `predict_many` of one sample. Each head is one [`Graph::affine_cat`]
+//! over `[input, c_o, c_t]`, so no concatenation is built and the backward
+//! sweep differentiates only the context columns. `fit` stages every
+//! training window once (see `Staged`) instead of once per epoch.
 
 use std::cell::RefCell;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use gfs_nn::{Adam, Embedding, Graph, Linear, Param, Var};
+use gfs_nn::{Embedding, Graph, Linear, Param, Var};
 
 use crate::dataset::{Normalizer, OrgDataset, Sample};
 use crate::decompose::DecomposeScratch;
-use crate::models::{minibatches, target_slot, FitReport, Forecast, Forecaster, TrainConfig};
-use crate::timing::TrainTimer;
+use crate::models::{forecasts, gaussian_nll, train, FitReport, Forecast, Forecaster, TrainConfig};
 
 /// Embedding width per temporal component (hour / weekday / holiday).
 const TEMPORAL_DIM: usize = 4;
@@ -40,8 +41,6 @@ const TEMPORAL_DIM: usize = 4;
 const BUSINESS_DIM: usize = 6;
 /// Moving-average window of the decomposition kernel (hours).
 const MA_WINDOW: usize = 25;
-/// Floor added to the softplus variance head for numerical safety.
-const SIGMA_FLOOR: f64 = 1e-3;
 /// Inputs are winsorized at ±`Z_CLIP` standard deviations. Online demand
 /// windows can contain saturation spikes far outside the training
 /// distribution (the cluster pinned at capacity); without clipping, the
@@ -149,7 +148,6 @@ pub struct OrgLinear {
     head_variance: Linear,
     norm: Normalizer,
     input_len: usize,
-    horizon: usize,
     graph: RefCell<Graph>,
     scratch: RefCell<Scratch>,
 }
@@ -178,7 +176,6 @@ impl OrgLinear {
             head_variance: Linear::new(l + ctx, h, &mut rng),
             norm: data.normalizer(0.8),
             input_len: l,
-            horizon: h,
             graph: RefCell::new(Graph::new()),
             scratch: RefCell::new(Scratch {
                 window: vec![0.0; l],
@@ -266,11 +263,10 @@ impl OrgLinear {
         g.concat_cols(&[eh, ew, ehol])
     }
 
-    /// Builds `(mu, pre)` for a batch in normalized space, where `pre` is
-    /// the *pre-activation* of the variance head: apply
-    /// `softplus(pre) + SIGMA_FLOOR` to obtain σ (training fuses that map
-    /// into the loss; `predict` applies it explicitly). Training batches
-    /// read their windows from `staged`; prediction stages them here.
+    /// Builds the Gaussian head `(mu, pre)` for a batch in normalized
+    /// space, where `pre` is the *pre-activation* of σ (Eq. 7; see
+    /// `models::gaussian_nll`). Training batches read their windows from
+    /// `staged`; prediction stages them here.
     fn forward(
         &self,
         g: &mut Graph,
@@ -331,8 +327,6 @@ impl OrgLinear {
         let mu = g.add(y_c, y_t); // Eq. 6
 
         let h_v = head(g, &self.head_variance, full_v);
-        // pre-activation of Eq. 7; the σ = softplus(·) + floor map is fused
-        // into the NLL during training and applied directly in predict
         (mu, h_v)
     }
 }
@@ -347,59 +341,20 @@ impl Forecaster for OrgLinear {
     }
 
     fn fit(&mut self, data: &OrgDataset, cfg: &TrainConfig) -> FitReport {
-        let start = TrainTimer::start();
-        self.norm = data.normalizer(cfg.train_frac);
-        let (train, _) = data.split(cfg.stride, cfg.train_frac);
-        let staged = Staged::new(self, data, &train, cfg.stride);
-        let mut opt = Adam::new(self.params(), cfg.lr);
-        let mut final_loss = f64::NAN;
-        for epoch in 0..cfg.epochs {
-            let mut epoch_loss = 0.0;
-            let mut batches = 0usize;
-            for batch in minibatches(&train, cfg.batch_size, cfg.seed, epoch) {
-                let mut g = self.graph.borrow_mut();
-                g.reset();
-                let (mu, sigma_pre) = self.forward(&mut g, data, &batch, Some(&staged));
-                let t = target_slot(&mut g, data, &self.norm, &batch);
-                let l = g.gaussian_nll_softplus(mu, sigma_pre, t, SIGMA_FLOOR); // Eq. 7–8 fused
-                epoch_loss += g.value(l).item();
-                batches += 1;
-                g.backward(l);
-                opt.step();
-            }
-            final_loss = epoch_loss / batches.max(1) as f64;
-        }
-        FitReport {
-            train_time_secs: start.elapsed_secs(),
-            final_loss,
-            samples: train.len(),
-        }
+        train(data, cfg, move |norm, train| {
+            self.norm = norm;
+            let m: &Self = self;
+            let staged = Staged::new(m, data, train, cfg.stride);
+            (m.params(), move |g: &mut Graph, b: &[Sample]| {
+                let head = m.forward(g, data, b, Some(&staged));
+                gaussian_nll(g, data, &m.norm, b, head) // Eq. 7–8 fused
+            })
+        })
     }
 
     fn predict(&self, data: &OrgDataset, sample: Sample) -> Forecast {
-        let mut g = self.graph.borrow_mut();
-        g.reset();
-        let (mu, sigma_pre) = self.forward(&mut g, data, &[sample], None);
-        g.finish();
-        let mean = g
-            .value(mu)
-            .as_slice()
-            .iter()
-            .map(|&z| self.norm.denorm(sample.org, z))
-            .collect();
-        let std = g
-            .value(sigma_pre)
-            .as_slice()
-            .iter()
-            .map(|&z| {
-                self.norm
-                    .denorm_std(sample.org, gfs_nn::softplus(z) + SIGMA_FLOOR)
-            })
-            .collect();
-        Forecast {
-            mean,
-            std: Some(std),
-        }
+        let mut f = self.predict_many(data, &[sample]);
+        f.pop().expect("one sample, one forecast")
     }
 
     fn predict_many(&self, data: &OrgDataset, samples: &[Sample]) -> Vec<Forecast> {
@@ -408,32 +363,9 @@ impl Forecaster for OrgLinear {
         }
         let mut g = self.graph.borrow_mut();
         g.reset();
-        let (mu, sigma_pre) = self.forward(&mut g, data, samples, None);
+        let (mu, pre) = self.forward(&mut g, data, samples, None);
         g.finish();
-        let h = self.horizon;
-        let mu_t = g.value(mu);
-        let pre_t = g.value(sigma_pre);
-        samples
-            .iter()
-            .enumerate()
-            .map(|(r, s)| {
-                let mean = mu_t.as_slice()[r * h..(r + 1) * h]
-                    .iter()
-                    .map(|&z| self.norm.denorm(s.org, z))
-                    .collect();
-                let std = pre_t.as_slice()[r * h..(r + 1) * h]
-                    .iter()
-                    .map(|&z| {
-                        self.norm
-                            .denorm_std(s.org, gfs_nn::softplus(z) + SIGMA_FLOOR)
-                    })
-                    .collect();
-                Forecast {
-                    mean,
-                    std: Some(std),
-                }
-            })
-            .collect()
+        forecasts(&self.norm, samples, g.value(mu), Some(g.value(pre)))
     }
 }
 
@@ -532,9 +464,8 @@ mod tests {
         let m = OrgLinear::new(&data, 3);
         let batch: Vec<Sample> = data.split(12, 0.8).0.into_iter().take(6).collect();
         crate::models::tests::assert_pruning_exact(&m.params(), |g| {
-            let (mu, pre) = m.forward(g, &data, &batch, None);
-            let t = target_slot(g, &data, &m.norm, &batch);
-            g.gaussian_nll_softplus(mu, pre, t, SIGMA_FLOOR)
+            let head = m.forward(g, &data, &batch, None);
+            gaussian_nll(g, &data, &m.norm, &batch, head)
         });
     }
 

@@ -1,15 +1,16 @@
-//! Shared training/prediction plumbing for the per-sample sequence
-//! baselines (Transformer, Informer, Autoformer, FEDformer).
+//! Shared plumbing for the per-sample sequence baselines (Transformer,
+//! Informer, Autoformer, FEDformer).
 //!
 //! These models build one graph per sample (attention is quadratic in the
-//! window length), so the fit loop accumulates per-sample MSE losses inside
-//! a shared graph per mini-batch.
+//! window length), so their minibatch loss, [`sample_mse`], records each
+//! window's MSE on the shared graph, sums them in batch order and scales
+//! the sum by `1/B`. They train through the shared loop (`models::train`)
+//! like every other model.
 
-use gfs_nn::{loss, Adam, Graph, Param, Tensor, Var};
+use gfs_nn::{loss, Graph, Param, Tensor, Var};
 
 use crate::dataset::{Normalizer, OrgDataset, Sample};
-use crate::models::{minibatches, FitReport, Forecast, TrainConfig};
-use crate::timing::TrainTimer;
+use crate::models::{forecasts, Forecast};
 
 /// Internal interface of a point sequence model.
 pub(crate) trait SeqModel {
@@ -17,74 +18,44 @@ pub(crate) trait SeqModel {
     fn forward_sample(&self, g: &mut Graph, data: &OrgDataset, s: Sample) -> Var;
     /// All trainable parameters.
     fn params(&self) -> Vec<Param>;
-    /// The fitted normalizer.
-    fn norm(&self) -> &Normalizer;
-    /// Replaces the normalizer (called at the start of `fit`).
-    fn set_norm(&mut self, norm: Normalizer);
 }
 
-/// Generic MSE training loop over the chronological train split.
-pub(crate) fn fit_seq<M: SeqModel>(
-    model: &mut M,
+/// The minibatch loss of a sequence model: the mean over `batch` of each
+/// window's MSE against its targets, normalised by `norm`.
+pub(crate) fn sample_mse<M: SeqModel>(
+    model: &M,
+    norm: &Normalizer,
+    g: &mut Graph,
     data: &OrgDataset,
-    cfg: &TrainConfig,
-) -> FitReport {
-    let start = TrainTimer::start();
-    model.set_norm(data.normalizer(cfg.train_frac));
-    let (train, _) = data.split(cfg.stride, cfg.train_frac);
-    let mut opt = Adam::new(model.params(), cfg.lr);
-    let mut final_loss = f64::NAN;
-    // one arena for the whole fit: reset() rewinds the tape per batch and
-    // reuses its buffers instead of reallocating the graph
-    let mut g = Graph::new();
-    for epoch in 0..cfg.epochs {
-        let mut total = 0.0;
-        let mut n = 0usize;
-        for batch in minibatches(&train, cfg.batch_size, cfg.seed, epoch) {
-            g.reset();
-            let mut batch_loss: Option<Var> = None;
-            for s in &batch {
-                let pred = model.forward_sample(&mut g, data, *s);
-                let target: Vec<f64> = data
-                    .target(*s)
-                    .iter()
-                    .map(|&y| model.norm().norm(s.org, y))
-                    .collect();
-                let t = g.constant(Tensor::row(&target));
-                let l = loss::mse(&mut g, pred, t);
-                batch_loss = Some(match batch_loss {
-                    None => l,
-                    Some(acc) => g.add(acc, l),
-                });
-            }
-            if let Some(acc) = batch_loss {
-                let mean = g.scale(acc, 1.0 / batch.len() as f64);
-                total += g.value(mean).item();
-                n += 1;
-                g.backward(mean);
-                opt.step();
-            }
-        }
-        final_loss = total / n.max(1) as f64;
+    batch: &[Sample],
+) -> Var {
+    let mut sum: Option<Var> = None;
+    for &s in batch {
+        let pred = model.forward_sample(g, data, s);
+        let target: Vec<f64> = data
+            .target(s)
+            .iter()
+            .map(|&y| norm.norm(s.org, y))
+            .collect();
+        let t = g.constant(Tensor::row(&target));
+        let l = loss::mse(g, pred, t);
+        sum = Some(sum.map_or(l, |acc| g.add(acc, l)));
     }
-    FitReport {
-        train_time_secs: start.elapsed_secs(),
-        final_loss,
-        samples: train.len(),
-    }
+    let sum = sum.expect("minibatches are never empty");
+    g.scale(sum, 1.0 / batch.len() as f64)
 }
 
-/// Generic denormalizing point prediction.
-pub(crate) fn predict_seq<M: SeqModel>(model: &M, data: &OrgDataset, sample: Sample) -> Forecast {
+/// Point forecast of one sample, denormalised by `norm`.
+pub(crate) fn predict_seq<M: SeqModel>(
+    model: &M,
+    norm: &Normalizer,
+    data: &OrgDataset,
+    sample: Sample,
+) -> Forecast {
     let mut g = Graph::new();
     let pred = model.forward_sample(&mut g, data, sample);
-    Forecast::point(
-        g.value(pred)
-            .as_slice()
-            .iter()
-            .map(|&z| model.norm().denorm(sample.org, z))
-            .collect(),
-    )
+    let mut f = forecasts(norm, &[sample], g.value(pred), None);
+    f.pop().expect("one sample, one forecast")
 }
 
 /// Normalized input window of one sample as an `L × 1` column tensor.

@@ -1,9 +1,9 @@
 //! The forecast crate's single wall-clock choke point.
 //!
 //! Model training reports `train_time_secs` — a measurement *about* the
-//! run, never an input to any forecast or scheduling decision. All four
-//! trainers take their clock from [`TrainTimer`] so that this file is the
-//! only place in the crate that touches `std::time::Instant`; the
+//! run, never an input to any forecast or scheduling decision. The shared
+//! training loop takes its clock from [`TrainTimer`] so that this file is
+//! the only place in the crate that touches `std::time::Instant`; the
 //! `det-clock` rule of `gfs_lint` allowlists exactly this path and flags
 //! wall-clock reads anywhere else.
 

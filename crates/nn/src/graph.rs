@@ -47,7 +47,6 @@ enum Op {
     Add(TapeIndex, TapeIndex),
     Sub(TapeIndex, TapeIndex),
     Mul(TapeIndex, TapeIndex),
-    Div(TapeIndex, TapeIndex),
     MatMul(TapeIndex, TapeIndex),
     /// Fused `[parts…] · w + b` with a broadcast bias row: an affine map
     /// over the column concatenation of `aux[aux_start..aux_start + parts]`
@@ -58,16 +57,11 @@ enum Op {
         w: TapeIndex,
         b: TapeIndex,
     },
-    /// `x (n×m) + row (1×m)` broadcast over rows.
-    AddRow(TapeIndex, TapeIndex),
     Scale(TapeIndex, f64),
     AddConst(TapeIndex),
-    Exp(TapeIndex),
-    Ln(TapeIndex),
     Tanh(TapeIndex),
     Sigmoid(TapeIndex),
     Relu(TapeIndex),
-    Softplus(TapeIndex),
     SumAll(TapeIndex),
     MeanAll(TapeIndex),
     Transpose(TapeIndex),
@@ -97,14 +91,9 @@ enum Op {
         a: TapeIndex,
         b: TapeIndex,
     },
-    /// Fused Gaussian NLL: `mean(ln σ + ((y−μ)/σ)²/2) + ln(2π)/2`.
-    GaussianNll {
-        mu: TapeIndex,
-        sigma: TapeIndex,
-        target: TapeIndex,
-    },
-    /// Fused heteroscedastic head: `σ = softplus(pre) + floor` folded into
-    /// the Gaussian NLL above; the forward σ is kept in `saved[sigma]`.
+    /// Fused heteroscedastic Gaussian NLL,
+    /// `mean(ln σ + ((y−μ)/σ)²/2) + ln(2π)/2` with `σ = softplus(pre) +
+    /// floor`; the forward σ is kept in `saved[sigma]`.
     GaussianNllSoftplus {
         mu: TapeIndex,
         pre: TapeIndex,
@@ -381,22 +370,14 @@ impl Graph {
             Op::Add(a, b)
             | Op::Sub(a, b)
             | Op::Mul(a, b)
-            | Op::Div(a, b)
             | Op::MatMul(a, b)
-            | Op::AddRow(a, b)
             | Op::ScaleRows(a, b)
-            | Op::GaussianNll {
-                mu: a, sigma: b, ..
-            }
             | Op::GaussianNllSoftplus { mu: a, pre: b, .. } => n(a) || n(b),
             Op::Scale(x, _)
             | Op::AddConst(x)
-            | Op::Exp(x)
-            | Op::Ln(x)
             | Op::Tanh(x)
             | Op::Sigmoid(x)
             | Op::Relu(x)
-            | Op::Softplus(x)
             | Op::SumAll(x)
             | Op::MeanAll(x)
             | Op::Transpose(x)
@@ -610,11 +591,6 @@ impl Graph {
         self.binary_ew(a, b, Op::Mul(a, b), |x, y| x * y)
     }
 
-    /// Element-wise quotient. Shapes must match.
-    pub fn div(&mut self, a: Var, b: Var) -> Var {
-        self.binary_ew(a, b, Op::Div(a, b), |x, y| x / y)
-    }
-
     /// Matrix product.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let i = self.reserve();
@@ -623,25 +599,14 @@ impl Graph {
         self.commit(Op::MatMul(a, b))
     }
 
-    /// Fused affine map `x · w + b` with a `1 × m` bias row broadcast over
-    /// the rows — one kernel pass instead of `matmul` + `add_row`. This is
-    /// the forward of every linear layer, so it sits on the training hot
-    /// path of all forecast models.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree or `b` is not `1 × m`.
-    pub fn affine(&mut self, x: Var, w: Var, b: Var) -> Var {
-        self.affine_cat(&[x], w, b)
-    }
-
     /// Fused affine map over a column concatenation, `[p₀ p₁ …] · w + b`,
     /// without building the concatenation: part `pᵢ` multiplies the rows
-    /// of `w` at its column offset. Every output element accumulates the
-    /// parts in column order, the same chain as [`Graph::concat_cols`]
-    /// followed by [`Graph::affine`] (which is this op with one part), so
-    /// values and parameter gradients are bit-identical to that pair; the
-    /// backward sweep computes `∂pᵢ` only for parts that need a gradient.
+    /// of `w` at its column offset. With one part this is the plain
+    /// `x · w + b` of every linear layer. Every output element accumulates
+    /// the parts in column order, the same chain as [`Graph::concat_cols`]
+    /// followed by a one-part `affine_cat`, so values and parameter
+    /// gradients are bit-identical to that pair; the backward sweep
+    /// computes `∂pᵢ` only for parts that need a gradient.
     ///
     /// # Panics
     ///
@@ -682,32 +647,6 @@ impl Graph {
         })
     }
 
-    /// Adds a `1 × m` row vector to every row of an `n × m` matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is not `1 × m` with matching `m`.
-    pub fn add_row(&mut self, x: Var, row: Var) -> Var {
-        let i = self.reserve();
-        {
-            let rv = &self.values[row.ix()];
-            let xv = &self.values[x.ix()];
-            assert_eq!(rv.rows(), 1, "add_row expects a 1×m row vector");
-            assert_eq!(rv.cols(), xv.cols(), "add_row column mismatch");
-        }
-        let (rows, cols) = self.values[x.ix()].shape();
-        let (head, out) = Self::out_slot(&mut self.values, i, rows, cols);
-        let xs = head[x.ix()].as_slice();
-        let rs = head[row.ix()].as_slice();
-        let os = out.as_mut_slice();
-        for r in 0..rows {
-            for c in 0..cols {
-                os[r * cols + c] = xs[r * cols + c] + rs[c];
-            }
-        }
-        self.commit(Op::AddRow(x, row))
-    }
-
     /// Multiplies by a compile-time constant.
     pub fn scale(&mut self, x: Var, k: f64) -> Var {
         self.unary_ew(x, Op::Scale(x, k), |a| a * k)
@@ -716,21 +655,6 @@ impl Graph {
     /// Adds a compile-time constant element-wise.
     pub fn add_const(&mut self, x: Var, k: f64) -> Var {
         self.unary_ew(x, Op::AddConst(x), |a| a + k)
-    }
-
-    /// Element-wise negation.
-    pub fn neg(&mut self, x: Var) -> Var {
-        self.scale(x, -1.0)
-    }
-
-    /// Element-wise `exp`.
-    pub fn exp(&mut self, x: Var) -> Var {
-        self.unary_ew(x, Op::Exp(x), f64::exp)
-    }
-
-    /// Element-wise natural logarithm.
-    pub fn ln(&mut self, x: Var) -> Var {
-        self.unary_ew(x, Op::Ln(x), f64::ln)
     }
 
     /// Element-wise `tanh`.
@@ -748,16 +672,9 @@ impl Graph {
         self.unary_ew(x, Op::Relu(x), |a| a.max(0.0))
     }
 
-    /// Element-wise softplus `ln(1 + eˣ)`, the variance-stabilising
-    /// activation of Eq. 7, computed in a numerically stable form.
-    pub fn softplus(&mut self, x: Var) -> Var {
-        self.unary_ew(x, Op::Softplus(x), softplus)
-    }
-
     /// Fused gate pre-activation `x · w + h · u + b` — one node for the
-    /// recurrent double projection that previously took four (`matmul`,
-    /// `matmul`, `add`, `add_row`). Element order matches the unfused
-    /// chain: `(xW + hU) + b`.
+    /// recurrent double projection, its sum and the broadcast bias row.
+    /// Element order: `(xW + hU) + b`.
     ///
     /// # Panics
     ///
@@ -810,47 +727,12 @@ impl Graph {
         self.commit(Op::Blend { gate, a, b })
     }
 
-    /// Fused Gaussian negative log-likelihood
-    /// `mean(ln σ + ((y−μ)/σ)²/2) + ln(2π)/2` as one node: a single pass
-    /// instead of the eight-op elementwise chain it replaces, with
-    /// closed-form gradients to `mu` and `sigma` on the backward sweep.
-    /// `target` is treated as a constant (no gradient).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three shapes differ.
-    pub fn gaussian_nll(&mut self, mu: Var, sigma: Var, target: Var) -> Var {
-        let i = self.reserve();
-        let shape = self.values[mu.ix()].shape();
-        assert_eq!(
-            shape,
-            self.values[sigma.ix()].shape(),
-            "gaussian_nll shape mismatch"
-        );
-        assert_eq!(
-            shape,
-            self.values[target.ix()].shape(),
-            "gaussian_nll shape mismatch"
-        );
-        let (head, out) = Self::out_slot(&mut self.values, i, 1, 1);
-        let mv = head[mu.ix()].as_slice();
-        let sv = head[sigma.ix()].as_slice();
-        let tv = head[target.ix()].as_slice();
-        let mut acc = 0.0;
-        for ((m, s), y) in mv.iter().zip(sv).zip(tv) {
-            let z = (y - m) / s;
-            acc += s.ln() + 0.5 * z * z;
-        }
-        let n = mv.len().max(1) as f64;
-        out.as_mut_slice()[0] = acc / n + 0.5 * (2.0 * std::f64::consts::PI).ln();
-        self.commit(Op::GaussianNll { mu, sigma, target })
-    }
-
-    /// [`Graph::gaussian_nll`] with the variance head folded in:
-    /// `σ = softplus(pre) + floor` (Eq. 7 + Eq. 8 as one node). Saves the
-    /// intermediate softplus/shift tensors and their backward passes on
-    /// the per-batch training path; the backward sweep reuses the forward
-    /// σ instead of recomputing the softplus.
+    /// Fused Gaussian negative log-likelihood of a heteroscedastic head,
+    /// `mean(ln σ + ((y−μ)/σ)²/2) + ln(2π)/2` with `σ = softplus(pre) +
+    /// floor` (Eq. 7 + Eq. 8 as one node): a single pass with closed-form
+    /// gradients to `mu` and `pre` instead of an elementwise chain. The
+    /// backward sweep reuses the forward σ instead of recomputing the
+    /// softplus. `target` is treated as a constant (no gradient).
     ///
     /// # Panics
     ///
@@ -1243,16 +1125,6 @@ impl Graph {
                     to.map(a.ix(), rows, cols, |j| gys[j] * bv[j]);
                     to.map(b.ix(), rows, cols, |j| gys[j] * av[j]);
                 }
-                Op::Div(a, b) => {
-                    let (rows, cols) = gy.shape();
-                    let av = values[a.ix()].as_slice();
-                    let bv = values[b.ix()].as_slice();
-                    to.map(a.ix(), rows, cols, |j| gys[j] / bv[j]);
-                    to.map(b.ix(), rows, cols, |j| {
-                        let t = gys[j] * av[j];
-                        -t / (bv[j] * bv[j])
-                    });
-                }
                 Op::MatMul(a, b) => {
                     let bm = &values[b.ix()];
                     let (scr_t, scr) = (&mut self.scratch_t, &mut self.scratch);
@@ -1299,11 +1171,6 @@ impl Graph {
                     }
                     to.colsum(b.ix(), gy, &mut self.scratch);
                 }
-                Op::AddRow(x, row) => {
-                    let (rows, cols) = gy.shape();
-                    to.map(x.ix(), rows, cols, |j| gys[j]);
-                    to.colsum(row.ix(), gy, &mut self.scratch);
-                }
                 Op::Scale(x, k) => {
                     let (rows, cols) = gy.shape();
                     let k = *k;
@@ -1312,16 +1179,6 @@ impl Graph {
                 Op::AddConst(x) => {
                     let (rows, cols) = gy.shape();
                     to.map(x.ix(), rows, cols, |j| gys[j]);
-                }
-                Op::Exp(x) => {
-                    let (rows, cols) = gy.shape();
-                    let ys = values[i].as_slice();
-                    to.map(x.ix(), rows, cols, |j| gys[j] * ys[j]);
-                }
-                Op::Ln(x) => {
-                    let (rows, cols) = gy.shape();
-                    let xs = values[x.ix()].as_slice();
-                    to.map(x.ix(), rows, cols, |j| gys[j] / xs[j]);
                 }
                 Op::Tanh(x) => {
                     let (rows, cols) = gy.shape();
@@ -1342,11 +1199,6 @@ impl Graph {
                         cols,
                         |j| if xs[j] > 0.0 { gys[j] } else { 0.0 },
                     );
-                }
-                Op::Softplus(x) => {
-                    let (rows, cols) = gy.shape();
-                    let xs = values[x.ix()].as_slice();
-                    to.map(x.ix(), rows, cols, |j| gys[j] * sigmoid(xs[j]));
                 }
                 Op::SumAll(x) => {
                     let s = gy.item();
@@ -1449,21 +1301,6 @@ impl Graph {
                     to.map(gate.ix(), rows, cols, |j| gys[j] * (bv[j] - av[j]));
                     to.map(a.ix(), rows, cols, |j| gys[j] * (1.0 - gv[j]));
                     to.map(b.ix(), rows, cols, |j| gys[j] * gv[j]);
-                }
-                Op::GaussianNll { mu, sigma, target } => {
-                    let mv = values[mu.ix()].as_slice();
-                    let sv = values[sigma.ix()].as_slice();
-                    let tv = values[target.ix()].as_slice();
-                    let scale = gy.item() / mv.len().max(1) as f64;
-                    let (rows, cols) = values[mu.ix()].shape();
-                    to.map(mu.ix(), rows, cols, |j| {
-                        let z = (tv[j] - mv[j]) / sv[j];
-                        scale * (-z / sv[j])
-                    });
-                    to.map(sigma.ix(), rows, cols, |j| {
-                        let z = (tv[j] - mv[j]) / sv[j];
-                        scale * (1.0 - z * z) / sv[j]
-                    });
                 }
                 Op::GaussianNllSoftplus {
                     mu,
@@ -1941,23 +1778,6 @@ mod tests {
     }
 
     #[test]
-    fn div_gradient_matches_finite_difference() {
-        let a0 = 2.0;
-        let b0 = 7.0;
-        let a = Param::new(Tensor::scalar(a0));
-        let b = Param::new(Tensor::scalar(b0));
-        let mut g = Graph::new();
-        let av = g.param(&a);
-        let bv = g.param(&b);
-        let y = g.div(av, bv);
-        g.backward(y);
-        let da = finite_diff(|x| x / b0, a0);
-        let db = finite_diff(|x| a0 / x, b0);
-        assert!((a.grad().item() - da).abs() < 1e-6);
-        assert!((b.grad().item() - db).abs() < 1e-6);
-    }
-
-    #[test]
     fn matmul_gradient() {
         // L = sum(A·B): dL/dA = 1·Bᵀ, dL/dB = Aᵀ·1
         let a = Param::new(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
@@ -1978,11 +1798,8 @@ mod tests {
     fn unary_gradients_match_finite_difference() {
         type UnaryCase = (fn(&mut Graph, Var) -> Var, fn(f64) -> f64, f64);
         let cases: Vec<UnaryCase> = vec![
-            (Graph::exp, f64::exp, 0.7),
-            (Graph::ln, f64::ln, 1.3),
             (Graph::tanh, f64::tanh, 0.4),
             (Graph::sigmoid, sigmoid, -0.6),
-            (Graph::softplus, softplus, -1.1),
         ];
         for (op, f, x0) in cases {
             let p = Param::new(Tensor::scalar(x0));
@@ -2024,21 +1841,6 @@ mod tests {
         for &v in p.grad().as_slice() {
             assert!(v.abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn add_row_broadcast_gradient() {
-        let x = Param::new(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-        let b = Param::new(Tensor::row(&[10.0, 20.0]));
-        let mut g = Graph::new();
-        let xv = g.param(&x);
-        let bv = g.param(&b);
-        let y = g.add_row(xv, bv);
-        assert_eq!(g.value(y).row_slice(1), &[13.0, 24.0]);
-        let s = g.sum_all(y);
-        g.backward(s);
-        assert_eq!(b.grad().as_slice(), &[2.0, 2.0], "bias grad sums over rows");
-        assert_eq!(x.grad().as_slice(), &[1.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
@@ -2148,6 +1950,23 @@ mod tests {
         g.backward(s);
         assert_eq!(x.grad().row_slice(0), &[0.0, 1.0, 1.0]);
         assert_eq!(x.grad().row_slice(1), &[0.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn gaussian_nll_softplus_matches_closed_form() {
+        let (mu, pre, y, floor) = (0.5, -0.3, 2.0, 1e-3);
+        let m = Param::new(Tensor::scalar(mu));
+        let mut g = Graph::new();
+        let mv = g.param(&m);
+        let pv = g.constant(Tensor::scalar(pre));
+        let yv = g.constant(Tensor::scalar(y));
+        let l = g.gaussian_nll_softplus(mv, pv, yv, floor);
+        let sigma = softplus(pre) + floor;
+        let z = (y - mu) / sigma;
+        let expected = sigma.ln() + 0.5 * z * z + 0.5 * (2.0 * std::f64::consts::PI).ln();
+        assert!((g.value(l).item() - expected).abs() < 1e-12);
+        g.backward(l);
+        assert!(m.grad().item() < 0.0, "descent pulls mu toward the target");
     }
 
     #[test]

@@ -65,14 +65,28 @@
 //! output columns run on thin kernels that carry four rows (or eight
 //! weight-gradient rows) in fixed-size accumulator arrays, so several
 //! independent chains are in flight; debug builds recompute every thin
-//! block with the general kernel and compare bits. Fused ops (`affine`,
-//! `affine2`, `affine_cat`, `blend`, `gaussian_nll_softplus`, and the
-//! sequence-level GRU scan [`GruCell::scan`]) evaluate the chains of the
-//! op sequences they replace, just without materialising intermediates
-//! on the tape: `affine_cat` accumulates its parts in column order, the
-//! chain of `concat_cols` followed by `affine`. `tests/grad_check.rs`
-//! pins `gru_scan` and `affine_cat` bit-identical — values and
-//! gradients — to their unfused chains. The one deliberate
+//! block with the general kernel and compare bits.
+//!
+//! The tape records only the ops a model or a reference chain uses. The
+//! fused ones evaluate the chains of the op sequences they replace, just
+//! without materialising intermediates on the tape:
+//!
+//! - `affine_cat`, the affine map `[p₀ p₁ …] · w + b` of every linear
+//!   layer (one part is the plain `x · w + b`), accumulating its parts in
+//!   column order — the chain of `concat_cols` followed by a one-part
+//!   `affine_cat`;
+//! - `affine2` (`x · w + h · u + b`) and `blend`, the GRU gate and state
+//!   mix of [`GruCell::step`], the reference chain of the scan;
+//! - `gaussian_nll_softplus`, the Gaussian NLL of Eq. 7–8 with
+//!   `σ = softplus(pre) + floor`, the loss of both Gaussian heads;
+//! - the sequence-level GRU scan [`GruCell::scan`].
+//!
+//! `tests/grad_check.rs` checks every op's gradients — fused or not —
+//! against central differences, and pins `gru_scan` and `affine_cat`
+//! bit-identical — values and gradients — to their unfused chains. The
+//! free [`softplus`] and [`sigmoid`] are the scalar forms of the tape's
+//! activations; the forecasters apply `softplus` to a Gaussian head's
+//! σ outside the tape. The one deliberate
 //! reassociation in the stack lives outside this crate: the forecast
 //! decomposition's prefix-sum moving average, documented at its
 //! definition. Anything that would reassociate a chain (split-k sums,

@@ -164,9 +164,9 @@ pub(crate) fn matmul_general(
 }
 
 /// Slice-level `out (+)= aᵀ · b` without materializing the transpose
-/// (`a` is `m × k` so the product is `k × n`). Same i-ascending
-/// accumulation order as [`Tensor::matmul_transa`], so overwriting a
-/// zeroed buffer is bit-identical to it.
+/// (`a` is `m × k` so the product is `k × n`): the weight gradient
+/// `∂W = xᵀ · ∂y` of the backward sweep. Accumulating into a zeroed buffer
+/// is bit-identical to overwriting it.
 ///
 /// Every output element is one i-ascending chain: `fmadd` over the row
 /// quartets `i < m − m % 4`, then an unfused `+= a·b` per tail row.
@@ -725,31 +725,15 @@ impl Tensor {
     /// Panics if the inner dimensions disagree.
     #[must_use]
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
-        self.matmul_impl(rhs, None)
+        let mut out = Tensor::zeros(self.rows, rhs.cols);
+        self.matmul_add_into(rhs, None, &mut out);
+        out
     }
 
-    /// Fused affine product `self · rhs + bias` for a `1 × rhs.cols` bias
-    /// row broadcast over the output rows — one pass instead of a matmul
-    /// followed by a broadcast add (the `xW + b` of every linear layer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree or the bias is not
-    /// `1 × rhs.cols`.
-    #[must_use]
-    pub fn matmul_add(&self, rhs: &Tensor, bias: &Tensor) -> Tensor {
-        assert_eq!(
-            bias.shape(),
-            (1, rhs.cols),
-            "matmul_add bias must be 1x{}, got {:?}",
-            rhs.cols,
-            bias.shape()
-        );
-        self.matmul_impl(rhs, Some(bias))
-    }
-
-    /// In-place variant of [`Tensor::matmul_add`] writing into `out`
+    /// Fused affine product `self · rhs (+ bias)` written into `out`
     /// (reshaped and reused) — the arena's allocation-free affine forward.
+    /// A `1 × rhs.cols` bias row is broadcast over the output rows and is
+    /// each output element's starting value.
     ///
     /// # Panics
     ///
@@ -759,7 +743,7 @@ impl Tensor {
         assert_eq!(
             self.cols,
             rhs.rows,
-            "matmul_add_into dimension mismatch: {:?} x {:?}",
+            "matmul dimension mismatch: {:?} x {:?}",
             self.shape(),
             rhs.shape()
         );
@@ -776,19 +760,6 @@ impl Tensor {
             }
             None => matmul_slices(&self.data, m, k, &rhs.data, n, out_data, false),
         }
-    }
-
-    fn matmul_impl(&self, rhs: &Tensor, bias: Option<&Tensor>) -> Tensor {
-        assert_eq!(
-            self.cols,
-            rhs.rows,
-            "matmul dimension mismatch: {:?} x {:?}",
-            self.shape(),
-            rhs.shape()
-        );
-        let mut out = Tensor::zeros(self.rows, rhs.cols);
-        self.matmul_add_into(rhs, bias, &mut out);
-        out
     }
 
     /// In-place `self += lhs · rhs`, reusing the blocked axpy kernel —
@@ -809,71 +780,6 @@ impl Tensor {
         let (m, k, n) = (lhs.rows, lhs.cols, rhs.cols);
         let out_data = Rc::make_mut(&mut self.data);
         matmul_slices(&lhs.data, m, k, &rhs.data, n, out_data, true);
-    }
-
-    /// `self · rhsᵀ` (used by backprop: `∂x = ∂y · Wᵀ`). Implemented as a
-    /// cheap transposition pass into the blocked axpy kernel: a dot-product
-    /// formulation that avoids the transpose was measured slower here,
-    /// because the contiguous axpy loop vectorizes and the dots do not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts disagree.
-    #[must_use]
-    pub fn matmul_transb(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols,
-            rhs.cols,
-            "matmul_transb dimension mismatch: {:?} x {:?}ᵀ",
-            self.shape(),
-            rhs.shape()
-        );
-        self.matmul_impl(&rhs.transposed(), None)
-    }
-
-    /// `selfᵀ · rhs` without materializing the transpose (used by
-    /// backprop: `∂W = xᵀ · ∂y`). Accumulates scaled `rhs` rows, so every
-    /// access is contiguous.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row counts disagree.
-    #[must_use]
-    pub fn matmul_transa(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(
-            self.rows,
-            rhs.rows,
-            "matmul_transa dimension mismatch: {:?}ᵀ x {:?}",
-            self.shape(),
-            rhs.shape()
-        );
-        let mut out = Tensor::zeros(self.cols, rhs.cols);
-        let out_data = Rc::make_mut(&mut out.data);
-        matmul_transa_slices(
-            &self.data, self.rows, self.cols, &rhs.data, rhs.cols, out_data, true,
-        );
-        out
-    }
-
-    /// In-place `self += lhsᵀ · rhs` (the accumulating form of
-    /// [`Tensor::matmul_transa`]; identical accumulation order, so running
-    /// it on a zeroed tensor is bit-identical to the allocating form).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes are inconsistent.
-    // gfs-lint: hot(tape)
-    pub fn add_matmul_transa(&mut self, lhs: &Tensor, rhs: &Tensor) {
-        assert_eq!(lhs.rows, rhs.rows, "add_matmul_transa row mismatch");
-        assert_eq!(
-            (self.rows, self.cols),
-            (lhs.cols, rhs.cols),
-            "add_matmul_transa output shape mismatch"
-        );
-        let out_data = Rc::make_mut(&mut self.data);
-        matmul_transa_slices(
-            &lhs.data, lhs.rows, lhs.cols, &rhs.data, rhs.cols, out_data, true,
-        );
     }
 
     /// Transposed copy.
@@ -1160,7 +1066,8 @@ mod tests {
         let a = random(9, 31, 3);
         let b = random(31, 12, 4);
         let bias = random(1, 12, 5);
-        let fused = a.matmul_add(&b, &bias);
+        let mut fused = Tensor::zeros(1, 1);
+        a.matmul_add_into(&b, Some(&bias), &mut fused);
         let mut reference = naive_matmul(&a, &b);
         for r in 0..reference.rows() {
             for c in 0..reference.cols() {
@@ -1171,28 +1078,12 @@ mod tests {
     }
 
     #[test]
-    fn transposed_variants_match_explicit_transposition() {
-        let a = random(7, 13, 6);
-        let b = random(9, 13, 7); // for A · Bᵀ
-        assert_close(&a.matmul_transb(&b), &a.matmul(&b.transposed()));
-        let c = random(7, 11, 8); // for Aᵀ · C
-        assert_close(&a.matmul_transa(&c), &a.transposed().matmul(&c));
-    }
-
-    #[test]
     fn into_variants_are_bit_identical_to_allocating_forms() {
         let a = random(6, 19, 21);
         let b = random(19, 5, 22);
-        let bias = random(1, 5, 23);
         let mut out = Tensor::zeros(1, 1); // wrong shape on purpose: must reshape
         a.matmul_add_into(&b, None, &mut out);
         assert_eq!(out, a.matmul(&b));
-        a.matmul_add_into(&b, Some(&bias), &mut out);
-        assert_eq!(out, a.matmul_add(&b, &bias));
-        let c = random(6, 4, 24);
-        let mut acc = Tensor::zeros(19, 4);
-        acc.add_matmul_transa(&a, &c);
-        assert_eq!(acc, a.matmul_transa(&c));
         let mut tr = Tensor::zeros(2, 2);
         a.transpose_into(&mut tr);
         assert_eq!(tr, a.transposed());
