@@ -1271,11 +1271,17 @@ mod tests {
         let result = grid.run(Threads::Fixed(2));
         let clean = result
             .report
-            .cell_at("YARN-CS", "4n", "tiny", "none", "default")
+            .cell(
+                "YARN-CS",
+                ("4n", "tiny", "none", "none", "naive", "default"),
+            )
             .unwrap();
         let churny = result
             .report
-            .cell_at("YARN-CS", "4n", "tiny", "churn", "default")
+            .cell(
+                "YARN-CS",
+                ("4n", "tiny", "churn", "none", "naive", "default"),
+            )
             .unwrap();
         assert_eq!(clean.median("availability"), 1.0);
         assert_eq!(clean.median("displacement_count"), 0.0);
@@ -1314,7 +1320,7 @@ mod tests {
         let cell = |d: &str| {
             result
                 .report
-                .cell_at("YARN-CS", "4n", "tiny", d, "default")
+                .cell("YARN-CS", ("4n", "tiny", d, "none", "naive", "default"))
                 .unwrap()
         };
         let wave = cell("wave");
@@ -1409,7 +1415,10 @@ mod tests {
         assert_eq!(json.matches("\"policy\"").count(), 2);
         let cell = result
             .report
-            .cell_full("YARN-CS", "4n", "tiny", "none", "churn-aware", "default")
+            .cell(
+                "YARN-CS",
+                ("4n", "tiny", "none", "none", "churn-aware", "default"),
+            )
             .expect("policy lookup");
         assert_eq!(cell.policy_label(), "churn-aware");
         // duplicate policy labels are rejected like every other axis
@@ -1444,7 +1453,10 @@ mod tests {
         let result = grid.run(Threads::Fixed(2));
         let free = result
             .report
-            .cell_full("YARN-CS", "1n", "tiny", "none", "naive", "default")
+            .cell(
+                "YARN-CS",
+                ("1n", "tiny", "none", "none", "naive", "default"),
+            )
             .expect("market-free cell");
         assert_eq!(free.market_label(), "none");
         assert!(
@@ -1453,9 +1465,10 @@ mod tests {
         );
         let bought = result
             .report
-            .cells
-            .iter()
-            .find(|c| c.market_label() == "buyer")
+            .cell(
+                "YARN-CS",
+                ("1n", "tiny", "none", "buyer", "naive", "default"),
+            )
             .expect("market cell");
         assert!(
             bought.median("market_spend_usd") > 0.0,

@@ -55,7 +55,8 @@
 //!
 //! let result = grid.run(Threads::Auto);
 //! assert_eq!(result.report.cells.len(), 4);
-//! let yarn = result.report.cell("YARN-CS", "16n", "medium-spot", "default").unwrap();
+//! let block = ("16n", "medium-spot", "none", "none", "naive", "default");
+//! let yarn = result.report.cell("YARN-CS", block).unwrap();
 //! assert!(yarn.median("hp_completion") > 0.0);
 //! println!("{}", result.report.render_table(&["hp_mean_jct_s", "eviction_rate"]));
 //! ```

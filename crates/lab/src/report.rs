@@ -146,65 +146,19 @@ impl GridReport {
         serde_json::from_str(s)
     }
 
-    /// Looks one cell up by its axis labels, ignoring the fault axis
-    /// (first match wins — convenient for fault-free grids).
+    /// Looks one cell up by its scheduler and its block key — every other
+    /// axis label, in [`CellSummary::block_key`] order `(shape, workload,
+    /// faults, market, policy, params)`. Cells off the market and policy
+    /// axes answer to `"none"` and `"naive"`.
     #[must_use]
     pub fn cell(
         &self,
         scheduler: &str,
-        shape: &str,
-        workload: &str,
-        params: &str,
+        block: (&str, &str, &str, &str, &str, &str),
     ) -> Option<&CellSummary> {
-        self.cells.iter().find(|c| {
-            c.scheduler == scheduler
-                && c.shape == shape
-                && c.workload == workload
-                && c.params == params
-        })
-    }
-
-    /// Looks one cell up by scheduler, shape, workload, dynamics and
-    /// params labels, ignoring the policy axis (first match wins —
-    /// convenient for policy-free grids).
-    #[must_use]
-    pub fn cell_at(
-        &self,
-        scheduler: &str,
-        shape: &str,
-        workload: &str,
-        faults: &str,
-        params: &str,
-    ) -> Option<&CellSummary> {
-        self.cells.iter().find(|c| {
-            c.scheduler == scheduler
-                && c.shape == shape
-                && c.workload == workload
-                && c.faults == faults
-                && c.params == params
-        })
-    }
-
-    /// Looks one cell up by all six axis labels (policy included; pass
-    /// `"naive"` for the policy-less default).
-    #[must_use]
-    pub fn cell_full(
-        &self,
-        scheduler: &str,
-        shape: &str,
-        workload: &str,
-        faults: &str,
-        policy: &str,
-        params: &str,
-    ) -> Option<&CellSummary> {
-        self.cells.iter().find(|c| {
-            c.scheduler == scheduler
-                && c.shape == shape
-                && c.workload == workload
-                && c.faults == faults
-                && c.policy_label() == policy
-                && c.params == params
-        })
+        self.cells
+            .iter()
+            .find(|c| c.scheduler == scheduler && c.block_key() == block)
     }
 
     /// Renders an aligned text table: one block per `(shape, workload,
@@ -350,9 +304,12 @@ mod tests {
     #[test]
     fn cell_lookup_and_median() {
         let r = report();
-        let cell = r.cell("YARN-CS", "4n", "tiny", "default").unwrap();
+        let block = ("4n", "tiny", "none", "none", "naive", "default");
+        let cell = r.cell("YARN-CS", block).unwrap();
         assert_eq!(cell.median("hp_mean_jct_s"), 120.0);
-        assert!(r.cell("nope", "4n", "tiny", "default").is_none());
+        assert!(r.cell("nope", block).is_none());
+        let churny = ("4n", "tiny", "churny", "none", "naive", "default");
+        assert!(r.cell("YARN-CS", churny).is_none());
         assert!(cell.metric("not_a_metric").is_none());
     }
 
@@ -383,35 +340,34 @@ mod tests {
     }
 
     #[test]
-    fn cell_at_distinguishes_fault_axis() {
+    fn cell_distinguishes_every_axis() {
         let mut r = report();
         r.cells.push(CellSummary::new(
             "YARN-CS",
             "4n",
             "tiny",
             "churny",
-            "none",
-            "naive",
+            "shock3x",
+            "churn-aware",
             "default",
             &[1, 2],
             vec![summary(200.0), summary(260.0)],
         ));
+        let median = |block| r.cell("YARN-CS", block).unwrap().median("hp_mean_jct_s");
         assert_eq!(
-            r.cell_at("YARN-CS", "4n", "tiny", "churny", "default")
-                .unwrap()
-                .median("hp_mean_jct_s"),
+            median(("4n", "tiny", "churny", "shock3x", "churn-aware", "default")),
             230.0
         );
         assert_eq!(
-            r.cell_at("YARN-CS", "4n", "tiny", "none", "default")
-                .unwrap()
-                .median("hp_mean_jct_s"),
+            median(("4n", "tiny", "none", "none", "naive", "default")),
             120.0
         );
-        // the fault-agnostic lookup returns the first declared cell
-        assert_eq!(
-            r.cell("YARN-CS", "4n", "tiny", "default").unwrap().faults,
-            "none"
-        );
+        for block in [
+            ("4n", "tiny", "none", "shock3x", "churn-aware", "default"),
+            ("4n", "tiny", "churny", "none", "churn-aware", "default"),
+            ("4n", "tiny", "churny", "shock3x", "naive", "default"),
+        ] {
+            assert!(r.cell("YARN-CS", block).is_none(), "{block:?}");
+        }
     }
 }

@@ -98,13 +98,16 @@ fn main() {
         let cell = |policy: &str| {
             result
                 .report
-                .cell_full(
+                .cell(
                     sched,
-                    &shape_label,
-                    "uniform",
-                    "flaky+wave",
-                    policy,
-                    "default",
+                    (
+                        &shape_label,
+                        "uniform",
+                        "flaky+wave",
+                        "none",
+                        policy,
+                        "default",
+                    ),
                 )
                 .expect("cell exists")
         };

@@ -71,7 +71,10 @@ fn churn_metrics_reported_and_scale_with_failure_rate() {
     let report = churn_grid().run(Threads::Auto).report;
     let cell = |faults: &str| {
         report
-            .cell_at("YARN-CS", "4a100+2h800", "mixed", faults, "default")
+            .cell(
+                "YARN-CS",
+                ("4a100+2h800", "mixed", faults, "none", "naive", "default"),
+            )
             .expect("cell exists")
     };
     let (clean, mild, churny) = (cell("none"), cell("mtbf24h"), cell("mtbf6h"));

@@ -83,7 +83,7 @@ fn dynamics_metrics_scale_with_their_axes() {
     let report = dynamics_grid().run(Threads::Auto).report;
     let cell = |d: &str| {
         report
-            .cell_at("YARN-CS", "6n", "steady", d, "default")
+            .cell("YARN-CS", ("6n", "steady", d, "none", "naive", "default"))
             .expect("cell exists")
     };
     let (clean, racks, wave, grow) = (

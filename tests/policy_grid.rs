@@ -93,7 +93,10 @@ fn churn_aware_placement_beats_naive_under_correlated_failures() {
     for sched in ["PTS", "GFS (no GDE)"] {
         let cell = |policy: &str| {
             report
-                .cell_full(sched, "16n", "uniform", "flakyracks", policy, "default")
+                .cell(
+                    sched,
+                    ("16n", "uniform", "flakyracks", "none", policy, "default"),
+                )
                 .expect("cell exists")
         };
         let (naive, aware) = (cell("naive"), cell("churn-aware"));
