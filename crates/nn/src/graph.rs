@@ -58,11 +58,9 @@ enum Op {
         b: TapeIndex,
     },
     Scale(TapeIndex, f64),
-    AddConst(TapeIndex),
     Tanh(TapeIndex),
     Sigmoid(TapeIndex),
     Relu(TapeIndex),
-    SumAll(TapeIndex),
     MeanAll(TapeIndex),
     Transpose(TapeIndex),
     SoftmaxRows(TapeIndex),
@@ -374,11 +372,9 @@ impl Graph {
             | Op::ScaleRows(a, b)
             | Op::GaussianNllSoftplus { mu: a, pre: b, .. } => n(a) || n(b),
             Op::Scale(x, _)
-            | Op::AddConst(x)
             | Op::Tanh(x)
             | Op::Sigmoid(x)
             | Op::Relu(x)
-            | Op::SumAll(x)
             | Op::MeanAll(x)
             | Op::Transpose(x)
             | Op::SoftmaxRows(x)
@@ -595,7 +591,7 @@ impl Graph {
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let i = self.reserve();
         let (head, tail) = self.values.split_at_mut(i);
-        head[a.ix()].matmul_add_into(&head[b.ix()], None, &mut tail[0]);
+        head[a.ix()].matmul_into(&head[b.ix()], &mut tail[0]);
         self.commit(Op::MatMul(a, b))
     }
 
@@ -652,11 +648,6 @@ impl Graph {
         self.unary_ew(x, Op::Scale(x, k), |a| a * k)
     }
 
-    /// Adds a compile-time constant element-wise.
-    pub fn add_const(&mut self, x: Var, k: f64) -> Var {
-        self.unary_ew(x, Op::AddConst(x), |a| a + k)
-    }
-
     /// Element-wise `tanh`.
     pub fn tanh(&mut self, x: Var) -> Var {
         self.unary_ew(x, Op::Tanh(x), f64::tanh)
@@ -683,7 +674,7 @@ impl Graph {
         let i = self.reserve();
         let (head, tail) = self.values.split_at_mut(i);
         let out = &mut tail[0];
-        head[x.ix()].matmul_add_into(&head[w.ix()], None, out);
+        head[x.ix()].matmul_into(&head[w.ix()], out);
         out.add_matmul(&head[h.ix()], &head[u.ix()]);
         let bias = &head[b.ix()];
         assert_eq!(bias.rows(), 1, "affine2 expects a 1×m bias row");
@@ -772,14 +763,6 @@ impl Graph {
             target,
             sigma: sigma as u32,
         })
-    }
-
-    /// Sum of all elements, as a `1 × 1` scalar.
-    pub fn sum_all(&mut self, x: Var) -> Var {
-        let i = self.reserve();
-        let (head, out) = Self::out_slot(&mut self.values, i, 1, 1);
-        out.as_mut_slice()[0] = head[x.ix()].sum();
-        self.commit(Op::SumAll(x))
     }
 
     /// Mean of all elements, as a `1 × 1` scalar.
@@ -1176,10 +1159,6 @@ impl Graph {
                     let k = *k;
                     to.map(x.ix(), rows, cols, |j| gys[j] * k);
                 }
-                Op::AddConst(x) => {
-                    let (rows, cols) = gy.shape();
-                    to.map(x.ix(), rows, cols, |j| gys[j]);
-                }
                 Op::Tanh(x) => {
                     let (rows, cols) = gy.shape();
                     let ys = values[i].as_slice();
@@ -1199,11 +1178,6 @@ impl Graph {
                         cols,
                         |j| if xs[j] > 0.0 { gys[j] } else { 0.0 },
                     );
-                }
-                Op::SumAll(x) => {
-                    let s = gy.item();
-                    let (rows, cols) = values[x.ix()].shape();
-                    to.map(x.ix(), rows, cols, |_| s);
                 }
                 Op::MeanAll(x) => {
                     let (rows, cols) = values[x.ix()].shape();
@@ -1761,6 +1735,14 @@ mod tests {
         (f(x + h) - f(x - h)) / (2.0 * h)
     }
 
+    /// `mean_all · len`: a sum whose backward seeds every input element
+    /// with exactly 1.
+    fn sum(g: &mut Graph, x: Var) -> Var {
+        let (rows, cols) = g.value(x).shape();
+        let m = g.mean_all(x);
+        g.scale(m, (rows * cols) as f64)
+    }
+
     #[test]
     fn add_mul_gradients() {
         // y = (a + b) * a, dy/da = 2a + b, dy/db = a
@@ -1786,7 +1768,7 @@ mod tests {
         let av = g.param(&a);
         let bv = g.param(&b);
         let p = g.matmul(av, bv);
-        let loss = g.sum_all(p);
+        let loss = sum(&mut g, p);
         g.backward(loss);
         assert_eq!(a.grad().row_slice(0), &[11.0, 15.0]);
         assert_eq!(a.grad().row_slice(1), &[11.0, 15.0]);
@@ -1822,7 +1804,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.param(&p);
         let y = g.relu(x);
-        let s = g.sum_all(y);
+        let s = sum(&mut g, y);
         g.backward(s);
         assert_eq!(p.grad().as_slice(), &[0.0, 1.0]);
     }
@@ -1836,7 +1818,7 @@ mod tests {
         let row_sum: f64 = g.value(y).as_slice().iter().sum();
         assert!((row_sum - 1.0).abs() < 1e-12);
         // L = sum(softmax) == 1 identically, so the gradient must vanish.
-        let s = g.sum_all(y);
+        let s = sum(&mut g, y);
         g.backward(s);
         for &v in p.grad().as_slice() {
             assert!(v.abs() < 1e-12);
@@ -1853,7 +1835,7 @@ mod tests {
         let c = g.concat_cols(&[av, bv]);
         let w = g.constant(Tensor::row(&[1.0, 10.0, 100.0]));
         let prod = g.mul(c, w);
-        let s = g.sum_all(prod);
+        let s = sum(&mut g, prod);
         g.backward(s);
         assert_eq!(a.grad().as_slice(), &[1.0]);
         assert_eq!(b.grad().as_slice(), &[10.0, 100.0]);
@@ -1866,7 +1848,7 @@ mod tests {
         let t = g.param(&table);
         let e = g.embedding(t, &[2, 0, 2]);
         assert_eq!(g.value(e).row_slice(0), &[5.0, 6.0]);
-        let s = g.sum_all(e);
+        let s = sum(&mut g, e);
         g.backward(s);
         // row 2 gathered twice, row 0 once, row 1 never
         assert_eq!(table.grad().row_slice(0), &[1.0, 1.0]);
@@ -1893,7 +1875,7 @@ mod tests {
         let t = g.transpose(x);
         let w = g.constant(Tensor::col(&[1.0, 2.0, 3.0]));
         let prod = g.mul(t, w);
-        let s = g.sum_all(prod);
+        let s = sum(&mut g, prod);
         g.backward(s);
         assert_eq!(p.grad().as_slice(), &[1.0, 2.0, 3.0]);
     }
@@ -1911,14 +1893,13 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_add_const() {
+    fn scale_value_and_gradient() {
         let p = Param::new(Tensor::scalar(3.0));
         let mut g = Graph::new();
         let x = g.param(&p);
         let y = g.scale(x, 2.0);
-        let z = g.add_const(y, 10.0);
-        assert_eq!(g.value(z).item(), 16.0);
-        g.backward(z);
+        assert_eq!(g.value(y).item(), 6.0);
+        g.backward(y);
         assert_eq!(p.grad().item(), 2.0);
     }
 
@@ -1932,7 +1913,7 @@ mod tests {
         let y = g.scale_rows(xv, cv);
         assert_eq!(g.value(y).row_slice(0), &[10.0, 20.0]);
         assert_eq!(g.value(y).row_slice(1), &[300.0, 400.0]);
-        let s = g.sum_all(y);
+        let s = sum(&mut g, y);
         g.backward(s);
         assert_eq!(x.grad().row_slice(0), &[10.0, 10.0]);
         assert_eq!(x.grad().row_slice(1), &[100.0, 100.0]);
@@ -1946,7 +1927,7 @@ mod tests {
         let xv = g.param(&x);
         let y = g.slice_cols(xv, 1, 2);
         assert_eq!(g.value(y).row_slice(0), &[2.0, 3.0]);
-        let s = g.sum_all(y);
+        let s = sum(&mut g, y);
         g.backward(s);
         assert_eq!(x.grad().row_slice(0), &[0.0, 1.0, 1.0]);
         assert_eq!(x.grad().row_slice(1), &[0.0, 1.0, 1.0]);
@@ -1987,12 +1968,13 @@ mod tests {
             g.slot_mut(x).copy_from_slice(&[1.0 + step as f64, 1.0]);
             let wv = g.param(&w);
             let y = g.mul(x, wv);
-            let s = g.sum_all(y);
+            let s = g.mean_all(y);
             g.backward(s);
             assert_eq!(g.len(), 4);
         }
-        // grads accumulated over three replays: x0 = (1,1)+(2,1)+(3,1)
-        assert_eq!(w.grad().as_slice(), &[6.0, 3.0]);
+        // grads accumulated over three replays: x0 = (1,1)+(2,1)+(3,1),
+        // halved by the mean
+        assert_eq!(w.grad().as_slice(), &[3.0, 1.5]);
     }
 
     #[test]

@@ -379,7 +379,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.constant(Tensor::from_rows(&[&[0.5, -0.2, 0.1], &[0.3, 0.8, -0.4]]));
         let y = att.forward(&mut g, x);
-        let loss = g.sum_all(y);
+        let loss = g.mean_all(y);
         g.backward(loss);
         let total_grad: f64 = att.params().iter().map(|p| p.grad().norm()).sum();
         assert!(total_grad > 0.0, "some gradient must reach the projections");

@@ -101,7 +101,8 @@ mod tests {
         for _ in 0..iters {
             let mut g = Graph::new();
             let xv = g.param(x);
-            let c = g.add_const(xv, -3.0);
+            let three = g.constant(Tensor::scalar(3.0));
+            let c = g.sub(xv, three);
             let sq = g.mul(c, c);
             g.backward(sq);
             opt.step();

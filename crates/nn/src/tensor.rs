@@ -726,20 +726,18 @@ impl Tensor {
     #[must_use]
     pub fn matmul(&self, rhs: &Tensor) -> Tensor {
         let mut out = Tensor::zeros(self.rows, rhs.cols);
-        self.matmul_add_into(rhs, None, &mut out);
+        self.matmul_into(rhs, &mut out);
         out
     }
 
-    /// Fused affine product `self · rhs (+ bias)` written into `out`
-    /// (reshaped and reused) — the arena's allocation-free affine forward.
-    /// A `1 × rhs.cols` bias row is broadcast over the output rows and is
-    /// each output element's starting value.
+    /// [`Tensor::matmul`] written into `out` (reshaped and reused) — the
+    /// arena's allocation-free product.
     ///
     /// # Panics
     ///
-    /// Panics if the shapes are inconsistent.
+    /// Panics if the inner dimensions disagree.
     // gfs-lint: hot(tape)
-    pub fn matmul_add_into(&self, rhs: &Tensor, bias: Option<&Tensor>, out: &mut Tensor) {
+    pub fn matmul_into(&self, rhs: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols,
             rhs.rows,
@@ -750,16 +748,7 @@ impl Tensor {
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         out.resize_reuse(m, n);
         let out_data = Rc::make_mut(&mut out.data);
-        match bias {
-            Some(b) => {
-                assert_eq!(b.shape(), (1, n), "matmul_add_into bias shape");
-                for r in 0..m {
-                    out_data[r * n..(r + 1) * n].copy_from_slice(&b.data);
-                }
-                matmul_slices(&self.data, m, k, &rhs.data, n, out_data, true);
-            }
-            None => matmul_slices(&self.data, m, k, &rhs.data, n, out_data, false),
-        }
+        matmul_slices(&self.data, m, k, &rhs.data, n, out_data, false);
     }
 
     /// In-place `self += lhs · rhs`, reusing the blocked axpy kernel —
@@ -1062,27 +1051,11 @@ mod tests {
     }
 
     #[test]
-    fn matmul_add_fuses_bias() {
-        let a = random(9, 31, 3);
-        let b = random(31, 12, 4);
-        let bias = random(1, 12, 5);
-        let mut fused = Tensor::zeros(1, 1);
-        a.matmul_add_into(&b, Some(&bias), &mut fused);
-        let mut reference = naive_matmul(&a, &b);
-        for r in 0..reference.rows() {
-            for c in 0..reference.cols() {
-                reference[(r, c)] += bias[(0, c)];
-            }
-        }
-        assert_close(&fused, &reference);
-    }
-
-    #[test]
     fn into_variants_are_bit_identical_to_allocating_forms() {
         let a = random(6, 19, 21);
         let b = random(19, 5, 22);
         let mut out = Tensor::zeros(1, 1); // wrong shape on purpose: must reshape
-        a.matmul_add_into(&b, None, &mut out);
+        a.matmul_into(&b, &mut out);
         assert_eq!(out, a.matmul(&b));
         let mut tr = Tensor::zeros(2, 2);
         a.transpose_into(&mut tr);

@@ -2,7 +2,7 @@
 //!
 //! Every op on the tape — the elementwise ops, `matmul`/`transpose`,
 //! `affine2`/`affine_cat`, `blend`, the fused Gaussian NLL, `embedding`,
-//! `softmax_rows`/`scale_rows`/`slice_cols`/`concat_cols`, the reductions
+//! `softmax_rows`/`scale_rows`/`slice_cols`/`concat_cols`, `mean_all`
 //! and the whole-sequence `gru_scan` — is checked against
 //! `(L(θ+ε) − L(θ−ε)) / 2ε` element by element. A second suite pins fused
 //! ops to the chains they replace *exactly* (values and weight gradients
@@ -96,7 +96,7 @@ fn affine_tanh_chain() {
 
 #[test]
 fn elementwise_kitchen_sink() {
-    // mul/sub/add_const/relu/tanh/sigmoid/scale/add in one chain,
+    // mul/sub/add/relu/tanh/sigmoid/scale in one chain,
     // arranged to stay differentiable (relu inputs shifted off 0)
     let mut rng = ChaCha8Rng::seed_from_u64(12);
     let p = Param::new(rand_tensor(3, 4, 0.2, 0.9, &mut rng));
@@ -109,7 +109,8 @@ fn elementwise_kitchen_sink() {
             let qv = g.param(&q);
             let m = g.mul(pv, qv);
             let s = g.sub(m, pv);
-            let sh = g.add_const(s, 2.0); // keep relu away from the kink
+            let two = g.constant(Tensor::full(3, 4, 2.0));
+            let sh = g.add(s, two); // keep relu away from the kink
             let r = g.relu(sh);
             let t = g.tanh(r);
             let sg = g.sigmoid(t);
@@ -122,7 +123,7 @@ fn elementwise_kitchen_sink() {
 }
 
 #[test]
-fn matmul_transpose_sum() {
+fn matmul_transpose_mean() {
     let mut rng = ChaCha8Rng::seed_from_u64(13);
     let a = Param::new(rand_tensor(3, 4, -1.0, 1.0, &mut rng));
     let b = Param::new(rand_tensor(3, 5, -1.0, 1.0, &mut rng));
@@ -134,7 +135,7 @@ fn matmul_transpose_sum() {
             let bv = g.param(&b);
             let at = g.transpose(av); // 4×3
             let mm = g.matmul(at, bv); // 4×5
-            g.sum_all(mm)
+            g.mean_all(mm)
         },
         1e-6,
     );
@@ -421,16 +422,16 @@ fn pruning_is_exact_on_a_unit_graph() {
 
 #[test]
 fn promoted_constants_receive_input_gradients() {
-    // L = sum(x · w) with x constant: after promotion ∂L/∂x = 1 · wᵀ
+    // L = mean(x · w) with x constant: after promotion ∂L/∂x = ½ · 1 · wᵀ
     let w = Param::new(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
     let mut g = Graph::new();
     let x = g.constant(Tensor::from_rows(&[&[1.0, 1.0]]));
     let wv = g.param(&w);
     let y = g.matmul(x, wv);
-    let loss = g.sum_all(y);
+    let loss = g.mean_all(y);
     let promoted = g.promote_constants();
     g.backward(loss);
     assert_eq!(promoted.len(), 1);
-    assert_eq!(promoted[0].grad().as_slice(), &[3.0, 7.0]);
-    assert_eq!(w.grad().as_slice(), &[1.0, 1.0, 1.0, 1.0]);
+    assert_eq!(promoted[0].grad().as_slice(), &[1.5, 3.5]);
+    assert_eq!(w.grad().as_slice(), &[0.5, 0.5, 0.5, 0.5]);
 }
