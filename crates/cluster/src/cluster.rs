@@ -12,7 +12,7 @@ use gfs_types::{
 use serde::{Deserialize, Serialize};
 
 use crate::changelog::ChangeLog;
-use crate::index::CapacityIndex;
+use crate::index::{eq17_waste, CapacityIndex, SpotHolding};
 use crate::node::{Node, NodeSnapshot, PodAlloc};
 
 /// Where one pod of a running task lives.
@@ -69,7 +69,14 @@ impl RunningTask {
     /// The full waste of Eq. 17: `ϑ = g · (t − t_check)` in GPU-seconds.
     #[must_use]
     pub fn waste(&self, now: SimTime) -> f64 {
-        self.spec.total_gpus() * self.wasted_seconds(now) as f64
+        let spec = &self.spec;
+        eq17_waste(
+            spec.total_gpus(),
+            spec.checkpoint,
+            self.carried_progress,
+            self.started_at,
+            now,
+        )
     }
 
     /// Progress that survives a preemption at `now`.
@@ -337,10 +344,18 @@ impl Cluster {
     #[must_use]
     pub fn spot_tasks_on(&self, node: NodeId) -> Vec<&RunningTask> {
         self.index
-            .spot_tasks_on(node)
+            .spot_holdings(node)
             .iter()
-            .map(|id| &self.running[id])
+            .map(|h| &self.running[&h.task])
             .collect()
+    }
+
+    /// Spot tasks with at least one pod on `node`, ascending by task id,
+    /// each with the cards it holds on `node` and its Eq. 17 waste — the
+    /// index's own list, with no registry lookup and no allocation.
+    #[must_use]
+    pub fn spot_holdings(&self, node: NodeId) -> &[SpotHolding] {
+        self.index.spot_holdings(node)
     }
 
     /// Whether `node` hosts at least one spot pod (index lookup).
@@ -585,7 +600,8 @@ impl Cluster {
         }
         if spec.priority.is_spot() {
             for p in &placements {
-                self.index.add_spot(p.node, spec.id);
+                let pod = SpotHolding::new(&spec, p.alloc.cards(), now, carried_progress);
+                self.index.add_spot(p.node, pod);
             }
         }
         self.running.insert(
@@ -996,7 +1012,9 @@ impl Cluster {
             let spec = Arc::new(e.spec);
             if spec.priority.is_spot() {
                 for p in &e.placements {
-                    index.add_spot(p.node, spec.id);
+                    let pod =
+                        SpotHolding::new(&spec, p.alloc.cards(), e.started_at, e.carried_progress);
+                    index.add_spot(p.node, pod);
                 }
             }
             running.insert(

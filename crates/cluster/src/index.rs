@@ -17,10 +17,13 @@
 //!   nodes that have at least one such card. The keys are exact
 //!   [`Cards`], so a fractional demand's candidates are a range of the
 //!   set (fully idle cards are covered by the idle buckets).
-//! * **Spot locality** — per node, the ids of running spot tasks with at
-//!   least one pod on it, kept sorted so victim enumeration is
-//!   deterministic. This turns `spot_tasks_on` from a scan over the whole
-//!   running registry into a per-node lookup.
+//! * **Spot locality** — per node, the running spot tasks with at least
+//!   one pod on it, each with the cards it holds there and the inputs of
+//!   its Eq. 17 waste ([`SpotHolding`]), kept sorted by task id so victim
+//!   enumeration is deterministic. This turns `spot_tasks_on` from a scan
+//!   over the whole running registry into a per-node lookup, and lets a
+//!   preemption plan decide whether a node can host a pod (`idle + Σ held
+//!   ≥ need`) and price its victims without touching the registry.
 //!
 //! Every answer is exact: the candidates *are* the nodes that fit, equal
 //! to a brute-force [`Node::can_fit`] scan (`tests/property_based.rs`
@@ -28,9 +31,71 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use gfs_types::{Cards, GpuModel, NodeId, TaskId};
+use gfs_types::{Cards, CheckpointPlan, GpuModel, NodeId, SimDuration, SimTime, TaskId, TaskSpec};
 
 use crate::node::{Gpu, Node};
+
+/// One running spot task as the capacity index lists it on a node: the
+/// cards its pods hold there, and what Eq. 17 needs to price its
+/// eviction, so a preemption plan can rank it without a registry lookup.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SpotHolding {
+    /// The spot task.
+    pub task: TaskId,
+    /// Cards its pods hold on this node.
+    pub cards: Cards,
+    /// The task's GPUs over all pods (`g` of Eq. 17).
+    gpus: f64,
+    checkpoint: CheckpointPlan,
+    carried: SimDuration,
+    started_at: SimTime,
+}
+
+impl SpotHolding {
+    /// The holding of a task started at `started_at` with `carried`
+    /// seconds of earlier progress.
+    pub(crate) fn new(
+        spec: &TaskSpec,
+        cards: Cards,
+        started_at: SimTime,
+        carried: SimDuration,
+    ) -> Self {
+        SpotHolding {
+            task: spec.id,
+            cards,
+            gpus: spec.total_gpus(),
+            checkpoint: spec.checkpoint,
+            carried,
+            started_at,
+        }
+    }
+
+    /// The waste of evicting the task at `now` — bit for bit
+    /// [`RunningTask::waste`](crate::RunningTask::waste).
+    #[must_use]
+    pub fn waste(&self, now: SimTime) -> f64 {
+        eq17_waste(
+            self.gpus,
+            self.checkpoint,
+            self.carried,
+            self.started_at,
+            now,
+        )
+    }
+}
+
+/// Eq. 17's waste `ϑ = g · (t − t_check)` in GPU-seconds, the one formula
+/// behind [`SpotHolding::waste`] and
+/// [`RunningTask::waste`](crate::RunningTask::waste).
+pub(crate) fn eq17_waste(
+    gpus: f64,
+    checkpoint: CheckpointPlan,
+    carried: SimDuration,
+    started_at: SimTime,
+    now: SimTime,
+) -> f64 {
+    gpus * checkpoint.wasted_work(carried, now.since(started_at)) as f64
+}
 
 /// Per-node snapshot of the keys currently stored in the index.
 #[derive(Debug, Clone, Copy, Default)]
@@ -57,8 +122,9 @@ pub struct CapacityIndex {
     idle_buckets: BTreeMap<GpuModel, Vec<Vec<u32>>>,
     /// Per model: ordered `(best partial free, node id)` pairs.
     partial: BTreeMap<GpuModel, BTreeSet<(Cards, u32)>>,
-    /// Per node: running spot tasks with at least one pod here (sorted).
-    spot_on_node: Vec<Vec<TaskId>>,
+    /// Per node: running spot tasks with at least one pod here, ascending
+    /// by id, with the cards each holds on this node.
+    spot_on_node: Vec<Vec<SpotHolding>>,
     /// Per model: ascending node ids currently hosting ≥ 1 spot pod —
     /// the preemption-victim walk visits only these instead of scanning
     /// every node's (mostly empty) spot list.
@@ -217,28 +283,31 @@ impl CapacityIndex {
         self.insert_node(node);
     }
 
-    /// Records that `task` (spot) now has a pod on `node`.
-    pub fn add_spot(&mut self, node: NodeId, task: TaskId) {
+    /// Records that a spot task now has a pod on `node`; a gang's second
+    /// pod on the same node adds its cards to the task's holding.
+    pub fn add_spot(&mut self, node: NodeId, pod: SpotHolding) {
         let list = &mut self.spot_on_node[node.index()];
-        if let Err(pos) = list.binary_search(&task) {
-            list.insert(pos, task);
-            if list.len() == 1 {
-                let raw = node.raw();
-                let hosts = self
-                    .spot_hosts
-                    .entry(self.models[node.index()])
-                    .or_default();
-                if let Err(pos) = hosts.binary_search(&raw) {
-                    hosts.insert(pos, raw);
-                }
+        match list.binary_search_by_key(&pod.task, |h| h.task) {
+            Ok(pos) => list[pos].cards += pod.cards,
+            Err(pos) => list.insert(pos, pod),
+        }
+        if list.len() == 1 {
+            let raw = node.raw();
+            let hosts = self
+                .spot_hosts
+                .entry(self.models[node.index()])
+                .or_default();
+            if let Err(pos) = hosts.binary_search(&raw) {
+                hosts.insert(pos, raw);
             }
         }
     }
 
-    /// Removes `task` from `node`'s spot locality list.
+    /// Removes `task` and its whole holding from `node`'s spot locality
+    /// list (a task releases every pod at once).
     pub fn remove_spot(&mut self, node: NodeId, task: TaskId) {
         let list = &mut self.spot_on_node[node.index()];
-        if let Ok(pos) = list.binary_search(&task) {
+        if let Ok(pos) = list.binary_search_by_key(&task, |h| h.task) {
             list.remove(pos);
             if list.is_empty() {
                 if let Some(hosts) = self.spot_hosts.get_mut(&self.models[node.index()]) {
@@ -250,9 +319,10 @@ impl CapacityIndex {
         }
     }
 
-    /// Spot tasks with at least one pod on `node`, ascending by id.
+    /// Spot tasks with at least one pod on `node`, ascending by id, each
+    /// with the cards it holds on `node`.
     #[must_use]
-    pub fn spot_tasks_on(&self, node: NodeId) -> &[TaskId] {
+    pub fn spot_holdings(&self, node: NodeId) -> &[SpotHolding] {
         &self.spot_on_node[node.index()]
     }
 

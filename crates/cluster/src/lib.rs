@@ -21,16 +21,18 @@
 //!   a brute-force [`Node::can_fit`] scan — see the property test in
 //!   `tests/property_based.rs`),
 //! * per-node **spot locality lists** (sorted by task id, which also makes
-//!   victim enumeration deterministic) turn preemption planning from
-//!   O(nodes × running tasks) into O(candidate nodes × local spots).
+//!   victim enumeration deterministic) of [`SpotHolding`]s — the cards
+//!   each task holds on the node and the inputs of its Eq. 17 waste —
+//!   turn preemption planning from O(nodes × running tasks) into
+//!   O(candidate nodes × local spots) with no registry lookup.
 //!
 //! The indexed queries are exposed as [`Cluster::whole_fit_candidates`],
 //! [`Cluster::fraction_fit_candidates`], [`Cluster::preemption_candidates`],
-//! [`Cluster::spot_tasks_on`], [`Cluster::has_spot_on`] and
-//! [`Cluster::fully_idle_nodes`]; all five schedulers in the workspace are
-//! built on them. The running-task registry itself is an ordered map, so
-//! iteration (and therefore every scheduling decision derived from it) is
-//! reproducible across processes.
+//! [`Cluster::spot_tasks_on`], [`Cluster::spot_holdings`],
+//! [`Cluster::has_spot_on`] and [`Cluster::fully_idle_nodes`]; all five
+//! schedulers in the workspace are built on them. The running-task
+//! registry itself is an ordered map, so iteration (and therefore every
+//! scheduling decision derived from it) is reproducible across processes.
 //!
 //! Task specs are shared as `Arc<TaskSpec>` between the simulator's task
 //! table and the running registry: starting, evicting and requeuing a task
@@ -100,6 +102,6 @@ mod scheduler;
 
 pub use changelog::ChangeLog;
 pub use cluster::{Cluster, ClusterSnapshot, Displaced, PodPlacement, RunningTask};
-pub use index::CapacityIndex;
+pub use index::{CapacityIndex, SpotHolding};
 pub use node::{Gpu, Node, NodeSnapshot, PodAlloc};
 pub use scheduler::{Decision, DrainDecision, Scheduler, TaskEvent};

@@ -120,6 +120,13 @@ impl GfsScheduler {
         &self.params
     }
 
+    /// The PTS placement engine behind every decision (its
+    /// [`Pts::preempt_work`] counts what Alg. 2 did).
+    #[must_use]
+    pub fn pts(&self) -> &Pts {
+        &self.pts
+    }
+
     fn per_org_hp_usage(&self, cluster: &Cluster) -> Vec<f64> {
         let n = self.gde.as_ref().map_or(0, DemandEstimator::num_orgs);
         let mut usage = vec![0.0; n];

@@ -55,6 +55,6 @@ mod sqa;
 
 pub use gde::{DemandEstimator, GdeState};
 pub use gfs::{GfsScheduler, GfsState};
-pub use pts::{Pts, PtsVariant};
+pub use pts::{PreemptWork, Pts, PtsVariant};
 pub use pts_sched::PtsScheduler;
 pub use sqa::{SpotQuotaAllocator, SqaState};

@@ -22,11 +22,13 @@
 //! same order in O(log n). Alg. 2 is one plan on [`plan_preemption_by`],
 //! which owns the gang's virtual-idle ledger.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 
-use gfs_cluster::{Cluster, Decision, Node, RunningTask};
-use gfs_sched::placement::{gang_nodes_by, plan_preemption_by, DomainUse, PlacementPolicy};
+use gfs_cluster::{Cluster, Decision, Node, RunningTask, SpotHolding};
+use gfs_sched::placement::{
+    gang_nodes_by, plan_preemption_by, plan_preemption_scan_by, DomainUse, PlacementPolicy,
+};
 use gfs_types::{
     Cards, GfsParams, GpuDemand, GpuModel, NodeId, Priority, SimTime, TaskId, TaskSpec, HOUR,
 };
@@ -70,6 +72,8 @@ pub struct Pts {
     /// `Pts` is owned by one scheduler on one simulation thread, so
     /// the dynamic borrow can never be contended.
     index: RefCell<ScoreIndex>,
+    /// Passive Alg. 2 work counts ([`Pts::preempt_work`]).
+    work: Cell<PreemptWork>,
 }
 
 impl Pts {
@@ -86,11 +90,18 @@ impl Pts {
     /// built by [`Pts::new`].
     #[must_use]
     pub fn with_policy(params: GfsParams, variant: PtsVariant, policy: PlacementPolicy) -> Self {
+        // Alg. 2's victim-count bound rests on it (`Pts::schedule_preemptive`)
+        debug_assert!(
+            params.beta.is_finite() && params.beta >= 0.0,
+            "beta must be finite and non-negative, got {}",
+            params.beta
+        );
         Pts {
             params,
             variant,
             policy,
             index: RefCell::new(ScoreIndex::default()),
+            work: Cell::new(PreemptWork::default()),
         }
     }
 
@@ -363,10 +374,18 @@ impl Pts {
     ) -> f64 {
         let g = cluster.spot_completed() as f64;
         let f = cluster.spot_evicted() as f64;
-        let k = victim_count as f64;
-        let eviction_impact = (f + k) / (g + f + k).max(1.0);
         let gpu_time = cluster.capacity(None) * (now.as_secs().max(HOUR)) as f64;
-        eviction_impact + self.params.beta * victims_waste / gpu_time
+        eviction_impact(g, f, victim_count) + self.params.beta * victims_waste / gpu_time
+    }
+
+    /// Exact counts of the Alg. 2 work this engine has done: calls, nodes
+    /// visited, nodes that could host a pod and plans built in full. The
+    /// counters are passive — no decision reads them — and the debug
+    /// oracle's reference walk is not counted, so debug and release
+    /// builds count alike.
+    #[must_use]
+    pub fn preempt_work(&self) -> PreemptWork {
+        self.work.get()
     }
 
     /// Preemptive scheduling (Alg. 2) for an HP task: the chosen node per
@@ -376,6 +395,40 @@ impl Pts {
     /// a node, spares the highest-waste ones while the pod still fits, and
     /// ranks nodes by `(reliability, −cost)` (Eq. 17–19); `GFS-p` evicts
     /// in id-hash order and ranks nodes by hash.
+    ///
+    /// Both plans read only the capacity index: feasibility is `idle + Σ
+    /// held ≥ need` over the node's [`SpotHolding`]s, which also carry
+    /// each task's Eq. 17 waste, so no plan looks up the running registry.
+    /// `GFS-p`'s rank is the node's own, so a node that cannot beat the
+    /// best rank is skipped outright. Alg. 2 bounds the node before it
+    /// prices a single victim: a plan that frees the pod evicts at least
+    /// `k_min` tasks, the fewest whose holdings — largest first — cover
+    /// the shortfall, and
+    ///
+    /// > `rank = (rel, −cost) ≤ (rel, −impact(k_min))`
+    ///
+    /// where `impact(k) = (f+k)/max(g+f+k, 1)` is the eviction-impact term
+    /// of Eq. 19. The node is skipped when that bound is `≤` the best rank
+    /// so far, because a node wins only with a strictly greater rank.
+    /// The bound holds in floating point, not only over the reals:
+    ///
+    /// - `impact` is non-decreasing in `k` over the reals for `g, f ≥ 0`;
+    ///   its operands are exact integers and division rounds correctly, so
+    ///   the computed `impact(k) ≥ impact(k_min)` for every `k ≥ k_min`;
+    /// - `β` is finite and `≥ 0` ([`GfsParams::validate`]) and the GPU-time
+    ///   denominator is positive on any node that can be a candidate, so the
+    ///   waste term `β·waste/gpu_time` is `≥ 0` whenever the computed waste
+    ///   is, and adding it cannot round the cost below `impact(k)`;
+    /// - with whole-card holdings every spot's waste `g·(t − t_check)` is
+    ///   an integer of GPU-seconds, so the sum in sorted order and the
+    ///   subtraction of the spared tasks are exact (below 2⁵³) and the
+    ///   waste is the exact, non-negative waste of the victims. A validated
+    ///   task with a fractional demand is a single pod holding 1–999
+    ///   milli-cards, so a node with any holding that is not a whole number
+    ///   of cards skips the bound and is always planned in full.
+    ///
+    /// Debug builds check every answer against
+    /// [`Pts::schedule_preemptive_scan`], the reference walk.
     ///
     /// # Panics
     ///
@@ -389,16 +442,128 @@ impl Pts {
     ) -> Option<Decision> {
         debug_assert!(task.priority.is_hp(), "only HP tasks may preempt");
         let need = task.gpus_per_pod.cards();
+        let mut work = self.work.get();
+        work.calls += 1;
         // idle plus every evictable card, when that can host the pod
+        let mut reclaimable = |idle: Cards, spots: &[SpotHolding]| {
+            work.nodes_visited += 1;
+            let total = idle + spots.iter().map(|h| h.cards).sum();
+            if total < need {
+                return None;
+            }
+            work.feasible += 1;
+            Some(total)
+        };
+        let fast = if self.variant.preemption_degraded() {
+            let mut order: Vec<SpotHolding> = Vec::new();
+            plan_preemption_by(
+                cluster,
+                task,
+                |c, victims| {
+                    reclaimable(c.idle, c.spots)?;
+                    // the rank is the node's alone: no plan can change it
+                    let rank = Reverse(random_rank(task, c.node));
+                    if c.best.is_some_and(|b| rank <= *b) {
+                        return None;
+                    }
+                    work.plans_built += 1;
+                    order.clear();
+                    order.extend_from_slice(c.spots);
+                    order.sort_by_key(|h| random_rank_of_victim(h.task, c.pod));
+                    let mut idle = c.idle;
+                    for h in &order {
+                        if idle >= need {
+                            break;
+                        }
+                        idle += h.cards;
+                        victims.push(h.task);
+                    }
+                    Some(rank)
+                },
+                |_, _| false,
+            )
+        } else {
+            let g = cluster.spot_completed() as f64;
+            let f = cluster.spot_evicted() as f64;
+            let mut sizes: Vec<Cards> = Vec::new();
+            let mut order: Vec<(f64, TaskId, Cards)> = Vec::new();
+            plan_preemption_by(
+                cluster,
+                task,
+                |c, victims| {
+                    let mut r = reclaimable(c.idle, c.spots)?;
+                    // a flaky target loses to a dependable one before cost
+                    // is consulted (Eq. 18 extended); the reliability is a
+                    // constant 1.0 except under the decayed-reliability
+                    // policy
+                    let rel = self.policy.preemption_reliability(cluster, c.node, now);
+                    if let Some(best) = c.best {
+                        let bound = min_victims(c.idle, need, c.spots, &mut sizes)
+                            .map(|k| (rel, -eviction_impact(g, f, k)));
+                        if bound.is_some_and(|b| b <= *best) {
+                            return None;
+                        }
+                    }
+                    work.plans_built += 1;
+                    // Alg. 2 lines 8–12: start from "evict everyone", then
+                    // spare the highest-waste tasks while the pod still fits
+                    order.clear();
+                    order.extend(c.spots.iter().map(|h| (h.waste(now), h.task, h.cards)));
+                    order.sort_by(|a, b| {
+                        b.0.partial_cmp(&a.0)
+                            .expect("waste is finite")
+                            .then(a.1.cmp(&b.1))
+                    });
+                    let mut waste: f64 = order.iter().map(|&(w, ..)| w).sum();
+                    for &(w, id, local) in &order {
+                        if r >= need + local {
+                            r -= local;
+                            waste -= w;
+                        } else {
+                            victims.push(id);
+                        }
+                    }
+                    let cost = self.preemption_cost(cluster, waste, victims.len(), now);
+                    Some((rel, -cost))
+                },
+                // a zero-victim plan carries the global minimum cost (Eq.
+                // 19 is monotone in victim count and waste) and later ties
+                // lose to its lower id, so when its node also has the
+                // greatest reliability, 1.0, nothing later can strictly win
+                |victims, &(rel, _)| victims.is_empty() && rel == 1.0,
+            )
+        };
+        self.work.set(work);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            fast,
+            self.schedule_preemptive_scan(task, cluster, now),
+            "Alg. 2 walk diverged from the reference walk at {now:?} on {task:?}"
+        );
+        fast
+    }
+
+    /// The reference implementation of [`Pts::schedule_preemptive`], on
+    /// [`plan_preemption_scan_by`]: every candidate is planned in full
+    /// from the running registry, the waste is recomputed inside the sort
+    /// comparator and the spared victims are `retain`ed away. Kept as the
+    /// oracle every debug-build decision is checked against.
+    #[must_use]
+    pub fn schedule_preemptive_scan(
+        &self,
+        task: &TaskSpec,
+        cluster: &Cluster,
+        now: SimTime,
+    ) -> Option<Decision> {
+        let need = task.gpus_per_pod.cards();
         let reclaimable = |idle: Cards, spots: &[(&RunningTask, Cards)]| {
             let total = idle + spots.iter().map(|&(_, local)| local).sum();
             (total >= need).then_some(total)
         };
         if self.variant.preemption_degraded() {
-            let hash = |x: u64| x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let plan = |n: &Node, pod: u32, mut idle, mut spots: Vec<(&RunningTask, Cards)>| {
                 reclaimable(idle, &spots)?;
-                spots.sort_by_key(|(rt, _)| hash(rt.spec.id.raw()) ^ u64::from(pod));
+                spots.sort_by_key(|(rt, _)| random_rank_of_victim(rt.spec.id, pod));
                 let mut victims = Vec::new();
                 for (rt, local) in spots {
                     if idle >= need {
@@ -407,14 +572,11 @@ impl Pts {
                     idle += local;
                     victims.push(rt.spec.id);
                 }
-                let node_hash = hash(u64::from(n.id().raw()) ^ task.id.raw());
-                Some((victims, Reverse(node_hash)))
+                Some((victims, Reverse(random_rank(task, n))))
             };
-            return plan_preemption_by(cluster, task, plan, |_, _| false);
+            return plan_preemption_scan_by(cluster, task, plan, |_, _| false);
         }
         let plan = |n: &Node, _, idle, mut spots: Vec<(&RunningTask, Cards)>| {
-            // Alg. 2 lines 8–12: start from "evict everyone", then spare
-            // the highest-waste tasks while the pod still fits
             let mut r = reclaimable(idle, &spots)?;
             spots.sort_by(|(a, _), (b, _)| {
                 b.waste(now)
@@ -432,17 +594,10 @@ impl Pts {
                 }
             }
             let cost = self.preemption_cost(cluster, waste, victims.len(), now);
-            // a flaky target loses to a dependable one before cost is
-            // consulted (Eq. 18 extended); the reliability is a constant
-            // 1.0 except under the decayed-reliability policy
             let rel = self.policy.preemption_reliability(cluster, n, now);
             Some((victims, (rel, -cost)))
         };
-        // a zero-victim plan carries the global minimum cost (Eq. 19 is
-        // monotone in victim count and waste) and later ties lose to its
-        // lower id, so when its node also has the greatest reliability,
-        // 1.0, nothing later can strictly win
-        plan_preemption_by(cluster, task, plan, |victims, &(rel, _)| {
+        plan_preemption_scan_by(cluster, task, plan, |victims, &(rel, _)| {
             victims.is_empty() && rel == 1.0
         })
     }
@@ -507,6 +662,72 @@ impl Pts {
 fn gang_key(key: Key, in_domain: u32) -> ([u64; 2], Reverse<u32>, [u64; 3]) {
     let [hazard, drain, s1, s2, s3] = key;
     ([hazard, drain], Reverse(in_domain), [s1, s2, s3])
+}
+
+/// Exact counts of one [`Pts`]'s Alg. 2 work (see [`Pts::preempt_work`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PreemptWork {
+    /// Calls to [`Pts::schedule_preemptive`].
+    pub calls: u64,
+    /// Candidate nodes offered to a plan, summed over every pod.
+    pub nodes_visited: u64,
+    /// Visited nodes whose idle and spot cards can host the pod: the
+    /// nodes the reference walk plans in full.
+    pub feasible: u64,
+    /// Plans built in full: feasible nodes the victim-count bound (and,
+    /// under `GFS-p`, the node's own rank) did not rule out.
+    pub plans_built: u64,
+}
+
+/// The eviction-impact term of Eq. 19 for a plan of `k` victims, given
+/// the `g` completed and `f` evicted spot tasks so far.
+fn eviction_impact(g: f64, f: f64, k: usize) -> f64 {
+    let k = k as f64;
+    (f + k) / (g + f + k).max(1.0)
+}
+
+/// The fewest spot tasks whose holdings, largest first, cover what a pod
+/// of `need` cards lacks on a node with `idle` idle cards — a lower bound
+/// on the victims of any plan that frees the pod there — or `None` when a
+/// holding is not a whole number of cards (see
+/// [`Pts::schedule_preemptive`] for why the bound then stands aside).
+/// `sizes` is scratch space.
+fn min_victims(
+    idle: Cards,
+    need: Cards,
+    spots: &[SpotHolding],
+    sizes: &mut Vec<Cards>,
+) -> Option<usize> {
+    sizes.clear();
+    for h in spots {
+        if h.cards.0 % Cards::ONE.0 != 0 {
+            return None;
+        }
+        sizes.push(h.cards);
+    }
+    sizes.sort_unstable_by(|a, b| b.cmp(a));
+    let mut freed = idle;
+    let k = sizes.iter().take_while(|&&held| {
+        let short = freed < need;
+        freed += held;
+        short
+    });
+    Some(k.count())
+}
+
+/// `GFS-p`'s pseudo-random rank of a target node for `task`.
+fn random_rank(task: &TaskSpec, node: &Node) -> u64 {
+    fib_hash(u64::from(node.id().raw()) ^ task.id.raw())
+}
+
+/// `GFS-p`'s pseudo-random eviction order of spot task `id` for pod `pod`.
+fn random_rank_of_victim(id: TaskId, pod: u32) -> u64 {
+    fib_hash(id.raw()) ^ u64::from(pod)
+}
+
+/// Fibonacci hashing: a fixed odd multiplier scatters ids.
+fn fib_hash(x: u64) -> u64 {
+    x.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 #[cfg(test)]

@@ -8,7 +8,9 @@
 //! [`plan_preemption_by`] plans an HP gang against a virtual-idle ledger
 //! of evicted victims, asking a per-node plan for victims and a rank;
 //! the baselines' greedy [`plan_preemption`], Alg. 2 and `GFS-p` are
-//! three such plans.
+//! three such plans. It reads each node's spot tasks from the capacity
+//! index; [`plan_preemption_scan_by`] is the same walk over the running
+//! registry, kept as the oracle debug builds check every plan against.
 //!
 //! A [`PlacementPolicy`] is one of five presets and has nothing else to
 //! set. Every question about it — its score components, whether a key
@@ -18,7 +20,7 @@
 
 use std::collections::HashMap;
 
-use gfs_cluster::{Cluster, Decision, DrainDecision, Node, RunningTask};
+use gfs_cluster::{Cluster, Decision, DrainDecision, Node, RunningTask, SpotHolding};
 use gfs_types::{Cards, GpuDemand, NodeId, SimDuration, SimTime, TaskId, TaskSpec, HOUR};
 
 /// A placement-time churn policy: how a scheduler anticipates failures,
@@ -420,23 +422,142 @@ pub fn best_fit_nodes(cluster: &Cluster, task: &TaskSpec) -> Option<Vec<NodeId>>
     Some(out)
 }
 
+/// What [`plan_preemption_by`] shows a plan about one candidate node for
+/// one pod of the gang.
+#[derive(Debug)]
+pub struct Candidate<'a, R> {
+    /// The candidate node.
+    pub node: &'a Node,
+    /// The pod's index in the gang.
+    pub pod: u32,
+    /// The node's idle cards net of the gang's earlier pods and evictions.
+    pub idle: Cards,
+    /// The node's spot tasks not yet evicted, ascending by id, each with
+    /// the cards it holds here — straight from the capacity index.
+    pub spots: &'a [SpotHolding],
+    /// The rank of the best plan so far for this pod. A node only wins
+    /// with a strictly greater rank, so a plan that can prove it cannot
+    /// beat this may return `None` without building itself.
+    pub best: Option<&'a R>,
+}
+
 /// The skeleton of every preemptive placement: walks the pods of an HP
 /// `task` one at a time and, for each, asks `plan` what each candidate
 /// node would cost, taking the node with the greatest rank (ties keep the
 /// lower node id).
 ///
-/// `plan` receives the node, the pod's index, the node's idle cards net of
-/// the gang's earlier pods and evictions, and its spot tasks not yet
-/// evicted — ascending by id, each with the cards it holds on this node.
-/// It returns the victims that make the pod fit plus their rank, or
-/// `None` when the node cannot host the pod. A plan for which `decided`
-/// holds, once taken, ends the walk for that pod: nothing later can
-/// strictly beat it.
+/// `plan` sees a [`Candidate`] and pushes the victims that make the pod
+/// fit onto the (cleared) buffer it is handed, returning their rank, or
+/// returns `None` when the node cannot host the pod or cannot beat
+/// [`Candidate::best`]. A plan for which `decided` holds, once taken,
+/// ends the walk for that pod: nothing later can strictly beat it. The
+/// walk allocates nothing per node: the spot lists are the index's own
+/// (filtered into one reused buffer once the gang has evicted), and the
+/// victim buffers are swapped, not rebuilt.
 ///
 /// Returns `None` when some pod fits nowhere. Victims are deduplicated
 /// across pods: a gang victim spanning nodes frees capacity everywhere it
-/// runs.
+/// runs. [`plan_preemption_scan_by`] is the reference walk this one is
+/// checked against.
 pub fn plan_preemption_by<R, P, D>(
+    cluster: &Cluster,
+    task: &TaskSpec,
+    mut plan: P,
+    decided: D,
+) -> Option<Decision>
+where
+    R: PartialOrd,
+    P: FnMut(&Candidate<'_, R>, &mut Vec<TaskId>) -> Option<R>,
+    D: Fn(&[TaskId], &R) -> bool,
+{
+    let need = task.gpus_per_pod.cards();
+    // Only nodes that already fit or host an evictable spot pod can ever
+    // satisfy a pod; the index enumerates exactly those, ascending by id.
+    let candidates = cluster.preemption_candidates(task.gpu_model, need.ceil_cards());
+    // The idle cards the capacity index keeps for a node: its whole idle
+    // cards while schedulable, 0 while down or draining — what
+    // `Node::idle_gpus` counts, without walking the node's cards.
+    let actual_idle = |id: NodeId| {
+        let key = cluster.node_placement_key(id.raw());
+        Cards::whole(key.map_or(0, |(_, idle)| idle))
+    };
+    // virtual idle cards of the nodes the gang's earlier pods and
+    // evictions touched (any other node has its actual idle count); a
+    // gang touches a handful of nodes, so a list beats a hash map
+    let mut ledger: Vec<(NodeId, Cards)> = Vec::new();
+    let idle_of = |ledger: &[(NodeId, Cards)], id: NodeId| {
+        let entry = ledger.iter().find(|&&(n, _)| n == id);
+        entry.map_or_else(|| actual_idle(id), |&(_, idle)| idle)
+    };
+    let set_idle = |ledger: &mut Vec<(NodeId, Cards)>, id: NodeId, idle: Cards| {
+        if let Some(entry) = ledger.iter_mut().find(|(n, _)| *n == id) {
+            entry.1 = idle;
+        } else {
+            ledger.push((id, idle));
+        }
+    };
+    let mut evicted: Vec<TaskId> = Vec::new();
+    let mut pod_nodes = Vec::with_capacity(task.pods as usize);
+    let (mut live, mut victims, mut best_victims) = (Vec::new(), Vec::new(), Vec::new());
+    for pod in 0..task.pods {
+        let mut best: Option<(NodeId, R)> = None;
+        for n in candidates.iter().map(|&id| &cluster.nodes()[id as usize]) {
+            let idle = idle_of(&ledger, n.id());
+            let mut spots = cluster.spot_holdings(n.id());
+            if !evicted.is_empty() {
+                live.clear();
+                live.extend(spots.iter().filter(|h| !evicted.contains(&h.task)));
+                spots = &live;
+            }
+            victims.clear();
+            let offer = Candidate {
+                node: n,
+                pod,
+                idle,
+                spots,
+                best: best.as_ref().map(|(_, rank)| rank),
+            };
+            let Some(rank) = plan(&offer, &mut victims) else {
+                continue;
+            };
+            if best.as_ref().is_none_or(|(_, b)| rank > *b) {
+                let stop = decided(&victims, &rank);
+                best = Some((n.id(), rank));
+                std::mem::swap(&mut victims, &mut best_victims);
+                if stop {
+                    break;
+                }
+            }
+        }
+        let (node, _) = best?;
+        for v in &best_victims {
+            // credit every node the victim occupies
+            if let Some(rt) = cluster.running_task(*v) {
+                for p in &rt.placements {
+                    let idle = idle_of(&ledger, p.node) + p.alloc.cards();
+                    set_idle(&mut ledger, p.node, idle);
+                }
+            }
+            evicted.push(*v);
+        }
+        let idle = idle_of(&ledger, node) - need;
+        set_idle(&mut ledger, node, idle);
+        pod_nodes.push(node);
+    }
+    Some(Decision {
+        pod_nodes,
+        preemptions: evicted,
+    })
+}
+
+/// The reference walk behind [`plan_preemption_by`], kept as its oracle:
+/// the same pod-by-pod walk over the same candidates, but each node's
+/// spot tasks are looked up in the running registry and their holdings
+/// re-derived from their placements, and `plan` receives them as an
+/// owned list of `(task, cards held here)` and returns its victims with
+/// their rank. O(candidates × local spots) registry lookups and two
+/// allocations per node.
+pub fn plan_preemption_scan_by<R, P, D>(
     cluster: &Cluster,
     task: &TaskSpec,
     plan: P,
@@ -448,12 +569,9 @@ where
     D: Fn(&[TaskId], &R) -> bool,
 {
     let need = task.gpus_per_pod.cards();
-    // Only nodes that already fit or host an evictable spot pod can ever
-    // satisfy a pod; the index enumerates exactly those, ascending by id.
     let candidates = cluster.preemption_candidates(task.gpu_model, need.ceil_cards());
-    // virtual idle capacity per node, updated as we plan evictions; an
-    // absent entry means the node's actual idle count. Keyed lookups only
-    // (`get`/`entry`), never iterated, so hash order never decides.
+    // keyed lookups only (`get`/`entry`), never iterated, so hash order
+    // never decides
     let mut virt_idle: HashMap<NodeId, Cards> = HashMap::new();
     let actual_idle = |id: NodeId| Cards::whole(cluster.nodes()[id.index()].idle_gpus());
     let mut evicted: Vec<TaskId> = Vec::new();
@@ -487,7 +605,6 @@ where
         }
         let (node, victims, _) = best?;
         for v in &victims {
-            // credit every node the victim occupies
             if let Some(rt) = cluster.running_task(*v) {
                 for p in &rt.placements {
                     *virt_idle
@@ -510,6 +627,11 @@ where
 /// `victim_order` (smaller key first) until the pod fits, and take the
 /// node whose victims waste the least work. A plan wasting nothing is the
 /// global minimum and ends the walk.
+///
+/// A node whose idle and spot cards together fall short is ruled out from
+/// the index alone; elsewhere each spot task is looked up once and keyed
+/// once. Debug builds check every answer against
+/// [`plan_preemption_scan`].
 pub fn plan_preemption<K: Ord, F>(
     cluster: &Cluster,
     task: &TaskSpec,
@@ -520,7 +642,58 @@ where
     F: Fn(&RunningTask, SimTime) -> K,
 {
     let need = task.gpus_per_pod.cards();
-    plan_preemption_by(
+    let mut order: Vec<(K, &RunningTask, Cards)> = Vec::new();
+    let fast = plan_preemption_by(
+        cluster,
+        task,
+        |c, victims| {
+            // the greedy loop below fits exactly when everything does
+            if c.idle + c.spots.iter().map(|h| h.cards).sum() < need {
+                return None;
+            }
+            order.clear();
+            order.extend(c.spots.iter().map(|h| {
+                let rt = cluster
+                    .running_task(h.task)
+                    .expect("indexed spot is running");
+                (victim_order(rt, now), rt, h.cards)
+            }));
+            order.sort_by(|a, b| a.0.cmp(&b.0));
+            let (mut idle, mut waste) = (c.idle, 0.0);
+            for &(_, rt, local) in &order {
+                if idle >= need {
+                    break;
+                }
+                idle += local;
+                waste += rt.waste(now);
+                victims.push(rt.spec.id);
+            }
+            Some(-waste)
+        },
+        |_, rank| *rank >= 0.0,
+    );
+    #[cfg(debug_assertions)]
+    assert_eq!(
+        fast,
+        plan_preemption_scan(cluster, task, now, &victim_order),
+        "preemption walk diverged from the reference walk at {now:?} on {task:?}"
+    );
+    fast
+}
+
+/// The reference form of [`plan_preemption`], on
+/// [`plan_preemption_scan_by`]: the oracle debug builds check it against.
+pub fn plan_preemption_scan<K: Ord, F>(
+    cluster: &Cluster,
+    task: &TaskSpec,
+    now: SimTime,
+    victim_order: F,
+) -> Option<Decision>
+where
+    F: Fn(&RunningTask, SimTime) -> K,
+{
+    let need = task.gpus_per_pod.cards();
+    plan_preemption_scan_by(
         cluster,
         task,
         |_, _, mut idle, mut spots| {

@@ -105,26 +105,33 @@ impl GfsParams {
                 self.guarantee_rate
             )));
         }
-        if self.beta < 0.0 {
-            return Err(Error::InvalidConfig("beta must be non-negative".into()));
-        }
-        if self.penalty_m < 0.0 {
-            return Err(Error::InvalidConfig(
-                "penalty_m must be non-negative".into(),
-            ));
-        }
+        // `!(v >= 0.0)` also rejects NaN; ∞ is no weight or penalty either
+        let non_negative = |name: &str, v: f64| {
+            if v.is_finite() && v >= 0.0 {
+                Ok(())
+            } else {
+                Err(Error::InvalidConfig(format!(
+                    "{name} must be finite and non-negative, got {v}"
+                )))
+            }
+        };
+        non_negative("beta", self.beta)?;
+        non_negative("penalty_m", self.penalty_m)?;
         if self.guarantee_hours == 0 {
             return Err(Error::InvalidConfig(
                 "guarantee_hours must be positive".into(),
             ));
         }
-        if self.eta_initial <= 0.0 {
-            return Err(Error::InvalidConfig("eta_initial must be positive".into()));
+        if !(self.eta_initial.is_finite() && self.eta_initial > 0.0) {
+            return Err(Error::InvalidConfig(format!(
+                "eta_initial must be finite and positive, got {}",
+                self.eta_initial
+            )));
         }
         let (lo, hi) = self.eta_bounds;
-        if !(lo > 0.0 && hi >= lo) {
+        if !(lo > 0.0 && hi >= lo && hi.is_finite()) {
             return Err(Error::InvalidConfig(format!(
-                "eta_bounds must satisfy 0 < lo <= hi, got ({lo}, {hi})"
+                "eta_bounds must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})"
             )));
         }
         if self.eviction_window_short_secs > self.eviction_window_long_secs {
@@ -262,6 +269,24 @@ mod tests {
     #[test]
     fn builder_rejects_bad_gamma() {
         assert!(GfsParams::builder().gamma(1.1).build().is_err());
+    }
+
+    #[test]
+    fn builder_rejects_non_finite_values() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let b = GfsParams::builder;
+            assert!(b().beta(v).build().is_err(), "beta {v}");
+            assert!(b().penalty_m(v).build().is_err(), "penalty_m {v}");
+            assert!(b().eta_initial(v).build().is_err(), "eta_initial {v}");
+            assert!(b().eta_bounds(0.1, v).build().is_err(), "eta_bounds.1 {v}");
+            assert!(b().eta_bounds(v, 4.0).build().is_err(), "eta_bounds.0 {v}");
+            assert!(b().gamma(v).build().is_err(), "gamma {v}");
+            assert!(b().guarantee_rate(v).build().is_err(), "guarantee_rate {v}");
+        }
+        // the edges of the valid ranges stay valid
+        let p = GfsParams::builder().beta(0.0).penalty_m(0.0).build();
+        assert!(p.is_ok());
+        assert!(GfsParams::builder().beta(-0.5).build().is_err());
     }
 
     #[test]

@@ -174,11 +174,16 @@ mod brute {
             .collect()
     }
 
-    pub fn spot_on(cluster: &Cluster, node: gfs_types::NodeId) -> Vec<TaskId> {
+    /// Spot tasks with a pod on `node`, ascending by id, with the cards
+    /// their pods there hold — re-derived from the placements.
+    pub fn spot_on(cluster: &Cluster, node: gfs_types::NodeId) -> Vec<(TaskId, Cards)> {
         cluster
             .running()
             .filter(|rt| rt.spec.priority.is_spot() && rt.placements.iter().any(|p| p.node == node))
-            .map(|rt| rt.spec.id)
+            .map(|rt| {
+                let here = rt.placements.iter().filter(|p| p.node == node);
+                (rt.spec.id, here.map(|p| p.alloc.cards()).sum())
+            })
             .collect()
     }
 
@@ -357,11 +362,13 @@ fn capacity_index_matches_brute_force_scan() {
                     .iter()
                     .map(|rt| rt.spec.id)
                     .collect();
-                assert_eq!(
-                    indexed,
-                    brute::spot_on(&cluster, id),
+                let brute = brute::spot_on(&cluster, id);
+                let holdings = cluster.spot_holdings(id).iter().map(|h| (h.task, h.cards));
+                assert!(
+                    holdings.eq(brute.iter().copied()),
                     "spot-on({node}) diverged"
                 );
+                assert!(indexed.iter().eq(brute.iter().map(|(t, _)| t)));
                 assert_eq!(cluster.has_spot_on(id), !indexed.is_empty());
             }
             assert_eq!(cluster.fully_idle_nodes(), brute::fully_idle(&cluster));
