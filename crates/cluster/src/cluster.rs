@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use gfs_types::{
-    Cards, Error, FailureDomain, GpuDemand, GpuModel, NodeId, Result, SimDuration, SimTime, TaskId,
-    TaskSpec,
+    Cards, Error, FailureDomain, GpuDemand, GpuModel, NodeId, Priority, Result, SimDuration,
+    SimTime, TaskId, TaskSpec,
 };
 use serde::{Deserialize, Serialize};
 
@@ -575,22 +575,11 @@ impl Cluster {
                     self.apply_node_delta(nid, before);
                 }
                 Err(e) => {
-                    // roll back the partial gang
+                    // roll back the partial gang; the failing node itself
+                    // was never mutated
                     for p in &placements {
-                        let before = {
-                            let n = &self.nodes[p.node.index()];
-                            (n.idle_gpus(), n.hp_allocated(), n.spot_allocated())
-                        };
-                        self.node_mut(p.node)
-                            .expect("placed node exists")
-                            .release_pod(task, &p.alloc, priority)
-                            .expect("rollback of a fresh placement succeeds");
-                        self.apply_node_delta(p.node, before);
-                        let node = &self.nodes[p.node.index()];
-                        self.index.refresh(node);
-                        self.changes.note(p.node.raw());
+                        self.free_pod(task, p, priority);
                     }
-                    // the failing node itself was never mutated
                     return Err(e);
                 }
             }
@@ -676,22 +665,26 @@ impl Cluster {
 
     fn release_placements(&mut self, rt: &RunningTask) {
         for p in &rt.placements {
-            let before = {
-                let n = &self.nodes[p.node.index()];
-                (n.idle_gpus(), n.hp_allocated(), n.spot_allocated())
-            };
-            self.node_mut(p.node)
-                .expect("hosting node exists")
-                .release_pod(rt.spec.id, &p.alloc, rt.spec.priority)
-                .expect("running placements are consistent");
-            self.apply_node_delta(p.node, before);
-            let node = &self.nodes[p.node.index()];
-            self.index.refresh(node);
-            self.changes.note(p.node.raw());
+            self.free_pod(rt.spec.id, p, rt.spec.priority);
             if rt.spec.priority.is_spot() {
                 self.index.remove_spot(p.node, rt.spec.id);
             }
         }
+    }
+
+    /// Frees one placed pod: the node's cards, the capacity totals, its
+    /// capacity-index keys and the change log. The one per-pod release
+    /// path of every exit (finish, evict, migrate, displacement) and of a
+    /// gang's rollback.
+    fn free_pod(&mut self, task: TaskId, p: &PodPlacement, priority: Priority) {
+        let n = &self.nodes[p.node.index()];
+        let before = (n.idle_gpus(), n.hp_allocated(), n.spot_allocated());
+        self.nodes[p.node.index()]
+            .release_pod(task, &p.alloc, priority)
+            .expect("placed pods are consistent");
+        self.apply_node_delta(p.node, before);
+        self.index.refresh(&self.nodes[p.node.index()]);
+        self.changes.note(p.node.raw());
     }
 
     /// Folds one node's state change into the cluster-wide and per-model
@@ -772,9 +765,7 @@ impl Cluster {
         // placement keys vanish; the spot locality list stays (the node
         // still hosts its pods until they finish or the deadline hits)
         self.take_out_of_service(id);
-        let node = &mut self.nodes[id.index()];
-        node.set_draining(Some(deadline));
-        node.record_drain();
+        self.nodes[id.index()].set_draining(Some(deadline));
         self.draining_nodes += 1;
         self.change_domain_draining(id, 1);
         Ok(())
@@ -1173,7 +1164,9 @@ mod tests {
         assert_eq!(
             c.node(NodeId::new(2))
                 .unwrap()
-                .evictions_within(now, 3_600 * 2),
+                .evictions()
+                .within(now, 3_600 * 2)
+                .0,
             1
         );
     }
@@ -1413,7 +1406,9 @@ mod tests {
         assert_eq!(
             c.node(NodeId::new(0))
                 .unwrap()
-                .evictions_within(SimTime::from_secs(200), HOUR),
+                .evictions()
+                .within(SimTime::from_secs(200), HOUR)
+                .0,
             1
         );
         c.fail_node(NodeId::new(0), SimTime::from_secs(300))
@@ -1423,7 +1418,9 @@ mod tests {
         assert_eq!(
             c.node(NodeId::new(0))
                 .unwrap()
-                .evictions_within(SimTime::from_secs(500), HOUR),
+                .evictions()
+                .within(SimTime::from_secs(500), HOUR)
+                .0,
             0,
             "a machine back from repair starts with a clean history"
         );
@@ -1604,7 +1601,7 @@ mod tests {
         assert_eq!(c.capacity(None), 32.0);
         assert!(c.whole_fit_candidates(GpuModel::A100, 5).contains(&0));
         assert_eq!(
-            n0.evictions_within(SimTime::from_secs(200), HOUR),
+            n0.evictions().within(SimTime::from_secs(200), HOUR).0,
             1,
             "a cancelled drain repairs nothing, so history survives"
         );
@@ -1633,7 +1630,9 @@ mod tests {
         assert_eq!(
             c.node(NodeId::new(0))
                 .unwrap()
-                .evictions_within(SimTime::from_secs(5_000), HOUR),
+                .evictions()
+                .within(SimTime::from_secs(5_000), HOUR)
+                .0,
             0,
             "migration leaves no eviction pressure behind"
         );
@@ -1680,7 +1679,7 @@ mod tests {
     }
 
     #[test]
-    fn failure_and_drain_history_survive_restore() {
+    fn failure_history_survives_restore() {
         let mut c = cluster();
         c.fail_node(NodeId::new(1), SimTime::from_hours(1)).unwrap();
         c.restore_node(NodeId::new(1), SimTime::from_hours(2))
@@ -1688,26 +1687,25 @@ mod tests {
         c.fail_node(NodeId::new(1), SimTime::from_hours(5)).unwrap();
         c.restore_node(NodeId::new(1), SimTime::from_hours(6))
             .unwrap();
-        let n1 = c.node(NodeId::new(1)).unwrap();
+        let now = SimTime::from_hours(6);
+        let failures = |c: &Cluster, id, window| {
+            c.node(NodeId::new(id))
+                .unwrap()
+                .failures()
+                .within(now, window)
+        };
         assert_eq!(
-            n1.failure_count(),
-            2,
+            failures(&c, 1, 5 * HOUR),
+            (2, Some(SimTime::from_hours(6))),
             "repairs must not erase the failure history"
         );
-        assert_eq!(n1.failures_within(SimTime::from_hours(6), 2 * HOUR), 1);
-        assert_eq!(n1.last_failure(), Some(SimTime::from_hours(5)));
-        assert_eq!(
-            n1.time_since_failure(SimTime::from_hours(7)),
-            Some(2 * HOUR)
-        );
+        assert_eq!(failures(&c, 1, 2 * HOUR), (1, Some(SimTime::from_hours(7))));
         // a forced drain shutdown is an up→down transition too
         c.drain_node(NodeId::new(2), SimTime::from_hours(8))
             .unwrap();
         c.fail_node(NodeId::new(2), SimTime::from_hours(8)).unwrap();
-        let n2 = c.node(NodeId::new(2)).unwrap();
-        assert_eq!(n2.failure_count(), 1);
-        assert_eq!(n2.drain_count(), 1);
-        assert_eq!(c.node(NodeId::new(0)).unwrap().failure_count(), 0);
+        assert_eq!(failures(&c, 2, HOUR).0, 1);
+        assert_eq!(failures(&c, 0, u64::MAX), (0, None));
     }
 
     #[test]
@@ -1840,7 +1838,11 @@ mod tests {
         assert_eq!(r.draining_in_domain(0), c.draining_in_domain(0));
         assert_eq!(r.domain_of(NodeId::new(1)), c.domain_of(NodeId::new(1)));
         // failure history survives the round trip
-        assert_eq!(r.node(NodeId::new(3)).unwrap().failure_count(), 1);
+        assert_eq!(
+            r.node(NodeId::new(3)).unwrap().failures(),
+            c.node(NodeId::new(3)).unwrap().failures()
+        );
+        assert_eq!(r.node(NodeId::new(3)).unwrap().failures().iter().count(), 1);
     }
 
     #[test]

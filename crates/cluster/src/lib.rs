@@ -65,11 +65,10 @@
 //! denominator for availability metrics. The engine-side event flow is
 //! documented on `gfs_sim::dynamics`.
 //!
-//! Churn leaves a *history* behind for placement policies to read in
-//! O(1): `fail_node` records per-node up→down transitions
-//! ([`Node::failures_within`], [`Node::failure_count`],
-//! [`Node::time_since_failure`] — kept across repairs, unlike the
-//! eviction history), `drain_node` bumps [`Node::drain_count`], and a
+//! Churn leaves a *history* behind for placement policies to read:
+//! `fail_node` records per-node up→down transitions ([`Node::failures`],
+//! a [`TimeLog`] whose one windowed query gives a count and how long it
+//! holds — kept across repairs, unlike the eviction history), and a
 //! declared failure-domain topology ([`Cluster::set_failure_domains`])
 //! answers [`Cluster::domain_of`] and the per-domain
 //! [`Cluster::draining_in_domain`] count that drain-aware placement
@@ -103,5 +102,5 @@ mod scheduler;
 pub use changelog::ChangeLog;
 pub use cluster::{Cluster, ClusterSnapshot, Displaced, PodPlacement, RunningTask};
 pub use index::{CapacityIndex, SpotHolding};
-pub use node::{Gpu, Node, NodeSnapshot, PodAlloc};
+pub use node::{Gpu, Node, NodeSnapshot, PodAlloc, TimeLog};
 pub use scheduler::{Decision, DrainDecision, Scheduler, TaskEvent};

@@ -1,15 +1,17 @@
 //! A single machine hosting several GPUs.
 //!
 //! Nodes track per-card occupancy (supporting both whole-card and
-//! fractional allocations), cached per-priority totals, and a timestamped
-//! eviction history powering the eviction-awareness score (Eq. 15–16) and
-//! the circuit-breaker.
+//! fractional allocations), cached per-priority totals, and timestamped
+//! eviction and failure histories ([`TimeLog`]) powering the
+//! eviction-awareness score (Eq. 15–16), the circuit-breaker and the
+//! reliability term of churn-aware placement.
 
 use std::collections::VecDeque;
 
 use gfs_types::{
     Cards, Error, GpuDemand, GpuModel, NodeId, Priority, Result, SimDuration, SimTime, TaskId,
 };
+use serde::de::DeError;
 use serde::{Deserialize, Serialize};
 
 /// Occupancy of one GPU card.
@@ -75,20 +77,13 @@ pub struct Node {
     gpus: Vec<Gpu>,
     hp_alloc: Cards,
     spot_alloc: Cards,
-    evictions: VecDeque<SimTime>,
+    evictions: TimeLog,
     /// Timestamps of up→down transitions (abrupt failures and forced
     /// drain shutdowns), powering the reliability score of churn-aware
     /// placement. Unlike the eviction history this is *not* cleared on
     /// restore: a machine that keeps failing is exactly what the score
     /// must remember across repairs.
-    failures: VecDeque<SimTime>,
-    /// Monotonic count of up→down transitions over the node's lifetime.
-    failure_total: u32,
-    /// Exact time of the most recent up→down transition (independent of
-    /// the windowed history's retirement).
-    last_failure: Option<SimTime>,
-    /// Monotonic count of maintenance-drain notices received.
-    drain_total: u32,
+    failures: TimeLog,
     /// Whether the node is in service. A down node holds no allocations
     /// and reports zero idle/free capacity, so every placement scan skips
     /// it naturally; only [`Node::total_gpus`] keeps reporting the static
@@ -111,11 +106,8 @@ impl Node {
             gpus: (0..num_gpus).map(|_| Gpu::new()).collect(),
             hp_alloc: Cards(0),
             spot_alloc: Cards(0),
-            evictions: VecDeque::new(),
-            failures: VecDeque::new(),
-            failure_total: 0,
-            last_failure: None,
-            drain_total: 0,
+            evictions: TimeLog::default(),
+            failures: TimeLog::default(),
             up: true,
             drain_deadline: None,
         }
@@ -172,7 +164,7 @@ impl Node {
     /// returning from repair must not inherit the pre-failure eviction
     /// pressure that would mis-steer the Eq. 15–16 scores).
     pub(crate) fn clear_eviction_history(&mut self) {
-        self.evictions.clear();
+        self.evictions.0.clear();
     }
 
     /// Node identifier.
@@ -361,112 +353,36 @@ impl Node {
 
     /// Records one eviction event at `now`.
     pub fn record_eviction(&mut self, now: SimTime) {
-        record_timestamped(&mut self.evictions, now);
+        self.evictions.record(now);
     }
 
-    /// Number of evictions recorded in the last `window` seconds.
+    /// The eviction history behind the Eq. 15–16 scores; restore clears
+    /// it.
     #[must_use]
-    pub fn evictions_within(&self, now: SimTime, window: SimDuration) -> usize {
-        count_within(&self.evictions, now, window)
-    }
-
-    /// The earliest future time at which some `evictions_within(now, w)`
-    /// count for `w ∈ windows` will change by pure aging — i.e. the last
-    /// instant the current counts are still valid (`count_within` uses an
-    /// inclusive boundary, so an eviction at `tₑ` leaves a window `w` when
-    /// `now > tₑ + w`). `None` when no logged eviction sits inside any of
-    /// the windows: the counts are stable until the next mutation. Score
-    /// caches use this to schedule eviction-window-aware invalidation.
-    #[must_use]
-    pub fn eviction_score_valid_until(
-        &self,
-        now: SimTime,
-        windows: &[SimDuration],
-    ) -> Option<SimTime> {
-        let mut edge: Option<u64> = None;
-        for &te in &self.evictions {
-            for &w in windows {
-                if now.since(te) <= w {
-                    let leave = te.as_secs() + w;
-                    if edge.is_none_or(|e| leave < e) {
-                        edge = Some(leave);
-                    }
-                }
-            }
-        }
-        edge.map(SimTime::from_secs)
+    pub fn evictions(&self) -> &TimeLog {
+        &self.evictions
     }
 
     /// Records one up→down transition at `now` (abrupt failure or forced
     /// drain shutdown). Called by [`Cluster`](crate::Cluster) from
-    /// `fail_node`; survives restore — see [`Node::failures_within`].
+    /// `fail_node`; survives restore — see [`Node::failures`].
     pub(crate) fn record_failure(&mut self, now: SimTime) {
-        self.failure_total = self.failure_total.saturating_add(1);
-        self.last_failure = Some(now);
-        record_timestamped(&mut self.failures, now);
+        self.failures.record(now);
     }
 
-    /// Records one maintenance-drain notice.
-    pub(crate) fn record_drain(&mut self) {
-        self.drain_total = self.drain_total.saturating_add(1);
-    }
-
-    /// Number of up→down transitions within the last `window` seconds —
-    /// the failure analogue of [`Node::evictions_within`], feeding the
-    /// reliability term of churn-aware placement. The history survives
-    /// repair (a flaky machine stays flaky in the score), in deliberate
-    /// contrast to the eviction history, which restore clears.
+    /// The up→down transitions behind the reliability term of
+    /// churn-aware placement. The history survives repair (a flaky
+    /// machine stays flaky in the score), in deliberate contrast to the
+    /// eviction history, which restore clears.
     #[must_use]
-    pub fn failures_within(&self, now: SimTime, window: SimDuration) -> usize {
-        count_within(&self.failures, now, window)
-    }
-
-    /// The last instant `failures_within(now, window)` keeps its current
-    /// value under pure aging — the failure twin of
-    /// [`Node::eviction_score_valid_until`], same inclusive boundary (a
-    /// failure at `t_f` leaves the window when `now > t_f + window`).
-    /// `None` when no logged failure sits inside the window.
-    #[must_use]
-    pub fn failure_score_valid_until(&self, now: SimTime, window: SimDuration) -> Option<SimTime> {
-        let oldest = self
-            .failures
-            .iter()
-            .filter(|&&tf| now.since(tf) <= window)
-            .min()?;
-        Some(SimTime::from_secs(oldest.as_secs() + window))
-    }
-
-    /// Lifetime count of up→down transitions (monotonic; unlike the
-    /// windowed history this never retires entries).
-    #[must_use]
-    pub fn failure_count(&self) -> u32 {
-        self.failure_total
-    }
-
-    /// Lifetime count of maintenance-drain notices received (monotonic).
-    #[must_use]
-    pub fn drain_count(&self) -> u32 {
-        self.drain_total
-    }
-
-    /// When the node last went down, if it ever did (exact, independent
-    /// of the windowed history's retirement).
-    #[must_use]
-    pub fn last_failure(&self) -> Option<SimTime> {
-        self.last_failure
-    }
-
-    /// Seconds since the node last went down (`None` for a node that
-    /// never failed) — an O(1) placement-time freshness query.
-    #[must_use]
-    pub fn time_since_failure(&self, now: SimTime) -> Option<SimDuration> {
-        self.last_failure().map(|t| now.since(t))
+    pub fn failures(&self) -> &TimeLog {
+        &self.failures
     }
 
     /// Exponentially-decayed failure rate: every failure in the retained
     /// history contributes `2^(−age/half_life)`, so a failure loses half
-    /// its weight every `half_life_secs`. Unlike the hard
-    /// [`Node::failures_within`] window this never forgets abruptly — a
+    /// its weight every `half_life_secs`. Unlike a hard
+    /// [`TimeLog::within`] window this never forgets abruptly — a
     /// machine that failed yesterday scores worse than one that failed
     /// last week, which scores worse than one that never failed.
     #[must_use]
@@ -474,7 +390,7 @@ impl Node {
         let hl = half_life_secs.max(1) as f64;
         self.failures
             .iter()
-            .map(|&t| (-(now.since(t) as f64) / hl).exp2())
+            .map(|t| (-(now.since(t) as f64) / hl).exp2())
             .sum()
     }
 
@@ -490,11 +406,8 @@ impl Node {
             gpus: s.gpus,
             hp_alloc: s.hp_alloc,
             spot_alloc: s.spot_alloc,
-            evictions: s.evictions.into(),
-            failures: s.failures.into(),
-            failure_total: s.failure_total,
-            last_failure: s.last_failure,
-            drain_total: s.drain_total,
+            evictions: s.evictions,
+            failures: s.failures,
             up: s.up,
             drain_deadline: s.drain_deadline,
         }
@@ -502,7 +415,8 @@ impl Node {
 }
 
 /// A decoded [`Node`], ready for [`Node::from_snapshot`]. Decode-only:
-/// the encoder writes the live node.
+/// the encoder writes the live node. Fields the node no longer keeps (the
+/// lifetime failure and drain counters of older snapshots) are skipped.
 #[derive(Debug, Deserialize)]
 pub struct NodeSnapshot {
     id: NodeId,
@@ -510,34 +424,69 @@ pub struct NodeSnapshot {
     gpus: Vec<Gpu>,
     hp_alloc: Cards,
     spot_alloc: Cards,
-    evictions: Vec<SimTime>,
-    failures: Vec<SimTime>,
-    failure_total: u32,
-    last_failure: Option<SimTime>,
-    drain_total: u32,
+    evictions: TimeLog,
+    failures: TimeLog,
     up: bool,
     drain_deadline: Option<SimTime>,
 }
 
-/// Appends `now` to a timestamped event log and retires entries older
-/// than any plausible scoring window (7 days) — the shared bound of the
-/// eviction and failure histories. Lifetime counters that must never
-/// retire ([`Node::failure_count`]) are kept separately by the caller.
-fn record_timestamped(log: &mut VecDeque<SimTime>, now: SimTime) {
-    log.push_back(now);
-    let horizon = 7 * gfs_types::SECONDS_PER_DAY;
-    while let Some(&front) = log.front() {
-        if now.since(front) > horizon {
-            log.pop_front();
-        } else {
-            break;
+/// A node's event history: timestamps in time order, each retired once
+/// it is older than any plausible scoring window (7 days) relative to the
+/// newest. One [`TimeLog::within`] query answers both what a windowed
+/// score counts and how long that count holds.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[serde(transparent)]
+pub struct TimeLog(VecDeque<SimTime>);
+
+impl TimeLog {
+    /// Appends `now`, which must not precede the newest entry, and
+    /// retires the entries older than 7 days.
+    pub(crate) fn record(&mut self, now: SimTime) {
+        debug_assert!(
+            self.0.back().is_none_or(|&last| last <= now),
+            "history recorded out of time order: {now:?} after {:?}",
+            self.0.back()
+        );
+        self.0.push_back(now);
+        let horizon = 7 * gfs_types::SECONDS_PER_DAY;
+        while self.0.front().is_some_and(|&t| now.since(t) > horizon) {
+            self.0.pop_front();
         }
+    }
+
+    /// The entries within the last `window` seconds of `now` — those with
+    /// `now.since(t) ≤ window`, so the boundary is inclusive and an entry
+    /// after `now` counts — and the last instant that count holds under
+    /// pure aging: the oldest counted entry plus `window` (saturating),
+    /// after which it leaves. `None` when nothing is counted: the count
+    /// then holds until the next record. The counted entries are a suffix
+    /// of the sorted log, so this is one binary search.
+    #[must_use]
+    pub fn within(&self, now: SimTime, window: SimDuration) -> (usize, Option<SimTime>) {
+        let first = self.0.partition_point(|&t| now.since(t) > window);
+        let until = self.0.get(first).map(|t| t.saturating_add(window));
+        (self.0.len() - first, until)
+    }
+
+    /// The entries, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = SimTime> + '_ {
+        self.0.iter().copied()
     }
 }
 
-/// Events in `log` within the last `window` seconds (inclusive boundary).
-fn count_within(log: &VecDeque<SimTime>, now: SimTime, window: SimDuration) -> usize {
-    log.iter().filter(|&&t| now.since(t) <= window).count()
+/// Snapshots come from outside the program, and [`TimeLog::within`]
+/// relies on the time order, so a log out of order does not decode.
+impl Deserialize for TimeLog {
+    fn deserialize_json(p: &mut serde::de::Parser<'_>) -> std::result::Result<Self, DeError> {
+        let log = Vec::<SimTime>::deserialize_json(p)?;
+        if let Some(w) = log.windows(2).find(|w| w[0] > w[1]) {
+            return Err(DeError::msg(format!(
+                "history out of time order: {:?} before {:?}",
+                w[0], w[1]
+            )));
+        }
+        Ok(TimeLog(log.into()))
+    }
 }
 
 #[cfg(test)]
@@ -624,12 +573,13 @@ mod tests {
         n.record_eviction(SimTime::from_hours(10));
         n.record_eviction(SimTime::from_hours(24));
         let now = SimTime::from_hours(25);
-        assert_eq!(n.evictions_within(now, gfs_types::HOUR), 1);
+        let count = |w| n.evictions().within(now, w).0;
+        assert_eq!(count(gfs_types::HOUR), 1);
         // the window boundary is inclusive: the hour-1 eviction is exactly
         // 24 h old at now = 25 h
-        assert_eq!(n.evictions_within(now, 24 * gfs_types::HOUR), 3);
-        assert_eq!(n.evictions_within(now, 23 * gfs_types::HOUR), 2);
-        assert_eq!(n.evictions_within(now, 48 * gfs_types::HOUR), 3);
+        assert_eq!(count(24 * gfs_types::HOUR), 3);
+        assert_eq!(count(23 * gfs_types::HOUR), 2);
+        assert_eq!(count(48 * gfs_types::HOUR), 3);
     }
 
     #[test]
@@ -639,64 +589,50 @@ mod tests {
             n.record_eviction(SimTime::from_hours(h));
         }
         // entries older than 7 days get retired
-        assert!(n.evictions_within(SimTime::from_hours(999), u64::MAX) <= 7 * 24 + 1);
+        let (count, _) = n.evictions().within(SimTime::from_hours(999), u64::MAX);
+        assert!(count <= 7 * 24 + 1);
     }
 
     #[test]
-    fn failure_history_counts_and_freshness() {
-        let mut n = node();
-        assert_eq!(n.failure_count(), 0);
-        assert!(n.last_failure().is_none());
-        assert!(n.time_since_failure(SimTime::from_hours(1)).is_none());
-        n.record_failure(SimTime::from_hours(1));
-        n.record_failure(SimTime::from_hours(30));
-        assert_eq!(n.failure_count(), 2);
-        let now = SimTime::from_hours(31);
-        assert_eq!(n.failures_within(now, gfs_types::HOUR * 2), 1);
-        assert_eq!(n.failures_within(now, 40 * gfs_types::HOUR), 2);
-        assert_eq!(n.last_failure(), Some(SimTime::from_hours(30)));
-        assert_eq!(n.time_since_failure(now), Some(gfs_types::HOUR));
-        n.record_drain();
-        assert_eq!(n.drain_count(), 1);
-    }
-
-    #[test]
-    fn failure_count_is_valid_through_the_inclusive_window_edge() {
-        let mut n = node();
+    fn window_count_holds_through_the_inclusive_edge() {
+        let mut log = TimeLog::default();
         let (tf, window) = (SimTime::from_secs(1_000), 500);
-        assert_eq!(n.failure_score_valid_until(tf, window), None);
-        n.record_failure(tf);
-        n.record_failure(SimTime::from_secs(1_200));
-        // the older failure leaves first, and only *after* tf + window
+        assert_eq!(log.within(tf, window), (0, None));
+        log.record(tf);
+        log.record(SimTime::from_secs(1_200));
+        // the older entry leaves first, and only *after* tf + window
         let edge = SimTime::from_secs(1_500);
-        assert_eq!(n.failure_score_valid_until(tf, window), Some(edge));
-        assert_eq!(n.failures_within(edge, window), 2);
-        assert_eq!(n.failure_score_valid_until(edge, window), Some(edge));
+        assert_eq!(log.within(tf, window), (2, Some(edge)));
+        assert_eq!(log.within(edge, window), (2, Some(edge)));
         let after = SimTime::from_secs(1_501);
-        assert_eq!(n.failures_within(after, window), 1);
         assert_eq!(
-            n.failure_score_valid_until(after, window),
-            Some(SimTime::from_secs(1_700))
+            log.within(after, window),
+            (1, Some(SimTime::from_secs(1_700)))
         );
-        assert_eq!(
-            n.failure_score_valid_until(SimTime::from_secs(1_701), window),
-            None
-        );
+        assert_eq!(log.within(SimTime::from_secs(1_701), window), (0, None));
+        // a query before the log still counts every entry
+        assert_eq!(log.within(SimTime::ZERO, window), (2, Some(edge)));
     }
 
     #[test]
-    fn failure_history_is_bounded_but_total_is_not() {
+    fn failure_history_is_bounded() {
         let mut n = node();
         for h in 0..1_000 {
             n.record_failure(SimTime::from_hours(h));
         }
-        assert!(n.failures_within(SimTime::from_hours(999), u64::MAX) <= 7 * 24 + 1);
+        let (count, _) = n.failures().within(SimTime::from_hours(999), u64::MAX);
+        assert!(count <= 7 * 24 + 1);
+        assert_eq!(n.failures().within(SimTime::from_hours(999), 0).0, 1);
+    }
+
+    #[test]
+    fn out_of_order_history_does_not_decode() {
+        let parse = |json: &str| TimeLog::deserialize_json(&mut serde::de::Parser::new(json));
         assert_eq!(
-            n.failure_count(),
-            1_000,
-            "the lifetime counter never retires"
+            parse("[3,5,5,9]").map(|log| log.iter().collect::<Vec<_>>()),
+            Ok([3, 5, 5, 9].map(SimTime::from_secs).to_vec())
         );
-        assert!(n.last_failure().is_some());
+        assert!(parse("[3,9,5]").is_err());
     }
 
     #[test]

@@ -35,6 +35,9 @@ use gfs_types::{
 
 use crate::score_index::{Flavor, Key, ScoreIndex};
 
+/// `<Score1, Score2, Score3>` of one candidate node (Eq. 13–16).
+type Scores = (f64, f64, f64);
+
 /// Which degradation (if any) to apply — the Table 10 ablation variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PtsVariant {
@@ -117,27 +120,6 @@ impl Pts {
         &self.policy
     }
 
-    /// Weighted node eviction rate `ē` (Eq. 15).
-    #[must_use]
-    pub fn node_eviction_rate(&self, node: &Node, now: SimTime) -> f64 {
-        let short = node.evictions_within(now, self.params.eviction_window_short_secs) as f64;
-        let long = node.evictions_within(now, self.params.eviction_window_long_secs) as f64;
-        let t_long_hours = (self.params.eviction_window_long_secs / HOUR).max(1) as f64;
-        self.params.gamma * short + (1.0 - self.params.gamma) * long / t_long_hours
-    }
-
-    /// Eviction-awareness score (Eq. 16). Returns the score; a spot score
-    /// of exactly 0 triggers the circuit breaker (node excluded).
-    #[must_use]
-    pub fn score3(&self, node: &Node, priority: Priority, now: SimTime) -> f64 {
-        let e_bar = self.node_eviction_rate(node, now);
-        let x = 0.01 * self.params.penalty_m * e_bar;
-        match priority {
-            Priority::Hp => x.min(1.0),
-            Priority::Spot => (1.0 - x).max(0.0),
-        }
-    }
-
     /// Full `<Score1, Score2, Score3>` for a candidate node (Eq. 13–16),
     /// or `None` when the circuit breaker blacklists it for a spot task.
     #[must_use]
@@ -147,60 +129,62 @@ impl Pts {
         priority: Priority,
         now: SimTime,
     ) -> Option<(f64, f64, f64)> {
+        self.scores(node, now).0[Flavor::of(priority) as usize]
+    }
+
+    /// [`Pts::node_scores`] for an HP and a spot task, and the last
+    /// instant the windowed eviction counts behind `Score3` hold (`None`:
+    /// until the next mutation). The degraded variants score packing
+    /// alone, so nothing of theirs ages.
+    fn scores(&self, node: &Node, now: SimTime) -> ([Option<Scores>; 2], Option<SimTime>) {
         let total = f64::from(node.total_gpus()).max(1.0);
         let s1 = 1.0 - f64::from(node.idle_gpus()) / total;
         if self.variant.scoring_degraded() {
-            return Some((s1, 0.0, 0.0));
+            return ([Some((s1, 0.0, 0.0)); 2], None);
         }
-        let s2 = match priority {
-            Priority::Hp => node.hp_allocated().as_f64() / total,
-            Priority::Spot => node.spot_allocated().as_f64() / total,
-        };
-        let s3 = self.score3(node, priority, now);
-        if priority.is_spot() && s3 <= 0.0 {
-            return None; // circuit breaker (§3.4.2)
-        }
-        Some((s1, s2, s3))
+        // the weighted node eviction rate ē (Eq. 15) and its penalty
+        let p = &self.params;
+        let (short, short_until) = node.evictions().within(now, p.eviction_window_short_secs);
+        let (long, long_until) = node.evictions().within(now, p.eviction_window_long_secs);
+        let t_long_hours = (p.eviction_window_long_secs / HOUR).max(1) as f64;
+        let e_bar = p.gamma * short as f64 + (1.0 - p.gamma) * long as f64 / t_long_hours;
+        let x = 0.01 * p.penalty_m * e_bar;
+        // Eq. 16: HP seeks eviction-prone nodes, spot avoids them, and a
+        // spot score of 0 trips the circuit breaker (§3.4.2)
+        let hp = (s1, node.hp_allocated().as_f64() / total, x.min(1.0));
+        let spot_s3 = (1.0 - x).max(0.0);
+        let spot = (spot_s3 > 0.0).then(|| (s1, node.spot_allocated().as_f64() / total, spot_s3));
+        let until = short_until.into_iter().chain(long_until).min();
+        ([Some(hp), spot], until)
     }
 
-    /// Alg. 1's key of `node` for a `priority` task without its
-    /// gang-spread term: `<hazard, drain, Score1, Score2, Score3>` as
-    /// words that order like the scores (module doc of `score_index`);
-    /// `None` where [`Pts::node_scores`] excludes the node. The scan and
-    /// the score index both rank by this key.
+    /// Alg. 1's keys of `node` without the gang-spread term, for an HP and
+    /// a spot task: `<hazard, drain, Score1, Score2, Score3>` as words that
+    /// order like the scores (module doc of `score_index`), `None` where
+    /// [`Pts::node_scores`] excludes the node. With them comes the last
+    /// instant both stay current without a cluster mutation: the earliest
+    /// moment a windowed eviction or failure count behind them ages out
+    /// (`None`: stable until the next mutation). The scan and the score
+    /// index both rank by these keys.
     pub(crate) fn node_key(
         &self,
         cluster: &Cluster,
         node: &Node,
-        priority: Priority,
         now: SimTime,
-    ) -> Option<Key> {
-        let (s1, s2, s3) = self.node_scores(node, priority, now)?;
-        let hazard = self.policy.hazard_component(cluster, node, now);
+    ) -> ([Option<Key>; 2], Option<SimTime>) {
+        let (scores, evictions_until) = self.scores(node, now);
+        let (hazard, hazard_until) = self.policy.hazard_component(cluster, node, now);
         let draining = -self.policy.drain_component(cluster, node.id());
-        let [hazard, s1, s2, s3] = [hazard, s1, s2, s3].map(|v| {
-            debug_assert!(v.is_finite() && v.is_sign_positive(), "key word {v}");
-            v.to_bits()
+        let keys = scores.map(|scores| {
+            let (s1, s2, s3) = scores?;
+            let [hazard, s1, s2, s3] = [hazard, s1, s2, s3].map(|v| {
+                debug_assert!(v.is_finite() && v.is_sign_positive(), "key word {v}");
+                v.to_bits()
+            });
+            Some([hazard, u64::MAX - draining as u64, s1, s2, s3])
         });
-        Some([hazard, u64::MAX - draining as u64, s1, s2, s3])
-    }
-
-    /// The last instant [`Pts::node_key`] stays current for `node`
-    /// without a cluster mutation: the earliest moment a windowed
-    /// eviction or failure count behind the key ages out (`None`: stable
-    /// until the next mutation). The degraded variants score packing
-    /// alone, so only the reliability window can bound their keys.
-    pub(crate) fn keys_valid_until(&self, node: &Node, now: SimTime) -> Option<SimTime> {
-        let p = &self.params;
-        let windows = [p.eviction_window_short_secs, p.eviction_window_long_secs];
-        let evictions = if self.variant.scoring_degraded() {
-            None
-        } else {
-            node.eviction_score_valid_until(now, &windows)
-        };
         // whichever count changes first
-        let failures = self.policy.hazard_valid_until(node, now);
-        evictions.into_iter().chain(failures).min()
+        (keys, evictions_until.into_iter().chain(hazard_until).min())
     }
 
     /// One decision as GFS and bare PTS make it: Alg. 1, then Alg. 2 for
@@ -296,8 +280,9 @@ impl Pts {
         cluster: &Cluster,
         now: SimTime,
     ) -> Option<Vec<NodeId>> {
+        let flavor = Flavor::of(task.priority) as usize;
         gang_nodes_by(cluster, task, |n, used| {
-            let key = self.node_key(cluster, n, task.priority, now)?;
+            let key = self.node_key(cluster, n, now).0[flavor]?;
             let in_domain = self.policy.spread_count(cluster, n.id(), used);
             Some(gang_key(key, in_domain))
         })
@@ -866,8 +851,6 @@ mod tests {
             c.evict_task(TaskId::new(100 + i), now).unwrap();
         }
         let p = pts();
-        let e0 = p.node_eviction_rate(&c.nodes()[0], now);
-        assert!(e0 >= 50.0 * 0.8, "short-window count dominates: {e0}");
         // spot is circuit-broken on node 0
         assert!(p.node_scores(&c.nodes()[0], Priority::Spot, now).is_none());
         let nodes = p
@@ -875,9 +858,9 @@ mod tests {
             .unwrap();
         assert_eq!(nodes, vec![NodeId::new(1)]);
         // HP prefers the eviction-prone node (asymmetric score)
-        let hp_s3_n0 = p.score3(&c.nodes()[0], Priority::Hp, now);
-        let hp_s3_n1 = p.score3(&c.nodes()[1], Priority::Hp, now);
-        assert!(hp_s3_n0 > hp_s3_n1);
+        let hp_s3 = |n: &Node| p.node_scores(n, Priority::Hp, now).unwrap().2;
+        assert_eq!(hp_s3(&c.nodes()[0]), 1.0, "saturated by 50 evictions");
+        assert!(hp_s3(&c.nodes()[0]) > hp_s3(&c.nodes()[1]));
     }
 
     #[test]

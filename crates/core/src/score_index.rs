@@ -17,9 +17,9 @@
 //!   total. A circuit-broken spot node has no spot key, so it sits in no
 //!   spot set.
 //! * **One owner of the key** — [`Pts::node_key`](crate::Pts::node_key)
-//!   builds each flavor's key, the same key the reference scan ranks by,
-//!   and [`Pts::keys_valid_until`](crate::Pts::keys_valid_until) says how
-//!   long it holds; this module only stores and orders them.
+//!   builds both flavors' keys, the same keys the reference scan ranks
+//!   by, together with how long they hold; this module only stores and
+//!   orders them.
 //! * **Epoch invalidation** — the cluster's `ChangeLog` records every
 //!   score-relevant node mutation; [`ScoreIndex::prepare`] replays only
 //!   the ids touched since its last cursor and recomputes those keys. A
@@ -27,12 +27,12 @@
 //!   instance) forces a full rebuild.
 //! * **Eviction-window-aware invalidation** — `Score3` depends on
 //!   windowed eviction *counts*, which also change by pure aging. Each
-//!   cached key carries the last instant its counts stay valid
-//!   (`Node::eviction_score_valid_until`); a min-heap of those
-//!   deadlines recomputes exactly the nodes whose windows just aged out.
-//!   The hard-window failure count behind the reliability component ages
-//!   the same way (`Node::failure_score_valid_until`) and shares the
-//!   heap.
+//!   cached key carries the last instant its counts stay valid (the
+//!   same [`TimeLog::within`](gfs_cluster::TimeLog::within) query that
+//!   counts them says when its oldest counted entry leaves); a min-heap
+//!   of those deadlines recomputes exactly the nodes whose windows just
+//!   aged out. The hard-window failure count behind the reliability
+//!   component ages the same way and shares the heap.
 //! * **Domain re-keying** — the drain word is a property of a node's
 //!   failure *domain*. Whenever the cluster declares domains, the index
 //!   remembers each domain's members and the `draining_in_domain` its
@@ -245,11 +245,9 @@ impl ScoreIndex {
         let placement = cluster.node_placement_key(id);
         let (keys, valid_until) = match placement {
             None => ([None; 2], None),
-            Some(_) => (
-                [Priority::Hp, Priority::Spot].map(|p| pts.node_key(cluster, node, p, now)),
-                pts.keys_valid_until(node, now).map(SimTime::as_secs),
-            ),
+            Some(_) => pts.node_key(cluster, node, now),
         };
+        let valid_until = valid_until.map(SimTime::as_secs);
         self.leave(id);
         let slot = &mut self.slots[id as usize];
         let deadline_changed = slot.valid_until != valid_until;
@@ -329,7 +327,7 @@ impl ScoreIndex {
         let flavor = Flavor::of(priority) as usize;
         let node = &cluster.nodes()[id.index()];
         let slot = &self.slots[id.index()];
-        let fresh = pts.node_key(cluster, node, priority, now);
+        let fresh = pts.node_key(cluster, node, now).0[flavor];
         format!(
             "{id}: cached key {:?} bucket {:?} valid_until {:?} | fresh key {fresh:?} placement {:?}",
             slot.keys[flavor],

@@ -23,68 +23,24 @@
 /// ```
 #[must_use]
 pub fn moving_average(xs: &[f64], window: usize) -> Vec<f64> {
-    assert!(
-        window % 2 == 1 && window > 0,
-        "window must be odd and positive"
-    );
-    if xs.is_empty() {
-        return Vec::new();
-    }
-    let half = window / 2;
-    let n = xs.len();
-    // materialize the reflection-padded series once, then compute all
-    // window means in O(n) via prefix sums (see `windowed_means` for the
-    // rounding caveat) instead of per-element modular index arithmetic
-    let reflect = |i: isize| -> usize {
-        let idx = if i < 0 {
-            (-i) as usize % (2 * n.max(1))
-        } else if (i as usize) >= n {
-            let over = i as usize - n + 1;
-            n.saturating_sub(1 + over % n.max(1))
-        } else {
-            i as usize
-        };
-        idx.min(n - 1)
-    };
-    let mut padded = Vec::with_capacity(n + 2 * half);
-    for i in -(half as isize)..(n + half) as isize {
-        padded.push(xs[reflect(i)]);
-    }
-    windowed_means(&padded, window)
-}
-
-/// O(len) windowed means over `padded` via a prefix-sum: each window is a
-/// difference of two partial sums instead of a fresh `window`-term sum,
-/// turning the decomposition from O(len · window) into O(len). Rounding
-/// differs from per-window summation by at most a few ulps, far below the
-/// noise floor of the demand series being smoothed.
-fn windowed_means(padded: &[f64], window: usize) -> Vec<f64> {
-    let n = padded.len() + 1 - window;
-    let mut prefix = Vec::with_capacity(padded.len() + 1);
-    let mut acc = 0.0;
-    prefix.push(0.0);
-    for &v in padded {
-        acc += v;
-        prefix.push(acc);
-    }
-    (0..n)
-        .map(|c| (prefix[c + window] - prefix[c]) / window as f64)
-        .collect()
+    let mut trend = vec![0.0; xs.len()];
+    DecomposeScratch::default().moving_average_into(xs, window, &mut trend);
+    trend
 }
 
 /// Splits `xs` into `(trend, cyclical)` with `cyclical = xs − trend`
 /// (Eq. 1–2).
 #[must_use]
 pub fn decompose(xs: &[f64], window: usize) -> (Vec<f64>, Vec<f64>) {
-    let trend = moving_average(xs, window);
-    let cyclical = xs.iter().zip(&trend).map(|(x, t)| x - t).collect();
+    let (mut trend, mut cyclical) = (vec![0.0; xs.len()], vec![0.0; xs.len()]);
+    decompose_into(xs, window, &mut trend, &mut cyclical);
     (trend, cyclical)
 }
 
 /// [`decompose`] writing its results into caller buffers of length
 /// `xs.len()` — the per-sample form used in tests and one-off callers.
-/// Training loops use [`DecomposeScratch::decompose_into`] instead, which
-/// produces bit-identical output from pooled scratch.
+/// Training loops hold a [`DecomposeScratch`] instead, the one
+/// implementation every form runs.
 ///
 /// # Panics
 ///
@@ -93,15 +49,33 @@ pub fn decompose_into(xs: &[f64], window: usize, trend: &mut [f64], cyclical: &m
     DecomposeScratch::default().decompose_into(xs, window, trend, cyclical);
 }
 
-/// Reusable padded/prefix buffers for the decomposition kernel. The
-/// allocating [`decompose`]/[`decompose_into`] forms cost three heap
-/// allocations per call; inside a training loop that is three per sample
-/// per batch, which violates the tape arena's zero-allocation
-/// steady-state contract (see the `forecast-alloc-gate` lane). Holding
-/// one of these per model makes every warm call allocation-free while
-/// producing **bit-identical** floats: the padded series, the prefix
-/// sums, and the windowed-mean expression are exactly those of
-/// [`moving_average`].
+/// Where the reflection padding of a series of `n` values reads position
+/// `i`: `x[-1] = x[1]`, `x[n] = x[n-2]`, and so on, wrapping for windows
+/// wider than the series.
+fn reflect(i: isize, n: usize) -> usize {
+    let idx = if i < 0 {
+        (-i) as usize % (2 * n)
+    } else if (i as usize) >= n {
+        let over = i as usize - n + 1;
+        n.saturating_sub(1 + over % n)
+    } else {
+        i as usize
+    };
+    idx.min(n - 1)
+}
+
+/// Reusable padded/prefix buffers for the decomposition kernel, which
+/// every form of the decomposition runs. A fresh scratch costs two heap
+/// allocations; inside a training loop that would be two per sample per
+/// batch, against the tape arena's zero-allocation steady-state contract
+/// (see the `forecast-alloc-gate` lane), so training holds one per model
+/// and every warm call is allocation-free.
+///
+/// The moving average materializes the reflection-padded series once,
+/// then computes all window means in O(n) as differences of prefix sums
+/// instead of fresh `window`-term sums. Rounding differs from per-window
+/// summation by at most a few ulps, far below the noise floor of the
+/// demand series being smoothed, and is the same for every form.
 #[derive(Debug, Default, Clone)]
 pub struct DecomposeScratch {
     padded: Vec<f64>,
@@ -109,8 +83,8 @@ pub struct DecomposeScratch {
 }
 
 impl DecomposeScratch {
-    /// [`decompose_into`] from pooled scratch; same contract, same
-    /// output bits, zero allocations once the buffers are warm.
+    /// [`decompose_into`] from pooled scratch; zero allocations once the
+    /// buffers are warm.
     ///
     /// # Panics
     ///
@@ -123,8 +97,16 @@ impl DecomposeScratch {
         trend: &mut [f64],
         cyclical: &mut [f64],
     ) {
-        assert_eq!(trend.len(), xs.len(), "trend buffer length mismatch");
         assert_eq!(cyclical.len(), xs.len(), "cyclical buffer length mismatch");
+        self.moving_average_into(xs, window, trend);
+        for ((c, x), tv) in cyclical.iter_mut().zip(xs).zip(trend.iter()) {
+            *c = x - tv;
+        }
+    }
+
+    /// [`moving_average`] into `trend`.
+    fn moving_average_into(&mut self, xs: &[f64], window: usize, trend: &mut [f64]) {
+        assert_eq!(trend.len(), xs.len(), "trend buffer length mismatch");
         assert!(
             window % 2 == 1 && window > 0,
             "window must be odd and positive"
@@ -135,31 +117,19 @@ impl DecomposeScratch {
         let half = window / 2;
         let n = xs.len();
         self.padded.clear();
+        self.padded.reserve(n + 2 * half);
         if half < n {
-            // the reflection rule of `moving_average` never wraps here:
+            // the reflection never wraps here:
             // x[half], …, x[1], x, x[n−2], …, x[n−1−half]
             self.padded.extend(xs[1..=half].iter().rev());
             self.padded.extend_from_slice(xs);
             self.padded.extend(xs[n - 1 - half..n - 1].iter().rev());
         } else {
-            // identical reflection rule to `moving_average`
-            let reflect = |i: isize| -> usize {
-                let idx = if i < 0 {
-                    (-i) as usize % (2 * n.max(1))
-                } else if (i as usize) >= n {
-                    let over = i as usize - n + 1;
-                    n.saturating_sub(1 + over % n.max(1))
-                } else {
-                    i as usize
-                };
-                idx.min(n - 1)
-            };
-            for i in -(half as isize)..(n + half) as isize {
-                self.padded.push(xs[reflect(i)]);
-            }
+            let padded = (-(half as isize)..(n + half) as isize).map(|i| xs[reflect(i, n)]);
+            self.padded.extend(padded);
         }
-        // identical prefix-sum accumulation to `windowed_means`
         self.prefix.clear();
+        self.prefix.reserve(self.padded.len() + 1);
         let mut acc = 0.0;
         self.prefix.push(0.0);
         for &v in &self.padded {
@@ -168,9 +138,6 @@ impl DecomposeScratch {
         }
         for (c, t) in trend.iter_mut().enumerate() {
             *t = (self.prefix[c + window] - self.prefix[c]) / window as f64;
-        }
-        for ((c, x), tv) in cyclical.iter_mut().zip(xs).zip(trend.iter()) {
-            *c = x - tv;
         }
     }
 }
@@ -217,7 +184,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_form_is_bit_identical_and_reusable() {
+    fn padding_follows_the_reflection_rule_and_scratch_is_reusable() {
         let mut sc = DecomposeScratch::default();
         // windows wider than the series take the wrapping reflection
         for (len, window) in [
@@ -231,12 +198,17 @@ mod tests {
             let xs: Vec<f64> = (0..len)
                 .map(|i| (i as f64 * 0.37).sin() * 12.3 + i as f64 * 0.05)
                 .collect();
-            let (trend, cyc) = decompose(&xs, window);
             let mut t2 = vec![0.0; len];
             let mut c2 = vec![0.0; len];
             // the same scratch across different shapes must still match
-            // the allocating form bit-for-bit
+            // a fresh one bit for bit
             sc.decompose_into(&xs, window, &mut t2, &mut c2);
+            let half = (window / 2) as isize;
+            let reflected: Vec<f64> = (-half..len as isize + half)
+                .map(|i| xs[reflect(i, len)])
+                .collect();
+            assert_eq!(sc.padded, reflected, "padding (len={len}, w={window})");
+            let (trend, cyc) = decompose(&xs, window);
             assert_eq!(trend, t2, "trend bits drifted (len={len}, w={window})");
             assert_eq!(cyc, c2, "cyclical bits drifted (len={len}, w={window})");
         }

@@ -36,12 +36,11 @@ const ITER_METHODS: [&str; 10] = [
 /// `Node` mutators that change a placement score. Inside
 /// `crates/cluster/src/cluster.rs` these must sit in a function that
 /// reaches `changes.note` (the ScoreIndex epoch contract).
-const NODE_PRIMITIVES: [&str; 8] = [
+const NODE_PRIMITIVES: [&str; 7] = [
     "place_pod",
     "release_pod",
     "record_eviction",
     "record_failure",
-    "record_drain",
     "set_up",
     "set_draining",
     "clear_eviction_history",
@@ -50,11 +49,10 @@ const NODE_PRIMITIVES: [&str; 8] = [
 /// The subset of [`NODE_PRIMITIVES`] whose names are unambiguous enough
 /// to flag *outside* `gfs_cluster` (`record_eviction` is excluded: the
 /// SQA controller has an unrelated method of that name).
-const NODE_PRIMITIVES_FOREIGN: [&str; 7] = [
+const NODE_PRIMITIVES_FOREIGN: [&str; 6] = [
     "place_pod",
     "release_pod",
     "record_failure",
-    "record_drain",
     "set_up",
     "set_draining",
     "clear_eviction_history",

@@ -15,7 +15,7 @@ impl Cluster {
     }
 
     fn quiet_drain(&mut self, id: NodeId) {
-        self.nodes[0].record_drain();
+        self.nodes[0].set_draining(Some(SimTime::ZERO));
         self.index.remove_node(&self.nodes[0]);
     }
 

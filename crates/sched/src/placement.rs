@@ -119,9 +119,9 @@ impl PlacementPolicy {
     }
 
     /// Whether the policy's components are piecewise constant in time, so
-    /// a cached key stays exact until a cluster mutation or
-    /// [`PlacementPolicy::hazard_valid_until`]. Only the decayed rate of
-    /// [`PlacementPolicy::hazard_aware`] is continuous in `now`.
+    /// a cached key stays exact until a cluster mutation or the lifetime
+    /// [`PlacementPolicy::hazard_component`] returns. Only the decayed rate
+    /// of [`PlacementPolicy::hazard_aware`] is continuous in `now`.
     #[must_use]
     pub fn indexable(&self) -> bool {
         self.0 != Preset::HazardAware
@@ -179,31 +179,29 @@ impl PlacementPolicy {
     /// [`PlacementPolicy::FAILURE_WINDOW_SECS`], or under
     /// [`PlacementPolicy::hazard_aware`] its decayed, domain-pooled
     /// failure rate; 1.0 when the preset scores no reliability.
+    ///
+    /// With the value comes the last instant it holds under pure aging:
+    /// when the oldest counted failure leaves the window, `now` itself for
+    /// the decayed rate, which moves every second, and `None` when nothing
+    /// ages out before the next mutation.
     #[must_use]
-    pub fn hazard_component(&self, cluster: &Cluster, node: &Node, now: SimTime) -> f64 {
-        let failures = match self.0 {
-            Preset::Naive | Preset::DomainSpread => return 1.0,
+    pub fn hazard_component(
+        &self,
+        cluster: &Cluster,
+        node: &Node,
+        now: SimTime,
+    ) -> (f64, Option<SimTime>) {
+        let (failures, until) = match self.0 {
+            Preset::Naive | Preset::DomainSpread => return (1.0, None),
             Preset::ReliabilityScored | Preset::ChurnAware => {
-                node.failures_within(now, PlacementPolicy::FAILURE_WINDOW_SECS) as f64
+                let (count, until) = node
+                    .failures()
+                    .within(now, PlacementPolicy::FAILURE_WINDOW_SECS);
+                (count as f64, until)
             }
-            Preset::HazardAware => pooled_failure_rate(cluster, node, now),
+            Preset::HazardAware => (pooled_failure_rate(cluster, node, now), Some(now)),
         };
-        (1.0 - 0.01 * FAILURE_PENALTY * failures).max(0.0)
-    }
-
-    /// The last instant [`PlacementPolicy::hazard_component`] keeps its
-    /// value for `node` under pure aging, for an
-    /// [`indexable`](PlacementPolicy::indexable) policy: when the oldest
-    /// failure inside the window leaves it. `None` when no windowed count
-    /// is behind the component.
-    #[must_use]
-    pub fn hazard_valid_until(&self, node: &Node, now: SimTime) -> Option<SimTime> {
-        match self.0 {
-            Preset::ReliabilityScored | Preset::ChurnAware => {
-                node.failure_score_valid_until(now, PlacementPolicy::FAILURE_WINDOW_SECS)
-            }
-            _ => None,
-        }
+        ((1.0 - 0.01 * FAILURE_PENALTY * failures).max(0.0), until)
     }
 
     /// The discount the *preemptive* path applies when ranking candidate
@@ -215,7 +213,7 @@ impl PlacementPolicy {
         if self.0 != Preset::HazardAware {
             return 1.0;
         }
-        self.hazard_component(cluster, node, now)
+        self.hazard_component(cluster, node, now).0
     }
 
     /// The capacity-aware drain response, the one implementation of
@@ -849,7 +847,7 @@ mod tests {
         assert_eq!(p.drain_component(&c, NodeId::new(0)), 0.0);
         assert_eq!(
             p.hazard_component(&c, &c.nodes()[0], SimTime::from_hours(1)),
-            1.0
+            (1.0, None)
         );
         assert_ne!(PlacementPolicy::churn_aware(), p);
     }
@@ -888,23 +886,24 @@ mod tests {
             .unwrap();
         let p = PlacementPolicy::reliability_scored();
         let now = SimTime::from_hours(3);
-        let flaky = p.hazard_component(&c, &c.nodes()[0], now);
+        let (flaky, until) = p.hazard_component(&c, &c.nodes()[0], now);
         let stable = p.hazard_component(&c, &c.nodes()[1], now);
-        assert!(flaky < stable, "{flaky} vs {stable}");
-        assert_eq!(stable, 1.0);
+        assert_eq!(stable, (1.0, None));
         assert!(
             (flaky - 0.75).abs() < 1e-9,
             "one failure at the default penalty"
         );
         // the score holds until that failure leaves the 48 h window
         let edge = SimTime::from_hours(1) + PlacementPolicy::FAILURE_WINDOW_SECS;
-        assert_eq!(p.hazard_valid_until(&c.nodes()[0], now), Some(edge));
-        assert_eq!(p.hazard_component(&c, &c.nodes()[0], edge), flaky);
-        assert_eq!(p.hazard_component(&c, &c.nodes()[0], edge + 1), 1.0);
-        assert_eq!(p.hazard_valid_until(&c.nodes()[1], now), None);
+        assert_eq!(until, Some(edge));
         assert_eq!(
-            PlacementPolicy::naive().hazard_valid_until(&c.nodes()[0], now),
-            None
+            p.hazard_component(&c, &c.nodes()[0], edge),
+            (flaky, Some(edge))
+        );
+        assert_eq!(p.hazard_component(&c, &c.nodes()[0], edge + 1), (1.0, None));
+        assert_eq!(
+            PlacementPolicy::naive().hazard_component(&c, &c.nodes()[0], now),
+            (1.0, None)
         );
         // enough failures floor the score at 0 (never negative)
         for h in [5u64, 7, 9, 11] {
@@ -913,7 +912,8 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(
-            p.hazard_component(&c, &c.nodes()[0], SimTime::from_hours(12)),
+            p.hazard_component(&c, &c.nodes()[0], SimTime::from_hours(12))
+                .0,
             0.0
         );
     }
@@ -933,16 +933,18 @@ mod tests {
             (PlacementPolicy::reliability_scored(), 0.75),
             (PlacementPolicy::churn_aware(), 0.75),
         ] {
-            assert_eq!(p.hazard_component(&c, &c.nodes()[0], now), score);
+            assert_eq!(p.hazard_component(&c, &c.nodes()[0], now).0, score);
             assert!(p.indexable());
         }
         // the decayed score is time-graded, not a step function
         let p = PlacementPolicy::hazard_aware();
-        let fresh = p.hazard_component(&c, &c.nodes()[0], SimTime::from_hours(2));
-        let stale = p.hazard_component(&c, &c.nodes()[0], SimTime::from_hours(50));
+        let at = |h| p.hazard_component(&c, &c.nodes()[0], SimTime::from_hours(h));
+        let (fresh, until) = at(2);
+        let (stale, _) = at(50);
         assert!(fresh < stale, "{fresh} vs {stale}: old failures fade");
         assert!(stale < 1.0, "but never vanish abruptly");
-        assert_eq!(p.hazard_component(&c, &c.nodes()[1], now), 1.0);
+        assert_eq!(until, Some(SimTime::from_hours(2)), "it holds at now only");
+        assert_eq!(p.hazard_component(&c, &c.nodes()[1], now).0, 1.0);
         assert!(!p.indexable(), "continuous in time: no cached key holds");
     }
 
@@ -961,7 +963,8 @@ mod tests {
         assert!(mate > 0.0, "rack-mate inherits pooled suspicion");
         assert_eq!(other, 0.0, "other rack untouched");
         assert!(
-            p.hazard_component(&c, &c.nodes()[1], now) < p.hazard_component(&c, &c.nodes()[2], now)
+            p.hazard_component(&c, &c.nodes()[1], now).0
+                < p.hazard_component(&c, &c.nodes()[2], now).0
         );
         // the failed node itself is worse than its innocent mate
         assert!(pooled_failure_rate(&c, &c.nodes()[0], now) > mate);

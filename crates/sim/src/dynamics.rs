@@ -94,9 +94,7 @@
 //! queries maintained incrementally by the verbs above:
 //!
 //! * `fail_node` records an up→down transition on the node
-//!   ([`Node::failures_within`](gfs_cluster::Node::failures_within),
-//!   [`Node::failure_count`](gfs_cluster::Node::failure_count),
-//!   [`Node::time_since_failure`](gfs_cluster::Node::time_since_failure)).
+//!   ([`Node::failures`](gfs_cluster::Node::failures)).
 //!   Unlike the eviction history, this *survives* `restore_node` — the
 //!   reliability score exists precisely to remember flaky hardware across
 //!   repairs.

@@ -16,7 +16,8 @@
 //!
 //! The encoding is canonical: maps are written as key-sorted pair lists,
 //! the heap as a `(time, seq)` sorted list, and incrementally-accumulated
-//! floating-point totals verbatim (never recomputed), so
+//! totals (integer [`Cards`](gfs_types::Cards)) verbatim, never
+//! recomputed, so
 //! `snapshot_json → from_json → restore → snapshot_json` is
 //! byte-identical and [`ClusterService::state_hash`] (FNV-1a over those
 //! bytes) pins a state. Snapshots are versioned ([`SNAPSHOT_VERSION`]);
@@ -421,6 +422,68 @@ mod tests {
                     .unwrap();
             r.run_to_end(&mut sched);
             assert_eq!(r.finish(), golden, "crash after {crash_after} steps");
+        }
+    }
+
+    #[test]
+    fn a_snapshot_with_the_dropped_node_counters_restores_to_the_same_state() {
+        let mut s = churn_service();
+        s.admit_tasks(trace(24));
+        s.start();
+        for _ in 0..40 {
+            s.step(&mut FirstFit);
+        }
+        let json = s.snapshot_json(&FirstFit);
+        // the node layout before the lifetime failure and drain counters
+        // were dropped
+        let legacy = json.replace(
+            ",\"up\":",
+            ",\"failure_total\":2,\"last_failure\":7200,\"drain_total\":1,\"up\":",
+        );
+        assert_eq!(legacy.matches("drain_total").count(), 3, "one per node");
+        let mut sched = FirstFit;
+        let restored =
+            ClusterService::restore(ServiceSnapshot::from_json(&legacy).unwrap(), &mut sched)
+                .unwrap();
+        assert_eq!(s.state_hash(&FirstFit), restored.state_hash(&sched));
+    }
+
+    #[test]
+    fn restore_rejects_a_node_history_out_of_time_order() {
+        let mut c = Cluster::homogeneous(2, GpuModel::A100, 8);
+        for (id, t) in [(0, 100), (1, 300), (1, 400)] {
+            let spec = TaskSpec::builder(id + 10 * t)
+                .priority(gfs_types::Priority::Spot)
+                .duration_secs(1_000)
+                .build()
+                .unwrap();
+            c.start_task(spec, &[gfs_types::NodeId::new(id as u32)], SimTime::ZERO, 0)
+                .unwrap();
+            c.evict_task(TaskId::new(id + 10 * t), SimTime::from_secs(t))
+                .unwrap();
+        }
+        for t in [200, 500] {
+            let node = gfs_types::NodeId::new(0);
+            c.fail_node(node, SimTime::from_secs(t)).unwrap();
+            c.restore_node(node, SimTime::from_secs(t + 1)).unwrap();
+        }
+        let json = ClusterService::new(c, SimConfig::default()).snapshot_json(&FirstFit);
+        let restore = |json: &str| {
+            ServiceSnapshot::from_json(json)
+                .and_then(|snap| ClusterService::restore(snap, &mut FirstFit))
+                .map(|_| ())
+        };
+        assert_eq!(restore(&json), Ok(()));
+        for (from, to) in [
+            ("\"failures\":[200,500]", "\"failures\":[500,200]"),
+            ("\"evictions\":[300,400]", "\"evictions\":[400,300]"),
+        ] {
+            let swapped = json.replacen(from, to, 1);
+            assert_ne!(swapped, json, "{from} must occur in the snapshot");
+            assert!(
+                matches!(restore(&swapped), Err(RestoreError::Parse(e)) if e.contains("time order")),
+                "{to}"
+            );
         }
     }
 

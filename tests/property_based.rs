@@ -386,6 +386,57 @@ fn capacity_index_matches_brute_force_scan() {
 
 /// A random but per-node-coherent cluster timeline: each node either
 /// fails and recovers once, drains once, or stays untouched.
+/// One query of a node history's sorted time log answers what a
+/// windowed score counts and how long that count holds. Against brute
+/// force on random sorted logs (ties included) and random windows,
+/// including the inclusive edge, a `now` before entries of the log and
+/// `u64::MAX`: the count is the entries with `now.since(t) ≤ w`, the
+/// expiry the oldest of them plus `w`.
+#[test]
+fn time_log_window_query_matches_brute_force() {
+    use gfs::cluster::Node;
+    for_all_cases("time_log_window_query_matches_brute_force", |rng| {
+        let mut node = Node::new(gfs_types::NodeId::new(0), GpuModel::A100, 8);
+        let mut t = rng.gen_range(0..10_000u64);
+        for _ in 0..rng.gen_range(0..16) {
+            t += rng.gen_range(0..3_000u64) * rng.gen_range(0..2u64);
+            node.record_eviction(SimTime::from_secs(t));
+        }
+        let log = node.evictions();
+        let entries: Vec<SimTime> = log.iter().collect();
+        let pick = |rng: &mut ChaCha8Rng| match entries.len() {
+            0 => SimTime::from_secs(rng.gen_range(0..20_000)),
+            n => entries[rng.gen_range(0..n)],
+        };
+        for _ in 0..32 {
+            let (now, w) = match rng.gen_range(0..4) {
+                // the inclusive edge: an entry exactly `w` old
+                0 => {
+                    let e = pick(rng);
+                    let w = rng.gen_range(0..10_000);
+                    (e + w, w)
+                }
+                // an earlier `now`: entries after it count as inside
+                1 => {
+                    let e = pick(rng);
+                    (SimTime::from_secs(e.as_secs() / 2), rng.gen_range(0..5_000))
+                }
+                2 => (pick(rng) + rng.gen_range(0..20_000), u64::MAX),
+                _ => (
+                    SimTime::from_secs(rng.gen_range(0..60_000)),
+                    rng.gen_range(0..20_000),
+                ),
+            };
+            let inside = || entries.iter().filter(|&&t| now.since(t) <= w);
+            let brute = (
+                inside().count(),
+                inside().min().map(|t| t.saturating_add(w)),
+            );
+            assert_eq!(log.within(now, w), brute, "{entries:?} at {now:?}, w {w}");
+        }
+    });
+}
+
 fn random_dynamics(rng: &mut ChaCha8Rng) -> DynamicsPlan {
     let mut events = Vec::new();
     for node in 0..4u32 {
