@@ -155,6 +155,10 @@ pub struct Cluster {
     /// every declared domain, and for all nodes when no topology was
     /// declared). Grown with `add_node`.
     node_domain: Vec<Option<u32>>,
+    /// Per declared failure domain, its member nodes in ascending id
+    /// order — the nodes whose `node_domain` names it. Derived from
+    /// `node_domain`, so not serialized.
+    domain_members: Vec<Vec<NodeId>>,
     /// Nodes currently draining, per declared failure domain — the O(1)
     /// query behind drain-aware placement ("is this rack mid-maintenance?").
     domain_draining: Vec<u32>,
@@ -193,6 +197,7 @@ impl Cluster {
             totals,
             model_totals,
             node_domain: Vec::new(),
+            domain_members: Vec::new(),
             domain_draining: Vec::new(),
             changes: ChangeLog::default(),
         }
@@ -483,6 +488,7 @@ impl Cluster {
                 }
             }
         }
+        self.domain_members = members_of(&self.node_domain, domains.len());
         // a topology declared mid-run must pick up in-progress drains
         for n in &self.nodes {
             if n.is_draining() {
@@ -499,6 +505,16 @@ impl Cluster {
     #[must_use]
     pub fn domain_of(&self, id: NodeId) -> Option<u32> {
         self.node_domain.get(id.index()).copied().flatten()
+    }
+
+    /// The nodes of failure domain `domain`, ascending by id: exactly
+    /// those whose [`Cluster::domain_of`] is `Some(domain)`. Empty for an
+    /// undeclared domain.
+    #[must_use]
+    pub fn domain_members(&self, domain: u32) -> &[NodeId] {
+        self.domain_members
+            .get(domain as usize)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Number of declared failure domains (0 without a topology).
@@ -1036,11 +1052,24 @@ impl Cluster {
                 spot: s.spot_total,
             },
             model_totals: s.model_totals.into_iter().collect(),
+            domain_members: members_of(&s.node_domain, s.domain_draining.len()),
             node_domain: s.node_domain,
             domain_draining: s.domain_draining,
             changes: ChangeLog::default(),
         }
     }
+}
+
+/// Each of `domains` domains' member nodes, ascending, from the per-node
+/// membership `node_domain`.
+fn members_of(node_domain: &[Option<u32>], domains: usize) -> Vec<Vec<NodeId>> {
+    let mut members = vec![Vec::new(); domains];
+    for (i, d) in node_domain.iter().enumerate() {
+        if let Some(list) = d.and_then(|d| members.get_mut(d as usize)) {
+            list.push(NodeId::new(i as u32));
+        }
+    }
+    members
 }
 
 /// A parsed [`Cluster::snapshot_json_into`] document, ready for

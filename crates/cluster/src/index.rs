@@ -8,10 +8,15 @@
 //! maintains this index incrementally inside `start_task` / `evict_task` /
 //! `finish_task`:
 //!
-//! * **Idle buckets** — per GPU model, a bucket per whole-card idle count
-//!   holding the node ids with exactly that many idle cards. "Nodes with
-//!   ≥ k idle cards" is a walk over buckets `k..`, touching only feasible
-//!   nodes.
+//! * **Idle buckets** — per GPU model, a bucket per whole-card idle count:
+//!   the set of node ids with exactly that many idle cards, as a two-level
+//!   bitset (`NodeSet`: one word per 64 ids, one summary word per 64
+//!   words). A pod that starts or finishes moves its node between two
+//!   buckets by clearing one bit and setting another, O(1) however many
+//!   nodes share the bucket. "Nodes with ≥ k idle cards" ORs the words of
+//!   buckets `k..` into an ascending answer, touching only non-empty
+//!   words. Every present node sits in exactly one bucket of its model,
+//!   so the OR of all of a model's buckets is its present nodes.
 //! * **Partial-card best-fit keys** — per GPU model, an ordered set of
 //!   `(most free milli-cards on a partially occupied card, node id)` for
 //!   nodes that have at least one such card. The keys are exact
@@ -23,7 +28,10 @@
 //!   enumeration is deterministic. This turns `spot_tasks_on` from a scan
 //!   over the whole running registry into a per-node lookup, and lets a
 //!   preemption plan decide whether a node can host a pod (`idle + Σ held
-//!   ≥ need`) and price its victims without touching the registry.
+//!   ≥ need`) and price its victims without touching the registry. Per
+//!   model, the nodes whose list is non-empty form one more `NodeSet`
+//!   (`spot_hosts`), so preemption candidates are the fitting buckets'
+//!   words ORed with the spot-host words masked to present nodes.
 //!
 //! Every answer is exact: the candidates *are* the nodes that fit, equal
 //! to a brute-force [`Node::can_fit`] scan (`tests/property_based.rs`
@@ -34,6 +42,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use gfs_types::{Cards, CheckpointPlan, GpuModel, NodeId, SimDuration, SimTime, TaskId, TaskSpec};
 
 use crate::node::{Gpu, Node};
+use crate::node_set::{collect_words, NodeSet};
 
 /// One running spot task as the capacity index lists it on a node: the
 /// cards its pods hold there, and what Eq. 17 needs to price its
@@ -118,17 +127,17 @@ struct NodeKey {
 pub struct CapacityIndex {
     keys: Vec<NodeKey>,
     models: Vec<GpuModel>,
-    /// Per model: `buckets[idle] = ascending node ids with that idle count`.
-    idle_buckets: BTreeMap<GpuModel, Vec<Vec<u32>>>,
+    /// Per model: `buckets[idle] = the node ids with that idle count`.
+    idle_buckets: BTreeMap<GpuModel, Vec<NodeSet>>,
     /// Per model: ordered `(best partial free, node id)` pairs.
     partial: BTreeMap<GpuModel, BTreeSet<(Cards, u32)>>,
     /// Per node: running spot tasks with at least one pod here, ascending
     /// by id, with the cards each holds on this node.
     spot_on_node: Vec<Vec<SpotHolding>>,
-    /// Per model: ascending node ids currently hosting ≥ 1 spot pod —
-    /// the preemption-victim walk visits only these instead of scanning
-    /// every node's (mostly empty) spot list.
-    spot_hosts: BTreeMap<GpuModel, Vec<u32>>,
+    /// Per model: the node ids currently hosting ≥ 1 spot pod — the
+    /// preemption-victim walk visits only these instead of scanning every
+    /// node's (mostly empty) spot list.
+    spot_hosts: BTreeMap<GpuModel, NodeSet>,
     fully_idle_count: usize,
 }
 
@@ -183,11 +192,9 @@ impl CapacityIndex {
         self.keys[id] = key;
         let buckets = self.idle_buckets.entry(node.model()).or_default();
         if buckets.len() <= key.idle as usize {
-            buckets.resize(key.idle as usize + 1, Vec::new());
+            buckets.resize_with(key.idle as usize + 1, NodeSet::default);
         }
-        let bucket = &mut buckets[key.idle as usize];
-        let pos = bucket.partition_point(|&n| n < raw);
-        bucket.insert(pos, raw);
+        buckets[key.idle as usize].insert(raw);
         if key.partial > Cards(0) {
             self.partial
                 .entry(node.model())
@@ -197,6 +204,8 @@ impl CapacityIndex {
         if key.fully_idle {
             self.fully_idle_count += 1;
         }
+        #[cfg(debug_assertions)]
+        self.check_node(raw);
     }
 
     /// Re-derives one node's keys after its occupancy changed. An
@@ -219,16 +228,11 @@ impl CapacityIndex {
         new.present = true;
         if old.idle != new.idle {
             let buckets = self.idle_buckets.entry(node.model()).or_default();
-            let bucket = &mut buckets[old.idle as usize];
-            if let Ok(pos) = bucket.binary_search(&raw) {
-                bucket.remove(pos);
-            }
+            buckets[old.idle as usize].remove(raw);
             if buckets.len() <= new.idle as usize {
-                buckets.resize(new.idle as usize + 1, Vec::new());
+                buckets.resize_with(new.idle as usize + 1, NodeSet::default);
             }
-            let bucket = &mut buckets[new.idle as usize];
-            let pos = bucket.partition_point(|&n| n < raw);
-            bucket.insert(pos, raw);
+            buckets[new.idle as usize].insert(raw);
         }
         if old.partial != new.partial {
             let set = self.partial.entry(node.model()).or_default();
@@ -243,6 +247,8 @@ impl CapacityIndex {
             _ => {}
         }
         self.keys[id] = new;
+        #[cfg(debug_assertions)]
+        self.check_node(raw);
     }
 
     /// Removes a node from every *placement* structure, using the keys
@@ -259,12 +265,12 @@ impl CapacityIndex {
         if !key.present {
             return;
         }
-        if let Some(buckets) = self.idle_buckets.get_mut(&node.model()) {
-            if let Some(bucket) = buckets.get_mut(key.idle as usize) {
-                if let Ok(pos) = bucket.binary_search(&raw) {
-                    bucket.remove(pos);
-                }
-            }
+        if let Some(bucket) = self
+            .idle_buckets
+            .get_mut(&node.model())
+            .and_then(|buckets| buckets.get_mut(key.idle as usize))
+        {
+            bucket.remove(raw);
         }
         if let Some(set) = self.partial.get_mut(&node.model()) {
             set.remove(&(key.partial, raw));
@@ -273,6 +279,8 @@ impl CapacityIndex {
             self.fully_idle_count -= 1;
         }
         self.keys[id] = NodeKey::default();
+        #[cfg(debug_assertions)]
+        self.check_node(raw);
     }
 
     /// Re-inserts a restored (or drain-cancelled) node, recomputing its
@@ -292,15 +300,13 @@ impl CapacityIndex {
             Err(pos) => list.insert(pos, pod),
         }
         if list.len() == 1 {
-            let raw = node.raw();
-            let hosts = self
-                .spot_hosts
+            self.spot_hosts
                 .entry(self.models[node.index()])
-                .or_default();
-            if let Err(pos) = hosts.binary_search(&raw) {
-                hosts.insert(pos, raw);
-            }
+                .or_default()
+                .insert(node.raw());
         }
+        #[cfg(debug_assertions)]
+        self.check_node(node.raw());
     }
 
     /// Removes `task` and its whole holding from `node`'s spot locality
@@ -311,11 +317,39 @@ impl CapacityIndex {
             list.remove(pos);
             if list.is_empty() {
                 if let Some(hosts) = self.spot_hosts.get_mut(&self.models[node.index()]) {
-                    if let Ok(pos) = hosts.binary_search(&node.raw()) {
-                        hosts.remove(pos);
-                    }
+                    hosts.remove(node.raw());
                 }
             }
+        }
+        #[cfg(debug_assertions)]
+        self.check_node(node.raw());
+    }
+
+    /// The bitsets' oracle, compiled into every debug build: node `id`
+    /// sits in exactly the idle bucket its stored key names (in none
+    /// while it is absent), and it is a spot host of its model exactly
+    /// while its spot list is non-empty.
+    #[cfg(debug_assertions)]
+    fn check_node(&self, id: u32) {
+        let key = self.keys[id as usize];
+        let model = self.models[id as usize];
+        for (&m, buckets) in &self.idle_buckets {
+            for (idle, bucket) in buckets.iter().enumerate() {
+                let named = key.present && m == model && idle == key.idle as usize;
+                assert_eq!(
+                    bucket.contains(id),
+                    named,
+                    "node {id} ({model:?}) in idle bucket {m:?}/{idle} disagrees with its key {key:?}"
+                );
+            }
+        }
+        for (&m, hosts) in &self.spot_hosts {
+            let hosting = m == model && !self.spot_on_node[id as usize].is_empty();
+            assert_eq!(
+                hosts.contains(id),
+                hosting,
+                "node {id} ({model:?}) as a {m:?} spot host disagrees with its spot list"
+            );
         }
     }
 
@@ -345,10 +379,8 @@ impl CapacityIndex {
         let Some(buckets) = self.idle_buckets.get(&model) else {
             return;
         };
-        for bucket in buckets.iter().skip(need as usize) {
-            out.extend_from_slice(bucket);
-        }
-        out.sort_unstable();
+        let fit = buckets.get(need as usize..).unwrap_or_default();
+        collect_words(fit.iter(), |w| union_word(fit, w), out);
     }
 
     /// Node ids (ascending) of `model` nodes that fit a fraction `f` of
@@ -371,17 +403,20 @@ impl CapacityIndex {
     /// still hosts spot pods but cannot accept the preemptor's placement,
     /// so evicting there would only destroy work).
     pub fn preemption_candidates(&self, model: GpuModel, need: u32, out: &mut Vec<u32>) {
-        self.whole_fit_candidates(model, need, out);
-        if let Some(hosts) = self.spot_hosts.get(&model) {
-            out.extend(
-                hosts
-                    .iter()
-                    .copied()
-                    .filter(|&id| self.keys[id as usize].present),
-            );
-        }
-        out.sort_unstable();
-        out.dedup();
+        let (Some(buckets), Some(hosts)) =
+            (self.idle_buckets.get(&model), self.spot_hosts.get(&model))
+        else {
+            return self.whole_fit_candidates(model, need, out);
+        };
+        out.clear();
+        // every present node of `model` sits in exactly one of its
+        // buckets, so their union masks the hosts to present nodes
+        let fit = buckets.get(need as usize..).unwrap_or_default();
+        collect_words(
+            fit.iter().chain([hosts]),
+            |w| union_word(fit, w) | (hosts.word(w) & union_word(buckets, w)),
+            out,
+        );
     }
 
     /// Walks `model` nodes best-fit-first — idle buckets in ascending
@@ -395,14 +430,11 @@ impl CapacityIndex {
         mut accept: impl FnMut(u32) -> bool,
     ) -> Option<u32> {
         let buckets = self.idle_buckets.get(&model)?;
-        for bucket in buckets.iter().skip(need as usize) {
-            for &id in bucket {
-                if accept(id) {
-                    return Some(id);
-                }
-            }
-        }
-        None
+        buckets
+            .iter()
+            .skip(need as usize)
+            .flat_map(NodeSet::iter)
+            .find(|&id| accept(id))
     }
 
     /// The placement key of node `id` as currently indexed: its GPU model
@@ -417,4 +449,9 @@ impl CapacityIndex {
         }
         Some((self.models[id as usize], key.idle))
     }
+}
+
+/// Word `w` of the union of `sets`.
+fn union_word(sets: &[NodeSet], w: usize) -> u64 {
+    sets.iter().fold(0, |acc, set| acc | set.word(w))
 }

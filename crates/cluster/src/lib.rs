@@ -97,6 +97,7 @@ mod changelog;
 mod cluster;
 mod index;
 mod node;
+mod node_set;
 mod scheduler;
 
 pub use changelog::ChangeLog;

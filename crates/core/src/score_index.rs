@@ -35,9 +35,9 @@
 //!   component ages the same way and shares the heap.
 //! * **Domain re-keying** — the drain word is a property of a node's
 //!   failure *domain*. Whenever the cluster declares domains, the index
-//!   remembers each domain's members and the `draining_in_domain` its
-//!   keys were built with; when a replayed node's domain reports a
-//!   different count, every member is recomputed (`drain_node`/
+//!   remembers the `draining_in_domain` each domain's keys were built
+//!   with; when a replayed node's domain reports a different count, every
+//!   member ([`Cluster::domain_members`]) is recomputed (`drain_node`/
 //!   `fail_node`/`restore_node` all log the node, and
 //!   `set_failure_domains` mints a new log instance, i.e. a rebuild). A
 //!   preset that is not drain-aware keys the constant `u64::MAX`, so its
@@ -146,9 +146,10 @@ pub(crate) struct ScoreIndex {
     /// Min-heap of `(valid_until, node id)` count-window deadlines.
     expiry: BinaryHeap<Reverse<(u64, u32)>>,
     /// Per failure domain: the `draining_in_domain` its members' keys were
-    /// built with, and those members. Fixed between rebuilds (a new
-    /// topology is a new log instance, and minted nodes join no domain).
-    domains: Vec<(u32, Vec<u32>)>,
+    /// built with. The members are the cluster's
+    /// [`Cluster::domain_members`], fixed between rebuilds (a new topology
+    /// is a new log instance, and minted nodes join no domain).
+    domain_drains: Vec<u32>,
     scratch: Vec<u32>,
 }
 
@@ -204,14 +205,10 @@ impl ScoreIndex {
         self.expiry.clear();
         self.slots.clear();
         self.slots.resize(cluster.nodes().len(), Slot::default());
-        self.domains = (0..cluster.failure_domain_count() as u32)
-            .map(|d| (cluster.draining_in_domain(d), Vec::new()))
+        self.domain_drains = (0..cluster.failure_domain_count() as u32)
+            .map(|d| cluster.draining_in_domain(d))
             .collect();
         for node in cluster.nodes() {
-            let domain = cluster.domain_of(node.id());
-            if let Some((_, members)) = domain.and_then(|d| self.domains.get_mut(d as usize)) {
-                members.push(node.id().raw());
-            }
             self.recompute(pts, cluster, node.id().raw(), now);
         }
     }
@@ -222,15 +219,13 @@ impl ScoreIndex {
         let Some(d) = cluster.domain_of(NodeId::new(id)) else {
             return;
         };
-        let (cached, members) = &mut self.domains[d as usize];
         let draining = cluster.draining_in_domain(d);
-        if *cached == draining {
+        if self.domain_drains[d as usize] == draining {
             return;
         }
-        *cached = draining;
-        for i in 0..members.len() {
-            let mate = self.domains[d as usize].1[i];
-            self.recompute(pts, cluster, mate, now);
+        self.domain_drains[d as usize] = draining;
+        for mate in cluster.domain_members(d) {
+            self.recompute(pts, cluster, mate.raw(), now);
         }
     }
 

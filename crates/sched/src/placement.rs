@@ -281,10 +281,13 @@ fn pooled_failure_rate(cluster: &Cluster, node: &Node, now: SimTime) -> f64 {
     let Some(d) = cluster.domain_of(node.id()) else {
         return own;
     };
+    // the mates in ascending id order, as the all-node fold met them, so
+    // the sum keeps its bits
     let (sum, mates) = cluster
-        .nodes()
+        .domain_members(d)
         .iter()
-        .filter(|m| m.id() != node.id() && cluster.domain_of(m.id()) == Some(d))
+        .filter(|&&m| m != node.id())
+        .map(|&m| &cluster.nodes()[m.index()])
         .fold((0.0, 0u32), |(s, k), m| {
             (
                 s + m.decayed_failure_rate(now, FAILURE_HALF_LIFE_SECS),
@@ -974,6 +977,71 @@ mod tests {
             pooled_failure_rate(&flat, &flat.nodes()[0], now),
             flat.nodes()[0].decayed_failure_rate(now, FAILURE_HALF_LIFE_SECS)
         );
+    }
+
+    /// The pooled rate as it was computed before domains kept member
+    /// lists: a fold over every node of the cluster, in ascending id order.
+    fn pooled_failure_rate_all_nodes(cluster: &Cluster, node: &Node, now: SimTime) -> f64 {
+        let own = node.decayed_failure_rate(now, FAILURE_HALF_LIFE_SECS);
+        let Some(d) = cluster.domain_of(node.id()) else {
+            return own;
+        };
+        let (sum, mates) = cluster
+            .nodes()
+            .iter()
+            .filter(|m| m.id() != node.id() && cluster.domain_of(m.id()) == Some(d))
+            .fold((0.0, 0u32), |(s, k), m| {
+                (
+                    s + m.decayed_failure_rate(now, FAILURE_HALF_LIFE_SECS),
+                    k + 1,
+                )
+            });
+        if mates == 0 {
+            own
+        } else {
+            own + POOL_WEIGHT * sum / f64::from(mates)
+        }
+    }
+
+    #[test]
+    fn pooled_rate_over_members_matches_the_all_node_fold() {
+        use gfs_types::{FailureDomain, SplitMix64};
+        let mut rng = SplitMix64::new(0x9001);
+        let mut draw = |n: u64| rng.next_u64() % n;
+        for case in 0..40 {
+            let nodes = 2 + draw(30) as u32;
+            let mut c = Cluster::homogeneous(nodes, GpuModel::A100, 8);
+            // racks over all but a few trailing nodes, which stay outside
+            // every domain, and one extra domain over every third node:
+            // a node listed twice keeps its rack
+            let outside = draw(u64::from(nodes)) as u32;
+            let mut domains = FailureDomain::racks(nodes - outside, 1 + draw(6) as u32);
+            domains.push(FailureDomain::new((0..nodes).step_by(3).map(NodeId::new)));
+            if draw(2) == 0 {
+                c.add_node(GpuModel::A100, 8); // minted before: in no domain
+            }
+            c.set_failure_domains(&domains);
+            c.add_node(GpuModel::A100, 8); // minted after: in no domain
+            let n = c.nodes().len() as u64;
+            let mut t = 0;
+            for _ in 0..draw(50) {
+                t += 1 + draw(6 * HOUR);
+                let id = NodeId::new(draw(n) as u32);
+                c.fail_node(id, SimTime::from_secs(t)).unwrap();
+                t += 1 + draw(HOUR);
+                c.restore_node(id, SimTime::from_secs(t)).unwrap();
+            }
+            for now in [t, t + draw(3 * 24 * HOUR)].map(SimTime::from_secs) {
+                for node in c.nodes() {
+                    assert_eq!(
+                        pooled_failure_rate(&c, node, now).to_bits(),
+                        pooled_failure_rate_all_nodes(&c, node, now).to_bits(),
+                        "case {case}: node {} at {now:?}",
+                        node.id()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -184,6 +184,8 @@ pub fn partition_tasks(tasks: Vec<TaskSpec>, shards: usize) -> Vec<Vec<TaskSpec>
 
 struct ShardOutcome {
     report: SimReport,
+    /// `report_hash` of the report, computed by the worker that ran it.
+    hash: u64,
     /// As-built capacity weight for the availability fold.
     weight: f64,
 }
@@ -218,10 +220,18 @@ pub fn run_fleet(
         let mut shard_cfg = cfg.clone();
         shard_cfg.dynamics = shard.dynamics;
         let report = crate::run(shard.cluster, &mut *scheduler, shard.tasks, &shard_cfg);
-        ShardOutcome { report, weight }
+        // end the scheduler with the run, so a wrapper that times its own
+        // lifetime times the shard run and not the hash
+        drop(scheduler);
+        let hash = report_hash(&report);
+        ShardOutcome {
+            report,
+            hash,
+            weight,
+        }
     });
 
-    let shard_hashes: Vec<u64> = outcomes.iter().map(|o| report_hash(&o.report)).collect();
+    let shard_hashes: Vec<u64> = outcomes.iter().map(|o| o.hash).collect();
     let report = merge_reports(outcomes);
     let mut tag = String::new();
     for h in &shard_hashes {
@@ -376,6 +386,19 @@ mod tests {
         assert_eq!(serial.report, parallel.report);
         assert_eq!(serial.shard_hashes, parallel.shard_hashes);
         assert_eq!(serial.fleet_hash, parallel.fleet_hash);
+        // each worker's hash is the plain run's: hashing moved into the
+        // job that ran the shard, not onto different bytes
+        let plain: Vec<u64> = shard_fixture(4)
+            .into_iter()
+            .map(|shard| {
+                let cfg = SimConfig {
+                    dynamics: shard.dynamics,
+                    ..SimConfig::default()
+                };
+                report_hash(&crate::run(shard.cluster, &mut FirstFit, shard.tasks, &cfg))
+            })
+            .collect();
+        assert_eq!(parallel.shard_hashes, plain);
         let mut a = String::new();
         serial.report.serialize_json(&mut a);
         let mut b = String::new();

@@ -8,6 +8,8 @@
 //! property runs `CASES` independent cases; failures print the case seed
 //! so a reproduction is one constant away.
 
+use std::collections::BTreeMap;
+
 use gfs::prelude::*;
 use gfs_types::CheckpointPlan;
 use rand::{Rng, SeedableRng};
@@ -17,7 +19,12 @@ const CASES: u64 = 48;
 
 /// Runs `f` once per case with an independently seeded generator.
 fn for_all_cases(name: &str, f: impl Fn(&mut ChaCha8Rng)) {
-    for case in 0..CASES {
+    for_cases(name, CASES, f);
+}
+
+/// [`for_all_cases`] over the first `cases` seeds only.
+fn for_cases(name: &str, cases: u64, f: impl Fn(&mut ChaCha8Rng)) {
+    for case in 0..cases {
         let mut rng = ChaCha8Rng::seed_from_u64(0x5eed_0000 + case);
         // isolate failures to a case seed
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut rng)));
@@ -174,17 +181,34 @@ mod brute {
             .collect()
     }
 
-    /// Spot tasks with a pod on `node`, ascending by id, with the cards
-    /// their pods there hold — re-derived from the placements.
-    pub fn spot_on(cluster: &Cluster, node: gfs_types::NodeId) -> Vec<(TaskId, Cards)> {
-        cluster
-            .running()
-            .filter(|rt| rt.spec.priority.is_spot() && rt.placements.iter().any(|p| p.node == node))
-            .map(|rt| {
-                let here = rt.placements.iter().filter(|p| p.node == node);
-                (rt.spec.id, here.map(|p| p.alloc.cards()).sum())
-            })
-            .collect()
+    /// Per node hosting spot pods, the spot tasks with a pod there,
+    /// ascending by id, with the cards their pods there hold —
+    /// re-derived from the placements.
+    pub fn spot_on(cluster: &Cluster) -> BTreeMap<u32, Vec<(TaskId, Cards)>> {
+        let mut on: BTreeMap<u32, Vec<(TaskId, Cards)>> = BTreeMap::new();
+        for rt in cluster.running().filter(|rt| rt.spec.priority.is_spot()) {
+            for p in &rt.placements {
+                let list = on.entry(p.node.raw()).or_default();
+                match list.last_mut() {
+                    Some((task, cards)) if *task == rt.spec.id => *cards += p.alloc.cards(),
+                    _ => list.push((rt.spec.id, p.alloc.cards())),
+                }
+            }
+        }
+        on
+    }
+
+    /// Schedulable `model` nodes with at least `need` idle cards, sorted
+    /// by `(idle cards, id)`: the order a best-fit walk must visit.
+    pub fn best_fit_order(cluster: &Cluster, model: GpuModel, need: u32) -> Vec<u32> {
+        let mut fit: Vec<(u32, u32)> = cluster
+            .nodes()
+            .iter()
+            .filter(|n| n.is_schedulable() && n.model() == model && n.idle_gpus() >= need)
+            .map(|n| (n.idle_gpus(), n.id().raw()))
+            .collect();
+        fit.sort_unstable();
+        fit.into_iter().map(|(_, id)| id).collect()
     }
 
     pub fn fully_idle(cluster: &Cluster) -> usize {
@@ -196,11 +220,12 @@ mod brute {
     }
 
     pub fn preemption(cluster: &Cluster, model: GpuModel, need: u32) -> Vec<u32> {
+        let spot = spot_on(cluster);
         cluster
             .nodes()
             .iter()
             .filter(|n| n.is_schedulable() && n.model() == model)
-            .filter(|n| n.idle_gpus() >= need || !spot_on(cluster, n.id()).is_empty())
+            .filter(|n| n.idle_gpus() >= need || spot.contains_key(&n.id().raw()))
             .map(Node::id)
             .map(gfs_types::NodeId::raw)
             .collect()
@@ -255,133 +280,179 @@ mod brute {
 /// restore_node}` — including that a failed or draining node's buckets
 /// vanish atomically, scale-out grows every structure, and the O(1)
 /// totals stay exact through churn.
+///
+/// The cases run on a 6-node cluster grown to at most 10 nodes. Six more
+/// run on a 4,096-node cluster grown to at most 4,104, whose churn lands
+/// mostly on ids around the index's bitset boundaries — 63 | 64 (one
+/// word) and 4,095 | 4,096 (one summary word, which the first scale-out
+/// crosses). They are fewer because each of their checks scans ~4,100
+/// nodes.
 #[test]
 fn capacity_index_matches_brute_force_scan() {
-    for_all_cases("capacity_index_matches_brute_force_scan", |rng| {
-        let mut cluster = Cluster::homogeneous(6, GpuModel::A100, 8);
-        let mut live: Vec<TaskId> = Vec::new();
-        let mut next_id = 1u64;
-        for step in 0..60 {
-            // mutate: mostly starts, sometimes evict/finish a live task,
-            // sometimes fail, drain, restore or add a node
-            let node_count = cluster.nodes().len() as u32;
-            let action = rng.gen_range(0..16u32);
-            if action == 10 {
-                // fail a random node; tasks drained there leave `live`
-                let node = gfs_types::NodeId::new(rng.gen_range(0..node_count));
-                if cluster.node(node).expect("known id").is_up() {
-                    let displaced = cluster
-                        .fail_node(node, SimTime::from_secs(step))
-                        .expect("up node fails cleanly");
-                    live.retain(|id| !displaced.iter().any(|d| d.task.spec.id == *id));
-                } else {
-                    assert!(cluster.fail_node(node, SimTime::from_secs(step)).is_err());
-                }
-            } else if action == 13 {
-                // drain a random node: pods keep running, placement stops
-                let node = gfs_types::NodeId::new(rng.gen_range(0..node_count));
-                let ok = cluster.node(node).expect("known id").is_schedulable();
-                let drained = cluster.drain_node(node, SimTime::from_secs(step + 1_000));
-                assert_eq!(drained.is_ok(), ok, "drain succeeds iff schedulable");
-            } else if action == 14 && node_count < 10 {
-                // scale out: a fresh node joins every structure
-                let id = cluster.add_node(GpuModel::A100, 8);
-                assert_eq!(id.raw(), node_count, "sequential minting");
-            } else if action >= 11 {
-                // restore a random node (no-op error when in full service);
-                // also cancels in-progress drains
-                let node = gfs_types::NodeId::new(rng.gen_range(0..node_count));
-                let was_schedulable = cluster.node(node).expect("known id").is_schedulable();
-                let restored = cluster.restore_node(node, SimTime::from_secs(step));
-                assert_eq!(restored.is_ok(), !was_schedulable);
-            } else if action < 6 || live.is_empty() {
-                let spot = rng.gen_bool(0.6);
-                let fractional = rng.gen_bool(0.3);
-                let builder = TaskSpec::builder(next_id)
-                    .priority(if spot { Priority::Spot } else { Priority::Hp })
-                    .duration_secs(10_000);
-                let spec = if fractional {
-                    builder.gpus_per_pod(
-                        GpuDemand::fraction(
-                            *[0.25, 0.3, 0.5, 0.75]
-                                .get(rng.gen_range(0..4usize))
-                                .expect("static"),
-                        )
-                        .expect("valid"),
-                    )
-                } else {
-                    builder.gpus_per_pod(GpuDemand::whole(rng.gen_range(1..9u32)))
-                }
-                .build()
-                .expect("valid");
-                let node = gfs_types::NodeId::new(rng.gen_range(0..node_count));
-                if cluster
-                    .start_task(spec.clone(), &[node], SimTime::from_secs(step), 0)
-                    .is_ok()
-                {
-                    live.push(spec.id);
-                    next_id += 1;
-                }
-            } else {
-                let victim = live.swap_remove(rng.gen_range(0..live.len()));
-                let is_spot = cluster
-                    .running_task(victim)
-                    .expect("tracked tasks are running")
-                    .spec
-                    .priority
-                    .is_spot();
-                if action < 8 && is_spot {
-                    cluster
-                        .evict_task(victim, SimTime::from_secs(step))
-                        .expect("evictable");
-                } else {
-                    cluster
-                        .finish_task(victim, SimTime::from_secs(step))
-                        .expect("running");
-                }
-            }
-            // verify: every indexed query equals the brute-force scan
-            for need in [1u32, 2, 4, 8] {
-                assert_eq!(
-                    cluster.whole_fit_candidates(GpuModel::A100, need),
-                    brute::whole_fit(&cluster, GpuModel::A100, need),
-                    "whole-fit({need}) diverged at step {step}"
-                );
-            }
-            for f in [200, 250, 500, 750, 900].map(Cards) {
-                assert_eq!(
-                    cluster.fraction_fit_candidates(GpuModel::A100, f),
-                    brute::fraction_fit(&cluster, GpuModel::A100, f),
-                    "fraction-fit({f:?}) diverged at step {step}"
-                );
-            }
-            for node in 0..cluster.nodes().len() as u32 {
-                let id = gfs_types::NodeId::new(node);
-                let indexed: Vec<TaskId> = cluster
-                    .spot_tasks_on(id)
-                    .iter()
-                    .map(|rt| rt.spec.id)
-                    .collect();
-                let brute = brute::spot_on(&cluster, id);
-                let holdings = cluster.spot_holdings(id).iter().map(|h| (h.task, h.cards));
-                assert!(
-                    holdings.eq(brute.iter().copied()),
-                    "spot-on({node}) diverged"
-                );
-                assert!(indexed.iter().eq(brute.iter().map(|(t, _)| t)));
-                assert_eq!(cluster.has_spot_on(id), !indexed.is_empty());
-            }
-            assert_eq!(cluster.fully_idle_nodes(), brute::fully_idle(&cluster));
-            assert_eq!(
-                cluster.preemption_candidates(GpuModel::A100, 4),
-                brute::preemption(&cluster, GpuModel::A100, 4)
-            );
-            // no cross-model leakage
-            assert!(cluster.whole_fit_candidates(GpuModel::H800, 1).is_empty());
-            // O(1) whole-cluster and per-model totals match fresh scans
-            brute::totals_consistent(&cluster);
-        }
+    let name = "capacity_index_matches_brute_force_scan";
+    for_all_cases(name, |rng| {
+        churn_against_brute_force(rng, 6, 10, &|rng, n| rng.gen_range(0..n));
     });
+    let near_boundaries = |rng: &mut ChaCha8Rng, n: u32| match rng.gen_range(0..4u32) {
+        0 => rng.gen_range(60..68),
+        1 | 2 => rng.gen_range(4_090..n),
+        _ => rng.gen_range(0..n),
+    };
+    for_cases(name, 6, |rng| {
+        churn_against_brute_force(rng, 4_096, 4_104, &near_boundaries);
+    });
+}
+
+/// One case of [`capacity_index_matches_brute_force_scan`]: 60 random
+/// mutations of a `nodes`-node cluster that scale-out may grow to
+/// `max_nodes`, each mutation aimed at the node `pick(rng, node_count)`.
+fn churn_against_brute_force(
+    rng: &mut ChaCha8Rng,
+    nodes: u32,
+    max_nodes: u32,
+    pick: &dyn Fn(&mut ChaCha8Rng, u32) -> u32,
+) {
+    let mut cluster = Cluster::homogeneous(nodes, GpuModel::A100, 8);
+    let mut live: Vec<TaskId> = Vec::new();
+    let mut next_id = 1u64;
+    for step in 0..60 {
+        // mutate: mostly starts, sometimes evict/finish a live task,
+        // sometimes fail, drain, restore or add a node
+        let node_count = cluster.nodes().len() as u32;
+        let action = rng.gen_range(0..16u32);
+        if action == 10 {
+            // fail a random node; tasks drained there leave `live`
+            let node = gfs_types::NodeId::new(pick(rng, node_count));
+            if cluster.node(node).expect("known id").is_up() {
+                let displaced = cluster
+                    .fail_node(node, SimTime::from_secs(step))
+                    .expect("up node fails cleanly");
+                live.retain(|id| !displaced.iter().any(|d| d.task.spec.id == *id));
+            } else {
+                assert!(cluster.fail_node(node, SimTime::from_secs(step)).is_err());
+            }
+        } else if action == 13 {
+            // drain a random node: pods keep running, placement stops
+            let node = gfs_types::NodeId::new(pick(rng, node_count));
+            let ok = cluster.node(node).expect("known id").is_schedulable();
+            let drained = cluster.drain_node(node, SimTime::from_secs(step + 1_000));
+            assert_eq!(drained.is_ok(), ok, "drain succeeds iff schedulable");
+        } else if action == 14 && node_count < max_nodes {
+            // scale out: a fresh node joins every structure
+            let id = cluster.add_node(GpuModel::A100, 8);
+            assert_eq!(id.raw(), node_count, "sequential minting");
+        } else if action >= 11 {
+            // restore a random node (no-op error when in full service);
+            // also cancels in-progress drains
+            let node = gfs_types::NodeId::new(pick(rng, node_count));
+            let was_schedulable = cluster.node(node).expect("known id").is_schedulable();
+            let restored = cluster.restore_node(node, SimTime::from_secs(step));
+            assert_eq!(restored.is_ok(), !was_schedulable);
+        } else if action < 6 || live.is_empty() {
+            let spot = rng.gen_bool(0.6);
+            let fractional = rng.gen_bool(0.3);
+            let builder = TaskSpec::builder(next_id)
+                .priority(if spot { Priority::Spot } else { Priority::Hp })
+                .duration_secs(10_000);
+            let spec = if fractional {
+                builder.gpus_per_pod(
+                    GpuDemand::fraction(
+                        *[0.25, 0.3, 0.5, 0.75]
+                            .get(rng.gen_range(0..4usize))
+                            .expect("static"),
+                    )
+                    .expect("valid"),
+                )
+            } else {
+                builder.gpus_per_pod(GpuDemand::whole(rng.gen_range(1..9u32)))
+            }
+            .build()
+            .expect("valid");
+            let node = gfs_types::NodeId::new(pick(rng, node_count));
+            if cluster
+                .start_task(spec.clone(), &[node], SimTime::from_secs(step), 0)
+                .is_ok()
+            {
+                live.push(spec.id);
+                next_id += 1;
+            }
+        } else {
+            let victim = live.swap_remove(rng.gen_range(0..live.len()));
+            let is_spot = cluster
+                .running_task(victim)
+                .expect("tracked tasks are running")
+                .spec
+                .priority
+                .is_spot();
+            if action < 8 && is_spot {
+                cluster
+                    .evict_task(victim, SimTime::from_secs(step))
+                    .expect("evictable");
+            } else {
+                cluster
+                    .finish_task(victim, SimTime::from_secs(step))
+                    .expect("running");
+            }
+        }
+        // verify: every indexed query equals the brute-force scan
+        for need in [1u32, 2, 4, 8] {
+            assert_eq!(
+                cluster.whole_fit_candidates(GpuModel::A100, need),
+                brute::whole_fit(&cluster, GpuModel::A100, need),
+                "whole-fit({need}) diverged at step {step}"
+            );
+        }
+        for f in [200, 250, 500, 750, 900].map(Cards) {
+            assert_eq!(
+                cluster.fraction_fit_candidates(GpuModel::A100, f),
+                brute::fraction_fit(&cluster, GpuModel::A100, f),
+                "fraction-fit({f:?}) diverged at step {step}"
+            );
+        }
+        for need in [1u32, 2, 4, 8] {
+            let mut walked = Vec::new();
+            let none = cluster.best_fit_walk(GpuModel::A100, need, |id| {
+                walked.push(id);
+                false
+            });
+            assert_eq!(none, None);
+            assert_eq!(
+                walked,
+                brute::best_fit_order(&cluster, GpuModel::A100, need),
+                "best-fit walk({need}) left (idle, id) order at step {step}"
+            );
+        }
+        let spot_on = brute::spot_on(&cluster);
+        for node in 0..cluster.nodes().len() as u32 {
+            let id = gfs_types::NodeId::new(node);
+            let Some(brute) = spot_on.get(&node) else {
+                assert!(!cluster.has_spot_on(id), "spot-on({node}) not empty");
+                assert!(cluster.spot_holdings(id).is_empty());
+                continue;
+            };
+            let indexed: Vec<TaskId> = cluster
+                .spot_tasks_on(id)
+                .iter()
+                .map(|rt| rt.spec.id)
+                .collect();
+            let holdings = cluster.spot_holdings(id).iter().map(|h| (h.task, h.cards));
+            assert!(
+                holdings.eq(brute.iter().copied()),
+                "spot-on({node}) diverged"
+            );
+            assert!(indexed.iter().eq(brute.iter().map(|(t, _)| t)));
+            assert!(cluster.has_spot_on(id));
+        }
+        assert_eq!(cluster.fully_idle_nodes(), brute::fully_idle(&cluster));
+        assert_eq!(
+            cluster.preemption_candidates(GpuModel::A100, 4),
+            brute::preemption(&cluster, GpuModel::A100, 4)
+        );
+        // no cross-model leakage
+        assert!(cluster.whole_fit_candidates(GpuModel::H800, 1).is_empty());
+        // O(1) whole-cluster and per-model totals match fresh scans
+        brute::totals_consistent(&cluster);
+    }
 }
 
 /// A random but per-node-coherent cluster timeline: each node either
